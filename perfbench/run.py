@@ -19,8 +19,11 @@ Workloads (closed loop, one client, passes back to back):
 The last line of standard output is one JSON object with ``correct``,
 ``attempted``, ``failed`` and ``metrics``: the end-to-end metrics of
 ``BENCHMARK.json`` with ``--trace 0``, its per-layer metrics with
-``--trace 1``.  Every pass's CPU, wall and steal seconds are written to
-``perfbench/.work/runs/``; see ``perfbench/README.md``.
+``--trace 1``.  Times are CPU seconds at the reference host's speed:
+a calibration kernel sampled all through every worker measures how fast
+the host ran (``calibrate.py``).  Every pass's reference, raw CPU, wall
+and steal seconds are written to ``perfbench/.work/runs/``; see
+``perfbench/README.md``.
 """
 
 import argparse
@@ -56,7 +59,8 @@ DEADLINE = 170
 STARTED = time.monotonic()
 
 #: Where the per-layer metrics come from: ``<layer>_s`` is the self CPU
-#: time of a span layer per pass (SETUP_SECONDS: in the traced set-up),
+#: time, at reference speed, of a span layer per pass (SETUP_SECONDS: in
+#: the traced set-up),
 #: SPAN_CALLS count spans, COUNTERS are library counter deltas per pass.
 SPAN_SECONDS = (
     "expr.compile", "solver.search", "symex.step", "dbt.translate",
@@ -208,9 +212,10 @@ def check(kind, children):
 def end_to_end(children):
     passes = [record for child in children for record in child["passes"]]
     return {
-        "setup_s": (median([child["setup_s"] for child in children]), "s"),
+        "setup_s": (median([child["setup_ref_s"] for child in children]),
+                    "s"),
         "peak_rss_mb": (max(child["rss_mb"] for child in children), "MiB"),
-        "pass_cpu_s": (median([record["cpu_s"] for record in passes]), "s"),
+        "pass_s": (median([record["ref_s"] for record in passes]), "s"),
     }
 
 
@@ -256,35 +261,42 @@ def per_layer(children):
               if "layers" in child]
     for layer in SETUP_SECONDS:
         metrics[layer + "_s"] = (median([s[layer] for s in setups]), "s")
+    metrics["host.cpu_s"] = (median([r["cpu_s"] for r in plain]), "s")
+    metrics["host.speed"] = (median([r["ref_s"] / r["cpu_s"] for r in plain]),
+                             "ratio")
     metrics["host.wall_s"] = (median([r["wall_s"] for r in plain]), "s")
     metrics["host.steal_s"] = (median([r["steal_s"] for r in plain]), "s")
     metrics["trace.overhead"] = (
-        median([r["cpu_s"] for r in traced])
-        / median([r["cpu_s"] for r in plain]), "ratio")
+        median([r["ref_s"] for r in traced])
+        / median([r["ref_s"] for r in plain]), "ratio")
     metrics["trace.coverage"] = (
         median([r["layers"]["coverage"] for r in traced]), "ratio")
     return metrics
 
 
 def write_record(args, children, result):
-    """Keep every pass's CPU / wall / steal beside the printed result."""
+    """Keep every pass's times beside the printed result."""
     path = os.path.join(WORK, "runs", "%s-seed%d-trace%d.json"
                         % (args.workload, args.seed, args.trace))
     os.makedirs(os.path.dirname(path), exist_ok=True)
     passes = [{key: record[key] for key in
-               ("cpu_s", "wall_s", "steal_s", "digest") if key in record}
+               ("ref_s", "cpu_s", "wall_s", "steal_s", "digest")
+               if key in record}
               | {"traced": bool(record.get("traced"))}
               for child in children for record in child["passes"]]
     with open(path, "w") as handle:
         json.dump({"workload": args.workload, "seed": args.seed,
                    "seconds": args.seconds, "trace": args.trace,
                    "setup_s": [child["setup_s"] for child in children],
+                   "setup_ref_s": [child["setup_ref_s"]
+                                   for child in children],
                    "passes": passes, "result": result}, handle, indent=1)
     for index, record in enumerate(passes):
-        sys.stderr.write("pass %2d %s cpu %.3fs wall %.3fs steal %.2fs\n"
+        sys.stderr.write("pass %2d %s ref %.3fs cpu %.3fs wall %.3fs"
+                         " steal %.2fs\n"
                          % (index, "traced" if record["traced"] else "plain ",
-                            record["cpu_s"], record["wall_s"],
-                            record["steal_s"]))
+                            record["ref_s"], record["cpu_s"],
+                            record["wall_s"], record["steal_s"]))
 
 
 def parse_args(argv):

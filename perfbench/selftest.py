@@ -1,6 +1,7 @@
 """Self-test of the benchmark: ``python3 perfbench/selftest.py``.
 
-1. The self-time arithmetic on a synthetic span tree.
+1. The self-time arithmetic on a synthetic span tree, and the
+   calibration's reference-seconds arithmetic on synthetic samples.
 2. The tracer puts every patched name back on uninstall.
 3. Every workload once at its smallest size (``--seconds 0``: one pass
    per process), untraced and traced, checking the printed metric names
@@ -23,6 +24,7 @@ sys.path.insert(0, HERE)
 # Keep bytecode of this process out of the source tree, like the workers.
 sys.pycache_prefix = os.path.join(HERE, ".work", "pycache")
 
+from calibrate import NOMINAL_S, WINDOW, Sampler  # noqa: E402
 from tracer import (GC_LAYER, ROOT_LAYER, WRAP_POINTS, Tracer,  # noqa: E402
                     self_times)
 
@@ -41,6 +43,27 @@ def check_self_times():
     seconds, counts = self_times([0, 1, 1], [-1, 0, 1], [0.0, 1.0, 2.0],
                                  [5.0, 4.0, 3.0], 2)
     assert seconds == [2.0, 3.0] and counts == [1, 2], (seconds, counts)
+
+
+def check_reference_seconds():
+    # Samples every 0.1 s: the first WINDOW at reference speed, the next
+    # WINDOW at half speed (each sample takes twice as long).
+    sampler = Sampler()
+    for index in range(2 * WINDOW):
+        sampler.starts.append(index * 0.1)
+        sampler.spent.append(NOMINAL_S * (1 if index < WINDOW else 2))
+    # The first group's stretch ends with its last sample.
+    split = (WINDOW - 1) * 0.1 + NOMINAL_S
+    want = (split - WINDOW * NOMINAL_S) \
+        + (2 * WINDOW * 0.1 - split - WINDOW * 2 * NOMINAL_S) / 2
+    got = sampler.reference_s(0.0, 2 * WINDOW * 0.1)
+    assert abs(got - want) < 1e-12, (got, want)
+    # An interval inside the half-speed stretch counts half its busy time.
+    start, end = (WINDOW + 1) * 0.1 - 0.01, (WINDOW + 3) * 0.1 - 0.01
+    want = (end - start - 2 * 2 * NOMINAL_S) / 2
+    got = sampler.reference_s(start, end)
+    assert abs(got - want) < 1e-12, (got, want)
+    assert abs(sampler.kernel_s(start, end) - 4 * NOMINAL_S) < 1e-12
 
 
 def check_install_roundtrip():
@@ -121,6 +144,8 @@ def check_bare_directory():
 def main():
     check_self_times()
     print("ok  self-time arithmetic")
+    check_reference_seconds()
+    print("ok  reference-seconds arithmetic")
     check_install_roundtrip()
     print("ok  tracer install/uninstall")
     check_bare_directory()

@@ -8,13 +8,18 @@ patched where its caller looks it up (a function imported by name into
 another module is patched in that module too), so no call slips past a
 wrapper that was installed before the caller's objects were built.
 
-Span clocks are process CPU seconds (``time.process_time``).  A layer's
-*self* time is its spans' duration minus the part covered by their
-child spans; :func:`self_times` does that arithmetic, and the
-benchmark's self-test checks it on a synthetic tree.  Garbage-collector
-pauses become spans of their own (through ``gc.callbacks``), so they are
-charged to ``gc.pause`` instead of to whatever layer happened to
-allocate.
+Span clocks are thread CPU seconds (``time.thread_time``): the library
+runs serially in the main thread, and the process-wide clock moves in
+4 ms steps while the calibration sampler's timer is armed (see
+``calibrate.py``).  A layer's *self* time is its spans' duration minus
+the part covered by their child spans; :func:`self_times` does that
+arithmetic, and the benchmark's self-test checks it on a synthetic tree.
+Garbage-collector pauses become spans of their own (through
+``gc.callbacks``), so they are charged to ``gc.pause`` instead of to
+whatever layer happened to allocate.  They are kept in arrays of their
+own until the pass ends: a collection can start between two of a
+wrapper's appends (a signal handler allocates), and must not land
+between them.
 
 The wrappers are not free: the vm.bus / vm.memory / hw boundaries are
 crossed hundreds of thousands of times per fabric pass, which is why
@@ -29,6 +34,8 @@ import json
 import os
 import time
 from array import array
+
+CLOCK = time.thread_time
 
 #: Span-producing wrap points: (layer, module, names).  A name is either
 #: ``function`` or ``Class.method``; every one must exist, so a rename in
@@ -166,6 +173,9 @@ class Tracer:
         self.parents = array("i")
         self.starts = array("d")
         self.ends = array("d")
+        self.gc_parents = array("i")
+        self.gc_starts = array("d")
+        self.gc_ends = array("d")
         # The sentinel -1 is the parent of every top-level span.
         self.stack = [-1]
 
@@ -173,7 +183,7 @@ class Tracer:
 
     def _wrap(self, function, layer):
         layer_id = self._index[layer]
-        clock = time.process_time
+        clock = CLOCK
         layers, parents = self.layers, self.parents
         starts, ends, stack = self.starts, self.ends, self.stack
 
@@ -197,14 +207,10 @@ class Tracer:
 
     def _on_gc(self, phase, _info):
         if phase == "start":
-            self.layers.append(self._index[GC_LAYER])
-            self.parents.append(self.stack[-1])
-            self.ends.append(0.0)
-            self.starts.append(time.process_time())
-            self.stack.append(len(self.starts) - 1)
-        elif len(self.stack) > 1 \
-                and self.layers[self.stack[-1]] == self._index[GC_LAYER]:
-            self.ends[self.stack.pop()] = time.process_time()
+            self.gc_parents.append(self.stack[-1])
+            self.gc_starts.append(CLOCK())
+        elif len(self.gc_ends) < len(self.gc_starts):
+            self.gc_ends.append(CLOCK())
 
     # -- installation ---------------------------------------------------
 
@@ -243,22 +249,31 @@ class Tracer:
         self.parents[:] = array("i")
         self.starts[:] = array("d")
         self.ends[:] = array("d")
+        for column in (self.gc_parents, self.gc_starts, self.gc_ends):
+            del column[:]
         del self.stack[1:]
         self.layers.append(self._index[ROOT_LAYER])
         self.parents.append(-1)
         self.ends.append(0.0)
-        self.starts.append(time.process_time())
+        self.starts.append(CLOCK())
         self.stack.append(0)
 
     def end_pass(self):
         """Close the root span; returns the pass's layer summary:
         ``{"cpu_s", "coverage", "self_s": {layer: s},
         "calls": {layer: n}}``."""
-        self.ends[0] = time.process_time()
+        self.ends[0] = CLOCK()
         if self.stack != [-1, 0]:
             raise RuntimeError("unbalanced spans at pass end: %r"
                                % self.stack[1:])
         self.stack.pop()
+        gc_layer = self._index[GC_LAYER]
+        for parent, start, end in zip(self.gc_parents, self.gc_starts,
+                                      self.gc_ends):
+            self.layers.append(gc_layer)
+            self.parents.append(parent)
+            self.starts.append(start)
+            self.ends.append(end)
         seconds, counts = self_times(self.layers, self.parents, self.starts,
                                      self.ends, len(self.names))
         total = self.ends[0] - self.starts[0]

@@ -17,8 +17,12 @@ Modes:
     ``--trace`` the set-up and the later passes are traced and the
     passes in between are not (they give ``trace.overhead``).
 
-Every pass records its process CPU time, wall time and the host's
-``/proc/stat`` steal beside its outputs' digest.
+Every pass records its CPU time, wall time and the host's
+``/proc/stat`` steal beside its outputs' digest.  A calibration sampler
+(``calibrate.py``) runs all through ``cold`` and ``warm``; when the
+work is done its samples turn each pass's and the set-up's CPU time
+into ``ref_s``, CPU seconds at the reference host's speed, and scale
+traced layer times the same way.
 """
 
 import gc
@@ -31,6 +35,7 @@ import time
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
+from calibrate import WINDOW, Sampler, clock  # noqa: E402
 from tracer import Tracer  # noqa: E402
 
 FABRIC_ENDPOINTS = 64
@@ -70,8 +75,9 @@ def counters():
 def timed_pass(run, tracer=None):
     """Run one pass; returns ``(result, record)``.
 
-    ``record`` holds CPU / wall / steal seconds and the counter deltas;
-    when ``tracer`` is installed it also holds the pass's layer summary.
+    ``record`` holds the pass's CPU clock readings (``calibrate`` turns
+    them into seconds), wall / steal seconds and the counter deltas; when
+    ``tracer`` is installed it also holds the pass's layer summary.
     """
     gc.collect()
     before = counters()
@@ -79,12 +85,12 @@ def timed_pass(run, tracer=None):
         tracer.begin_pass()
     steal = read_steal()
     wall = time.perf_counter()
-    cpu = time.process_time()
+    start = clock()
     result = run()
-    cpu = time.process_time() - cpu
+    end = clock()
     wall = time.perf_counter() - wall
     steal = read_steal() - steal
-    record = {"cpu_s": cpu, "wall_s": wall, "steal_s": steal}
+    record = {"clock": [start, end], "wall_s": wall, "steal_s": steal}
     if tracer is not None:
         record["layers"] = tracer.end_pass()
     after = counters()
@@ -110,7 +116,7 @@ def prepare(store_root):
     return {"mode": orchestrator.last_warm_mode}
 
 
-def cold(driver, trace):
+def cold(driver, trace, sampler):
     # Import everything execute_run reaches, then assemble the driver:
     # that is the set-up a porting user pays before RevNIC starts.
     import repro.revnic  # noqa: F401
@@ -120,7 +126,8 @@ def cold(driver, trace):
     from repro.pipeline.orchestrator import execute_run
 
     build_driver(driver)
-    setup_s = time.process_time()
+    setup_end = clock()
+    sampler.burst(WINDOW)
     tracer = Tracer() if trace else None
     if tracer is not None:
         tracer.install()
@@ -137,7 +144,7 @@ def cold(driver, trace):
     if tracer is not None:
         tracer.write_spans(os.path.join(
             os.environ["PERFBENCH_WORK"], "spans", "cold-%s" % driver))
-    return {"setup_s": setup_s, "rss_mb": rss_mb(), "passes": [record]}
+    return {"setup_end": setup_end, "rss_mb": rss_mb(), "passes": [record]}
 
 
 def _matrix_pass(orchestrator):
@@ -192,7 +199,7 @@ def warm(workload, store_root, seed, seconds, trace):
         def run():
             return _fabric_pass(orchestrator, plan)
     warmup = run()
-    setup = {"setup_s": time.process_time()}
+    setup = {"setup_end": clock()}
     if tracer is not None:
         setup["layers"] = tracer.end_pass()
         tracer.uninstall()
@@ -230,16 +237,55 @@ def warm(workload, store_root, seed, seconds, trace):
     return setup
 
 
+def calibrated(result, sampler):
+    """Replace clock readings by seconds: ``setup_s`` / ``cpu_s`` are raw
+    CPU with the kernel's samples taken out, ``setup_ref_s`` / ``ref_s``
+    the same at the reference host's speed."""
+    end = result.pop("setup_end")
+    result["setup_s"] = end - sampler.kernel_s(0.0, end)
+    result["setup_ref_s"] = sampler.reference_s(0.0, end)
+    if "layers" in result:
+        _rescale(result["layers"], result["setup_ref_s"] / end)
+    for record in result["passes"]:
+        start, end = record.pop("clock")
+        record["cpu_s"] = end - start - sampler.kernel_s(start, end)
+        record["ref_s"] = sampler.reference_s(start, end)
+        if "layers" in record:
+            _rescale(record["layers"], record["ref_s"] / (end - start))
+    return result
+
+
+def _rescale(layers, factor):
+    """Kernel samples land in layers in proportion to their CPU, so one
+    factor takes them out and rescales to the reference speed."""
+    layers["self_s"] = {name: seconds * factor
+                        for name, seconds in layers["self_s"].items()}
+
+
 def main(argv):
     mode = argv[0]
     trace = "--trace" in argv
     args = [arg for arg in argv[1:] if arg != "--trace"]
     if mode == "prepare":
         result = prepare(args[0])
-    elif mode == "cold":
-        result = cold(args[0], trace)
-    elif mode == "warm":
-        result = warm(args[0], args[1], int(args[2]), float(args[3]), trace)
+    elif mode in ("cold", "warm"):
+        sampler = Sampler()
+        sampler.start()
+        try:
+            if mode == "cold":
+                result = cold(args[0], trace, sampler)
+            else:
+                result = warm(args[0], args[1], int(args[2]), float(args[3]),
+                              trace)
+        finally:
+            sampler.stop()
+        # Every reading is of the main thread's clock: fail loudly if
+        # another thread did a measurable share of the work.
+        others = time.process_time() - clock()
+        if others > 0.05 + 0.02 * clock():
+            raise RuntimeError("%.2fs of CPU ran outside the main thread"
+                               % others)
+        result = calibrated(result, sampler)
     else:
         raise SystemExit("unknown mode %r" % mode)
     sys.stdout.write(json.dumps(result) + "\n")
