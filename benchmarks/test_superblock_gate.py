@@ -1,6 +1,6 @@
 """Benchmark gate: the superblock tier beats per-block compiled dispatch.
 
-Three experiments, landing under ``superblocks`` in
+Two experiments, landing under ``superblocks`` in
 ``BENCH_pipeline.json``:
 
 * **original-binary matrix column** -- the rtl8029 workload catalog on
@@ -10,15 +10,10 @@ Three experiments, landing under ``superblocks`` in
   least 1.5x over per-step decode;
 * **synthesized-driver run** -- the rtl8139 artifact in the winsim
   template, compiled-only vs compiled+superblocks.  Same behaviour and
-  perf counters; superblocks strictly faster;
-* **cold vs warm start** -- the same synthesized run against a scratch
-  persistent code cache: a cold process generates and persists every
-  source, a warm one imports instead of regenerating (gated on the
-  codecache counters, recorded as the wall-clock delta).
+  perf counters; superblocks strictly faster.
 
-Both steady-state timings warm the chains up before the measured runs:
-formation and compile cost is a one-time cold-start cost, measured
-separately by the third experiment rather than smeared into the
+Both timings warm the chains up before the measured runs: formation and
+compile cost is a one-time cold-start cost, not smeared into the
 steady-state gate.
 """
 
@@ -27,9 +22,6 @@ import os
 import time
 
 from repro.drivers import device_class
-from repro.ir import codecache
-from repro.ir import compile as ircompile
-from repro.ir import superblock
 from repro.net import UdpWorkload
 from repro.targetos import TARGET_OSES
 from repro.templates import DmaNicTemplate
@@ -102,7 +94,7 @@ def _run_column(backend, superblocks=False):
 
 
 def test_matrix_column_superblocks_faster(cache):
-    # Warm-up: form chains, compile and persist every source once, so
+    # Warm-up: form chains and compile every source once, so
     # the timed runs measure steady-state dispatch only.
     _run_column("compiled", superblocks=True)
     _run_column("compiled", superblocks=False)
@@ -187,58 +179,3 @@ def test_synthesized_rtl8139_run_superblocks_faster(cache):
         "compiled+superblocks (%.3fs) not faster than compiled-only " \
         "(%.3fs)" % (fused, compiled)
 
-
-def _fresh_process():
-    """Drop every in-process code cache, as a new python process would:
-    the persistent store handles (and hint memo) plus the shared
-    compiled-program and chain caches."""
-    codecache.forget_stores()
-    ircompile._SHARED_PROGRAMS.clear()
-    superblock._SHARED_CHAINS.clear()
-
-
-def test_cold_start_warm_import(cache, tmp_path, monkeypatch):
-    """A warm process imports persisted sources instead of regenerating;
-    chain hints re-form superblocks without re-profiling.  Measured on
-    the matrix column -- the biggest codegen surface (hundreds of block
-    and chain sources), where the cold-start delta is visible."""
-    monkeypatch.setenv(codecache.CODE_CACHE_ENV,
-                       str(tmp_path / "codegen"))
-
-    _fresh_process()
-    before = codecache.codecache_counters()
-    started = time.perf_counter()
-    out_cold = _run_column("compiled", superblocks=True)
-    cold_seconds = time.perf_counter() - started
-    mid = codecache.codecache_counters()
-    cold = {key: mid[key] - before[key] for key in mid}
-    assert cold["generated"] > 0 and cold["persisted"] > 0
-    assert cold["imported"] == 0
-
-    _fresh_process()
-    started = time.perf_counter()
-    out_warm = _run_column("compiled", superblocks=True)
-    warm_seconds = time.perf_counter() - started
-    after = codecache.codecache_counters()
-    warm = {key: after[key] - mid[key] for key in after}
-    assert out_cold == out_warm, \
-        "a warm import changed observable behaviour"
-    assert warm["generated"] < cold["generated"], \
-        "warm process regenerated as much as the cold one"
-    assert warm["imported"] > 0 and warm["hints"] > 0, \
-        "warm process did not import persisted sources or chain hints"
-
-    _RECORD["cold_start"] = {
-        "driver": "rtl8029",
-        "side": "original-binary",
-        "scenarios": len(SCENARIOS),
-        "cold_seconds": round(cold_seconds, 3),
-        "warm_seconds": round(warm_seconds, 3),
-        "cold_start_reduction": round(cold_seconds / warm_seconds, 2),
-        "cold_generated": cold["generated"],
-        "cold_persisted": cold["persisted"],
-        "warm_generated": warm["generated"],
-        "warm_imported": warm["imported"],
-        "warm_hints": warm["hints"],
-    }
-    _update_bench()

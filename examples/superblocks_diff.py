@@ -7,8 +7,7 @@ chains changes wall time only.  This script builds, twice -- once with
 covering every consumer of the execution tiers:
 
 * the **pipeline artifact** -- a cold reverse-engineering run's
-  :class:`RunArtifact` canonical JSON (the symex concrete fast path
-  rides the persistent code cache; superblocks never fuse pipeline
+  :class:`RunArtifact` canonical JSON (superblocks never fuse pipeline
   blocks, so this must be bit-for-bit stable);
 * the **matrix column** -- the original binary's observations over the
   whole workload catalog on the compiled DBT tier, where hot chains

@@ -34,7 +34,6 @@ from repro.ir.printer import format_block, format_op
 from repro.ir.interp import IrEnv, run_block
 from repro.ir.compile import (block_source, compile_block, compile_source,
                               exec_counters)
-from repro.ir.codecache import codecache_counters
 from repro.ir.superblock import (Superblock, SuperblockConfig,
                                  SuperblockManager, superblock_counters,
                                  superblock_source, superblocks_enabled)
@@ -76,7 +75,6 @@ __all__ = [
     "compile_block",
     "compile_source",
     "exec_counters",
-    "codecache_counters",
     "Superblock",
     "SuperblockConfig",
     "SuperblockManager",

@@ -15,9 +15,6 @@ Generated sources are *self-contained modules*: every constant (the
 ``BlockResult`` objects a block returns) is emitted as a source-level
 binding, so :func:`block_source` is a pure function of the block's
 ops/layout and the exact same text executes identically in any process.
-That is what makes the persistent code cache (:mod:`repro.ir.codecache`)
-sound: a warm process imports the cached source instead of regenerating
-it, and both paths exec byte-identical text.
 
 The compiled function is cached on the block object itself, so cache
 lifetime *is* block lifetime: a :class:`~repro.dbt.translator.Translator`
@@ -245,7 +242,7 @@ def block_source(block):
 
     A pure function of the block's ops and layout -- byte-identical
     whenever the block content is identical -- which is the contract the
-    persistent code cache relies on.
+    content-keyed ``_SHARED_PROGRAMS`` table relies on.
     """
     w = _Writer()
     terminated = False
@@ -280,12 +277,8 @@ def compile_source(source, name, filename, extra=None):
 
 
 def _compile_block(block):
-    from repro.ir import codecache
-
-    source = codecache.cached_source(
-        "block", codecache.block_descriptor(block),
-        lambda: block_source(block))
-    fn = compile_source(source, "_block", "<block-0x%08x>" % block.pc)
+    fn = compile_source(block_source(block), "_block",
+                        "<block-0x%08x>" % block.pc)
     _COUNTER_CELLS[0] += 1
     return fn
 
@@ -307,9 +300,7 @@ def compile_block(block):
     """The compiled execution function of ``block`` (cached on the block).
 
     Returns a function ``fn(env) -> BlockResult`` with semantics identical
-    to ``run_block(block, env)``.  Rides the persistent code cache when
-    one is configured: the generated source is stored content-addressed,
-    so a warm process imports instead of regenerating.
+    to ``run_block(block, env)``.
     """
     fn = getattr(block, "_compiled", None)
     if fn is None:

@@ -41,16 +41,10 @@ never fused; conditional jumps fuse the profiled-hotter edge and exit
 through the other.  Mid-chain exits report how many members actually
 entered so the dispatcher can account steps and locate the terminating
 member (import calls and halts need its last instruction address).
-
-Generated superblock sources are persisted through
-:mod:`repro.ir.codecache` alongside a *chain hint* keyed by the head
-block's content, so a warm process both skips regeneration and re-forms
-hot chains on first dispatch instead of re-profiling.
 """
 
 import os
 
-from repro.ir import codecache
 from repro.ir import nodes as N
 from repro.ir.compile import _BINDINGS, _Writer, _emit_op, compile_source
 
@@ -122,7 +116,7 @@ def superblock_source(blocks, guard_code_writes):
     ``guard_code_writes`` emits the self-patch store guard (the dynamic
     flavour; synthesized block maps are immutable and skip it).  Like
     :func:`repro.ir.compile.block_source` this is a pure function of the
-    member blocks, which is what makes persisting it sound.
+    member blocks.
     """
     span = (min(b.pc for b in blocks), max(b.end_pc for b in blocks))
     w = _ChainWriter(span if guard_code_writes else None)
@@ -304,8 +298,7 @@ class SuperblockManager:
 
     def invalidate(self):
         """Drop every chain and all profile state (the
-        ``Cpu.code_changed()`` hook).  Persisted hints survive -- they
-        are content-addressed, so patched code simply misses them."""
+        ``Cpu.code_changed()`` hook)."""
         self._supers.clear()
         self._counts.clear()
         self._edges.clear()
@@ -348,11 +341,9 @@ class SuperblockManager:
             return None
         count = self._counts.get(pc, 0) + 1
         self._counts[pc] = count
-        formed = None
-        if count == 1 and codecache.enabled():
-            formed = self._try_hint(pc)
-        if formed is None and count >= self._config.hot_threshold:
-            formed = self._form(pc)
+        if count < self._config.hot_threshold:
+            return None
+        formed = self._form(pc)
         if formed is not None:
             self._last_pc = None
         return formed
@@ -382,17 +373,6 @@ class SuperblockManager:
             return term.target if taken > fall else term.fallthrough
         return None
 
-    def _allowed_next(self, block):
-        """The pcs a hint is allowed to chain to after ``block``."""
-        term = block.terminator
-        if not isinstance(term, N.TERMINATOR_TYPES):
-            return (block.end_pc,)
-        if isinstance(term, N.IrJump) and not term.indirect:
-            return (term.target,)
-        if isinstance(term, N.IrCondJump):
-            return (term.target, term.fallthrough)
-        return ()
-
     def _form(self, head_pc):
         blocks = []
         seen = set()
@@ -418,35 +398,6 @@ class SuperblockManager:
         self._supers[head_pc] = sb
         if self.dispatch is not None:
             self.dispatch[head_pc] = sb
-        codecache.store_chain_hint(blocks[0], self._flavor,
-                                   [b.pc for b in blocks])
-        _SB_CELLS[0] += 1
-        return sb
-
-    def _try_hint(self, pc):
-        """Re-form a persisted chain on first dispatch of its head."""
-        head = self._fetch(pc)
-        if head is None:
-            return None
-        members = codecache.load_chain_hint(head, self._flavor)
-        if not members or members[0] != pc:
-            return None
-        blocks = [head]
-        prev = head
-        for nxt in members[1:self._config.max_members]:
-            if nxt not in self._allowed_next(prev) or nxt == pc:
-                return None
-            block = self._fetch(nxt)
-            if block is None:
-                return None
-            blocks.append(block)
-            prev = block
-        if len(blocks) < 2:
-            return None
-        sb = self._build(blocks)
-        self._supers[pc] = sb
-        if self.dispatch is not None:
-            self.dispatch[pc] = sb
         _SB_CELLS[0] += 1
         return sb
 
@@ -460,12 +411,9 @@ class SuperblockManager:
                 min(b.pc for b in blocks), max(b.end_pc for b in blocks))
         fn = _SHARED_CHAINS.get(key)
         if fn is None:
-            source = codecache.cached_source(
-                "superblock:" + self._flavor,
-                codecache.chain_descriptor(blocks),
-                lambda: superblock_source(blocks, guard))
             fn = compile_source(
-                source, "_sb", "<superblock-0x%08x>" % blocks[0].pc,
+                superblock_source(blocks, guard), "_sb",
+                "<superblock-0x%08x>" % blocks[0].pc,
                 extra={"_s": _SB_CELLS})
             if len(_SHARED_CHAINS) >= _SHARED_CHAINS_MAX:
                 _SHARED_CHAINS.clear()

@@ -36,9 +36,10 @@ from repro.synth.report import FunctionSummary, SynthesisReport
 
 #: Bump on any incompatible change to the encoding below.  Loads of a
 #: different version are rejected (the on-disk cache treats them as
-#: misses), never migrated.  v2: run stats gained the volatile
-#: ``codecache`` section (persistent compiled-code cache outcomes).
-SCHEMA_VERSION = 2
+#: misses), never migrated.  v2: run stats gained a volatile section of
+#: persistent compiled-code cache outcomes.  v3: dropped that section
+#: together with the persistent code cache.
+SCHEMA_VERSION = 3
 
 
 class RunArtifact:
@@ -634,13 +635,6 @@ def _scrub_volatile(data):
     deterministic function of (driver image, config, code)."""
     stats = dict(data["stats"])
     stats["wall_seconds"] = 0.0
-    codecache = stats.get("codecache")
-    if isinstance(codecache, dict):
-        # Persistent code-cache outcomes flip with on-disk warmth (a
-        # warm cache turns "generated" into "imported") without ever
-        # changing what the generated code computes -- runtime-only, so
-        # canonical bytes neutralize them.
-        stats["codecache"] = {key: 0 for key in codecache}
     frontier = stats.get("frontier")
     if isinstance(frontier, dict):
         frontier = dict(frontier)

@@ -294,22 +294,6 @@ class ArtifactStore:
                 return
         self.quarantined += 1
 
-    def quarantine_entry(self, key):
-        """Quarantine ``key`` explicitly and count it as corrupt.
-
-        For layered consumers (the code cache) whose payloads carry
-        validation the store cannot check itself -- a digest-valid entry
-        whose inner schema or fingerprint is stale gets the same
-        move-aside-and-count treatment as a corrupt one.  Returns
-        whether an entry existed to quarantine.
-        """
-        path = self.path_for(key)
-        if not os.path.exists(path):
-            return False
-        self.corrupt += 1
-        self._quarantine(path)
-        return True
-
     def recover(self):
         """Sweep orphaned ``*.tmp`` files (writers that died mid-publish).
 

@@ -179,11 +179,8 @@ class RevNic:
                 self._shard_pool.close()
 
     def _run(self):
-        from repro.ir.codecache import codecache_counters
-
         self._start_time = time.monotonic()
         eval_before = E.eval_counters()
-        codecache_before = codecache_counters()
         trace = Trace(driver_name=self.config.driver_name,
                       text_base=self.loaded.text_base,
                       text_size=len(self.image.text))
@@ -207,7 +204,6 @@ class RevNic:
         # counter deltas are merged in from _frontier_extra; all zeros in
         # legacy single-queue mode.
         extra = self._frontier_extra
-        codecache_after = codecache_counters()
         hw_read_counts = dict(self.hardware.read_counts)
         hw_write_counts = dict(self.hardware.write_counts)
         for kind, count in self._frontier_hw[0].items():
@@ -251,14 +247,6 @@ class RevNic:
                                  + extra.get("os_calls_skipped", 0)),
             "wall_seconds": time.monotonic() - self._start_time,
             "phases": list(self._phase_log),
-            # Persistent code-cache outcomes for this run's compiled
-            # blocks (symex fast path).  Volatile by construction -- a
-            # warm disk cache flips generated into imported -- so the
-            # canonical artifact serialization scrubs the values (see
-            # repro.pipeline.artifact._scrub_volatile).
-            "codecache": {
-                key: codecache_after[key] - codecache_before[key]
-                for key in sorted(codecache_before)},
         }
         if self.config.explore_split_depth > 0:
             pool = self._shard_pool

@@ -19,19 +19,16 @@ block re-executes through the symbolic op walker, so traces, constraints,
 forks, and every deterministic counter are identical with the fast path
 on or off.
 
-The fast path compiles blocks through :func:`repro.ir.compile.compile_block`
-and therefore rides the persistent code cache (:mod:`repro.ir.codecache`):
-a warm process imports previously generated block sources instead of
-regenerating them, cutting symbolic-run cold start.  Superblock chaining
-is deliberately *not* applied here -- per-block stepping (``count_block``,
-``blocks_executed``, the per-block tracer records) is part of the artifact
-byte contract, and fusing blocks would change it.
+The fast path compiles blocks through :func:`repro.ir.compile.compile_block`.
+Superblock chaining is deliberately *not* applied here -- per-block
+stepping (``count_block``, ``blocks_executed``, the per-block tracer
+records) is part of the artifact byte contract, and fusing blocks would
+change it.
 """
 
 from dataclasses import dataclass
 
 from repro.errors import VmFault
-from repro.ir import codecache
 from repro.ir import nodes as N
 from repro.ir.compile import compile_block
 from repro.layout import RETURN_TO_OS, import_index, is_mmio
@@ -215,8 +212,6 @@ class SymExecutor:
         self.concrete_fast_path = concrete_fast_path
         #: blocks that completed on the concrete fast path
         self.fast_blocks = 0
-        #: pcs whose chain-hint prefetch already ran (once per head)
-        self._hint_prefetched = set()
 
     # ------------------------------------------------------------------
 
@@ -262,35 +257,6 @@ class SymExecutor:
     # ------------------------------------------------------------------
     # Concrete fast path
 
-    def _prefetch_chain_sources(self, head_block):
-        """Warm the block-source cache along a persisted chain hint.
-
-        Superblock runs record which blocks chain behind a hot head
-        (:func:`repro.ir.codecache.store_chain_hint`); symbolic execution
-        walks the same code, so when the fast path first meets a head it
-        compiles the hinted members too -- a warm process *imports* their
-        persisted sources in one locality burst instead of regenerating
-        each on first touch.  Chains themselves stay off here: per-block
-        stepping (``count_block``, the tracer records) is part of the
-        artifact byte contract, and prefetching only moves compile work
-        earlier -- it cannot change what any block computes, and the
-        codecache counters it bumps are scrubbed from canonical JSON.
-        """
-        members = codecache.load_chain_hint(head_block, "dynamic")
-        if not members:
-            return
-        for pc in members:
-            if pc == head_block.pc or pc in self._hint_prefetched:
-                continue
-            self._hint_prefetched.add(pc)
-            try:
-                compile_block(self.translator.get(pc))
-            except Exception:  # noqa: BLE001 -- best-effort prefetch
-                # A hinted pc the translator cannot serve here (unmapped,
-                # mid-instruction after a different split) just misses;
-                # the block compiles on first execution as before.
-                continue
-
     def _step_concrete(self, state, block, regs_before):
         """Try the block on the compiled concrete tier.
 
@@ -302,9 +268,6 @@ class SymExecutor:
         eligible, read_regs = _fast_meta(block)
         if not eligible:
             return None
-        if block.pc not in self._hint_prefetched:
-            self._hint_prefetched.add(block.pc)
-            self._prefetch_chain_sources(block)
         regs = state.regs
         for reg in read_regs:
             if not isinstance(regs[reg], int):

@@ -119,12 +119,3 @@ class TestClassify:
         assert [d.to_dict() for d in again.divergences] \
             == [d.to_dict() for d in outcome.divergences]
 
-
-class TestShim:
-    def test_compare_module_reexports_differ(self):
-        """repro.validate.compare stays importable (back-compat)."""
-        from repro.validate import compare
-
-        assert compare.compare_observations is compare_observations
-        assert compare.Divergence is Divergence
-        assert compare.COMPARED_FIELDS is COMPARED_FIELDS

@@ -1,6 +1,7 @@
 """The documentation set stays healthy: links resolve, referenced paths
-exist, fenced doctest examples execute (same checks as the CI docs job,
-via tools/check_docs.py)."""
+exist, the environment-variable table matches the code, fenced doctest
+examples execute (same checks as the CI docs job, via
+tools/check_docs.py)."""
 
 import importlib.util
 import os
@@ -47,3 +48,29 @@ def test_checker_catches_breakage(tmp_path):
     assert any("src/nope.py" in p for p in link_problems)
     doc_problems = check_docs.run_doctests(str(tmp_path))
     assert len(doc_problems) == 1 and "doctest failure" in doc_problems[0]
+
+
+def test_env_table_matches_code():
+    assert check_docs.check_env_table(_REPO_ROOT) == []
+
+
+def test_env_table_checked_both_ways(tmp_path):
+    """An unread row and an undocumented read are both reported; a name
+    inside a longer string literal (a C include guard) is not a read."""
+    (tmp_path / "docs").mkdir()
+    (tmp_path / "docs" / "robustness.md").write_text(
+        "| variable | default | effect |\n|---|---|---|\n"
+        "| `REVNIC_KEPT` | on | read |\n"
+        "| `REVNIC_STALE` | off | no longer read |\n")
+    package = tmp_path / "src" / "repro"
+    package.mkdir(parents=True)
+    (package / "knobs.py").write_text(
+        'import os\n'
+        'KEPT = os.environ.get("REVNIC_KEPT")\n'
+        'NEW = os.environ.get("REVNIC_NEW")\n'
+        'GUARD = "#ifndef REVNIC_GUARD_H"\n')
+    problems = check_docs.check_env_table(str(tmp_path))
+    assert len(problems) == 2
+    assert any("REVNIC_NEW" in p and "no row" in p for p in problems)
+    assert any("REVNIC_STALE" in p and "no module reads" in p
+               for p in problems)

@@ -271,12 +271,6 @@ class TestSymexConcreteFastPath:
             data["stats"]["wall_seconds"] = 0.0
             data["stats"]["phases"] = None
             data["stats"]["exec_fast_blocks"] = None
-            # Cache-warmth provenance, not behaviour: the fast path is
-            # the only compile_block caller here, and its chain-hint
-            # prefetch imports sources the off-run never touches.  The
-            # canonical scrub (pipeline.artifact._scrub_volatile) zeroes
-            # these for the same reason.
-            data["stats"]["codecache"] = None
             data["coverage"]["timeline"] = [
                 [blocks, 0.0, fraction]
                 for blocks, _seconds, fraction in

@@ -1,11 +1,9 @@
 """Property-based tests (hypothesis) on core invariants."""
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.asm import assemble
 from repro.errors import VmFault
-from repro.ir.codecache import CODE_CACHE_ENV
 from repro.ir.superblock import SuperblockConfig, superblock_counters
 from repro.isa import Instruction, Op, decode, encode
 from repro.isa.encoding import INSTR_SIZE, NO_REG
@@ -20,15 +18,6 @@ from repro.vm import Machine
 reg = st.integers(min_value=0, max_value=15)
 u32 = st.integers(min_value=0, max_value=0xFFFFFFFF)
 u8 = st.integers(min_value=0, max_value=0xFF)
-
-
-@pytest.fixture(autouse=True)
-def _no_persistent_code_cache(monkeypatch):
-    """Hypothesis generates unbounded distinct programs; writing each
-    compiled source to the persistent code cache would grow it without
-    bound and make these tests I/O-heavy.  Scoped here (not globally)
-    so cache-hit paths stay exercised elsewhere."""
-    monkeypatch.setenv(CODE_CACHE_ENV, "off")
 
 
 class TestEncodingProperties:

@@ -242,186 +242,3 @@ class TestGc:
             store.save_json("k%d" % index, '{"i": %d}' % index)
         assert store.gc() == []
         assert len(store.keys()) == 5
-
-
-# -- the persistent compiled-code cache (repro.ir.codecache) ------------
-#
-# Generated block and superblock sources ride the same store discipline:
-# content-addressed keys, framed+checksummed entries, quarantine on any
-# mismatch.  These tests drive a hot loop through the compiled tier
-# against a scratch cache directory and simulate process restarts by
-# dropping every in-process cache layer.
-
-_HOT_SRC = """
-.export main
-main:
-    movi r1, 0
-    movi r3, %d
-loop:
-    add r1, r1, 1
-    bltu r1, r3, cont
-cont:
-    add r2, r2, 1
-    bltu r1, r3, loop
-    halt
-"""
-
-
-def _entries(root):
-    return sorted(name for name in os.listdir(root)
-                  if name.endswith(".json"))
-
-
-class TestCodeCachePersistence:
-    @pytest.fixture()
-    def code_cache(self, tmp_path, monkeypatch):
-        from repro.ir.codecache import CODE_CACHE_ENV
-
-        root = str(tmp_path / "codegen")
-        monkeypatch.setenv(CODE_CACHE_ENV, root)
-        self._fresh_process()
-        yield root
-        self._fresh_process()
-
-    @staticmethod
-    def _fresh_process():
-        """Drop every in-process cache layer so the next compiled run
-        sees only what is on disk -- a warm process, simulated."""
-        from repro.ir import codecache
-        from repro.ir.compile import _SHARED_PROGRAMS
-        from repro.ir.superblock import _SHARED_CHAINS
-
-        codecache.forget_stores()
-        _SHARED_PROGRAMS.clear()
-        _SHARED_CHAINS.clear()
-
-    @staticmethod
-    def _run_hot(trips=30, hot_threshold=1):
-        from repro.asm import assemble
-        from repro.ir import SuperblockConfig
-        from repro.layout import TEXT_BASE, page_align
-        from repro.vm import Machine
-
-        image = assemble(_HOT_SRC % trips)
-        machine = Machine(
-            exec_backend="compiled",
-            exec_superblocks=SuperblockConfig(hot_threshold=hot_threshold))
-        machine.memory.map_region(TEXT_BASE,
-                                  page_align(max(len(image.text), 1)),
-                                  "text")
-        text = bytearray(image.text)
-        for reloc in image.relocs:
-            if reloc.kind.name == "TEXT":
-                old = int.from_bytes(text[reloc.site:reloc.site + 4],
-                                     "little")
-                text[reloc.site:reloc.site + 4] = \
-                    ((old + TEXT_BASE) & 0xFFFFFFFF).to_bytes(4, "little")
-        machine.memory.write_bytes(TEXT_BASE, bytes(text))
-        machine.cpu.pc = TEXT_BASE
-        machine.cpu.run(max_steps=10_000)
-        return (list(machine.cpu.regs), machine.cpu.pc,
-                machine.cpu.instret)
-
-    @classmethod
-    def _measured_run(cls, **kwargs):
-        from repro.ir.codecache import codecache_counters
-
-        before = codecache_counters()
-        result = cls._run_hot(**kwargs)
-        after = codecache_counters()
-        return result, {key: after[key] - before[key] for key in after}
-
-    def test_cold_then_warm_round_trip(self, code_cache):
-        cold, cold_delta = self._measured_run()
-        assert cold_delta["generated"] > 0
-        assert cold_delta["persisted"] > 0
-        assert cold_delta["imported"] == 0
-        on_disk = {name: open(os.path.join(code_cache, name)).read()
-                   for name in _entries(code_cache)}
-        assert on_disk
-
-        self._fresh_process()
-        warm, warm_delta = self._measured_run()
-        assert warm == cold
-        assert warm_delta["generated"] == 0, \
-            "a warm process must import every source, not regenerate"
-        assert warm_delta["imported"] > 0
-        assert warm_delta["hints"] > 0
-        # Importing must not rewrite entries: byte-identical on disk.
-        assert {name: open(os.path.join(code_cache, name)).read()
-                for name in _entries(code_cache)} == on_disk
-
-    def test_truncated_entry_quarantined_and_regenerated(self, code_cache):
-        cold, _ = self._measured_run()
-        victim = os.path.join(code_cache, _entries(code_cache)[0])
-        _corrupt(victim, lambda raw: raw[:len(raw) // 2])
-
-        self._fresh_process()
-        warm, delta = self._measured_run()
-        assert warm == cold
-        # The bad entry was rebuilt and re-persisted, and the evidence
-        # moved to quarantine rather than being served or deleted.
-        assert delta["generated"] >= 1 or delta["persisted"] >= 1
-        from repro.ir.codecache import store_counters
-        counters = store_counters()
-        assert counters["corrupt"] >= 1
-        quarantine = os.path.join(code_cache, "quarantine")
-        assert os.path.isdir(quarantine) and os.listdir(quarantine)
-
-    def test_stale_fingerprint_rejected_never_served(self, code_cache):
-        cold, _ = self._measured_run()
-        # Tamper one payload's recorded fingerprint but re-frame it so
-        # the store-level digest verifies: only the codecache layer's
-        # validation stands between the stale source and the compiler.
-        victim = os.path.join(code_cache, _entries(code_cache)[0])
-        body, _meta = unframe_entry(open(victim).read())
-        payload = json.loads(body)
-        payload["fingerprint"] = "0" * 64
-        with open(victim, "w") as handle:
-            handle.write(frame_entry(json.dumps(payload, sort_keys=True)))
-
-        self._fresh_process()
-        from repro.ir.codecache import codecache_counters
-        before = codecache_counters()["rejected"]
-        warm, _ = self._measured_run()
-        assert warm == cold
-        assert codecache_counters()["rejected"] > before
-        quarantine = os.path.join(code_cache, "quarantine")
-        assert os.path.isdir(quarantine) and os.listdir(quarantine)
-
-    def test_chain_hint_reforms_without_reprofiling(self, code_cache):
-        from repro.ir import superblock_counters
-
-        cold, _ = self._measured_run(hot_threshold=1)
-
-        # A warm process with an unreachable hot threshold can only get
-        # a superblock from the persisted hint, on first dispatch.
-        self._fresh_process()
-        before = superblock_counters()
-        warm, delta = self._measured_run(hot_threshold=1 << 30)
-        after = superblock_counters()
-        assert warm == cold
-        assert delta["hints"] > 0
-        assert after["superblocks_formed"] > before["superblocks_formed"]
-        assert after["superblock_runs"] > before["superblock_runs"]
-
-    def test_disabled_cache_only_generates(self, tmp_path, monkeypatch):
-        from repro.ir.codecache import CODE_CACHE_ENV, store_counters
-
-        monkeypatch.setenv(CODE_CACHE_ENV, "off")
-        self._fresh_process()
-        _result, delta = self._measured_run()
-        assert delta["generated"] > 0
-        assert delta["persisted"] == 0 and delta["imported"] == 0
-        assert store_counters() == {}
-        self._fresh_process()
-
-    def test_quarantine_entry_direct(self, store):
-        store.save_json("doomed", '{"x": 1}')
-        path = store.path_for("doomed")
-        assert store.quarantine_entry("doomed")
-        assert not os.path.exists(path)
-        assert store.corrupt == 1 and store.quarantined == 1
-        # Unknown keys are a no-op, not an error.
-        assert not store.quarantine_entry("missing")
-        assert store.corrupt == 1

@@ -56,14 +56,6 @@ def _linear(block_map, start, count, stride=0x40):
 
 
 class TestFormation:
-    @pytest.fixture(autouse=True)
-    def _no_code_cache(self, monkeypatch):
-        """Chain hints are keyed by head-block content; the synthetic
-        blocks here repeat across tests, so a shared persistent cache
-        would let one test's hint pre-form another test's chain."""
-        from repro.ir.codecache import CODE_CACHE_ENV
-        monkeypatch.setenv(CODE_CACHE_ENV, "off")
-
     def _manager(self, block_map, **config):
         return SuperblockManager(block_map.get, "static",
                                  config=SuperblockConfig(hot_threshold=1,
@@ -294,57 +286,3 @@ class TestSynthesizedEquivalence:
         after = superblock_counters()
         assert fused == baseline
         assert after["superblock_runs"] > before["superblock_runs"]
-
-
-class TestChainHintPrefetch:
-    """Chain-membership hints prefetch block sources in the symex
-    concrete fast path: a warm process imports persisted sources for the
-    whole chain the moment it steps the head block, instead of
-    regenerating them one miss at a time.  Chains stay *off* during
-    symex -- per-block stepping is the artifact byte contract -- so the
-    prefetch must leave the artifact bytes untouched."""
-
-    def _fresh_process(self):
-        from repro.ir import codecache
-        from repro.ir import compile as ircompile
-        from repro.ir import superblock as sb
-        codecache.forget_stores()
-        ircompile._SHARED_PROGRAMS.clear()
-        sb._SHARED_CHAINS.clear()
-
-    def test_warm_symex_imports_prefetched_chain_sources(
-            self, tmp_path, monkeypatch):
-        from repro.ir import codecache
-        from repro.net.traffic import ScenarioProgram, ScenarioStep
-        from repro.pipeline.artifact import canonical_json
-        from repro.pipeline.orchestrator import execute_run
-
-        monkeypatch.setenv(codecache.CODE_CACHE_ENV, str(tmp_path))
-        self._fresh_process()
-
-        # Cold reference: no persisted hints to consult.
-        cold = canonical_json(execute_run("rtl8029"))
-
-        # Warm the store: a hot superblock run persists block sources
-        # *and* dynamic chain-membership hints for the traced heads.
-        program = ScenarioProgram(name="hint-warm", seed=0, steps=(
-            ScenarioStep("send_burst", {"size": 128, "count": 3}),
-            ScenarioStep("inject_burst", {"size": 96, "count": 3}),
-            ScenarioStep("service", {}),
-        ) * 3, description="persist chain hints")
-        dut = OriginalDut("rtl8029", exec_backend="compiled",
-                          exec_superblocks=_HOT)
-        assert run_scenario(dut, program).ok
-        assert codecache.codecache_counters()["persisted"] > 0
-
-        self._fresh_process()
-        before = dict(codecache.codecache_counters())
-        warm = canonical_json(execute_run("rtl8029"))
-        delta = {key: value - before.get(key, 0)
-                 for key, value in codecache.codecache_counters().items()}
-        assert delta["hints"] > 0, \
-            "warm symex never consulted a chain-membership hint"
-        assert delta["imported"] > 0, \
-            "prefetched chain members must import, not regenerate"
-        assert warm == cold, \
-            "the prefetch changed the artifact bytes"

@@ -1,8 +1,8 @@
 #!/usr/bin/env python
-"""Documentation checker: links resolve, referenced paths exist, fenced
-doctest examples run.
+"""Documentation checker: links resolve, referenced paths exist, the
+environment-variable table matches the code, fenced doctest examples run.
 
-Checked files: ``README.md``, ``DESIGN.md`` and ``docs/*.md``.  Three
+Checked files: ``README.md``, ``DESIGN.md`` and ``docs/*.md``.  Four
 passes:
 
 * **markdown links** -- every relative ``[text](target)`` must point at
@@ -12,6 +12,10 @@ passes:
   repo path (contains ``/``, starts with a known top-level directory, no
   globs or placeholders) must exist, so prose like ``src/repro/foo.py``
   cannot go stale silently;
+* **environment table** -- the ``REVNIC_*`` table in
+  ``docs/robustness.md`` matches the code both ways: every string
+  literal under ``src/repro`` that is exactly a ``REVNIC_*`` name has a
+  row, and every row names a variable some module reads;
 * **doctests** -- every fenced ``python`` block containing ``>>>`` runs
   under :mod:`doctest` (the CI job provides ``PYTHONPATH=src``).
 
@@ -19,6 +23,7 @@ Exit status 0 when clean; 1 with one line per problem otherwise.
 Run locally:  PYTHONPATH=src python tools/check_docs.py
 """
 
+import ast
 import doctest
 import glob
 import os
@@ -35,6 +40,11 @@ _LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 _INLINE_CODE_RE = re.compile(r"(?<!`)`([^`\n]+)`(?!`)")
 _FENCE_RE = re.compile(r"^```")
 _PYTHON_FENCE_RE = re.compile(r"^```python\s*$")
+_ENV_NAME_RE = re.compile(r"REVNIC_[A-Z0-9_]+")
+_ENV_ROW_RE = re.compile(r"^\|\s*`(REVNIC_[A-Z0-9_]+)`\s*\|", re.MULTILINE)
+
+#: The document holding the environment-variable table.
+ENV_TABLE_DOC = os.path.join("docs", "robustness.md")
 
 
 def doc_files(root=REPO_ROOT):
@@ -93,6 +103,40 @@ def check_links(root=REPO_ROOT):
     return problems
 
 
+def env_literals(root=REPO_ROOT):
+    """``{name: first module}`` for every string literal under
+    ``src/repro`` that is exactly a ``REVNIC_*`` name (a name embedded
+    in a longer string, such as a C include guard, is not a read)."""
+    found = {}
+    pattern = os.path.join(root, "src", "repro", "**", "*.py")
+    for path in sorted(glob.glob(pattern, recursive=True)):
+        with open(path) as handle:
+            tree = ast.parse(handle.read(), path)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant) \
+                    and isinstance(node.value, str) \
+                    and _ENV_NAME_RE.fullmatch(node.value):
+                found.setdefault(node.value, os.path.relpath(path, root))
+    return found
+
+
+def check_env_table(root=REPO_ROOT):
+    """Problems between the ``REVNIC_*`` table and the code, both ways."""
+    doc = os.path.join(root, ENV_TABLE_DOC)
+    rows = set()
+    if os.path.exists(doc):
+        with open(doc) as handle:
+            rows = set(_ENV_ROW_RE.findall(handle.read()))
+    literals = env_literals(root)
+    problems = ["%s: %s (read in %s) has no row"
+                % (ENV_TABLE_DOC, name, literals[name])
+                for name in sorted(set(literals) - rows)]
+    problems += ["%s: row %s names a variable no module reads"
+                 % (ENV_TABLE_DOC, name)
+                 for name in sorted(rows - set(literals))]
+    return problems
+
+
 def _fenced_python_blocks(text):
     """Yield (first_line_number, block_text) for ```python fences."""
     lines = text.splitlines()
@@ -135,7 +179,7 @@ def run_doctests(root=REPO_ROOT):
 
 
 def main():
-    problems = check_links() + run_doctests()
+    problems = check_links() + check_env_table() + run_doctests()
     for problem in problems:
         print(problem)
     files = len(doc_files())
@@ -143,8 +187,8 @@ def main():
         print("FAIL: %d problem(s) across %d documentation files"
               % (len(problems), files))
         return 1
-    print("OK: %d documentation files, links resolve, doctests pass"
-          % files)
+    print("OK: %d documentation files, links resolve, environment table "
+          "matches the code, doctests pass" % files)
     return 0
 
 
