@@ -15,7 +15,8 @@ Three properties make expressions cheap to solve against (see DESIGN.md):
   per node and shared by every holder;
 * **compiled evaluation** -- ``compiled(expr)`` lowers a DAG once into a
   flat Python function (postorder, no recursion, no per-node dispatch)
-  that maps a ``{symbol: int}`` model to the expression's value.
+  that maps a ``{symbol: int}`` model to the expression's value; each
+  distinct DAG shape is compiled once and its code object reused.
 
 Plain Python ints are used for fully concrete values throughout the engine;
 an :class:`Expr` only appears once a value actually depends on a symbol.
@@ -137,18 +138,6 @@ class Expr:
 
 #: Alias used where an expression is known to be a 1-bit condition.
 BoolExpr = Expr
-
-
-def clear_intern_cache():
-    """Drop the interning table and compiled-program caches (tests /
-    long-lived processes only).
-
-    Live expressions keep working; new structurally-equal constructions
-    will no longer be identical to pre-clear nodes, so never call this
-    while solver contexts hold constraints.
-    """
-    Expr._intern = {}
-    _CONJUNCTION_CACHE.clear()
 
 
 def is_concrete(value):
@@ -410,7 +399,8 @@ BINOP_BUILDERS = {
 # are emitted once), symbols read through ``model.get``, all semantics
 # identical to the old recursive evaluator.  The compiled function is
 # cached on the interned node, so every state/fork/query that reaches the
-# same constraint reuses the same program.
+# same constraint reuses the same program; its code object is shared by
+# every DAG of the same shape (see ``_SHAPES``).
 
 _SIGNED = "(%s - 4294967296 if %s & 2147483648 else %s)"
 
@@ -448,13 +438,25 @@ def _compile_program(expr, roots=None):
     With ``roots`` the function returns a bitmask with bit *i* set iff
     ``roots[i]`` evaluates to 1 -- the representation the solver's greedy
     hill-climb scores against.
+
+    The generated source is a factory whose parameters are the DAG's
+    symbol names (``s0, s1, ...``) and constants (``k0, k1, ...``), so it
+    depends only on the DAG's shape: kinds, widths, extract offsets and
+    which operands are shared.  Each distinct shape is compiled once;
+    every DAG of that shape binds its own names and constants into a
+    fresh closure over the same code object.
     """
     order = _postorder_many(roots) if roots is not None else _postorder(expr)
     var = {}
+    names = []
+    consts = []
     lines = []
 
     def ref(value):
-        return repr(value) if isinstance(value, int) else var[id(value)]
+        if isinstance(value, int):
+            consts.append(value)
+            return "k%d" % (len(consts) - 1)
+        return var[id(value)]
 
     for index, node in enumerate(order):
         name = "v%d" % index
@@ -462,7 +464,8 @@ def _compile_program(expr, roots=None):
         kind = node.kind
         mask = _mask(node.width)
         if kind == "sym":
-            rhs = "g(%r, 0) & %d" % (node.name, mask)
+            names.append(node.name)
+            rhs = "g(s%d, 0) & %d" % (len(names) - 1, mask)
         elif kind == "zext":
             rhs = ref(node.args[0])
         elif kind == "extract":
@@ -516,7 +519,7 @@ def _compile_program(expr, roots=None):
             else:  # pragma: no cover
                 raise TypeError("cannot compile kind %r" % (kind,))
             rhs = "(%s) & %d" % (body, mask)
-        lines.append("    %s = %s" % (name, rhs))
+        lines.append("        %s = %s" % (name, rhs))
 
     if roots is not None:
         result = " | ".join(
@@ -524,16 +527,38 @@ def _compile_program(expr, roots=None):
             for shift, root in enumerate(roots))
     else:
         result = var[id(expr)]
-    source = ("def _program(m):\n"
-              "    _c[0] += 1\n"
-              "    _c[1] += %d\n"
-              "    g = m.get\n"
+    params = ["s%d" % i for i in range(len(names))]
+    params += ["k%d" % i for i in range(len(consts))]
+    source = ("def _factory(%s):\n"
+              "    def _program(m):\n"
+              "        _c[0] += 1\n"
+              "        _c[1] += %d\n"
+              "        g = m.get\n"
               "%s\n"
-              "    return %s\n") % (len(order), "\n".join(lines), result)
-    namespace = {"_c": _COUNTER_CELLS}
-    exec(compile(source, "<expr-program>", "exec"), namespace)
+              "        return %s\n"
+              "    return _program\n") % (", ".join(params), len(order),
+                                         "\n".join(lines), result)
+    factory = _SHAPES.get(source)
+    if factory is None:
+        namespace = {"_c": _COUNTER_CELLS}
+        exec(compile(source, "<expr-program>", "exec"), namespace)
+        factory = namespace["_factory"]
+        if len(_SHAPES) >= _SHAPES_MAX:
+            _SHAPES.clear()
+        _SHAPES[source] = factory
     _COUNTER_CELLS[2] += 1
-    return namespace["_program"]
+    return factory(*names, *consts)
+
+
+#: Shape-keyed factory table: the parameterised source text of a program
+#: maps to its compiled factory, so constraints that differ only in
+#: constants and symbol names (the same check on another ring descriptor)
+#: share one code object.  The text is the whole key -- identical text is
+#: an identical shape.  Bounded: once full the table is cleared
+#: (semantics-safe -- every entry is a pure function of its key, and live
+#: programs keep their closures).
+_SHAPES = {}
+_SHAPES_MAX = 4096
 
 
 #: Mutable cells shared with every compiled program:

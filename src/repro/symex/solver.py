@@ -42,6 +42,16 @@ _BOUNDARY_VALUES = (0, 1, 2, 3, 4, 5, 6, 7, 8, 0x10, 0x20, 0x40, 0x7F, 0x80,
 _UNSAT = object()
 
 
+def _all_hold(programs, model):
+    """True iff every program evaluates ``model`` to 1.  Runs them in
+    order and stops at the first that does not -- a plain loop, because
+    the random fallback calls this on every try."""
+    for program in programs:
+        if program(model) != 1:
+            return False
+    return True
+
+
 class _Component:
     """One symbol-connected slice of a context's path constraints.
 
@@ -437,7 +447,7 @@ class Solver:
         symbols = sorted(symbols)
         programs = [compiled(c) for c in constraints]
         model = {name: prefer.get(name, 0) for name in symbols}
-        if all(p(model) == 1 for p in programs):
+        if _all_hold(programs, model):
             return model
 
         candidates = self._mine_candidates(constraints)
@@ -578,13 +588,13 @@ class Solver:
                     model[name] = rng.getrandbits(32)
             # Pairwise combinations of mined values matter for two-symbol
             # equalities; mix one more pass of single-symbol repair.
-            if all(p(model) == 1 for p in programs):
+            if _all_hold(programs, model):
                 return model
             for name, value in itertools.islice(
                     itertools.product(symbols, pool), 64):
                 saved = model[name]
                 model[name] = value
-                if all(p(model) == 1 for p in programs):
+                if _all_hold(programs, model):
                     return model
                 model[name] = saved
         return None

@@ -9,8 +9,8 @@ headroom over the measured values, so they only trip on algorithmic
 blow-ups (a regression to per-query re-solving would exceed them by an
 order of magnitude), not on noise.
 
-Measured at the time the budgets were set (see BENCH_pipeline.json):
-queries=1072 solves=437 node_visits=16.2M blocks=2264.
+Measured values (budgets unchanged since they were set):
+queries=954 solves=378 node_visits=18.99M blocks=2087.
 """
 
 from repro.eval.runner import get_cache

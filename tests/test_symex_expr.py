@@ -1,6 +1,7 @@
 """Unit tests for the symbolic expression language and solver."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.symex import expr as E
 from repro.symex.solver import Solver
@@ -99,6 +100,218 @@ class TestEvaluate:
         cond = E.bv_cmp("slt", x, 0)
         assert E.evaluate(cond, {"x": 0xFFFFFFFF}) == 1
         assert E.evaluate(cond, {"x": 1}) == 0
+
+
+def _reference(value, model):
+    """Recursive reference evaluator for the compiled programs."""
+    if isinstance(value, int):
+        return value
+    kind = value.kind
+    mask = (1 << value.width) - 1
+    if kind == "sym":
+        return model.get(value.name, 0) & mask
+    args = [_reference(arg, model) for arg in value.args]
+    if kind == "zext":
+        return args[0]
+    if kind == "extract":
+        return (args[0] >> value.lo) & mask
+    if kind == "concat":
+        out, shift = 0, 0
+        for part, part_value in zip(value.args, args):
+            part_width = 32 if isinstance(part, int) else part.width
+            out |= (part_value & ((1 << part_width) - 1)) << shift
+            shift += part_width
+        return out
+    if kind == "not":
+        return ~args[0] & mask
+    if kind == "neg":
+        return -args[0] & mask
+    a, b = args
+    signed = [x - (1 << 32) if x & 0x80000000 else x for x in args]
+    if kind in ("eq", "ne", "ult", "uge", "slt", "sge"):
+        left, right = signed if kind in ("slt", "sge") else args
+        holds = {"eq": left == right, "ne": left != right,
+                 "ult": left < right, "uge": left >= right,
+                 "slt": left < right, "sge": left >= right}[kind]
+        return 1 if holds else 0
+    return {"add": a + b, "sub": a - b, "and": a & b, "or": a | b,
+            "xor": a ^ b, "mul": a * b, "shl": a << (b & 31),
+            "shr": a >> (b & 31), "sar": signed[0] >> (b & 31),
+            "divu": a // b if b else 0,
+            "remu": a % b if b else 0}[kind] & mask
+
+
+def _nodes(value, out=None):
+    """Distinct Expr nodes of a DAG, depth-first (test-side order)."""
+    out = {} if out is None else out
+    if isinstance(value, E.Expr) and id(value) not in out:
+        for arg in value.args:
+            _nodes(arg, out)
+        out[id(value)] = value
+    return out
+
+
+def _shape(value):
+    """The DAG with constants and symbol names abstracted out: node
+    kinds, widths and offsets, with operands as node indices (so shared
+    operands stay visible) and every constant as ``"k"``."""
+    nodes = list(_nodes(value).values())
+    index = {id(node): i for i, node in enumerate(nodes)}
+    return tuple(
+        (node.kind, node.width, node.lo,
+         tuple("k" if isinstance(arg, int) else index[id(arg)]
+               for arg in node.args))
+        for node in nodes)
+
+
+def _descriptor_check(base, own, length):
+    """The same ring-descriptor check a driver makes on every slot:
+    the OWN bit is clear and the length field is in range."""
+    status = E.bv_sym("hw_dma_%x_status" % base)
+    owned = E.bv_cmp("eq", E.bv_and(status, own), 0)
+    size = E.bv_extract(E.bv_sym("hw_dma_%x_len" % base), 0, 16)
+    return owned, E.bv_cmp("ult", size, length)
+
+
+class TestShapeSharing:
+    def test_same_shape_shares_code_object(self):
+        check_a, _ = _descriptor_check(0x640002, 0x80000000, 1514)
+        check_b, _ = _descriptor_check(0x640006, 0x2000, 60)
+        prog_a = E._compile_program(check_a)
+        prog_b = E._compile_program(check_b)
+        assert prog_a.__code__ is prog_b.__code__
+        assert prog_a({"hw_dma_640002_status": 0x2000}) == 1
+        assert prog_b({"hw_dma_640006_status": 0x2000}) == 0
+        assert prog_a({"hw_dma_640006_status": 0x80000000}) == 1
+        assert prog_b({"hw_dma_640002_status": 0x2000}) == 1
+
+    @pytest.mark.parametrize("left, right", [
+        # width
+        (E.bv_add(E.bv_sym("shape_w", 16), 1, 16),
+         E.bv_add(E.bv_sym("shape_w"), 1)),
+        # extract offset
+        (E.bv_extract(E.bv_sym("shape_x"), 8, 8),
+         E.bv_extract(E.bv_sym("shape_x"), 16, 8)),
+        # symbol sharing
+        (E.bv_add(E.bv_sym("shape_a"), E.bv_sym("shape_b")),
+         E.bv_add(E.bv_sym("shape_a"), E.bv_sym("shape_a"))),
+    ], ids=["width", "extract-offset", "symbol-sharing"])
+    def test_different_shapes_do_not_share(self, left, right):
+        prog_left = E._compile_program(left)
+        prog_right = E._compile_program(right)
+        assert prog_left.__code__ is not prog_right.__code__
+        model = {"shape_w": 0x1FFFF, "shape_x": 0x00ABCDEF,
+                 "shape_a": 3, "shape_b": 4}
+        assert prog_left(model) == _reference(left, model)
+        assert prog_right(model) == _reference(right, model)
+
+    def test_conjunction_bit_order(self):
+        owned_a, short_a = _descriptor_check(0x650000, 0x80000000, 1514)
+        owned_b, short_b = _descriptor_check(0x650004, 0x80000000, 60)
+        model = {"hw_dma_650000_status": 0, "hw_dma_650000_len": 2000,
+                 "hw_dma_650004_status": 0, "hw_dma_650004_len": 10}
+        forward = E.compiled_conjunction((owned_a, short_a))
+        swapped = E.compiled_conjunction((short_a, owned_a))
+        other = E.compiled_conjunction((owned_b, short_b))
+        assert forward(model) == 0b01
+        assert swapped(model) == 0b10
+        assert other(model) == 0b11
+        assert forward.__code__ is other.__code__
+
+    def test_one_call_counts_one_run_and_every_node(self):
+        owned, short = _descriptor_check(0x660000, 0x80000000, 1514)
+        condition = E.bv_cmp("ne", E.bv_or(E.bv_zext(
+            E.bv_extract(E.bv_sym("hw_dma_660000_len"), 0, 16), 32),
+            E.bv_sym("hw_dma_660000_status")), 0)
+        for value in (owned, condition):
+            program = E._compile_program(value)
+            before = E.eval_counters()
+            program({})
+            after = E.eval_counters()
+            assert after["program_runs"] - before["program_runs"] == 1
+            assert (after["node_visits"] - before["node_visits"]
+                    == len(_nodes(value)))
+        conjunction = E.compiled_conjunction((owned, short))
+        before = E.eval_counters()
+        conjunction({})
+        after = E.eval_counters()
+        assert after["program_runs"] - before["program_runs"] == 1
+        nodes = _nodes(short, _nodes(owned))
+        assert after["node_visits"] - before["node_visits"] == len(nodes)
+
+
+# A template is a tree of operations whose leaves are symbol slots and
+# constant slots; instantiating it twice with other names and constants
+# gives DAGs that usually, but not always, keep the same shape (the
+# smart constructors fold some constants away).
+_BINOPS = ["add", "sub", "and", "or", "xor", "shl", "shr", "sar", "mul",
+           "divu", "remu"]
+_CMPS = ["eq", "ne", "ult", "uge", "slt", "sge"]
+
+_templates = st.recursive(
+    st.one_of(st.tuples(st.just("sym"), st.integers(0, 2),
+                        st.sampled_from([8, 16, 32])),
+              st.tuples(st.just("const"), st.integers(0, 3))),
+    lambda inner: st.one_of(
+        st.tuples(st.sampled_from(_BINOPS), inner, inner),
+        st.tuples(st.sampled_from(_CMPS), inner, inner),
+        st.tuples(st.sampled_from(["not", "neg"]), inner),
+        st.tuples(st.just("extract"), inner, st.sampled_from([0, 8, 16]),
+                  st.sampled_from([8, 16])),
+        st.tuples(st.just("zext"), inner),
+        st.tuples(st.just("concat"), inner, inner)),
+    max_leaves=8)
+
+
+def _instantiate(template, names, consts):
+    kind = template[0]
+    if kind == "sym":
+        return E.bv_sym(names[template[1]], template[2])
+    if kind == "const":
+        return consts[template[1]]
+    args = [_instantiate(part, names, consts)
+            for part in template[1:] if isinstance(part, tuple)]
+    if kind in _BINOPS:
+        return E.BINOP_BUILDERS[kind](args[0], args[1])
+    if kind in _CMPS:
+        return E.bv_cmp(kind, args[0], args[1])
+    if kind == "not":
+        return E.bv_not(args[0])
+    if kind == "neg":
+        return E.bv_neg(args[0])
+    if kind == "extract":
+        return E.bv_extract(args[0], template[2], template[3])
+    if kind == "zext":
+        return E.bv_zext(args[0], 32)
+    return E.bv_concat([E.bv_extract(arg, 0, 8) for arg in args])
+
+
+_u32 = st.integers(0, 0xFFFFFFFF)
+_names = st.lists(st.from_regex(r"[a-z]{1,4}_[0-9a-f]{1,6}", fullmatch=True),
+                  min_size=3, max_size=3, unique=True)
+_consts = st.lists(st.one_of(st.sampled_from([0, 1, 31, 0xFFFFFFFF]), _u32),
+                   min_size=4, max_size=4)
+
+
+class TestShapeSharingProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(template=_templates, names_a=_names, names_b=_names,
+           consts_a=_consts, consts_b=_consts,
+           values=st.lists(_u32, min_size=6, max_size=6))
+    def test_same_template_programs_match_reference(
+            self, template, names_a, names_b, consts_a, consts_b, values):
+        dag_a = _instantiate(template, names_a, consts_a)
+        dag_b = _instantiate(template, names_b, consts_b)
+        model = dict(zip(names_a + names_b, values))
+        programs = []
+        for dag in (dag_a, dag_b):
+            if isinstance(dag, E.Expr):
+                program = E._compile_program(dag)
+                assert program(model) == _reference(dag, model)
+                programs.append(program)
+        if len(programs) == 2:
+            shared = programs[0].__code__ is programs[1].__code__
+            assert shared == (_shape(dag_a) == _shape(dag_b))
 
 
 class TestSolver:
