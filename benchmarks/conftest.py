@@ -13,6 +13,7 @@ is the committed baseline the perf trajectory is tracked against.
 
 import json
 import os
+import time
 
 import pytest
 
@@ -25,6 +26,36 @@ _BENCH_COUNTERS = ("wall_seconds", "blocks_executed", "exec_fast_blocks",
                    "hw_reads", "hw_writes")
 
 _REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+BENCH_PATH = os.path.join(_REPO_ROOT, "BENCH_pipeline.json")
+
+
+def _write_bench(report):
+    with open(BENCH_PATH, "w") as handle:
+        json.dump(report, handle, indent=1, sort_keys=True)
+        handle.write("\n")
+
+
+def update_bench(section, record):
+    """Replace ``section`` of ``BENCH_pipeline.json`` with ``record``,
+    keeping every other section."""
+    report = {}
+    if os.path.exists(BENCH_PATH):
+        with open(BENCH_PATH) as handle:
+            report = json.load(handle)
+    report[section] = dict(record)
+    _write_bench(report)
+
+
+def best_of(runs, fn):
+    """Best wall-clock of ``runs`` attempts (damps scheduler noise
+    without hiding a real regression) plus the last result."""
+    best, result = None, None
+    for _ in range(runs):
+        started = time.perf_counter()
+        result = fn()
+        elapsed = time.perf_counter() - started
+        best = elapsed if best is None else min(best, elapsed)
+    return best, result
 
 
 def _emit_bench_json(orchestrator, artifacts):
@@ -65,11 +96,7 @@ def _emit_bench_json(orchestrator, artifacts):
     else:
         report["warm_load_wall_seconds"] = None
         report["cold_compute_wall_seconds"] = wall
-    path = os.path.join(_REPO_ROOT, "BENCH_pipeline.json")
-    with open(path, "w") as handle:
-        json.dump(report, handle, indent=1, sort_keys=True)
-        handle.write("\n")
-    return path
+    _write_bench(report)
 
 
 @pytest.fixture(scope="session")

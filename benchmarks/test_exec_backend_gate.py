@@ -19,10 +19,6 @@ synthesized run, so the assertion only trips when the compiled tier stops
 paying for itself.
 """
 
-import json
-import os
-import time
-
 from repro.drivers import device_class
 from repro.net import UdpWorkload
 from repro.targetos import TARGET_OSES
@@ -30,7 +26,8 @@ from repro.templates import DmaNicTemplate
 from repro.validate.observe import OriginalDut
 from repro.validate.scenarios import SCENARIOS, run_scenario
 
-_REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+from conftest import best_of, update_bench
+
 
 MAC = b"\x52\x54\x00\xAA\xBB\xCC"
 PEER = b"\x02\x00\x00\x00\x00\x01"
@@ -38,30 +35,6 @@ PEER = b"\x02\x00\x00\x00\x00\x01"
 #: Accumulated across the tests in this module; merged into the bench
 #: report as each test completes, so partial runs still record.
 _RECORD = {}
-
-
-def _update_bench():
-    path = os.path.join(_REPO_ROOT, "BENCH_pipeline.json")
-    report = {}
-    if os.path.exists(path):
-        with open(path) as handle:
-            report = json.load(handle)
-    report["exec_backend"] = dict(_RECORD)
-    with open(path, "w") as handle:
-        json.dump(report, handle, indent=1, sort_keys=True)
-        handle.write("\n")
-
-
-def _best_of(runs, fn):
-    """Best wall-clock of ``runs`` attempts (damps scheduler noise
-    without hiding a real regression) plus the last result."""
-    best, result = None, None
-    for _ in range(runs):
-        started = time.perf_counter()
-        result = fn()
-        elapsed = time.perf_counter() - started
-        best = elapsed if best is None else min(best, elapsed)
-    return best, result
 
 
 def _run_column(backend):
@@ -74,8 +47,8 @@ def _run_column(backend):
 
 
 def test_original_binary_column_compiled_faster(cache):
-    interpreted, obs_step = _best_of(2, lambda: _run_column("step"))
-    compiled, obs_compiled = _best_of(2, lambda: _run_column("compiled"))
+    interpreted, obs_step = best_of(2, lambda: _run_column("step"))
+    compiled, obs_compiled = best_of(2, lambda: _run_column("compiled"))
     assert obs_step == obs_compiled, \
         "execution tier changed observable behaviour"
     _RECORD["matrix_column"] = {
@@ -86,7 +59,7 @@ def test_original_binary_column_compiled_faster(cache):
         "compiled_seconds": round(compiled, 3),
         "speedup": round(interpreted / compiled, 2),
     }
-    _update_bench()
+    update_bench("exec_backend", _RECORD)
     assert compiled < interpreted, \
         "compiled DBT tier (%.3fs) not faster than per-step decode " \
         "(%.3fs)" % (compiled, interpreted)
@@ -119,9 +92,9 @@ def _run_synthesized(artifact, backend, packets=60):
 
 def test_synthesized_rtl8139_run_compiled_faster(cache):
     artifact = cache.run("rtl8139")
-    interpreted, out_interp = _best_of(
+    interpreted, out_interp = best_of(
         2, lambda: _run_synthesized(artifact, "interp"))
-    compiled, out_compiled = _best_of(
+    compiled, out_compiled = best_of(
         2, lambda: _run_synthesized(artifact, "compiled"))
     assert out_interp == out_compiled, \
         "execution tier changed synthesized-driver behaviour or counters"
@@ -133,7 +106,7 @@ def test_synthesized_rtl8139_run_compiled_faster(cache):
         "compiled_seconds": round(compiled, 3),
         "speedup": round(interpreted / compiled, 2),
     }
-    _update_bench()
+    update_bench("exec_backend", _RECORD)
     assert compiled < interpreted, \
         "compiled blocks (%.3fs) not faster than the tree-walker " \
         "(%.3fs)" % (compiled, interpreted)
@@ -151,4 +124,4 @@ def test_symex_fast_path_share_recorded(cache):
         }
         assert 0 < stats["exec_fast_blocks"] < stats["blocks_executed"]
     _RECORD["symex_fast_path"] = shares
-    _update_bench()
+    update_bench("exec_backend", _RECORD)

@@ -15,7 +15,6 @@ split depth.  The gate lands under ``exploration_parallel`` in
   a missing gate is distinguishable from a green one.
 """
 
-import json
 import os
 import time
 
@@ -26,7 +25,8 @@ from repro.pipeline.artifact import build_artifact, canonical_json
 from repro.revnic import RevNic, RevNicConfig
 from repro.synth import synthesize
 
-_REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+from conftest import update_bench
+
 
 #: rtl8139 has the largest eval/solver volume in the corpus -- the run
 #: long enough for fan-out to amortize worker spawn.
@@ -36,18 +36,6 @@ WORKERS = 2
 MIN_SPEEDUP = 1.5
 
 _RECORD = {}
-
-
-def _update_bench():
-    path = os.path.join(_REPO_ROOT, "BENCH_pipeline.json")
-    report = {}
-    if os.path.exists(path):
-        with open(path) as handle:
-            report = json.load(handle)
-    report["exploration_parallel"] = dict(_RECORD)
-    with open(path, "w") as handle:
-        json.dump(report, handle, indent=1, sort_keys=True)
-        handle.write("\n")
 
 
 def _cold_run(workers):
@@ -76,7 +64,7 @@ def test_exploration_parallel_gate(cache):
         _RECORD["scaling"]["skipped"] = \
             "single-core runner (os.cpu_count()=%d): sharded and " \
             "serial would time the same CPU" % cores
-        _update_bench()
+        update_bench("exploration_parallel", _RECORD)
         pytest.skip("exploration scaling gate needs 2+ cores, have %d"
                     % cores)
 
@@ -98,7 +86,7 @@ def test_exploration_parallel_gate(cache):
         "serial_blocks": serial_stats["blocks_executed"],
         "sharded_blocks": stats["blocks_executed"],
     })
-    _update_bench()
+    update_bench("exploration_parallel", _RECORD)
     assert sharded_bytes == serial_bytes, \
         "sharded exploration changed artifact bytes"
     assert front["fallbacks"] == 0, \

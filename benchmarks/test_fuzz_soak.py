@@ -17,13 +17,11 @@ Two experiments, both landing under ``fuzz_soak`` in
 baseline for trajectory tracking.
 """
 
-import json
-import os
-
 from repro.fuzz import (FuzzConfig, FuzzEngine, canonical_fuzz_json,
                         fuzz_key, run_soak, save_fuzz_result)
 
-_REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+from conftest import update_bench
+
 
 #: Accumulated across the tests in this module; merged into the bench
 #: report as each test completes, so partial runs still record.
@@ -33,18 +31,6 @@ _RECORD = {}
 #: seed and a round budget sized for CI (~30s serial on one core).
 BOUNDED = dict(base_seed=0xC0FFEE, programs_per_round=3, max_rounds=5,
                dry_rounds=2)
-
-
-def _update_bench():
-    path = os.path.join(_REPO_ROOT, "BENCH_pipeline.json")
-    report = {}
-    if os.path.exists(path):
-        with open(path) as handle:
-            report = json.load(handle)
-    report["fuzz_soak"] = dict(_RECORD)
-    with open(path, "w") as handle:
-        json.dump(report, handle, indent=1, sort_keys=True)
-        handle.write("\n")
 
 
 def test_bounded_fuzz_campaign(cache):
@@ -75,7 +61,7 @@ def test_bounded_fuzz_campaign(cache):
         record["store_key"] = save_fuzz_result(store, result)
         assert record["store_key"] == fuzz_key(config)
     _RECORD["fuzz"] = record
-    _update_bench()
+    update_bench("fuzz_soak", _RECORD)
 
     # the determinism bar: re-running the identical campaign serializes
     # byte-identically (wall-clock and pool mode scrubbed)
@@ -99,4 +85,4 @@ def test_soak_packets_per_second(cache):
             assert record["packets_per_sec"] > 0
 
     _RECORD["soak"] = soak
-    _update_bench()
+    update_bench("fuzz_soak", _RECORD)

@@ -17,8 +17,6 @@ compile cost is a one-time cold-start cost, not smeared into the
 steady-state gate.
 """
 
-import json
-import os
 import time
 
 from repro.drivers import device_class
@@ -28,7 +26,8 @@ from repro.templates import DmaNicTemplate
 from repro.validate.observe import OriginalDut
 from repro.validate.scenarios import SCENARIOS, run_scenario
 
-_REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+from conftest import best_of, update_bench
+
 
 MAC = b"\x52\x54\x00\xAA\xBB\xCC"
 PEER = b"\x02\x00\x00\x00\x00\x01"
@@ -36,30 +35,6 @@ PEER = b"\x02\x00\x00\x00\x00\x01"
 #: Accumulated across the tests in this module; merged into the bench
 #: report as each test completes, so partial runs still record.
 _RECORD = {}
-
-
-def _update_bench():
-    path = os.path.join(_REPO_ROOT, "BENCH_pipeline.json")
-    report = {}
-    if os.path.exists(path):
-        with open(path) as handle:
-            report = json.load(handle)
-    report["superblocks"] = dict(_RECORD)
-    with open(path, "w") as handle:
-        json.dump(report, handle, indent=1, sort_keys=True)
-        handle.write("\n")
-
-
-def _best_of(runs, fn):
-    """Best wall-clock of ``runs`` attempts (damps scheduler noise
-    without hiding a real regression) plus the last result."""
-    best, result = None, None
-    for _ in range(runs):
-        started = time.perf_counter()
-        result = fn()
-        elapsed = time.perf_counter() - started
-        best = elapsed if best is None else min(best, elapsed)
-    return best, result
 
 
 def _race(rounds, contenders):
@@ -98,7 +73,7 @@ def test_matrix_column_superblocks_faster(cache):
     # the timed runs measure steady-state dispatch only.
     _run_column("compiled", superblocks=True)
     _run_column("compiled", superblocks=False)
-    stepped, obs_step = _best_of(2, lambda: _run_column("step"))
+    stepped, obs_step = best_of(2, lambda: _run_column("step"))
     timings, outputs = _race(5, {
         "off": lambda: _run_column("compiled", superblocks=False),
         "on": lambda: _run_column("compiled", superblocks=True),
@@ -119,7 +94,7 @@ def test_matrix_column_superblocks_faster(cache):
         "speedup_vs_step": round(stepped / fused, 2),
         "speedup_vs_compiled": round(compiled / fused, 2),
     }
-    _update_bench()
+    update_bench("superblocks", _RECORD)
     assert fused < compiled, \
         "compiled+superblocks (%.3fs) not faster than compiled-only " \
         "(%.3fs)" % (fused, compiled)
@@ -174,7 +149,7 @@ def test_synthesized_rtl8139_run_superblocks_faster(cache):
         "superblock_seconds": round(fused, 3),
         "speedup_vs_compiled": round(compiled / fused, 2),
     }
-    _update_bench()
+    update_bench("superblocks", _RECORD)
     assert fused < compiled, \
         "compiled+superblocks (%.3fs) not faster than compiled-only " \
         "(%.3fs)" % (fused, compiled)

@@ -8,7 +8,9 @@ to the serial run of the same partition.  This script runs both modes
 cold and diffs the bytes; any divergence prints the first differing
 canonical path and exits 1, and CI runs it with a fixed configuration so
 a merge-determinism regression fails the build with both artifacts
-preserved.
+preserved.  A sharded side that silently degraded to in-process
+sub-trees (mode other than ``sharded``, or any fallback) also exits 1:
+its bytes would match without proving anything.
 
 Usage:
     PYTHONPATH=src python examples/explore_parallel.py [options]
@@ -100,18 +102,23 @@ def main(argv=None):
     print("driver=%s script=%s split_depth=%d" %
           (args.driver, args.script, args.split_depth))
     print("serial   %.3fs" % serial_seconds)
-    print("sharded  %.3fs  workers=%s subtrees=%s per-worker=%s "
+    print("sharded  %.3fs  mode=%s workers=%s subtrees=%s per-worker=%s "
           "steals=%s fallbacks=%s" %
-          (sharded_seconds, front.get("workers"), front.get("subtrees"),
-           front.get("states_per_worker"), front.get("steals"),
-           front.get("fallbacks")))
-    if sharded_text == serial_text:
-        print("artifacts byte-identical (%d bytes)" % len(serial_text))
-        return 0
-    divergence = first_divergence(serial_text, sharded_text)
-    print("BYTE DIVERGENCE at %s:\n  serial : %r\n  sharded: %r"
-          % divergence, file=sys.stderr)
-    return 1
+          (sharded_seconds, front.get("mode"), front.get("workers"),
+           front.get("subtrees"), front.get("states_per_worker"),
+           front.get("steals"), front.get("fallbacks")))
+    if sharded_text != serial_text:
+        divergence = first_divergence(serial_text, sharded_text)
+        print("BYTE DIVERGENCE at %s:\n  serial : %r\n  sharded: %r"
+              % divergence, file=sys.stderr)
+        return 1
+    print("artifacts byte-identical (%d bytes)" % len(serial_text))
+    if front.get("mode") != "sharded" or front.get("fallbacks"):
+        print("SHARDING DEGRADED: mode=%s fallbacks=%s"
+              % (front.get("mode"), front.get("fallbacks")),
+              file=sys.stderr)
+        return 1
+    return 0
 
 
 if __name__ == "__main__":

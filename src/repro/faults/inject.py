@@ -2,9 +2,9 @@
 
 Three entry points, one per layer:
 
-* :func:`apply_worker_fault` runs inside a supervised pool child, before
-  the real worker: it kills the process, hangs it past the supervisor's
-  job timeout, or substitutes a garbage payload;
+* :func:`apply_worker_fault` runs inside a supervised pool worker, before
+  the real job: it kills the process, hangs it past the supervisor's
+  job timeout, or hands back a garbage payload to reply with;
 * :func:`maybe_raise_run_fault` is consulted by
   :func:`repro.pipeline.orchestrator.execute_run` between pipeline
   stages: it raises the induced, classified exception
@@ -40,15 +40,16 @@ def _spec_dict(fault):
     return fault.to_dict() if hasattr(fault, "to_dict") else fault
 
 
-def apply_worker_fault(conn, fault):
-    """Apply a worker-layer fault inside a pool child.
+def apply_worker_fault(fault):
+    """Apply a worker-layer fault inside a pool worker, before its job.
 
-    Returns True when the fault consumed the attempt (the caller must not
-    run the real worker); kill faults never return at all.
+    Returns the garbage payload the worker must reply with instead of
+    running the job, or ``None`` when the job should run; kill and hang
+    faults never return at all.
     """
     fault = _spec_dict(fault)
     if fault is None or fault.get("layer") != "worker":
-        return False
+        return None
     kind = fault["kind"]
     params = fault.get("params", {})
     if kind == "kill":
@@ -60,8 +61,7 @@ def apply_worker_fault(conn, fault):
         # attempt still reads as a crash, never as a silent success.
         os._exit(KILL_EXIT_CODE)
     if kind == "garbage":
-        conn.send(("ok", params.get("payload", DEFAULT_GARBAGE)))
-        return True
+        return params.get("payload", DEFAULT_GARBAGE)
     raise ValueError("unknown worker fault kind %r" % (kind,))
 
 

@@ -1,10 +1,10 @@
 """The loop-until-dry differential fuzz driver.
 
 Rounds of seeded program generation fan out across the driver corpus --
-one worker per driver column over the same spawn-pool-with-serial-
-fallback discipline as the pipeline orchestrator and the validation
-matrix -- and every (program, driver, target OS) run is classified
-against the original binary.  The loop stops when ``dry_rounds``
+one job per driver column over the same supervised pool with serial
+fallback as the pipeline orchestrator and the validation matrix -- and
+every (program, driver, target OS) run is classified against the
+original binary.  The loop stops when ``dry_rounds``
 consecutive rounds produce **zero new coverage and zero new unexplained
 divergences** (or at the ``max_rounds`` safety bound): the sampled
 program space has gone dry under the current vocabulary.
@@ -144,7 +144,7 @@ def _fuzz_column_worker(job, fault=None):
     own orchestrator over the shared store root, loads (or cold-computes
     and persists) the driver artifact, and returns serialized results.
     ``fault`` is the run-layer injection hook (worker-layer faults are
-    consumed by the pool child before this function runs).
+    consumed by the pool worker before this function runs).
     """
     (driver, os_names, program_texts, strategy, script, store_root,
      exec_backend) = job
@@ -278,14 +278,14 @@ class FuzzEngine:
         return runs, features, mode
 
     def _run_pool(self, drivers, programs, faults, report):
-        """Fan driver columns out across the supervised spawn pool.
+        """Fan driver columns out across the supervised pool.
 
         Returns ``{driver: (runs, features)}`` for every column that
-        completed (possibly after retries); an empty dict means the pool
-        was unavailable.  Columns the pool could not heal are left to
-        the caller's per-column serial fallback.
+        completed (possibly after retries).  Columns the pool could not
+        heal (all of them when the pool was unavailable) are left to the
+        caller's per-column serial fallback.
         """
-        from repro.pipeline.pool import PoolUnavailable, run_supervised
+        from repro.pipeline.pool import SupervisedPool
 
         store = self.orchestrator.store
         store_root = store.root if store is not None else None
@@ -293,29 +293,19 @@ class FuzzEngine:
         jobs = [(driver, tuple(self.config.os_names), program_texts,
                  self.config.strategy, self.config.script, store_root,
                  self.config.exec_backend) for driver in drivers]
-        fault_map = {}
-        if faults:
-            for index, driver in enumerate(drivers):
-                spec = faults.get(driver)
-                if spec is not None and spec.layer in ("worker", "run"):
-                    fault_map[index] = spec
 
         def _validate(payload):
             driver, encoded, features = payload
             return driver, ([ProgramRun.from_dict(r) for r in encoded],
                             set(features))
 
-        try:
-            results, _failures = run_supervised(
-                jobs, _fuzz_column_worker, labels=list(drivers),
-                max_workers=self.orchestrator.max_workers,
-                timeout=self.orchestrator.job_timeout,
-                retries=self.orchestrator.retries, faults=fault_map,
-                validate=_validate, report=report)
-        except PoolUnavailable as exc:
-            report.record_degradation("pool",
-                                      "pool unavailable: %s" % exc)
-            return {}
+        with SupervisedPool(_fuzz_column_worker,
+                            workers=self.orchestrator.max_workers,
+                            timeout=self.orchestrator.job_timeout,
+                            retries=self.orchestrator.retries) as pool:
+            results, _failures = pool.run(
+                jobs, labels=drivers, faults=faults, validate=_validate,
+                report=report)
         return {driver: column for driver, column in results.values()}
 
 

@@ -12,10 +12,10 @@ synthesis per driver -- hands a compact, serializable
 * :mod:`repro.pipeline.store` -- the content-addressed on-disk cache
   (keyed by driver image, config, schema and a source-tree fingerprint;
   checksummed entries, quarantine, crash-consistent publish, GC);
-* :mod:`repro.pipeline.pool` -- the supervised spawn-process fan-out
+* :mod:`repro.pipeline.pool` -- the supervised persistent-process pool
   (per-job timeout, bounded retry, classified failure accounting);
 * :mod:`repro.pipeline.orchestrator` -- the orchestration layer that
-  computes cold artifacts in isolated supervised workers.
+  computes cold artifacts in supervised worker processes.
 """
 
 from repro.pipeline.artifact import (
@@ -32,7 +32,7 @@ from repro.pipeline.orchestrator import (
     execute_run,
     get_orchestrator,
 )
-from repro.pipeline.pool import PoolUnavailable, run_supervised
+from repro.pipeline.pool import SupervisedPool
 from repro.pipeline.store import (
     ArtifactStore,
     artifact_key,
@@ -55,6 +55,5 @@ __all__ = [
     "artifact_key",
     "code_fingerprint",
     "default_store",
-    "PoolUnavailable",
-    "run_supervised",
+    "SupervisedPool",
 ]

@@ -3,8 +3,8 @@
 RevNIC's evaluation runs one reverse-engineering pipeline per driver;
 the runs are independent, so the orchestrator fans them out across
 ``multiprocessing`` workers (spawn context: each worker is a fresh
-interpreter running RevNIC + synthesis in isolation) and collects
-serialized :class:`~repro.pipeline.artifact.RunArtifact` objects.  The
+interpreter running RevNIC + synthesis) and collects serialized
+:class:`~repro.pipeline.artifact.RunArtifact` objects.  The
 four-driver warm-up therefore costs roughly the slowest single driver
 instead of the sum of all four -- and with a warm on-disk cache, almost
 nothing.
@@ -16,7 +16,7 @@ Because runs are deterministic (interned expressions, seeded solver --
 see DESIGN.md), all three paths produce byte-identical canonical
 artifacts; tests assert this.
 
-Fan-out rides :func:`repro.pipeline.pool.run_supervised`: per-job
+Fan-out rides :class:`repro.pipeline.pool.SupervisedPool`: per-job
 timeout, bounded retry with deterministic backoff, and **per-job** serial
 fallback -- one crashed, hung or garbage-returning worker costs retries
 of that job only, never a serial recompute of healthy jobs, and every
@@ -98,7 +98,7 @@ def _worker(job, fault=None):
     Runs in a spawned interpreter; the JSON produced here is byte-for-byte
     what the parent would produce in-process (determinism tests hold the
     pipeline to that).  Worker-layer faults never reach this function
-    (the pool child consumes them); run-layer faults pass through to
+    (the pool worker consumes them); run-layer faults pass through to
     :func:`execute_run`.
     """
     name, strategy, script = job[:3]
@@ -226,7 +226,7 @@ class PipelineOrchestrator:
     # ------------------------------------------------------------------
 
     def _run_pool(self, jobs, faults=None, report=None):
-        """Fan ``jobs`` out over the supervised spawn pool.
+        """Fan ``jobs`` out over the supervised pool.
 
         Persists and caches every artifact the pool completes -- as each
         job finishes, independently of any other job's fate -- and
@@ -234,14 +234,7 @@ class PipelineOrchestrator:
         heal (and pool-level unavailability) are left to the caller's
         per-job serial fallback.
         """
-        from repro.pipeline import pool as _pool
-
-        fault_map = {}
-        if faults:
-            for index, job in enumerate(jobs):
-                spec = faults.get(job[0])
-                if spec is not None and spec.layer in ("worker", "run"):
-                    fault_map[index] = spec
+        from repro.pipeline.pool import SupervisedPool
 
         def _validate(payload):
             # Persist the worker's bytes as-is: re-encoding in the parent
@@ -249,17 +242,12 @@ class PipelineOrchestrator:
             # JSON anyway.
             return payload, from_json(payload, source="worker")
 
-        try:
-            results, _failures = _pool.run_supervised(
-                jobs, _worker, labels=[job[0] for job in jobs],
-                max_workers=self.max_workers, timeout=self.job_timeout,
-                retries=self.retries, faults=fault_map,
+        with SupervisedPool(_worker, workers=self.max_workers,
+                            timeout=self.job_timeout,
+                            retries=self.retries) as pool:
+            results, _failures = pool.run(
+                jobs, labels=[job[0] for job in jobs], faults=faults,
                 validate=_validate, report=report)
-        except _pool.PoolUnavailable as exc:
-            if report is not None:
-                report.record_degradation(
-                    "pool", "pool unavailable: %s" % exc)
-            return set()
         completed = set()
         for index, (text, artifact) in sorted(results.items()):
             job = jobs[index]

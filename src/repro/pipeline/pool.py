@@ -1,21 +1,30 @@
-"""Supervised spawn-process fan-out.
+"""Supervised persistent-process pool.
 
 ``pool.map`` over a :class:`ProcessPoolExecutor` has exactly the failure
 modes RevNIC's own drivers are hardened against: one crashed worker
 abandons the whole pool, one hung worker blocks ``map`` forever, and a
-garbage result propagates as a parse error far from its cause.  This
-module replaces it with an explicit supervisor: every job runs in its own
-spawned process with a private pipe, gets a **per-job timeout**, a
-**bounded retry budget with deterministic backoff**, and classified
-failure accounting in a :class:`~repro.faults.report.ResilienceReport`.
-Jobs that exhaust the budget are returned to the caller for **per-job**
-serial fallback -- a single bad job never forces healthy jobs to
-recompute.
+garbage result propagates as a parse error far from its cause.
+:class:`SupervisedPool` replaces it with an explicit supervisor over
+persistent spawned workers.  Every job gets a **per-job timeout**, a
+**bounded retry budget with deterministic backoff**, result validation,
+and classified failure accounting in a
+:class:`~repro.faults.report.ResilienceReport`.  Jobs that exhaust the
+budget are returned to the caller for **per-job** serial fallback -- a
+single bad job never forces healthy jobs to recompute.
 
-The supervisor is also the worker-layer fault-injection point: a
-:class:`~repro.faults.plan.FaultSpec` mapped to a job index is delivered
-to the child, which kills itself, hangs, or substitutes garbage -- the
-exact hostile behaviors the retry/timeout/validation path must absorb.
+Each worker runs its one-time setup once and then serves job after job
+over a duplex pipe, across every :meth:`SupervisedPool.run` of the
+pool's life.  A batch is partitioned contiguously across workers; an
+idle worker first drains its own span, then steals from the *tail* of
+the longest remaining backlog (ties to the lowest worker index), so one
+slow job does not serialize the batch.  A crashed or timed-out worker is
+respawned on demand.
+
+The pool is also the worker-layer fault-injection point: a
+:class:`~repro.faults.plan.FaultSpec` mapped to a job label is delivered
+to the worker with that job, which then kills itself, hangs, or
+substitutes garbage -- the exact hostile behaviors the
+retry/timeout/validation path must absorb.
 """
 
 import multiprocessing
@@ -42,8 +51,8 @@ _POLL_SECONDS = 0.05
 
 
 class PoolUnavailable(Exception):
-    """Process/pipe machinery could not start at all (restricted
-    environments); callers degrade to serial execution."""
+    """No worker could be started or set up (restricted environments, a
+    broken setup); every unfinished job goes back to the caller."""
 
 
 def backoff_delay(attempt):
@@ -72,367 +81,152 @@ def default_retries():
     return DEFAULT_RETRIES
 
 
-def _child_main(conn, worker, job, fault):
-    """Process target: apply any worker-layer fault, run the worker, send
-    one ``("ok", payload)`` or ``("error", info)`` message, exit."""
-    try:
-        if fault is not None:
-            from repro.faults.inject import apply_worker_fault
-
-            if apply_worker_fault(conn, fault):
-                return      # fault consumed the attempt (garbage sent)
-        payload = worker(job, fault)
-        conn.send(("ok", payload))
-    except BaseException as exc:
-        try:
-            conn.send(("error", {"type": type(exc).__name__,
-                                 "message": str(exc)}))
-        except Exception:
-            pass
-    finally:
-        try:
-            conn.close()
-        except Exception:
-            pass
+def _describe(exc):
+    return "%s: %s" % (type(exc).__name__, exc)
 
 
-class _Active:
-    __slots__ = ("index", "attempt", "process", "conn", "deadline")
-
-    def __init__(self, index, attempt, process, conn, deadline):
-        self.index = index
-        self.attempt = attempt
-        self.process = process
-        self.conn = conn
-        self.deadline = deadline
-
-
-def run_supervised(jobs, worker, labels=None, max_workers=None,
-                   timeout=None, retries=None, faults=None, validate=None,
-                   report=None):
-    """Run ``worker(job, fault)`` for every job in supervised processes.
-
-    ``validate`` (payload -> value, raising on garbage) gates every
-    result; ``faults`` maps job index -> :class:`FaultSpec` for
-    injection.  Returns ``(results, failures)``: ``results`` maps job
-    index to the validated value, ``failures`` maps indices that
-    exhausted the retry budget to a classification string -- the caller
-    owns their per-job serial fallback.  Raises :class:`PoolUnavailable`
-    when processes cannot be spawned at all.
-    """
-    from repro.faults.report import ResilienceReport
-
-    if report is None:
-        report = ResilienceReport()
-    labels = list(labels) if labels else [str(i) for i in range(len(jobs))]
-    timeout = default_timeout() if timeout is None else (timeout or None)
-    retries = default_retries() if retries is None else retries
-    faults = faults or {}
-    max_attempts = retries + 1
+def _child_main(conn, setup, bootstrap):
+    """Worker process: build the job function once, then answer every
+    ``(job, fault)`` request with ``("ok", payload)`` or ``("error",
+    description)`` until the parent closes the pipe.  A setup failure is
+    answered once with ``("fatal", description)``."""
+    from repro.faults.inject import apply_worker_fault
 
     try:
-        context = multiprocessing.get_context("spawn")
-    except ValueError as exc:
-        raise PoolUnavailable(str(exc))
-    slots = max_workers or min(len(jobs), os.cpu_count() or 1)
-    slots = max(1, slots)
-
-    results = {}
-    failures = {}
-    #: (index, attempt, not_before) -- retries wait out their backoff
-    pending = [(i, 1, 0.0) for i in range(len(jobs))]
-    active = {}
-    spawned_any = False
-
-    def launch(index, attempt):
-        nonlocal spawned_any
-        fault = None
-        spec = faults.get(index)
-        if spec is not None and spec.fires_on(attempt):
-            fault = spec.to_dict()
-        parent_conn, child_conn = context.Pipe(duplex=False)
-        process = context.Process(
-            target=_child_main, args=(child_conn, worker, jobs[index],
-                                      fault),
-            daemon=True)
-        process.start()
-        child_conn.close()
-        spawned_any = True
-        deadline = (time.monotonic() + timeout) if timeout else None
-        active[index] = _Active(index, attempt, process, parent_conn,
-                                deadline)
-
-    def reap(entry):
+        run_job = setup if bootstrap is None else setup(bootstrap)
+    except Exception as exc:
         try:
-            entry.conn.close()
-        except Exception:
+            conn.send(("fatal", _describe(exc)))
+        except OSError:
             pass
-        entry.process.join(timeout=5)
-        if entry.process.is_alive():
-            entry.process.kill()
-            entry.process.join(timeout=5)
-
-    def fail_attempt(entry, kind, detail):
-        label = labels[entry.index]
-        report.record_attempt(label, entry.attempt,
-                              event="%s (attempt %d): %s"
-                              % (kind, entry.attempt, detail))
-        if entry.attempt < max_attempts:
-            pending.append((entry.index, entry.attempt + 1,
-                            time.monotonic()
-                            + backoff_delay(entry.attempt)))
-        else:
-            failures[entry.index] = kind
-            report.record_outcome(label, "pool-failed:%s" % kind)
-
-    def succeed(entry, value):
-        label = labels[entry.index]
-        results[entry.index] = value
-        report.record_attempt(label, entry.attempt)
-        report.record_outcome(label, "pool")
-
-    try:
-        while pending or active:
-            # Fill free slots with launchable work (backoff respected).
-            now = time.monotonic()
-            deferred = []
-            while pending and len(active) < slots:
-                index, attempt, not_before = pending.pop(0)
-                if not_before > now:
-                    deferred.append((index, attempt, not_before))
-                    continue
-                try:
-                    launch(index, attempt)
-                except Exception as exc:
-                    if not spawned_any:
-                        raise PoolUnavailable(str(exc))
-                    fail_attempt(_Active(index, attempt, None, None, None),
-                                 "spawn", str(exc))
-            pending.extend(deferred)
-
-            if not active:
-                if pending:
-                    next_ready = min(entry[2] for entry in pending)
-                    time.sleep(max(0.0, min(next_ready
-                                            - time.monotonic(),
-                                            BACKOFF_CAP)))
-                continue
-
-            multiprocessing.connection.wait(
-                [entry.conn for entry in active.values()],
-                timeout=_POLL_SECONDS)
-            now = time.monotonic()
-            for entry in list(active.values()):
-                message = None
-                received = False
-                if entry.conn.poll():
-                    try:
-                        message = entry.conn.recv()
-                        received = True
-                    except (EOFError, OSError):
-                        received = False
-                    del active[entry.index]
-                    reap(entry)
-                    if not received:
-                        report.worker_crashes += 1
-                        fail_attempt(entry, "crash",
-                                     "worker closed pipe without result")
-                        continue
-                    kind, payload = message
-                    if kind == "error":
-                        report.run_faults += 1
-                        fail_attempt(entry, "error", "%s: %s"
-                                     % (payload.get("type"),
-                                        payload.get("message")))
-                        continue
-                    try:
-                        value = validate(payload) if validate else payload
-                    except Exception as exc:
-                        report.garbage_results += 1
-                        fail_attempt(entry, "garbage", str(exc))
-                        continue
-                    succeed(entry, value)
-                elif not entry.process.is_alive():
-                    del active[entry.index]
-                    reap(entry)
-                    report.worker_crashes += 1
-                    fail_attempt(entry, "crash", "worker died (exit %r)"
-                                 % (entry.process.exitcode,))
-                elif entry.deadline is not None and now > entry.deadline:
-                    del active[entry.index]
-                    entry.process.kill()
-                    reap(entry)
-                    report.timeouts += 1
-                    fail_attempt(entry, "timeout",
-                                 "exceeded %.1fs job budget" % timeout)
-    finally:
-        for entry in active.values():
-            try:
-                entry.process.kill()
-            except Exception:
-                pass
-            reap(entry)
-    return results, failures
-
-
-# ==========================================================================
-# Persistent chunk pool (sharded frontier exploration)
-
-def _chunk_child_main(conn, setup, bootstrap):
-    """Persistent worker: run ``setup(bootstrap)`` once, then serve
-    ``("chunk", index, payload)`` messages until ``("stop",)`` or EOF,
-    answering ``("ok", index, result)`` / ``("error", index, info)``."""
-    try:
-        run_chunk = setup(bootstrap)
-    except BaseException as exc:
-        try:
-            conn.send(("fatal", {"type": type(exc).__name__,
-                                 "message": str(exc)}))
-        except Exception:
-            pass
-        try:
-            conn.close()
-        except Exception:
-            pass
+        conn.close()
         return
     while True:
         try:
-            message = conn.recv()
+            job, fault = conn.recv()
         except (EOFError, OSError):
             break
-        if not isinstance(message, tuple) or not message \
-                or message[0] == "stop":
-            break
-        _, index, payload = message
         try:
-            result = run_chunk(payload)
-        except BaseException as exc:
-            try:
-                conn.send(("error", index, {"type": type(exc).__name__,
-                                            "message": str(exc)}))
-            except Exception:
-                break
-        else:
-            try:
-                conn.send(("ok", index, result))
-            except Exception:
-                break
-    try:
-        conn.close()
-    except Exception:
-        pass
+            payload = apply_worker_fault(fault)
+            if payload is None:
+                payload = run_job(job, fault)
+            reply = ("ok", payload)
+        except Exception as exc:
+            reply = ("error", _describe(exc))
+        try:
+            conn.send(reply)
+        except OSError:
+            break
+    conn.close()
 
 
-class ChunkPool:
-    """Persistent spawn-process pool with contiguous partitioning and
-    work stealing.
+class SupervisedPool:
+    """Persistent spawned workers under one dispatch/timeout/retry loop.
 
-    :func:`run_supervised` pays one process spawn per job -- fine for a
-    handful of driver runs, ruinous for sharded frontier exploration
-    where every phase fans out sub-tree chunks.  Here each worker runs
-    ``setup(bootstrap)`` exactly once (rebuilding the read-only engine
-    context from picklable bootstrap data) and then serves chunk after
-    chunk over a duplex pipe, across every phase of a run.
+    ``setup(bootstrap)`` runs once per worker process and returns the
+    job function; with no ``bootstrap``, ``setup`` itself is the job
+    function.  Either way it is called as ``run_job(job, fault)`` and
+    must be picklable by reference (module level).  ``workers`` defaults
+    to min(first batch size, CPU count); ``timeout`` and ``retries``
+    default to the ``REVNIC_JOB_TIMEOUT`` / ``REVNIC_JOB_RETRIES``
+    environment budgets.
 
-    Each batch is partitioned contiguously across workers; an idle
-    worker first drains its own span, then steals from the *tail* of the
-    longest remaining backlog (ties to the lowest worker index), so one
-    deep sub-tree does not serialize the phase.  Failures (crash, error,
-    timeout) retry with the supervisor's deterministic backoff; chunks
-    that exhaust the budget come back as ``None`` and the caller re-runs
-    them in-process -- sharding can only change wall time, never
-    results.
+    ``steals``, ``chunk_retries`` and ``served`` (jobs dispatched per
+    worker slot) accumulate over the pool's life for the engine's
+    frontier stats.
     """
 
-    def __init__(self, setup, bootstrap, workers, timeout=None,
+    def __init__(self, setup, bootstrap=None, workers=None, timeout=None,
                  retries=None):
         self._setup = setup
         self._bootstrap = bootstrap
-        self.workers = max(1, int(workers))
+        self.workers = workers
         self.timeout = default_timeout() if timeout is None \
             else (timeout or None)
         self.retries = default_retries() if retries is None else retries
         self.steals = 0
         self.chunk_retries = 0
-        self.chunks_failed = 0
-        #: chunks served per worker slot (engine frontier stats)
-        self.served = [0] * self.workers
-        try:
-            self._context = multiprocessing.get_context("spawn")
-        except ValueError as exc:
-            raise PoolUnavailable(str(exc))
-        self._procs = [None] * self.workers
-        self._conns = [None] * self.workers
-        started = 0
-        for slot in range(self.workers):
-            if self._spawn(slot):
-                started += 1
-        if not started:
-            raise PoolUnavailable("no chunk worker could be spawned")
+        self.served = []
+        self._procs = []
+        self._conns = []
+        self._broken = None
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.close()
 
     # -- worker lifecycle ----------------------------------------------
 
     def _spawn(self, slot):
+        """Start a worker in ``slot``; False when it cannot be started,
+        :class:`PoolUnavailable` when no worker is left at all."""
         try:
-            parent_conn, child_conn = self._context.Pipe(duplex=True)
-            process = self._context.Process(
-                target=_chunk_child_main,
+            context = multiprocessing.get_context("spawn")
+            parent_conn, child_conn = context.Pipe(duplex=True)
+            process = context.Process(
+                target=_child_main,
                 args=(child_conn, self._setup, self._bootstrap),
                 daemon=True)
             process.start()
-            child_conn.close()
-        except Exception:
-            self._procs[slot] = None
-            self._conns[slot] = None
+        except Exception as exc:
+            if all(conn is None for conn in self._conns):
+                raise PoolUnavailable(str(exc))
             return False
+        child_conn.close()
         self._procs[slot] = process
         self._conns[slot] = parent_conn
         return True
 
     def _retire(self, slot, kill=False):
-        process = self._procs[slot]
-        conn = self._conns[slot]
-        self._procs[slot] = None
-        self._conns[slot] = None
+        process, conn = self._procs[slot], self._conns[slot]
+        self._procs[slot] = self._conns[slot] = None
         if conn is not None:
-            try:
-                conn.close()
-            except Exception:
-                pass
+            conn.close()
         if process is not None:
             if kill:
-                try:
-                    process.kill()
-                except Exception:
-                    pass
+                process.kill()
             process.join(timeout=5)
             if process.is_alive():
-                try:
-                    process.kill()
-                except Exception:
-                    pass
+                process.kill()
                 process.join(timeout=5)
 
     def close(self):
-        for slot in range(self.workers):
-            conn = self._conns[slot]
-            if conn is not None:
-                try:
-                    conn.send(("stop",))
-                except Exception:
-                    pass
-        for slot in range(self.workers):
+        """Stop every worker (closing its pipe ends its serve loop)."""
+        for slot in range(len(self._procs)):
             self._retire(slot)
 
     # -- batch execution -----------------------------------------------
 
-    def run(self, messages):
-        """Run every chunk; returns results aligned with ``messages``
-        (``None`` where the retry budget was exhausted)."""
-        count = len(messages)
-        results = [None] * count
-        resolved = [False] * count
-        unresolved = count
+    def run(self, jobs, labels=None, faults=None, validate=None,
+            report=None):
+        """Run every job; returns ``(results, failures)``.
+
+        ``validate`` (payload -> value, raising on garbage) gates every
+        result; ``faults`` maps job label -> :class:`FaultSpec` (only
+        worker- and run-layer specs are delivered).  ``results`` maps job
+        index to the validated value, ``failures`` maps every other index
+        to a classification string -- the caller owns their per-job
+        serial fallback.  When no worker can be started or set up, the
+        pool records a ``"pool"`` degradation and hands every unfinished
+        job back as ``"unavailable"``.
+        """
+        from repro.faults.report import ResilienceReport
+
+        if report is None:
+            report = ResilienceReport()
+        count = len(jobs)
+        labels = list(labels) if labels else [str(i) for i in range(count)]
+        faults = faults or {}
+        if not self._procs:
+            self.workers = max(1, int(self.workers
+                                      or min(count, os.cpu_count() or 1)))
+            self.served = [0] * self.workers
+            self._procs = [None] * self.workers
+            self._conns = [None] * self.workers
+        results = {}
+        failures = {}
         attempts = [0] * count
         retry_pending = []      # (not_before, index)
         busy = {}               # slot -> (index, deadline)
@@ -445,16 +239,11 @@ class ChunkPool:
             queues.append(deque(range(cursor, cursor + size)))
             cursor += size
 
-        def take_chunk(slot):
+        def take_job(slot):
             if queues[slot]:
                 return queues[slot].popleft()
-            donor = None
-            for other in range(self.workers):
-                if other == slot or not queues[other]:
-                    continue
-                if donor is None or len(queues[other]) > len(queues[donor]):
-                    donor = other
-            if donor is not None:
+            donor = max(range(self.workers), key=lambda o: len(queues[o]))
+            if queues[donor]:
                 self.steals += 1
                 return queues[donor].pop()
             now = time.monotonic()
@@ -465,92 +254,127 @@ class ChunkPool:
                 return item[1]
             return None
 
-        def fail_attempt(index):
-            nonlocal unresolved
+        def fault_for(index):
+            spec = faults.get(labels[index])
+            if spec is not None and spec.layer in ("worker", "run") \
+                    and spec.fires_on(attempts[index]):
+                return spec.to_dict()
+            return None
+
+        def fail_attempt(index, kind, detail):
+            label = labels[index]
+            report.record_attempt(label, attempts[index],
+                                  event="%s (attempt %d): %s"
+                                  % (kind, attempts[index], detail))
             if attempts[index] <= self.retries:
                 self.chunk_retries += 1
                 retry_pending.append(
                     (time.monotonic() + backoff_delay(attempts[index]),
                      index))
             else:
-                self.chunks_failed += 1
-                resolved[index] = True
-                unresolved -= 1
+                failures[index] = kind
+                report.record_outcome(label, "pool-failed:%s" % kind)
 
         def dispatch():
             for slot in range(self.workers):
                 if slot in busy:
                     continue
-                if self._conns[slot] is None and not self._spawn(slot):
-                    continue
-                index = take_chunk(slot)
+                index = take_job(slot)
                 if index is None:
+                    continue
+                if self._conns[slot] is None and not self._spawn(slot):
+                    queues[slot].appendleft(index)
                     continue
                 attempts[index] += 1
                 try:
-                    self._conns[slot].send(("chunk", index,
-                                            messages[index]))
-                except Exception:
+                    self._conns[slot].send((jobs[index], fault_for(index)))
+                except OSError:
                     self._retire(slot, kill=True)
-                    fail_attempt(index)
+                    report.worker_crashes += 1
+                    fail_attempt(index, "crash", "worker pipe closed")
                     continue
                 deadline = (time.monotonic() + self.timeout) \
                     if self.timeout else None
                 busy[slot] = (index, deadline)
                 self.served[slot] += 1
 
-        while unresolved:
-            dispatch()
-            if not busy:
-                if any(conn is not None for conn in self._conns):
+        def collect(slot, index, deadline, now):
+            """Settle ``slot``'s job if it replied, died or timed out;
+            returns False while it is still running."""
+            conn = self._conns[slot]
+            if conn.poll():
+                try:
+                    kind, payload = conn.recv()
+                except (EOFError, OSError):
+                    self._retire(slot)
+                    report.worker_crashes += 1
+                    fail_attempt(index, "crash",
+                                 "worker closed pipe without result")
+                    return True
+                if kind == "fatal":
+                    raise PoolUnavailable("worker setup failed: %s"
+                                          % payload)
+                if kind == "error":
+                    report.run_faults += 1
+                    fail_attempt(index, "error", payload)
+                    return True
+                try:
+                    value = validate(payload) if validate else payload
+                except Exception as exc:
+                    report.garbage_results += 1
+                    fail_attempt(index, "garbage", str(exc))
+                    return True
+                results[index] = value
+                report.record_attempt(labels[index], attempts[index])
+                report.record_outcome(labels[index], "pool")
+            elif not self._procs[slot].is_alive():
+                exitcode = self._procs[slot].exitcode
+                self._retire(slot)
+                report.worker_crashes += 1
+                fail_attempt(index, "crash",
+                             "worker died (exit %r)" % (exitcode,))
+            elif deadline is not None and now > deadline:
+                self._retire(slot, kill=True)
+                report.timeouts += 1
+                fail_attempt(index, "timeout",
+                             "exceeded %.1fs job budget" % self.timeout)
+            else:
+                return False
+            return True
+
+        try:
+            if self._broken:
+                raise PoolUnavailable(self._broken)
+            # Start every idle slot up front: persistent workers pay their
+            # setup once, in parallel, before the first job is waiting.
+            for slot in range(self.workers):
+                if self._conns[slot] is None:
+                    self._spawn(slot)
+            while len(results) + len(failures) < count:
+                dispatch()
+                if not busy:
+                    # What is left waits out a retry backoff.
                     if retry_pending:
                         next_ready = min(item[0] for item in retry_pending)
                         time.sleep(max(0.0, min(next_ready
                                                 - time.monotonic(),
                                                 BACKOFF_CAP)))
                     continue
-                # Every worker is dead and none respawned: give up on
-                # whatever is left (the caller runs it in-process).
-                for index in range(count):
-                    if not resolved[index]:
-                        self.chunks_failed += 1
-                        resolved[index] = True
-                        unresolved -= 1
-                break
-
-            multiprocessing.connection.wait(
-                [self._conns[slot] for slot in busy], timeout=_POLL_SECONDS)
-            now = time.monotonic()
-            for slot, (index, deadline) in list(busy.items()):
-                conn = self._conns[slot]
-                if conn.poll():
-                    try:
-                        message = conn.recv()
-                    except (EOFError, OSError):
+                multiprocessing.connection.wait(
+                    [self._conns[slot] for slot in busy],
+                    timeout=_POLL_SECONDS)
+                now = time.monotonic()
+                for slot, (index, deadline) in list(busy.items()):
+                    if collect(slot, index, deadline, now):
                         del busy[slot]
-                        self._retire(slot)
-                        fail_attempt(index)
-                        continue
-                    kind = message[0] if isinstance(message, tuple) \
-                        and message else None
-                    if kind == "ok":
-                        del busy[slot]
-                        results[message[1]] = message[2]
-                        resolved[message[1]] = True
-                        unresolved -= 1
-                    elif kind == "error":
-                        del busy[slot]
-                        fail_attempt(index)
-                    else:   # "fatal" during setup, or garbage
-                        del busy[slot]
-                        self._retire(slot, kill=True)
-                        fail_attempt(index)
-                elif not self._procs[slot].is_alive():
-                    del busy[slot]
-                    self._retire(slot)
-                    fail_attempt(index)
-                elif deadline is not None and now > deadline:
-                    del busy[slot]
-                    self._retire(slot, kill=True)
-                    fail_attempt(index)
-        return results
+        except PoolUnavailable as exc:
+            self._broken = str(exc)
+            report.record_degradation("pool", "pool unavailable: %s" % exc)
+            for index in range(count):
+                if index not in results:
+                    failures.setdefault(index, "unavailable")
+            self.close()
+        finally:
+            for slot in busy:
+                self._retire(slot, kill=True)
+        return results, failures

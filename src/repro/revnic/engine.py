@@ -154,7 +154,6 @@ class RevNic:
         self._subtree_count = itertools.count()
         self._subtree_ctx = None
         self._shard_pool = None
-        self._pool_failed = False
         self._frontier_extra = {}       # additive stat deltas, sub-trees
         self._frontier_hw = ({}, {})    # merged hw read/write counts
         self._frontier_stats = {"phases": 0, "subtrees": 0,
@@ -259,7 +258,8 @@ class RevNic:
                 "max_depth": self._frontier_stats["max_depth"],
                 # volatile keys (scrubbed from canonical JSON; see
                 # repro.pipeline.artifact._VOLATILE_FRONTIER)
-                "mode": "sharded" if pool is not None else "serial",
+                "mode": ("sharded" if pool is not None and any(pool.served)
+                         else "serial"),
                 "workers": self.explore_workers,
                 "steals": pool.steals if pool is not None else 0,
                 "chunk_retries": (pool.chunk_retries
@@ -502,22 +502,14 @@ class RevNic:
         return self._subtree_ctx
 
     def _ensure_pool(self):
-        if self.explore_workers <= 1 or self._pool_failed:
-            return None
-        if self._shard_pool is None:
-            from repro.pipeline.pool import ChunkPool
+        if self.explore_workers > 1 and self._shard_pool is None:
+            from repro.pipeline.pool import SupervisedPool
 
-            try:
-                self._shard_pool = ChunkPool(
-                    setup=frontier.worker_setup,
-                    bootstrap=(self.image.to_bytes(),
-                               frontier.config_to_dict(self.config)),
-                    workers=self.explore_workers)
-            except Exception:
-                # Restricted environments (no spawn) degrade to
-                # in-process sub-trees -- same bytes, no speedup.
-                self._pool_failed = True
-                return None
+            self._shard_pool = SupervisedPool(
+                frontier.worker_setup,
+                bootstrap=(self.image.to_bytes(),
+                           frontier.config_to_dict(self.config)),
+                workers=self.explore_workers)
         return self._shard_pool
 
     def _run_subtrees(self, chunks):
@@ -532,8 +524,9 @@ class RevNic:
         if pool is not None:
             start = time.monotonic()
             messages = [frontier.encode_chunk(chunk) for chunk in chunks]
-            replies = pool.run(messages)
-            for chunk, reply in zip(chunks, replies):
+            replies, _failures = pool.run(messages)
+            for index, chunk in enumerate(chunks):
+                reply = replies.get(index)
                 if reply is None:
                     self._frontier_volatile["fallbacks"] += 1
                     outcomes.append(frontier.explore_subtree(

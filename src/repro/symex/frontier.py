@@ -575,7 +575,7 @@ def decode_outcome(message, concrete_read):
 
 
 # ==========================================================================
-# Worker-side bootstrap (ChunkPool setup target; must be picklable)
+# Worker-side bootstrap (SupervisedPool setup target; must be picklable)
 
 def config_to_dict(config):
     """A :class:`RevNicConfig` as a plain nested dict (worker bootstrap)."""
@@ -600,7 +600,7 @@ def config_from_dict(data):
 
 
 def worker_setup(bootstrap):
-    """ChunkPool setup target: rebuild the per-process context from
+    """SupervisedPool setup target: rebuild the per-process context from
     ``(image bytes, config dict)`` and return the chunk runner.
 
     The machine, translator and decoded image persist across every chunk
@@ -625,7 +625,7 @@ def worker_setup(bootstrap):
         text_base=loaded.text_base, text_end=loaded.text_end,
         leaders=static_basic_blocks(image, loaded.text_base))
 
-    def run_chunk(message):
+    def run_chunk(message, fault=None):
         chunk = decode_chunk(message, ctx.concrete_read)
         return encode_outcome(explore_subtree(ctx, chunk))
 

@@ -20,9 +20,9 @@ Cell semantics:
 
 Each cell also carries its *expectation*; an **unexplained** divergence is
 any behavioral mismatch, or an unsupported result where equivalence was
-expected.  The matrix fans out across the same supervised spawn pool as
-the pipeline orchestrator (:func:`repro.pipeline.pool.run_supervised`:
-per-job timeout, bounded retry, classified failures) -- one worker per
+expected.  The matrix fans out across the same supervised pool as the
+pipeline orchestrator (:class:`repro.pipeline.pool.SupervisedPool`:
+per-job timeout, bounded retry, classified failures) -- one job per
 driver column, each loading (or, cold, computing and storing) its
 artifact from the shared on-disk store -- with **per-column** serial
 fallback: one misbehaving column never forces healthy columns to
@@ -276,12 +276,11 @@ class ValidationMatrix:
             parallel = self.orchestrator.parallel \
                 and (os.cpu_count() or 1) > 1
         columns = {}
-        mode = "serial"
-        if parallel and len(self.drivers) > 1:
+        pool_attempted = parallel and len(self.drivers) > 1
+        if pool_attempted:
             with report.stage_timer("pool"):
                 columns = self._run_pool(faults, report)
-            if columns:
-                mode = "parallel"
+        mode = "parallel" if columns else "serial"
         missing = [d for d in self.drivers if d not in columns]
         if missing:
             with report.stage_timer("serial"):
@@ -289,7 +288,7 @@ class ValidationMatrix:
                                                    self.script,
                                                    parallel=False)
                 for name in missing:
-                    if mode == "parallel":
+                    if pool_attempted:
                         report.record_degradation(
                             "matrix", "per-column serial fallback",
                             job=name)
@@ -309,41 +308,32 @@ class ValidationMatrix:
                             mode=mode, resilience=report)
 
     def _run_pool(self, faults, report):
-        """Fan driver columns out across the supervised spawn pool.
+        """Fan driver columns out across the supervised pool.
 
         Returns the columns that completed (possibly after retries) --
         never discarding healthy columns because another column failed.
-        An empty dict means the pool was unavailable.
+        Columns the pool could not heal (all of them when the pool was
+        unavailable) are left to the caller's per-column serial fallback.
         """
-        from repro.pipeline.pool import PoolUnavailable, run_supervised
+        from repro.pipeline.pool import SupervisedPool
 
         store = self.orchestrator.store
         store_root = store.root if store is not None else None
         jobs = [(driver, tuple(self.os_names), tuple(self.scenario_names),
                  self.strategy, self.script, store_root, self.exec_backend)
                 for driver in self.drivers]
-        fault_map = {}
-        if faults:
-            for index, driver in enumerate(self.drivers):
-                spec = faults.get(driver)
-                if spec is not None and spec.layer in ("worker", "run"):
-                    fault_map[index] = spec
 
         def _validate(payload):
             driver, encoded = payload
             return driver, [CellResult.from_dict(c) for c in encoded]
 
-        try:
-            results, _failures = run_supervised(
-                jobs, _column_worker, labels=list(self.drivers),
-                max_workers=self.orchestrator.max_workers,
-                timeout=self.orchestrator.job_timeout,
-                retries=self.orchestrator.retries, faults=fault_map,
+        with SupervisedPool(_column_worker,
+                            workers=self.orchestrator.max_workers,
+                            timeout=self.orchestrator.job_timeout,
+                            retries=self.orchestrator.retries) as pool:
+            results, _failures = pool.run(
+                jobs, labels=self.drivers, faults=faults,
                 validate=_validate, report=report)
-        except PoolUnavailable as exc:
-            report.record_degradation("pool",
-                                      "pool unavailable: %s" % exc)
-            return {}
         return {driver: column
                 for driver, column in results.values()}
 

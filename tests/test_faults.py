@@ -12,6 +12,7 @@ record.
 """
 
 import json
+import time
 
 import pytest
 
@@ -21,8 +22,8 @@ from repro.faults import (FaultPlan, FaultPlanGenerator, FaultRecord,
 from repro.faults.campaign import ChaosCampaign
 from repro.faults.inject import maybe_raise_run_fault
 from repro.faults.plan import PERSISTENT
-from repro.pipeline.pool import (backoff_delay, default_retries,
-                                 default_timeout, run_supervised)
+from repro.pipeline.pool import (SupervisedPool, backoff_delay,
+                                 default_retries, default_timeout)
 
 # -- toy workers (top-level: spawn children must import them) -----------
 
@@ -30,7 +31,13 @@ def _double_worker(job, fault=None):
     name, value = job
     if name == "boom":
         raise ValueError("kapow")
+    if name == "slow":
+        time.sleep(value)
     return json.dumps({"name": name, "value": value * 2})
+
+
+def _broken_setup(bootstrap):
+    raise RuntimeError("cannot rebuild %s" % bootstrap)
 
 
 def _validate_json(payload):
@@ -121,15 +128,19 @@ class TestSupervisedPool:
     JOBS = [("a", 1), ("b", 2), ("c", 3)]
     LABELS = ["a", "b", "c"]
 
-    def run(self, jobs=None, labels=None, **kwargs):
+    def run(self, jobs=None, labels=None, faults=None, timeout=60,
+            retries=2, max_workers=2, setup=_double_worker, bootstrap=None):
+        """Run a batch; ``faults`` is keyed by job index for brevity."""
         report = ResilienceReport()
-        kwargs.setdefault("timeout", 60)
-        kwargs.setdefault("retries", 2)
-        kwargs.setdefault("max_workers", 2)
-        results, failures = run_supervised(
-            jobs or self.JOBS, _double_worker,
-            labels=labels or self.LABELS, validate=_validate_json,
-            report=report, **kwargs)
+        labels = labels or self.LABELS
+        with SupervisedPool(setup, bootstrap=bootstrap, workers=max_workers,
+                            timeout=timeout, retries=retries) as pool:
+            results, failures = pool.run(
+                jobs or self.JOBS, labels=labels,
+                faults={labels[i]: spec
+                        for i, spec in (faults or {}).items()},
+                validate=_validate_json, report=report)
+        self.pool = pool
         return results, failures, report
 
     def test_plain_run_completes_everything(self):
@@ -174,6 +185,44 @@ class TestSupervisedPool:
         assert report.run_faults == 2
         assert any("ValueError: kapow" in event
                    for event in report.jobs["boom"]["events"])
+
+    def test_kill_with_queued_jobs_respawns_and_keeps_results(self):
+        # worker 0 owns jobs 0-1; it dies on job 0 with job 1 still queued
+        jobs = [("a", 1), ("b", 2), ("c", 3), ("d", 4)]
+        labels = ["a", "b", "c", "d"]
+        results, failures, report = self.run(
+            jobs=jobs, labels=labels,
+            faults={0: FaultSpec(layer="worker", kind="kill")})
+        assert not failures
+        assert [results[i]["value"] for i in range(4)] == [2, 4, 6, 8]
+        assert report.worker_crashes == 1 and report.retries == 1
+        assert report.jobs["a"]["attempts"] == 2
+        assert all(entry["outcome"] == "pool"
+                   for entry in report.jobs.values())
+        # five dispatches: four jobs plus the retry on a respawned worker
+        assert sum(self.pool.served) == 5
+
+    def test_setup_failure_hands_every_job_back(self):
+        started = time.monotonic()
+        results, failures, report = self.run(setup=_broken_setup,
+                                             bootstrap="image")
+        assert time.monotonic() - started < 30
+        assert not results
+        assert sorted(failures) == [0, 1, 2]
+        assert [d["stage"] for d in report.degradations] == ["pool"]
+        assert "RuntimeError: cannot rebuild image" \
+            in report.degradations[0]["reason"]
+
+    def test_more_jobs_than_workers_steals(self):
+        # worker 0 owns the slow job and two more; worker 1 finishes its
+        # own two jobs long before and must steal from worker 0's tail
+        jobs = [("slow", 1.5), ("b", 2), ("c", 3), ("d", 4), ("e", 5)]
+        labels = ["slow", "b", "c", "d", "e"]
+        results, failures, _report = self.run(jobs=jobs, labels=labels)
+        assert not failures and sorted(results) == [0, 1, 2, 3, 4]
+        assert results[4] == {"name": "e", "value": 10}
+        assert self.pool.steals >= 1
+        assert sum(self.pool.served) == 5
 
     def test_backoff_is_deterministic_and_bounded(self):
         delays = [backoff_delay(n) for n in range(1, 10)]

@@ -147,3 +147,7 @@ def test_sharded_matches_serial_bytes(name):
     assert stats["frontier"]["subtrees"] == \
         serial_stats["frontier"]["subtrees"]
     assert stats["frontier"]["split_depth"] == 3
+    # A broken pool falls back to in-process sub-trees with the same
+    # bytes; only these stats tell a real sharded run apart.
+    assert stats["frontier"]["mode"] == "sharded"
+    assert stats["frontier"]["fallbacks"] == 0
