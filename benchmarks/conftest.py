@@ -22,8 +22,8 @@ from repro.eval.runner import get_cache
 _BENCH_COUNTERS = ("wall_seconds", "blocks_executed", "exec_fast_blocks",
                    "forks", "solver_queries", "solver_comp_solves",
                    "solver_cache_hits", "solver_fast_path_hits",
-                   "eval_program_runs", "eval_node_visits",
-                   "hw_reads", "hw_writes")
+                   "solver_unknown", "solver_unsat", "eval_program_runs",
+                   "eval_node_visits", "hw_reads", "hw_writes")
 
 _REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BENCH_PATH = os.path.join(_REPO_ROOT, "BENCH_pipeline.json")

@@ -38,8 +38,10 @@ from repro.synth.report import FunctionSummary, SynthesisReport
 #: different version are rejected (the on-disk cache treats them as
 #: misses), never migrated.  v2: run stats gained a volatile section of
 #: persistent compiled-code cache outcomes.  v3: dropped that section
-#: together with the persistent code cache.
-SCHEMA_VERSION = 3
+#: together with the persistent code cache.  v4: run stats gained the
+#: ``solver_unknown``/``solver_unsat`` verdict counts, and the solver's
+#: random fallback went, which moves trace and eval counters.
+SCHEMA_VERSION = 4
 
 
 class RunArtifact:

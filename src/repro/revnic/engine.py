@@ -223,6 +223,10 @@ class RevNic:
             "solver_fast_path_hits": (self.solver.fast_path_hits
                                       + extra.get("solver_fast_path_hits",
                                                   0)),
+            "solver_unknown": (self.solver.unknown_results
+                               + extra.get("solver_unknown", 0)),
+            "solver_unsat": (self.solver.unsat_results
+                             + extra.get("solver_unsat", 0)),
             "eval_program_runs": (eval_after["program_runs"]
                                   - eval_before["program_runs"]
                                   - self._eval_overhead["program_runs"]
@@ -512,6 +516,20 @@ class RevNic:
                 workers=self.explore_workers)
         return self._shard_pool
 
+    def _decode_outcome(self, reply):
+        """A worker's reply as a SubtreeOutcome.  Decoding replays the
+        outcome's states' constraints, which runs compiled programs in
+        this process; that eval work is not the run's, so it is kept out
+        of the run's eval counters -- also when a garbage reply fails
+        halfway."""
+        before = E.eval_counters()
+        try:
+            return frontier.decode_outcome(reply, self.machine.memory.read)
+        finally:
+            after = E.eval_counters()
+            for key in ("program_runs", "node_visits"):
+                self._eval_overhead[key] += after[key] - before[key]
+
     def _run_subtrees(self, chunks):
         """Run sub-tree chunks, sharded when a worker pool is available,
         in-process otherwise; outcomes come back in chunk order either
@@ -524,28 +542,25 @@ class RevNic:
         if pool is not None:
             start = time.monotonic()
             messages = [frontier.encode_chunk(chunk) for chunk in chunks]
-            replies, _failures = pool.run(messages)
+            # Each reply is decoded as it arrives, while the other workers
+            # are still exploring; a reply that does not decode is garbage
+            # to the pool (retried, then re-run in-process below).
+            replies, _failures = pool.run(messages,
+                                          validate=self._decode_outcome)
             for index, chunk in enumerate(chunks):
-                reply = replies.get(index)
-                if reply is None:
+                outcome = replies.get(index)
+                if outcome is None:
                     self._frontier_volatile["fallbacks"] += 1
-                    outcomes.append(frontier.explore_subtree(
-                        self._subtree_context(), chunk))
+                    outcome = frontier.explore_subtree(
+                        self._subtree_context(), chunk)
                 else:
-                    decode_before = E.eval_counters()
-                    outcome = frontier.decode_outcome(
-                        reply, self.machine.memory.read)
-                    decode_after = E.eval_counters()
-                    for key in ("program_runs", "node_visits"):
-                        self._eval_overhead[key] += \
-                            decode_after[key] - decode_before[key]
                     # Remote expression-eval work never touched this
                     # process's global counters; in-process runs did.
                     for key in ("eval_program_runs", "eval_node_visits"):
                         self._frontier_extra[key] = \
                             self._frontier_extra.get(key, 0) \
                             + outcome.counters[key]
-                    outcomes.append(outcome)
+                outcomes.append(outcome)
             self._frontier_volatile["merge_wall_seconds"] += \
                 time.monotonic() - start
         else:
@@ -561,7 +576,8 @@ class RevNic:
         extra = self._frontier_extra
         for key in ("fast_blocks", "forks", "solver_queries",
                     "solver_comp_solves", "solver_cache_hits",
-                    "solver_fast_path_hits", "blocks_recorded",
+                    "solver_fast_path_hits", "solver_unknown",
+                    "solver_unsat", "blocks_recorded",
                     "imports_recorded", "os_calls_handled",
                     "os_calls_skipped"):
             extra[key] = extra.get(key, 0) + counters[key]

@@ -33,6 +33,7 @@ from repro.ir import nodes as N
 from repro.ir.compile import compile_block
 from repro.layout import RETURN_TO_OS, import_index, is_mmio
 from repro.symex import expr as E
+from repro.symex.solver import UNSAT
 from repro.symex.state import PathStatus
 
 
@@ -530,6 +531,7 @@ class SymExecutor:
         taken_model = self.solver.check_context(state.solver_ctx,
                                                 taken_constraint,
                                                 prefer=hint)
+        taken_verdict = self.solver.verdict
         fall_model = self.solver.check_context(state.solver_ctx, not_taken,
                                                prefer=hint)
         successors = []
@@ -552,6 +554,10 @@ class SymExecutor:
             state.pc = fallthrough
             successors = [state]
         else:
+            # Neither side has a model.  Only two proven-UNSAT sides make
+            # the branch infeasible; otherwise the solver gave up on one.
             state.status = PathStatus.ERROR
-            return [], [StepEvent("error", state, detail="infeasible branch")]
+            proven = taken_verdict == self.solver.verdict == UNSAT
+            detail = "infeasible branch" if proven else "unknown branch"
+            return [], [StepEvent("error", state, detail=detail)]
         return successors, []

@@ -22,8 +22,6 @@ Plain Python ints are used for fully concrete values throughout the engine;
 an :class:`Expr` only appears once a value actually depends on a symbol.
 """
 
-import zlib
-
 _MASKS = {1: 1, 8: 0xFF, 16: 0xFFFF, 32: 0xFFFFFFFF}
 
 
@@ -45,7 +43,7 @@ class Expr:
     """
 
     __slots__ = ("kind", "width", "args", "name", "lo",
-                 "_hash", "_symbols", "_program", "_stable")
+                 "_hash", "_symbols", "_program")
 
     _intern = {}
 
@@ -64,7 +62,6 @@ class Expr:
         self._hash = hash(key)
         self._symbols = None
         self._program = None
-        self._stable = None
         table[key] = self
         return self
 
@@ -104,32 +101,6 @@ class Expr:
             node._symbols = out
             stack.pop()
         return self._symbols
-
-    def stable_hash(self):
-        """A structural hash stable across processes (unlike ``hash``,
-        which varies with string-hash randomization).  Used to seed the
-        solver's per-query fallback RNG deterministically."""
-        cached = self._stable
-        if cached is not None:
-            return cached
-        stack = [self]
-        while stack:
-            node = stack[-1]
-            if node._stable is not None:
-                stack.pop()
-                continue
-            pending = [a for a in node.args
-                       if isinstance(a, Expr) and a._stable is None]
-            if pending:
-                stack.extend(pending)
-                continue
-            parts = [node.kind, str(node.width), node.name, str(node.lo)]
-            for arg in node.args:
-                parts.append(str(arg) if isinstance(arg, int)
-                             else "#%08x" % arg._stable)
-            node._stable = zlib.crc32("|".join(parts).encode())
-            stack.pop()
-        return self._stable
 
     def __repr__(self):
         return "<%s:%d %s>" % (self.kind, self.width, self.name or
@@ -405,21 +376,39 @@ BINOP_BUILDERS = {
 _SIGNED = "(%s - 4294967296 if %s & 2147483648 else %s)"
 
 
-def _postorder(expr):
-    """Distinct Expr nodes of the DAG, children before parents."""
-    return _postorder_many((expr,))
+def _shape(exprs):
+    """One postorder walk over the distinct Expr nodes of ``exprs``.
 
-
-def _postorder_many(exprs):
-    """Distinct Expr nodes of several DAGs, children before parents."""
-    order = []
+    Returns ``(key, names, consts)``.  ``key`` is the structural shape as
+    one flat tuple: per node, children before parents, its kind, width,
+    extract offset and operand count, then one slot per operand -- an
+    earlier node's position, or ``None`` for a constant; last come the
+    slots of ``exprs`` themselves and their count.  ``names`` (one per
+    ``sym`` node) and ``consts`` (one per ``None`` slot) are the values a
+    program of that shape binds, in slot order.
+    """
+    place = {}
+    names = []
+    consts = []
+    shape = []
+    emit = shape.append
     seen = set()
     stack = [(e, False) for e in reversed(exprs) if isinstance(e, Expr)]
     while stack:
         node, expanded = stack.pop()
         marker = id(node)
         if expanded:
-            order.append(node)
+            if node.kind == "sym":
+                names.append(node.name)
+            place[marker] = len(place)
+            args = node.args
+            shape += (node.kind, node.width, node.lo, len(args))
+            for arg in args:
+                if isinstance(arg, int):
+                    consts.append(arg)
+                    emit(None)
+                else:
+                    emit(place[id(arg)])
             continue
         if marker in seen:
             continue
@@ -428,64 +417,67 @@ def _postorder_many(exprs):
         for arg in node.args:
             if isinstance(arg, Expr) and id(arg) not in seen:
                 stack.append((arg, False))
-    return order
+    for root in exprs:
+        if isinstance(root, int):
+            consts.append(root)
+            emit(None)
+        else:
+            emit(place[id(root)])
+    emit(len(exprs))
+    return tuple(shape), names, consts
 
 
-def _compile_program(expr, roots=None):
-    """Lower one DAG (or, with ``roots``, a conjunction of 1-bit DAGs
-    sharing subtrees) into a flat evaluation function.
+def _program_source(key):
+    """The source of the program factory for one structural shape.
 
-    With ``roots`` the function returns a bitmask with bit *i* set iff
-    ``roots[i]`` evaluates to 1 -- the representation the solver's greedy
-    hill-climb scores against.
-
-    The generated source is a factory whose parameters are the DAG's
-    symbol names (``s0, s1, ...``) and constants (``k0, k1, ...``), so it
-    depends only on the DAG's shape: kinds, widths, extract offsets and
-    which operands are shared.  Each distinct shape is compiled once;
-    every DAG of that shape binds its own names and constants into a
-    fresh closure over the same code object.
+    The factory's parameters are the shape's symbol names (``s0, s1,
+    ...``) and constants (``k0, k1, ...``); the program it returns has
+    one assignment per node.  A shape of one root returns that root's
+    value; of several, a bitmask with bit *i* set iff root *i* is 1.
     """
-    order = _postorder_many(roots) if roots is not None else _postorder(expr)
-    var = {}
-    names = []
-    consts = []
+    end = len(key) - 1 - key[-1]
+    roots = key[end:-1]
+    nodes = []          # (kind, width, lo, operand slots)
+    at = 0
+    while at < end:
+        kind, width, lo, arity = key[at:at + 4]
+        nodes.append((kind, width, lo, key[at + 4:at + 4 + arity]))
+        at += 4 + arity
+    symbols = constants = 0     # parameters bound so far
     lines = []
 
-    def ref(value):
-        if isinstance(value, int):
-            consts.append(value)
-            return "k%d" % (len(consts) - 1)
-        return var[id(value)]
+    def ref(slot):
+        nonlocal constants
+        if slot is None:
+            constants += 1
+            return "k%d" % (constants - 1)
+        return "v%d" % slot
 
-    for index, node in enumerate(order):
-        name = "v%d" % index
-        var[id(node)] = name
-        kind = node.kind
-        mask = _mask(node.width)
+    for index, (kind, width, lo, args) in enumerate(nodes):
+        mask = _mask(width)
         if kind == "sym":
-            names.append(node.name)
-            rhs = "g(s%d, 0) & %d" % (len(names) - 1, mask)
+            symbols += 1
+            rhs = "g(s%d, 0) & %d" % (symbols - 1, mask)
         elif kind == "zext":
-            rhs = ref(node.args[0])
+            rhs = ref(args[0])
         elif kind == "extract":
-            rhs = "(%s >> %d) & %d" % (ref(node.args[0]), node.lo, mask)
+            rhs = "(%s >> %d) & %d" % (ref(args[0]), lo, mask)
         elif kind == "concat":
             shift = 0
             pieces = []
-            for part in node.args:
-                part_width = 32 if isinstance(part, int) else part.width
+            for part in args:
+                part_width = 32 if part is None else nodes[part][1]
                 masked = "(%s & %d)" % (ref(part), _mask(part_width))
                 pieces.append(masked if shift == 0
                               else "(%s << %d)" % (masked, shift))
                 shift += part_width
             rhs = " | ".join(pieces)
         elif kind == "not":
-            rhs = "~%s & %d" % (ref(node.args[0]), mask)
+            rhs = "~%s & %d" % (ref(args[0]), mask)
         elif kind == "neg":
-            rhs = "-%s & %d" % (ref(node.args[0]), mask)
+            rhs = "-%s & %d" % (ref(args[0]), mask)
         elif kind in ("eq", "ne", "ult", "uge", "slt", "sge"):
-            a, b = ref(node.args[0]), ref(node.args[1])
+            a, b = ref(args[0]), ref(args[1])
             if kind in ("slt", "sge"):
                 a = _SIGNED % (a, a, a)
                 b = _SIGNED % (b, b, b)
@@ -493,7 +485,7 @@ def _compile_program(expr, roots=None):
                   "slt": "<", "sge": ">="}[kind]
             rhs = "1 if %s %s %s else 0" % (a, op, b)
         else:
-            a, b = ref(node.args[0]), ref(node.args[1])
+            a, b = ref(args[0]), ref(args[1])
             if kind == "add":
                 body = "%s + %s" % (a, b)
             elif kind == "sub":
@@ -519,44 +511,59 @@ def _compile_program(expr, roots=None):
             else:  # pragma: no cover
                 raise TypeError("cannot compile kind %r" % (kind,))
             rhs = "(%s) & %d" % (body, mask)
-        lines.append("        %s = %s" % (name, rhs))
+        lines.append("        v%d = %s" % (index, rhs))
 
-    if roots is not None:
-        result = " | ".join(
-            ref(root) if shift == 0 else "(%s << %d)" % (ref(root), shift)
-            for shift, root in enumerate(roots))
-    else:
-        result = var[id(expr)]
-    params = ["s%d" % i for i in range(len(names))]
-    params += ["k%d" % i for i in range(len(consts))]
-    source = ("def _factory(%s):\n"
-              "    def _program(m):\n"
-              "        _c[0] += 1\n"
-              "        _c[1] += %d\n"
-              "        g = m.get\n"
-              "%s\n"
-              "        return %s\n"
-              "    return _program\n") % (", ".join(params), len(order),
-                                         "\n".join(lines), result)
-    factory = _SHAPES.get(source)
+    result = " | ".join(
+        ref(root) if shift == 0 else "(%s << %d)" % (ref(root), shift)
+        for shift, root in enumerate(roots))
+    params = ["s%d" % i for i in range(symbols)]
+    params += ["k%d" % i for i in range(constants)]
+    return ("def _factory(%s):\n"
+            "    def _program(m):\n"
+            "        _c[0] += 1\n"
+            "        _c[1] += %d\n"
+            "        g = m.get\n"
+            "%s\n"
+            "        return %s\n"
+            "    return _program\n") % (", ".join(params), len(nodes),
+                                       "\n".join(lines), result)
+
+
+def _compile_program(expr, roots=None):
+    """Lower one DAG (or, with ``roots``, a conjunction of 1-bit DAGs
+    sharing subtrees) into a flat evaluation function.
+
+    With ``roots`` the function returns a bitmask with bit *i* set iff
+    ``roots[i]`` evaluates to 1 -- the representation the solver's greedy
+    hill-climb scores against.
+
+    Each distinct structural shape (see :func:`_shape`) is lowered to
+    source and compiled once, on its first use; every DAG of that shape
+    binds its own names and constants into a fresh closure over the same
+    code object.
+    """
+    key, names, consts = _shape(roots if roots is not None else (expr,))
+    factory = _SHAPES.get(key)
     if factory is None:
         namespace = {"_c": _COUNTER_CELLS}
-        exec(compile(source, "<expr-program>", "exec"), namespace)
+        exec(compile(_program_source(key), "<expr-program>", "exec"),
+             namespace)
         factory = namespace["_factory"]
         if len(_SHAPES) >= _SHAPES_MAX:
             _SHAPES.clear()
-        _SHAPES[source] = factory
+        _SHAPES[key] = factory
     _COUNTER_CELLS[2] += 1
     return factory(*names, *consts)
 
 
-#: Shape-keyed factory table: the parameterised source text of a program
-#: maps to its compiled factory, so constraints that differ only in
-#: constants and symbol names (the same check on another ring descriptor)
-#: share one code object.  The text is the whole key -- identical text is
-#: an identical shape.  Bounded: once full the table is cleared
-#: (semantics-safe -- every entry is a pure function of its key, and live
-#: programs keep their closures).
+#: Shape-keyed factory table: the structural shape of a program (kinds,
+#: widths, extract offsets, which operands are shared and which are
+#: constants) maps to its compiled factory, so constraints that differ
+#: only in constants and symbol names (the same check on another ring
+#: descriptor) share one code object.  The shape determines the source
+#: text, which is generated only on a miss.  Bounded: once full the table
+#: is cleared (semantics-safe -- every entry is a pure function of its
+#: key, and live programs keep their closures).
 _SHAPES = {}
 _SHAPES_MAX = 4096
 

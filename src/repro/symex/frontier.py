@@ -354,6 +354,8 @@ def explore_subtree(ctx, chunk):
         "solver_comp_solves": solver.comp_solves,
         "solver_cache_hits": solver.cache_hits,
         "solver_fast_path_hits": solver.fast_path_hits,
+        "solver_unknown": solver.unknown_results,
+        "solver_unsat": solver.unsat_results,
         "eval_program_runs": (eval_after["program_runs"]
                               - eval_before["program_runs"]),
         "eval_node_visits": (eval_after["node_visits"]

@@ -8,15 +8,17 @@ solver decides them with a model-search strategy:
 1. **candidate mining** -- constants appearing in the constraint trees
    (plus neighbours and boundary values) are candidate assignments;
 2. **greedy per-symbol search** -- hill-climb one symbol at a time over the
-   candidate set, keeping the assignment maximizing satisfied constraints;
-3. **seeded random sampling** as a fallback (seeded per query from the
-   constraints' structural hash, so results are reproducible and safe to
-   cache).
+   candidate set, keeping the assignment maximizing satisfied constraints.
 
-A found model proves satisfiability; failure to find one is treated as
-infeasible.  This mirrors how a timeout-bounded KLEE/STP behaves in
-practice (paths whose feasibility cannot be established in budget are
-dropped), and is documented as a substitution in DESIGN.md.
+Verdicts are three-valued.  A found model proves ``SAT``.  ``UNSAT`` is
+claimed only with a proof: a constant-false constraint
+(``SolverContext.ground_false``) or a constraint set holding some
+constraint together with its negation.  Every other search failure is
+``UNKNOWN``.  Queries return ``None`` for both, and callers drop that
+side, as a timeout-bounded KLEE/STP drops paths whose feasibility cannot
+be established in budget; the solver counts each dropped query by verdict
+(``unsat_results`` / ``unknown_results``) and leaves the latest one in
+``verdict``.  See DESIGN.md ("The model-search substitution").
 
 Solving is *incremental*: a :class:`SolverContext` (one per execution
 state, forked with it) maintains the path constraints partitioned into
@@ -28,28 +30,36 @@ model cache keyed by the interned constraint set, so sibling forks and
 re-explorations of the same path prefix never re-search.
 """
 
-import itertools
-import random
-import zlib
-
-from repro.symex.expr import Expr, compiled, compiled_conjunction, evaluate
+from repro.symex.expr import (Expr, bool_not, compiled, compiled_conjunction,
+                              evaluate)
 
 _BOUNDARY_VALUES = (0, 1, 2, 3, 4, 5, 6, 7, 8, 0x10, 0x20, 0x40, 0x7F, 0x80,
                     0xFF, 0x100, 0x5EA, 0x5EB, 0x600, 0xFFFF, 0x10000,
                     0x7FFFFFFF, 0x80000000, 0xFFFFFFFE, 0xFFFFFFFF)
 
-#: Cache sentinel for components the search failed to satisfy.
-_UNSAT = object()
+#: Query verdicts.  A ``SAT`` component solve yields its model (a dict);
+#: the other two are what the model cache stores instead of one.
+SAT = "sat"
+UNSAT = "unsat"          # proven: no assignment satisfies the constraints
+UNKNOWN = "unknown"      # the search found no model; nothing is proven
 
 
 def _all_hold(programs, model):
     """True iff every program evaluates ``model`` to 1.  Runs them in
-    order and stops at the first that does not -- a plain loop, because
-    the random fallback calls this on every try."""
+    order and stops at the first that does not."""
     for program in programs:
         if program(model) != 1:
             return False
     return True
+
+
+def _refuted(members):
+    """True when the constraint set holds some constraint and its
+    negation -- the contradiction a failed search can prove cheaply."""
+    for constraint in members:
+        if bool_not(constraint) in members:
+            return True
+    return False
 
 
 class _Component:
@@ -246,13 +256,16 @@ class SolverContext:
 class Solver:
     """Model finder over conjunctions of 1-bit constraint expressions."""
 
-    def __init__(self, seed=0xC0FFEE, random_tries=48, greedy_passes=3):
-        self._seed = seed
-        self.random_tries = random_tries
+    def __init__(self, greedy_passes=3):
         self.greedy_passes = greedy_passes
         self.queries = 0
         self.sat_results = 0
-        #: ground-truth searches actually run (cache/fast-path misses)
+        #: queries answered ``None``, by verdict (both drop the side)
+        self.unsat_results = 0
+        self.unknown_results = 0
+        #: verdict of the most recent query: SAT, UNSAT or UNKNOWN
+        self.verdict = None
+        #: model searches actually run (cache/fast-path misses)
         self.comp_solves = 0
         self.cache_hits = 0
         self.fast_path_hits = 0
@@ -265,29 +278,29 @@ class Solver:
         """Feasibility of ``ctx``'s constraints plus optional ``extra``.
 
         Returns a witness model covering the components ``extra`` touches
-        (plus ``prefer`` pass-through), or ``None`` when infeasible.  Does
+        (plus ``prefer`` pass-through), or ``None`` when no model was found
+        (``self.verdict`` then says UNSAT or UNKNOWN).  Does
         not add ``extra`` to the context; cached witnesses for components
         the probe does not touch are reused untouched, which is what makes
         per-branch feasibility O(new component) instead of O(path).
         """
         self.queries += 1
         if ctx.ground_false:
-            return None
+            return self._dropped(UNSAT)
         prefer = prefer or {}
         for comp in list(ctx.components()):
             if comp.model is None:
                 solved = self._component_model(comp.constraints,
                                                comp.symbols, prefer)
-                if solved is None:
-                    return None
+                if not isinstance(solved, dict):
+                    return self._dropped(solved)
                 ctx.set_model(comp, solved)
 
         if extra is None:
             merged = dict(prefer)
             for comp in ctx.components():
                 merged.update(comp.model)
-            self.sat_results += 1
-            return merged
+            return self._sat(merged)
 
         symbols = extra.symbols()
         affected = ctx.affected(symbols)
@@ -301,11 +314,10 @@ class Solver:
             # Fast path: the accumulated witnesses already satisfy the
             # new constraint, so the conjunction is satisfiable as-is.
             self.fast_path_hits += 1
-            self.sat_results += 1
             witness = dict(env)
             for symbol in symbols:
                 witness.setdefault(symbol, 0)
-            return witness
+            return self._sat(witness)
 
         constraints = []
         members = set()
@@ -320,15 +332,14 @@ class Solver:
             constraints.append(extra)
         solved = self._component_model(tuple(constraints), all_symbols,
                                        prefer)
-        if solved is None:
-            return None
-        self.sat_results += 1
-        return solved
+        if not isinstance(solved, dict):
+            return self._dropped(solved)
+        return self._sat(solved)
 
     def concretize_context(self, ctx, expr, prefer=None):
         """Pick a concrete value for ``expr`` consistent with the
         context's constraints; returns ``(value, model)`` or
-        ``(None, None)``.
+        ``(None, None)`` when no model was found (see ``self.verdict``).
 
         Mirrors the legacy :meth:`concretize` exactly: each component
         first tries the ``prefer`` projection (so concretizations stay
@@ -336,6 +347,7 @@ class Solver:
         """
         self.queries += 1
         if ctx.ground_false:
+            self._dropped(UNSAT)
             return None, None
         prefer = prefer or {}
         merged = dict(prefer)
@@ -347,10 +359,11 @@ class Solver:
                 continue
             solved = self._component_model(comp.constraints, comp.symbols,
                                            prefer)
-            if solved is None:
+            if not isinstance(solved, dict):
+                self._dropped(solved)
                 return None, None
             merged.update(solved)
-        self.sat_results += 1
+        self._sat(merged)
         return evaluate(expr, merged), merged
 
     # ------------------------------------------------------------------
@@ -366,10 +379,9 @@ class Solver:
         constraints = [c for c in constraints if not isinstance(c, int)
                        or c == 0]
         if any(isinstance(c, int) and c == 0 for c in constraints):
-            return None
+            return self._dropped(UNSAT)
         if not constraints:
-            self.sat_results += 1
-            return dict(prefer or {})
+            return self._sat(dict(prefer or {}))
 
         # Partition through a throwaway context: one union-find
         # implementation (SolverContext.add) serves both the incremental
@@ -378,16 +390,15 @@ class Solver:
         for constraint in constraints:
             ctx.add(constraint)
         if ctx.ground_false:
-            return None
+            return self._dropped(UNSAT)
         merged = dict(prefer or {})
         for comp in ctx.components():
             result = self._component_model(comp.constraints, comp.symbols,
                                            merged)
-            if result is None:
-                return None
+            if not isinstance(result, dict):
+                return self._dropped(result)
             merged.update(result)
-        self.sat_results += 1
-        return merged
+        return self._sat(merged)
 
     def is_feasible(self, constraints):
         """True when a model was found for the conjunction."""
@@ -402,10 +413,27 @@ class Solver:
         return evaluate(expr, model), model
 
     # ------------------------------------------------------------------
+    # Verdict accounting
+
+    def _sat(self, model):
+        self.verdict = SAT
+        self.sat_results += 1
+        return model
+
+    def _dropped(self, verdict):
+        """Record a query that found no model; its caller drops it."""
+        self.verdict = verdict
+        if verdict is UNSAT:
+            self.unsat_results += 1
+        else:
+            self.unknown_results += 1
+        return None
+
+    # ------------------------------------------------------------------
     # Component solving + model cache
 
     def _component_model(self, constraints, symbols, prefer):
-        """Solve one component (cached).
+        """Solve one component (cached): a model dict, UNSAT or UNKNOWN.
 
         The cache key is the interned constraint set plus the relevant
         ``prefer`` projection -- sound because interning makes a
@@ -421,14 +449,14 @@ class Solver:
         cached = self._model_cache.get(key)
         if cached is not None:
             self.cache_hits += 1
-            return None if cached is _UNSAT else cached
+            return cached
 
         # Superset reuse (KLEE-style): a model found for this set minus
         # its most recent constraint often satisfies the new one too.
         if len(constraints) > 1:
             subset_key = (frozenset(constraints[:-1]), projection)
             subset = self._model_cache.get(subset_key)
-            if subset is not None and subset is not _UNSAT \
+            if isinstance(subset, dict) \
                     and compiled(constraints[-1])(subset) == 1:
                 model = dict(subset)
                 for symbol in constraints[-1].symbols():
@@ -438,27 +466,22 @@ class Solver:
                 return model
 
         model = self._search(list(constraints), symbols, prefer)
-        self._model_cache[key] = _UNSAT if model is None else model
+        if model is None:
+            model = UNSAT if _refuted(members) else UNKNOWN
+        self._model_cache[key] = model
         return model
 
     def _search(self, constraints, symbols, prefer):
-        """The ground-truth model search (uncached)."""
+        """The model search (uncached): a model, or ``None`` when the
+        greedy climb finds none."""
         self.comp_solves += 1
         symbols = sorted(symbols)
         programs = [compiled(c) for c in constraints]
         model = {name: prefer.get(name, 0) for name in symbols}
         if _all_hold(programs, model):
             return model
-
-        candidates = self._mine_candidates(constraints)
-        result = self._greedy_search(constraints, programs, symbols,
-                                     candidates, model)
-        if result is not None:
-            return result
-
-        base = {name: prefer[name] for name in symbols if name in prefer}
-        return self._random_search(constraints, programs, symbols,
-                                   candidates, base)
+        return self._greedy_search(constraints, programs, symbols,
+                                   self._mine_candidates(constraints), model)
 
     # ------------------------------------------------------------------
 
@@ -564,37 +587,4 @@ class Solver:
                 break
         if satisfied == full:
             return model
-        return None
-
-    def _query_rng(self, constraints, base):
-        """A fresh RNG seeded from the query's structure, so the random
-        fallback is a deterministic function of the query (and therefore
-        safe to memoize) instead of depending on global solver history."""
-        digest = zlib.crc32(repr(sorted(
-            c.stable_hash() for c in constraints)).encode(), self._seed)
-        digest = zlib.crc32(repr(sorted(base.items())).encode(), digest)
-        return random.Random(digest)
-
-    def _random_search(self, constraints, programs, symbols, candidates,
-                       base):
-        pool = candidates or [0]
-        rng = self._query_rng(constraints, base)
-        for _ in range(self.random_tries):
-            model = dict(base)
-            for name in symbols:
-                if rng.random() < 0.5:
-                    model[name] = rng.choice(pool)
-                else:
-                    model[name] = rng.getrandbits(32)
-            # Pairwise combinations of mined values matter for two-symbol
-            # equalities; mix one more pass of single-symbol repair.
-            if _all_hold(programs, model):
-                return model
-            for name, value in itertools.islice(
-                    itertools.product(symbols, pool), 64):
-                saved = model[name]
-                model[name] = value
-                if _all_hold(programs, model):
-                    return model
-                model[name] = saved
         return None

@@ -151,3 +151,26 @@ def test_sharded_matches_serial_bytes(name):
     # bytes; only these stats tell a real sharded run apart.
     assert stats["frontier"]["mode"] == "sharded"
     assert stats["frontier"]["fallbacks"] == 0
+
+
+def test_undecodable_reply_is_retried_with_same_bytes(monkeypatch):
+    """Worker replies are decoded as they arrive; one that fails to decode
+    is garbage to the pool, which retries it -- the bytes do not move and
+    the eval counters do not pick up the failed decode's work."""
+    serial, serial_stats = _canonical_run("rtl8029", workers=0)
+    decode = frontier.decode_outcome
+    calls = []
+
+    def flaky_decode(message, concrete_read):
+        calls.append(1)
+        if len(calls) == 1:
+            decode(message, concrete_read)
+            raise ValueError("corrupt reply")
+        return decode(message, concrete_read)
+
+    monkeypatch.setattr(frontier, "decode_outcome", flaky_decode)
+    sharded, stats = _canonical_run("rtl8029", workers=2)
+    assert sharded == serial
+    assert stats["frontier"]["chunk_retries"] == 1
+    assert stats["frontier"]["fallbacks"] == 0
+    assert stats["eval_program_runs"] == serial_stats["eval_program_runs"]

@@ -2,15 +2,17 @@
 
 Wall-clock assertions are flaky on shared CI machines, so the perf
 trajectory is guarded by *counter* budgets instead: solver queries, actual
-model searches (cache/fast-path misses), compiled-evaluation node visits,
-and blocks executed for the ``rtl8139`` run -- the heaviest driver, where
-PR 2's incremental-solving work concentrated.  The budgets carry ~50%
-headroom over the measured values, so they only trip on algorithmic
-blow-ups (a regression to per-query re-solving would exceed them by an
-order of magnitude), not on noise.
+model searches (cache/fast-path misses), compiled-program runs and node
+visits, and blocks executed for the ``rtl8139`` run -- the heaviest
+driver, where the incremental-solving work concentrated -- plus program
+runs for ``smc91c111``, the driver whose solver searches ran the most
+programs.  The budgets carry ~50% headroom over the measured values, so
+they only trip on algorithmic blow-ups (per-query re-solving, or
+per-query random sampling of models, would exceed them by an order of
+magnitude), not on noise.
 
-Measured values (budgets unchanged since they were set):
-queries=954 solves=378 node_visits=18.99M blocks=2087.
+Measured values: rtl8139 queries=950 solves=376 program_runs=114,770
+node_visits=10.44M blocks=2087 forks=261; smc91c111 program_runs=31,045.
 """
 
 from repro.eval.runner import get_cache
@@ -18,18 +20,32 @@ from repro.eval.runner import get_cache
 BUDGETS = {
     "solver_queries": 1700,
     "solver_comp_solves": 700,
+    "eval_program_runs": 172_000,
     "eval_node_visits": 32_000_000,
     "blocks_executed": 3500,
     "forks": 450,
 }
 
+SMC91C111_BUDGETS = {
+    "eval_program_runs": 47_000,
+}
+
+
+def _check_budgets(driver, budgets):
+    stats = get_cache().run(driver).stats
+    for counter, budget in budgets.items():
+        assert stats[counter] <= budget, (
+            "%s %s blew its budget: %d > %d -- the incremental solving "
+            "layer regressed (see DESIGN.md)"
+            % (driver, counter, stats[counter], budget))
+
 
 def test_rtl8139_counter_budgets():
-    stats = get_cache().run("rtl8139").stats
-    for counter, budget in BUDGETS.items():
-        assert stats[counter] <= budget, (
-            "%s blew its budget: %d > %d -- the incremental solving layer "
-            "regressed (see DESIGN.md)" % (counter, stats[counter], budget))
+    _check_budgets("rtl8139", BUDGETS)
+
+
+def test_smc91c111_counter_budgets():
+    _check_budgets("smc91c111", SMC91C111_BUDGETS)
 
 
 def test_rtl8139_caching_is_effective():
@@ -45,6 +61,6 @@ def test_counters_exported_for_all_drivers():
 
     for name in sorted(DRIVERS):
         stats = get_cache().run(name).stats
-        for counter in BUDGETS:
+        for counter in (*BUDGETS, "solver_unknown", "solver_unsat"):
             assert counter in stats
         assert stats["eval_node_visits"] > 0

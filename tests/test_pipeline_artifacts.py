@@ -311,3 +311,33 @@ class TestHardwarePolicyCounters:
             assert "hw_read_counts" in artifact.stats
             assert sum(artifact.stats["hw_read_counts"].values()) \
                 == artifact.stats["hw_reads"]
+
+
+class TestSectionDigests:
+    """``tools/artifact_digests.py --check`` names the driver and the
+    section that moved."""
+
+    def _tool(self):
+        import importlib.util
+
+        path = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "tools", "artifact_digests.py")
+        spec = importlib.util.spec_from_file_location("artifact_digests",
+                                                      path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+
+    def test_differences_name_driver_and_section(self):
+        tool = self._tool()
+        before = {"rtl8139": {"artifact": "a1", "c_source": "c1",
+                              "coverage": "v1"}}
+        counters_moved = {"rtl8139": {"artifact": "a2", "c_source": "c1",
+                                      "coverage": "v1"}}
+        assert tool.differences(before, before) == []
+        assert tool.differences(before, counters_moved) == [
+            ("rtl8139", "artifact", "a1", "a2")]
+        missing = tool.differences(before, {})
+        assert [(d, s) for d, s, _, _ in missing] == [
+            ("rtl8139", "artifact"), ("rtl8139", "c_source"),
+            ("rtl8139", "coverage")]

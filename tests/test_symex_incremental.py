@@ -1,10 +1,15 @@
 """Tests for expression interning, compiled evaluation, and the
 incremental solver context (the PR-2 constraint-solving layers)."""
 
+import itertools
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.symex import expr as E
-from repro.symex.solver import Solver, SolverContext
+from repro.symex.executor import SymExecutor
+from repro.symex.solver import SAT, UNKNOWN, UNSAT, Solver, SolverContext
+from repro.symex.state import SymState
 
 
 class TestInterning:
@@ -44,11 +49,6 @@ class TestInterning:
         b = E.bv_add(x, 7)
         assert E.bv_sub(a, b) == 0
         assert E.bv_xor(a, b) == 0
-
-    def test_stable_hash_matches_for_equal_structure(self):
-        x = E.bv_sym("intern_x")
-        assert E.bv_add(x, 5).stable_hash() == \
-            E.Expr("add", 32, args=(x, 5)).stable_hash()
 
 
 class TestCompiledEvaluation:
@@ -177,9 +177,13 @@ class TestSolverContext:
         ctx.add(E.bv_cmp("uge", x, 5))
         constraint = E.bv_cmp("ult", x, 4)   # forces a real (failing) solve
         assert solver.check_context(ctx, constraint) is None
+        assert solver.verdict == UNKNOWN
         solves = solver.comp_solves
         sibling = ctx.fork()
         assert solver.check_context(sibling, constraint) is None
+        # The cached failure stays UNKNOWN; it never becomes UNSAT.
+        assert solver.verdict == UNKNOWN
+        assert solver.unknown_results == 2
         assert solver.comp_solves == solves
         assert solver.cache_hits > 0
 
@@ -216,8 +220,8 @@ class TestSolverContext:
 class TestDeterminism:
     def test_random_fallback_is_per_query_deterministic(self):
         x, y = E.bv_sym("dq_x"), E.bv_sym("dq_y")
-        # Equality between two symbols defeats the greedy single-symbol
-        # climb often enough to exercise the random fallback.
+        # An equality between two symbols: the same query on fresh
+        # solvers must give the same model, symbol for symbol.
         constraints = [E.bv_cmp("eq", E.bv_xor(x, y), 0x12345678),
                        E.bv_cmp("uge", x, 3)]
         models = [Solver().find_model(constraints) for _ in range(3)]
@@ -231,3 +235,159 @@ class TestDeterminism:
         for value in range(40):
             busy.find_model([E.bv_cmp("eq", E.bv_sym("dh_y"), value)])
         assert busy.find_model(query) == fresh
+
+
+# -- three-valued verdicts ---------------------------------------------------
+#
+# Constraint sets over at most 12 symbol bits in total, so every verdict
+# can be checked against enumerating every assignment.
+
+_SYMBOLS = (("tv_a", 4), ("tv_b", 4), ("tv_c", 4))
+_small = st.integers(0, 15)
+
+
+def _term(draw):
+    name, width = draw(st.sampled_from(_SYMBOLS))
+    sym = E.bv_sym(name, width)
+    form = draw(st.sampled_from(["sym", "and", "add", "sub", "xor", "pair"]))
+    if form == "and":
+        return E.bv_and(sym, draw(_small))
+    if form == "add":
+        return E.bv_add(sym, draw(_small))
+    if form == "sub":
+        return E.bv_sub(E.bv_and(sym, draw(_small)), draw(_small))
+    if form == "xor":
+        return E.bv_xor(sym, draw(_small))
+    if form == "pair":
+        other, other_width = draw(st.sampled_from(_SYMBOLS))
+        return E.bv_add(sym, E.bv_sym(other, other_width))
+    return sym
+
+
+@st.composite
+def _constraint_sets(draw):
+    constraints = []
+    for _ in range(draw(st.integers(1, 5))):
+        if constraints and draw(st.booleans()) and draw(st.booleans()):
+            # The negation of an earlier constraint: a contradiction the
+            # solver can prove.
+            constraint = E.bool_not(draw(st.sampled_from(constraints)))
+        else:
+            kind = draw(st.sampled_from(["eq", "ne", "ult", "uge", "slt",
+                                         "sge"]))
+            right = (_term(draw) if draw(st.booleans())
+                     else draw(st.integers(0, 40)))
+            constraint = E.bv_cmp(kind, _term(draw), right)
+        if isinstance(constraint, E.Expr):
+            constraints.append(constraint)
+    return constraints
+
+
+def _satisfiable(constraints):
+    """Decide ``constraints`` by enumerating every assignment."""
+    names = sorted(set().union(*(c.symbols() for c in constraints)))
+    widths = dict(_SYMBOLS)
+    program = E.compiled_conjunction(tuple(constraints))
+    full = (1 << len(constraints)) - 1
+    for values in itertools.product(*(range(1 << widths[n])
+                                      for n in names)):
+        if program(dict(zip(names, values))) == full:
+            return True
+    return False
+
+
+def _check_cache(solver):
+    """No cached verdict claims UNSAT without enumeration agreeing."""
+    for (members, _projection), verdict in solver._model_cache.items():
+        if isinstance(verdict, dict):
+            assert all(E.evaluate(c, verdict) == 1 for c in members)
+        else:
+            assert verdict in (UNSAT, UNKNOWN)
+            if verdict is UNSAT:
+                assert not _satisfiable(list(members))
+
+
+class TestThreeValuedVerdicts:
+    @settings(max_examples=120, deadline=None)
+    @given(constraints=_constraint_sets().filter(bool))
+    def test_verdicts_agree_with_enumeration(self, constraints):
+        solver = Solver()
+        model = solver.find_model(constraints)
+        if model is not None:
+            assert solver.verdict == SAT
+            for constraint in constraints:
+                assert E.evaluate(constraint, model) == 1
+        elif solver.verdict == UNSAT:
+            assert not _satisfiable(constraints)
+        else:
+            assert solver.verdict == UNKNOWN
+        _check_cache(solver)
+
+        # The same set through the incremental API.
+        ctx = SolverContext()
+        for constraint in constraints[:-1]:
+            ctx.add(constraint)
+        witness = solver.check_context(ctx, constraints[-1])
+        if witness is not None:
+            # The witness covers the components the probe touches.
+            assert E.evaluate(constraints[-1], witness) == 1
+            for constraint in constraints:
+                if constraint.symbols() <= witness.keys():
+                    assert E.evaluate(constraint, witness) == 1
+        elif solver.verdict == UNSAT:
+            assert not _satisfiable(constraints)
+        _check_cache(solver)
+        assert solver.queries == (solver.sat_results + solver.unsat_results
+                                  + solver.unknown_results)
+
+    def test_smc91c111_window_query_is_never_unsat(self):
+        # (x & 2047) - 6 >= 2, (x & 2047) - 8 >= 2, (x & 2047) - 10 < 2:
+        # satisfied by x & 2047 in {10, 11}, which the greedy climb
+        # misses.  It may be UNKNOWN; it must not be UNSAT.
+        x = E.bv_sym("tv_smc_x")
+        low = E.bv_and(x, 2047)
+        constraints = [E.bv_cmp("uge", E.bv_sub(low, 6), 2),
+                       E.bv_cmp("uge", E.bv_sub(low, 8), 2),
+                       E.bv_cmp("ult", E.bv_sub(low, 10), 2)]
+        solver = Solver()
+        model = solver.find_model(constraints)
+        if model is None:
+            assert solver.verdict == UNKNOWN
+            assert solver.unknown_results == 1
+        else:
+            assert all(E.evaluate(c, model) == 1 for c in constraints)
+        assert solver.unsat_results == 0
+        assert UNSAT not in solver._model_cache.values()
+
+    def test_contradiction_is_proven_unsat(self):
+        x = E.bv_sym("tv_pair_x")
+        less = E.bv_cmp("ult", E.bv_and(x, 0xFF), 7)
+        solver = Solver()
+        assert solver.find_model([less, E.bool_not(less)]) is None
+        assert solver.verdict == UNSAT
+        assert (solver.unsat_results, solver.unknown_results) == (1, 0)
+
+
+class TestBranchDropLabel:
+    def _drop(self, state):
+        executor = SymExecutor(None, Solver())
+        cond = E.bv_cmp("eq", E.bv_sym("bd_x"), 2)
+        successors, events = executor._branch(state, cond, 0x200, 0x300)
+        assert successors == [] and len(events) == 1
+        assert events[0].kind == "error"
+        return events[0].detail
+
+    def test_unknown_sides_are_not_called_infeasible(self):
+        # Two constraints added without a witness leave the component
+        # dirty; the search cannot satisfy it, so both sides are UNKNOWN.
+        x = E.bv_sym("bd_x")
+        state = SymState(0x100, [0] * 16, None,
+                         constraints=[E.bv_cmp("uge", x, 5),
+                                      E.bv_cmp("ult", x, 4)])
+        assert self._drop(state) == "unknown branch"
+
+    def test_proven_unsat_sides_are_infeasible(self):
+        state = SymState(0x100, [0] * 16, None,
+                         constraints=[E.Expr("eq", 1, args=(1, 0))])
+        assert state.solver_ctx.ground_false
+        assert self._drop(state) == "infeasible branch"
