@@ -10,7 +10,7 @@ boundary to classify memory operations (paper section 2).
 from dataclasses import dataclass
 
 from repro.errors import BusError
-from repro.layout import is_mmio
+from repro.layout import MMIO_BASE, MMIO_LIMIT, is_mmio
 
 
 @dataclass(frozen=True)
@@ -94,11 +94,12 @@ class Bus:
         entry.device.io_write(port - entry.base, width, value)
 
     # ------------------------------------------------------------------
-    # Memory (RAM or MMIO)
+    # Memory (RAM or MMIO).  The window test is ``layout.is_mmio`` inlined:
+    # these run on every guest load and store.
 
     def mem_read(self, address, width):
         """Read memory, routing MMIO-window addresses to devices."""
-        if is_mmio(address):
+        if MMIO_BASE <= address < MMIO_LIMIT:
             entry = self._find_mmio(address)
             if entry is None:
                 raise BusError("MMIO read from unclaimed 0x%08x" % address)
@@ -109,7 +110,7 @@ class Bus:
 
     def mem_write(self, address, width, value):
         """Write memory, routing MMIO-window addresses to devices."""
-        if is_mmio(address):
+        if MMIO_BASE <= address < MMIO_LIMIT:
             entry = self._find_mmio(address)
             if entry is None:
                 raise BusError("MMIO write to unclaimed 0x%08x" % address)
@@ -120,7 +121,7 @@ class Bus:
 
     def is_device_address(self, address):
         """True when a load/store at ``address`` would hit a device."""
-        return is_mmio(address)
+        return MMIO_BASE <= address < MMIO_LIMIT
 
     # ------------------------------------------------------------------
     # DMA (devices reading/writing guest RAM directly)

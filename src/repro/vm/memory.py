@@ -1,22 +1,34 @@
-"""Sparse, region-checked guest physical memory."""
+"""Region-backed, region-checked guest physical memory."""
+
+import mmap
 
 from repro.errors import MemoryFault
-from repro.layout import PAGE_SIZE
 
 _WIDTH_MASK = {1: 0xFF, 2: 0xFFFF, 4: 0xFFFFFFFF}
 
+#: A ``_hit`` entry no access can match (base > limit).
+_NO_HIT = (1, 0, None)
+
 
 class Memory:
-    """Byte-addressable guest memory backed by sparse 4 KiB pages.
+    """Byte-addressable guest memory, one flat buffer per mapped region.
 
     Regions must be mapped before use; access outside any mapped region
     raises :class:`~repro.errors.MemoryFault`, which is how wild driver
-    accesses surface during both concrete and symbolic runs.
+    accesses surface during both concrete and symbolic runs.  An access
+    must lie wholly inside one region: one that straddles two adjacent
+    regions faults too.
+
+    Each region is a private anonymous ``mmap``: the kernel zero-fills
+    its pages and commits them only when first touched, so a mostly idle
+    1.5 MiB heap costs a few resident pages, not 1.5 MiB.  Accesses test
+    the last region hit first (two compares) and scan the few regions
+    only on a miss.
     """
 
     def __init__(self):
-        self._pages = {}
-        self._regions = []  # (base, limit, name), sorted
+        self._regions = []  # (base, limit, name, buffer), sorted by base
+        self._hit = _NO_HIT  # (base, limit, buffer) of the last region hit
         #: Bumped whenever a write (CPU store, DMA, loader) intersects
         #: the watched code span below.  Consumers that cache derived
         #: views of guest code -- the superblock tier's per-chain byte
@@ -34,81 +46,80 @@ class Memory:
         if size <= 0:
             raise ValueError("region size must be positive")
         limit = base + size
-        for rbase, rlimit, rname in self._regions:
+        for rbase, rlimit, rname, _buf in self._regions:
             if base < rlimit and rbase < limit:
                 raise ValueError("region %r overlaps %r" % (name, rname))
-        self._regions.append((base, limit, name))
-        self._regions.sort()
+        buffer = mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE)
+        self._regions.append((base, limit, name, buffer))
+        self._regions.sort(key=lambda region: region[0])
 
     def region_name(self, address):
         """Name of the region containing ``address`` or ``None``."""
-        for base, limit, name in self._regions:
+        for base, limit, name, _buf in self._regions:
             if base <= address < limit:
                 return name
         return None
 
     def is_mapped(self, address, size=1):
         """True when ``[address, address+size)`` lies in one region."""
-        for base, limit, _name in self._regions:
+        for base, limit, _name, _buf in self._regions:
             if base <= address and address + size <= limit:
                 return True
         return False
 
-    def _check(self, address, size, kind):
-        if not self.is_mapped(address, size):
-            raise MemoryFault(address, kind)
+    def _region(self, address, size, kind):
+        """``(base, buffer)`` of the region holding ``[address,
+        address+size)``; remembers it as the last hit."""
+        for base, limit, _name, buf in self._regions:
+            if base <= address and address + size <= limit:
+                self._hit = (base, limit, buf)
+                return base, buf
+        raise MemoryFault(address, kind)
 
     # ------------------------------------------------------------------
     # Typed access
 
     def read(self, address, width):
         """Read an unsigned little-endian integer of ``width`` bytes."""
-        self._check(address, width, "read")
-        return int.from_bytes(self._read_raw(address, width), "little")
+        base, limit, buf = self._hit
+        if not (base <= address and address + width <= limit):
+            base, buf = self._region(address, width, "read")
+        offset = address - base
+        return int.from_bytes(buf[offset:offset + width], "little")
 
     def write(self, address, width, value):
         """Write an unsigned little-endian integer of ``width`` bytes."""
-        self._check(address, width, "write")
-        value &= _WIDTH_MASK[width]
-        self._write_raw(address, value.to_bytes(width, "little"))
+        base, limit, buf = self._hit
+        if not (base <= address and address + width <= limit):
+            base, buf = self._region(address, width, "write")
+        if address < self._watch_hi and address + width > self._watch_lo:
+            self.write_epoch += 1
+        offset = address - base
+        buf[offset:offset + width] = \
+            (value & _WIDTH_MASK[width]).to_bytes(width, "little")
 
     def read_bytes(self, address, size):
         """Read ``size`` raw bytes."""
         if size == 0:
             return b""
-        self._check(address, size, "read")
-        return self._read_raw(address, size)
+        base, limit, buf = self._hit
+        if not (base <= address and address + size <= limit):
+            base, buf = self._region(address, size, "read")
+        offset = address - base
+        return buf[offset:offset + size]
 
     def write_bytes(self, address, data):
         """Write raw bytes."""
-        if not data:
+        size = len(data)
+        if not size:
             return
-        self._check(address, len(data), "write")
-        self._write_raw(address, data)
-
-    # ------------------------------------------------------------------
-    # Raw page-level plumbing
-
-    def _page(self, page_number):
-        page = self._pages.get(page_number)
-        if page is None:
-            page = bytearray(PAGE_SIZE)
-            self._pages[page_number] = page
-        return page
-
-    def _read_raw(self, address, size):
-        out = bytearray()
-        while size:
-            page_number, offset = divmod(address, PAGE_SIZE)
-            chunk = min(size, PAGE_SIZE - offset)
-            page = self._pages.get(page_number)
-            if page is None:
-                out += b"\0" * chunk
-            else:
-                out += page[offset:offset + chunk]
-            address += chunk
-            size -= chunk
-        return bytes(out)
+        base, limit, buf = self._hit
+        if not (base <= address and address + size <= limit):
+            base, buf = self._region(address, size, "write")
+        if address < self._watch_hi and address + size > self._watch_lo:
+            self.write_epoch += 1
+        offset = address - base
+        buf[offset:offset + size] = data
 
     def watch_code_span(self, lo, hi):
         """Grow the watched code span to include ``[lo, hi)``.  One flat
@@ -119,19 +130,3 @@ class Memory:
         else:
             self._watch_lo = min(self._watch_lo, lo)
             self._watch_hi = max(self._watch_hi, hi)
-
-    def _write_raw(self, address, data):
-        if address < self._watch_hi and address + len(data) > self._watch_lo:
-            self.write_epoch += 1
-        pos = 0
-        while pos < len(data):
-            page_number, offset = divmod(address + pos, PAGE_SIZE)
-            chunk = min(len(data) - pos, PAGE_SIZE - offset)
-            self._page(page_number)[offset:offset + chunk] = \
-                data[pos:pos + chunk]
-            pos += chunk
-
-    def snapshot_pages(self):
-        """Return ``{page_number: bytes}`` for all dirty pages (used to seed
-        symbolic-execution states with the concrete memory image)."""
-        return {n: bytes(p) for n, p in self._pages.items()}

@@ -341,3 +341,13 @@ class TestSectionDigests:
         assert [(d, s) for d, s, _, _ in missing] == [
             ("rtl8139", "artifact"), ("rtl8139", "c_source"),
             ("rtl8139", "coverage")]
+
+    def test_differences_name_warm_section(self):
+        tool = self._tool()
+        before = {"warm": {"fabric": "f1", "matrix": "m1"}}
+        matrix_moved = {"warm": {"fabric": "f1", "matrix": "m2"}}
+        assert tool.differences(before, before) == []
+        assert tool.differences(before, matrix_moved) == [
+            ("warm", "matrix", "m1", "m2")]
+        assert [(d, s) for d, s, _, _ in tool.differences(before, {})] == [
+            ("warm", "fabric"), ("warm", "matrix")]

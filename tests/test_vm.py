@@ -1,11 +1,16 @@
 """Unit tests for the concrete VM: memory, bus, CPU."""
 
+import gc
+import sys
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import BusError, MemoryFault, VmFault
 from repro.layout import (
     HEAP_BASE,
     MMIO_BASE,
+    PAGE_SIZE,
     RETURN_TO_OS,
     STACK_TOP,
     import_address,
@@ -60,13 +65,161 @@ class TestMemory:
         assert mem.region_name(0x1234) == "text"
         assert mem.region_name(0x9999) is None
 
-    def test_snapshot_pages(self):
+
+class RefMemory:
+    """Reference model of :class:`Memory`: a region list and a byte dict."""
+
+    def __init__(self, regions):
+        self.regions = regions      # [(base, limit)]
+        self.data = {}
+        self.epoch = 0
+        self.watch = None           # (lo, hi) hull of the watched spans
+
+    def inside(self, address, size):
+        return any(base <= address and address + size <= limit
+                   for base, limit in self.regions)
+
+    def read(self, address, size):
+        if not self.inside(address, size):
+            raise MemoryFault(address, "read")
+        return bytes(self.data.get(address + i, 0) for i in range(size))
+
+    def write(self, address, data):
+        if not self.inside(address, len(data)):
+            raise MemoryFault(address, "write")
+        if self.watch is not None:
+            lo, hi = self.watch
+            if address < hi and address + len(data) > lo:
+                self.epoch += 1
+        for i, byte in enumerate(data):
+            self.data[address + i] = byte
+
+    def watch_code_span(self, lo, hi):
+        if self.watch is None:
+            self.watch = (lo, hi)
+        else:
+            self.watch = (min(self.watch[0], lo), max(self.watch[1], hi))
+
+
+def ref_call(thunk):
+    """``thunk()``, or ``("fault", address, kind)`` if it faults."""
+    try:
+        return thunk()
+    except MemoryFault as fault:
+        return ("fault", fault.address, fault.kind)
+
+
+# Regions laid out left to right: a gap of 0 makes two regions adjacent,
+# so an access across the seam must fault although every byte is mapped.
+_REGION_LAYOUT = st.lists(
+    st.tuples(st.sampled_from((0, 0, 1, 3, 0x80, PAGE_SIZE - 2)),
+              st.sampled_from((1, 3, 4, 0x100, PAGE_SIZE, PAGE_SIZE + 5,
+                               2 * PAGE_SIZE))),
+    min_size=1, max_size=4)
+
+
+def _anchors(regions):
+    """Addresses worth probing: region edges, gaps, page boundaries."""
+    points = {0}
+    for base, limit in regions:
+        points.update((base, limit, limit - 1))
+        page = base - base % PAGE_SIZE
+        while page <= limit:
+            points.add(page)
+            page += PAGE_SIZE
+    return sorted(points)
+
+
+class TestMemoryModel:
+    """Random maps and accesses against :class:`RefMemory`: values,
+    faults exactly on accesses outside one region, width masking, and
+    ``write_epoch`` bumping iff a write meets the watched code span."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(layout=_REGION_LAYOUT, start=st.integers(0, 3 * PAGE_SIZE),
+           data=st.data())
+    def test_matches_reference(self, layout, start, data):
+        regions = []
         mem = Memory()
-        mem.map_region(0x0000, 0x2000)
-        mem.write(0x10, 4, 42)
-        pages = mem.snapshot_pages()
-        assert 0 in pages
-        assert pages[0][0x10] == 42
+        cursor = start
+        for gap, size in layout:
+            base = cursor + gap
+            mem.map_region(base, size)
+            regions.append((base, base + size))
+            cursor = base + size
+        ref = RefMemory(regions)
+        anchors = _anchors(regions)
+        address = st.builds(lambda anchor, delta: anchor + delta,
+                            st.sampled_from(anchors), st.integers(-6, 6))
+        width = st.sampled_from((1, 2, 4))
+        op = st.one_of(
+            st.tuples(st.just("read"), address, width),
+            st.tuples(st.just("write"), address, width,
+                      st.integers(-(1 << 40), 1 << 40)),
+            st.tuples(st.just("read_bytes"), address, st.integers(0, 12)),
+            st.tuples(st.just("write_bytes"), address,
+                      st.binary(max_size=12)),
+            st.tuples(st.just("watch"), address,
+                      st.integers(1, 2 * PAGE_SIZE)))
+        steps = data.draw(st.lists(op, min_size=1, max_size=40))
+        if data.draw(st.booleans()):
+            base, limit = data.draw(st.sampled_from(regions))
+            steps.insert(0, ("watch", base, limit - base))
+        for step in steps:
+            kind, where = step[0], step[1]
+            if kind == "watch":
+                mem.watch_code_span(where, where + step[2])
+                ref.watch_code_span(where, where + step[2])
+                continue
+            if kind == "read":
+                want = ref_call(lambda: int.from_bytes(
+                    ref.read(where, step[2]), "little"))
+                got = ref_call(lambda: mem.read(where, step[2]))
+            elif kind == "write":
+                masked = step[3] & ((1 << (8 * step[2])) - 1)
+                want = ref_call(lambda: ref.write(
+                    where, masked.to_bytes(step[2], "little")))
+                got = ref_call(lambda: mem.write(where, step[2], step[3]))
+            elif kind == "read_bytes":
+                want = ref_call(lambda: ref.read(where, step[2])
+                                if step[2] else b"")
+                got = ref_call(lambda: mem.read_bytes(where, step[2]))
+            else:
+                want = ref_call(lambda: ref.write(where, step[2])
+                                if step[2] else None)
+                got = ref_call(lambda: mem.write_bytes(where, step[2]))
+            assert got == want, step
+            assert mem.write_epoch == ref.epoch, step
+        for base, limit in regions:
+            assert mem.read_bytes(base, limit - base) == ref.read(
+                base, limit - base)
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="reads /proc/self/maps")
+    def test_dropped_machines_release_their_mappings(self):
+        def mappings():
+            """(line count, mapped bytes) of this process's maps."""
+            lines = size = 0
+            with open("/proc/self/maps") as handle:
+                for line in handle:
+                    lo, hi = line.split(None, 1)[0].split("-")
+                    lines += 1
+                    size += int(hi, 16) - int(lo, 16)
+            return lines, size
+
+        gc.collect()
+        lines, size = mappings()
+        for i in range(500):
+            machine = Machine()
+            machine.memory.write(HEAP_BASE, 4, i)
+            machine.memory.write(STACK_TOP - 4, 4, i)
+            del machine
+        gc.collect()
+        lines_after, size_after = mappings()
+        assert lines_after <= lines + 32
+        # The kernel merges adjacent anonymous mappings into one line, so
+        # only the mapped total shows leaked regions (~1.6 MiB a machine).
+        assert size_after <= size + (64 << 20)
 
 
 class FakeDevice:

@@ -15,13 +15,28 @@ that claims to preserve behaviour must leave every digest as it was; a
 change that only moves run counters (an artifact schema bump, say) must
 leave ``c_source`` and ``coverage`` as they were.
 
+``--warm`` digests the warm workloads instead, each in its own fresh
+interpreter over artifacts from the default store (warmed first, so a
+cold store is filled once)::
+
+    {"warm": {"matrix": sha256(validation-matrix summary JSON
+                               without wall_seconds),
+              "fabric": sha256(canonical_fabric_json of the batched,
+                               compiled 64-endpoint saturation fleet,
+                               seed 7)}}
+
+These are the same documents the benchmark's ``matrix_warm`` and
+``fabric_saturation`` passes digest, so a change to the guest VM can
+show its matrix observations and fabric reports are byte-identical.
+
 Usage:
-    PYTHONPATH=src python tools/artifact_digests.py [--out FILE]
-    PYTHONPATH=src python tools/artifact_digests.py --check FILE
+    PYTHONPATH=src python tools/artifact_digests.py [--warm] [--out FILE]
+    PYTHONPATH=src python tools/artifact_digests.py [--warm] --check FILE
 
 ``--out FILE`` also writes the JSON to FILE.  ``--check FILE`` compares
-against digests written earlier and exits 1, naming every driver and
-section whose digest differs (or is missing on either side).
+against digests written earlier and exits 1, naming every driver (or
+``warm``) and section whose digest differs (or is missing on either
+side).
 """
 
 import argparse
@@ -31,7 +46,9 @@ import os
 import subprocess
 import sys
 
-SECTIONS = ("artifact", "c_source", "coverage")
+WARM_SECTIONS = ("fabric", "matrix")
+FABRIC_ENDPOINTS = 64
+FABRIC_SEED = 7
 
 
 def _sha256(text):
@@ -51,28 +68,63 @@ def driver_digests(name):
             "coverage": _sha256(canonical_dumps(data["coverage"]))}
 
 
+def warm_digest(section):
+    """Digest of one warm ``section`` (``matrix`` or ``fabric``),
+    computed in-process over the default artifact store."""
+    from repro.pipeline.orchestrator import PipelineOrchestrator
+
+    orchestrator = PipelineOrchestrator(parallel=False)
+    orchestrator.warm(parallel=False)
+    if section == "matrix":
+        from repro.validate.matrix import ValidationMatrix
+
+        summary = ValidationMatrix(orchestrator=orchestrator).run(
+            parallel=False).summary()
+        summary.pop("wall_seconds")
+        return _sha256(json.dumps(summary, sort_keys=True))
+    from repro.net.fabric import build_workload, canonical_fabric_json, \
+        run_fleet
+
+    plan = build_workload("saturation", FABRIC_ENDPOINTS, FABRIC_SEED)
+    report = run_fleet(plan, orchestrator=orchestrator, mode="batched",
+                       backends=("compiled",))
+    return _sha256(canonical_fabric_json(report))
+
+
+def _in_child(flag, value, env=None):
+    output = subprocess.run(
+        [sys.executable, os.path.abspath(__file__), flag, value],
+        env=env, check=True, capture_output=True, text=True).stdout
+    return json.loads(output.splitlines()[-1])
+
+
 def all_digests():
     """``{driver: {section: digest}}``, each driver computed in a fresh
     interpreter."""
     from repro.drivers import DRIVERS
 
     env = dict(os.environ, REVNIC_ARTIFACT_CACHE="off")
-    digests = {}
-    for name in sorted(DRIVERS):
-        output = subprocess.run(
-            [sys.executable, os.path.abspath(__file__), "--driver", name],
-            env=env, check=True, capture_output=True, text=True).stdout
-        digests[name] = json.loads(output.splitlines()[-1])
-    return digests
+    return {name: _in_child("--driver", name, env)
+            for name in sorted(DRIVERS)}
+
+
+def all_warm_digests():
+    """``{"warm": {section: digest}}``, each section computed in a fresh
+    interpreter once the default store holds every driver's artifact."""
+    from repro.pipeline.orchestrator import PipelineOrchestrator
+
+    PipelineOrchestrator().warm()
+    return {"warm": {section: _in_child("--warm-section", section)
+                     for section in WARM_SECTIONS}}
 
 
 def differences(expected, digests):
-    """``[(driver, section, expected, got)]`` for every mismatch."""
+    """``[(name, section, expected, got)]`` for every mismatch."""
     out = []
     for name in sorted(set(expected) | set(digests)):
         want = expected.get(name, {})
         got = digests.get(name, {})
-        for section in SECTIONS:
+        for section in sorted(set(want) | set(got)):
             if want.get(section) != got.get(section):
                 out.append((name, section, want.get(section),
                             got.get(section)))
@@ -86,13 +138,21 @@ def main(argv=None):
     parser.add_argument("--out", help="also write the JSON digests here")
     parser.add_argument("--check", metavar="FILE",
                         help="compare against digests written earlier")
+    parser.add_argument("--warm", action="store_true",
+                        help="digest the warm validation matrix and "
+                             "fabric instead of the driver artifacts")
     parser.add_argument("--driver", help=argparse.SUPPRESS)
+    parser.add_argument("--warm-section", choices=WARM_SECTIONS,
+                        help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.driver:
         print(json.dumps(driver_digests(args.driver), sort_keys=True))
         return 0
+    if args.warm_section:
+        print(json.dumps(warm_digest(args.warm_section)))
+        return 0
 
-    digests = all_digests()
+    digests = all_warm_digests() if args.warm else all_digests()
     text = json.dumps(digests, indent=2, sort_keys=True)
     print(text)
     if args.out:
