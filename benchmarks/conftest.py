@@ -65,16 +65,6 @@ def _emit_bench_json(orchestrator, artifacts):
         entry = {key: stats[key] for key in _BENCH_COUNTERS}
         entry["coverage"] = artifact.coverage_fraction
         entry["source"] = artifact.source
-        frontier = stats.get("frontier")
-        if frontier:
-            # Partitioned-exploration rows: how the frontier was sharded
-            # and what the merge cost, so scaling regressions show up per
-            # driver rather than only in the aggregate wall clock.
-            entry["frontier"] = {
-                key: frontier.get(key)
-                for key in ("split_depth", "subtrees", "max_depth",
-                            "workers", "states_per_worker", "steals",
-                            "merge_wall_seconds")}
         report["drivers"][artifact.name] = entry
         report["total_wall_seconds"] += stats["wall_seconds"]
     report["total_wall_seconds"] = round(report["total_wall_seconds"], 3)

@@ -18,7 +18,7 @@ covering every consumer of the execution tiers:
 Any divergence prints the first differing canonical path and exits 1;
 a run where the on-side never dispatched a chain is vacuous and also
 fails.  CI runs this with a fixed configuration and uploads both
-documents on mismatch, same shape as the sharded-exploration diff job.
+documents on mismatch.
 
 Usage:
     PYTHONPATH=src python examples/superblocks_diff.py [options]

@@ -40,8 +40,10 @@ from repro.synth.report import FunctionSummary, SynthesisReport
 #: persistent compiled-code cache outcomes.  v3: dropped that section
 #: together with the persistent code cache.  v4: run stats gained the
 #: ``solver_unknown``/``solver_unsat`` verdict counts, and the solver's
-#: random fallback went, which moves trace and eval counters.
-SCHEMA_VERSION = 4
+#: random fallback went, which moves trace and eval counters.  v5: the
+#: ``config`` map lost ``explore_split_depth`` together with partitioned
+#: exploration.
+SCHEMA_VERSION = 5
 
 
 class RunArtifact:
@@ -248,11 +250,9 @@ class _Encoder:
             "ops": [self._op(op) for op in block.ops],
         }
         # Interning is keyed on *content*, with the id() map as a fast
-        # path: sharded exploration decodes sub-tree records in the
-        # parent, so one translation block can reach the encoder as
-        # several distinct objects -- they must still share one table
-        # entry or merged artifacts would not be byte-identical to the
-        # in-process run's.
+        # path: equal blocks that reach the encoder as distinct objects
+        # share one table entry, so the bytes never depend on object
+        # identity.
         content = (encoded["pc"], encoded["size"],
                    tuple(encoded["instr_addrs"]),
                    tuple(tuple(span) for span in encoded["instr_spans"]),
@@ -624,26 +624,11 @@ def from_json(text, source="disk-cache"):
     return artifact_from_dict(json.loads(text), source=source)
 
 
-#: Frontier-stat keys that depend on scheduling accidents (worker count,
-#: steal timing, wall clocks) rather than on (image, config, code) --
-#: scrubbed from canonical JSON, kept by to_json for benchmark reports.
-_VOLATILE_FRONTIER = {"mode": "any", "workers": 0, "steals": 0,
-                      "merge_wall_seconds": 0.0, "states_per_worker": [],
-                      "chunk_retries": 0, "fallbacks": 0}
-
-
 def _scrub_volatile(data):
     """Zero the wall-clock fields -- the only run outputs that are not a
     deterministic function of (driver image, config, code)."""
     stats = dict(data["stats"])
     stats["wall_seconds"] = 0.0
-    frontier = stats.get("frontier")
-    if isinstance(frontier, dict):
-        frontier = dict(frontier)
-        for key, neutral in _VOLATILE_FRONTIER.items():
-            if key in frontier:
-                frontier[key] = neutral
-        stats["frontier"] = frontier
     data["stats"] = stats
     coverage = dict(data["coverage"])
     coverage["timeline"] = [[blocks, 0.0, fraction]

@@ -39,28 +39,17 @@ from repro.pipeline.store import ArtifactStore, artifact_key, default_store
 PARALLEL_ENV = "REVNIC_PARALLEL"
 
 
-def resolve_split_depth(split_depth=None):
-    """The effective frontier split depth: an explicit value, else the
-    ``REVNIC_EXPLORE_SPLIT_DEPTH`` environment default (0 = legacy)."""
-    from repro.symex.frontier import env_split_depth
-
-    return env_split_depth() if split_depth is None else max(0,
-                                                             int(split_depth))
-
-
-def build_config(name, strategy="coverage", script="default",
-                 split_depth=None):
+def build_config(name, strategy="coverage", script="default"):
     """The canonical :class:`RevNicConfig` for one orchestrated run."""
     from repro.drivers import device_class
     from repro.revnic import RevNicConfig
 
     return RevNicConfig(driver_name=name, pci=device_class(name).PCI,
-                        strategy=strategy, script=script,
-                        explore_split_depth=resolve_split_depth(split_depth))
+                        strategy=strategy, script=script)
 
 
 def execute_run(name, strategy="coverage", script="default",
-                split_depth=None, source="computed", fault=None):
+                source="computed", fault=None):
     """Run the full pipeline for one driver in this process.
 
     Pure producer: builds the driver image, runs RevNIC under ``config``,
@@ -68,10 +57,7 @@ def execute_run(name, strategy="coverage", script="default",
     :class:`RunArtifact` -- no singletons, no shared state, safe to call
     from any worker process.  ``fault`` is the run-layer fault-injection
     hook (:mod:`repro.faults`): a matching spec raises its induced,
-    classified exception at the requested stage.  ``split_depth``
-    enables partitioned frontier exploration (see
-    :mod:`repro.symex.frontier`); the worker count stays an environment
-    knob because it cannot change the artifact.
+    classified exception at the requested stage.
     """
     from repro.drivers import build_driver
     from repro.revnic import RevNic
@@ -80,7 +66,7 @@ def execute_run(name, strategy="coverage", script="default",
     if fault is not None:
         from repro.faults.inject import maybe_raise_run_fault
     image = build_driver(name)
-    config = build_config(name, strategy, script, split_depth)
+    config = build_config(name, strategy, script)
     engine = RevNic(image, config)
     if fault is not None:
         maybe_raise_run_fault(fault, "revnic")
@@ -101,10 +87,9 @@ def _worker(job, fault=None):
     (the pool worker consumes them); run-layer faults pass through to
     :func:`execute_run`.
     """
-    name, strategy, script = job[:3]
-    split_depth = job[3] if len(job) > 3 else None
-    artifact = execute_run(name, strategy, script, split_depth,
-                           source="worker", fault=fault)
+    name, strategy, script = job
+    artifact = execute_run(name, strategy, script, source="worker",
+                           fault=fault)
     return to_json(artifact)
 
 
@@ -134,10 +119,9 @@ class PipelineOrchestrator:
 
     # ------------------------------------------------------------------
 
-    def run(self, name, strategy="coverage", script="default",
-            split_depth=None):
+    def run(self, name, strategy="coverage", script="default"):
         """The :class:`RunArtifact` for one driver configuration."""
-        key = (name, strategy, script, resolve_split_depth(split_depth))
+        key = (name, strategy, script)
         artifact = self._artifacts.get(key)
         if artifact is None:
             artifact = self._load_cached(*key)
@@ -148,7 +132,7 @@ class PipelineOrchestrator:
         return artifact
 
     def warm(self, names=None, strategy="coverage", script="default",
-             parallel=None, faults=None, split_depth=None):
+             parallel=None, faults=None):
         """Materialize artifacts for ``names`` (default: all drivers),
         computing the missing ones in supervised parallel workers.
 
@@ -164,7 +148,6 @@ class PipelineOrchestrator:
         from repro.faults.report import FaultRecord, ResilienceReport
 
         names = sorted(DRIVERS) if names is None else list(names)
-        split_depth = resolve_split_depth(split_depth)
         report = ResilienceReport()
         self.last_resilience = report
         store_before = self.store.counters() if self.store else None
@@ -176,7 +159,7 @@ class PipelineOrchestrator:
         missing = []
         with report.stage_timer("load"):
             for name in names:
-                key = (name, strategy, script, split_depth)
+                key = (name, strategy, script)
                 if key in self._artifacts:
                     continue
                 artifact = self._load_cached(*key)
@@ -215,8 +198,7 @@ class PipelineOrchestrator:
             report.recovered_tmp += after["recovered"] \
                 - store_before["recovered"]
             report.evicted += after["evicted"] - store_before["evicted"]
-        return {name: self._artifacts[(name, strategy, script,
-                                       split_depth)]
+        return {name: self._artifacts[(name, strategy, script)]
                 for name in names}
 
     def all_drivers(self):
@@ -299,25 +281,21 @@ class PipelineOrchestrator:
                                   "serial-fallback" if degraded
                                   else "serial")
 
-    def _load_cached(self, name, strategy, script, split_depth=None):
+    def _load_cached(self, name, strategy, script):
         if self.store is None:
             return None
-        return self.store.load(self._disk_key(name, strategy, script,
-                                              split_depth))
+        return self.store.load(self._disk_key(name, strategy, script))
 
     def _store_artifact(self, key, artifact):
         if self.store is None:
             return
         self.store.save(self._disk_key(*key), artifact)
 
-    def _disk_key(self, name, strategy, script, split_depth=None):
+    def _disk_key(self, name, strategy, script):
         from repro.drivers import build_driver
 
-        # The split depth rides the config, so partitioned and legacy
-        # artifacts can never collide in the content-addressed store.
         return artifact_key(build_driver(name),
-                            build_config(name, strategy, script,
-                                         split_depth))
+                            build_config(name, strategy, script))
 
 
 _GLOBAL_ORCHESTRATOR = None

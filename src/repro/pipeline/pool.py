@@ -12,13 +12,11 @@ and classified failure accounting in a
 budget are returned to the caller for **per-job** serial fallback -- a
 single bad job never forces healthy jobs to recompute.
 
-Each worker runs its one-time setup once and then serves job after job
-over a duplex pipe, across every :meth:`SupervisedPool.run` of the
-pool's life.  A batch is partitioned contiguously across workers; an
-idle worker first drains its own span, then steals from the *tail* of
-the longest remaining backlog (ties to the lowest worker index), so one
-slow job does not serialize the batch.  A crashed or timed-out worker is
-respawned on demand.
+Each worker serves job after job over a duplex pipe, across every
+:meth:`SupervisedPool.run` of the pool's life.  A batch is one FIFO
+queue that any idle worker takes its next job from, so one slow job
+holds only its own worker.  A crashed or timed-out worker is respawned
+on demand.
 
 The pool is also the worker-layer fault-injection point: a
 :class:`~repro.faults.plan.FaultSpec` mapped to a job label is delivered
@@ -50,9 +48,13 @@ BACKOFF_CAP = 1.0
 _POLL_SECONDS = 0.05
 
 
+#: Every worker is a spawned, fresh interpreter.
+_CONTEXT = multiprocessing.get_context("spawn")
+
+
 class PoolUnavailable(Exception):
-    """No worker could be started or set up (restricted environments, a
-    broken setup); every unfinished job goes back to the caller."""
+    """No worker could be started (restricted environments); every
+    unfinished job goes back to the caller."""
 
 
 def backoff_delay(attempt):
@@ -85,22 +87,12 @@ def _describe(exc):
     return "%s: %s" % (type(exc).__name__, exc)
 
 
-def _child_main(conn, setup, bootstrap):
-    """Worker process: build the job function once, then answer every
-    ``(job, fault)`` request with ``("ok", payload)`` or ``("error",
-    description)`` until the parent closes the pipe.  A setup failure is
-    answered once with ``("fatal", description)``."""
+def _child_main(conn, run_job):
+    """Worker process: answer every ``(job, fault)`` request with
+    ``("ok", payload)`` or ``("error", description)`` until the parent
+    closes the pipe."""
     from repro.faults.inject import apply_worker_fault
 
-    try:
-        run_job = setup if bootstrap is None else setup(bootstrap)
-    except Exception as exc:
-        try:
-            conn.send(("fatal", _describe(exc)))
-        except OSError:
-            pass
-        conn.close()
-        return
     while True:
         try:
             job, fault = conn.recv()
@@ -123,30 +115,19 @@ def _child_main(conn, setup, bootstrap):
 class SupervisedPool:
     """Persistent spawned workers under one dispatch/timeout/retry loop.
 
-    ``setup(bootstrap)`` runs once per worker process and returns the
-    job function; with no ``bootstrap``, ``setup`` itself is the job
-    function.  Either way it is called as ``run_job(job, fault)`` and
+    ``run_job`` is called in a worker as ``run_job(job, fault)`` and
     must be picklable by reference (module level).  ``workers`` defaults
     to min(first batch size, CPU count); ``timeout`` and ``retries``
     default to the ``REVNIC_JOB_TIMEOUT`` / ``REVNIC_JOB_RETRIES``
     environment budgets.
-
-    ``steals``, ``chunk_retries`` and ``served`` (jobs dispatched per
-    worker slot) accumulate over the pool's life for the engine's
-    frontier stats.
     """
 
-    def __init__(self, setup, bootstrap=None, workers=None, timeout=None,
-                 retries=None):
-        self._setup = setup
-        self._bootstrap = bootstrap
+    def __init__(self, run_job, workers=None, timeout=None, retries=None):
+        self._run_job = run_job
         self.workers = workers
         self.timeout = default_timeout() if timeout is None \
             else (timeout or None)
         self.retries = default_retries() if retries is None else retries
-        self.steals = 0
-        self.chunk_retries = 0
-        self.served = []
         self._procs = []
         self._conns = []
         self._broken = None
@@ -163,12 +144,10 @@ class SupervisedPool:
         """Start a worker in ``slot``; False when it cannot be started,
         :class:`PoolUnavailable` when no worker is left at all."""
         try:
-            context = multiprocessing.get_context("spawn")
-            parent_conn, child_conn = context.Pipe(duplex=True)
-            process = context.Process(
-                target=_child_main,
-                args=(child_conn, self._setup, self._bootstrap),
-                daemon=True)
+            parent_conn, child_conn = _CONTEXT.Pipe(duplex=True)
+            process = _CONTEXT.Process(target=_child_main,
+                                       args=(child_conn, self._run_job),
+                                       daemon=True)
             process.start()
         except Exception as exc:
             if all(conn is None for conn in self._conns):
@@ -208,9 +187,9 @@ class SupervisedPool:
         worker- and run-layer specs are delivered).  ``results`` maps job
         index to the validated value, ``failures`` maps every other index
         to a classification string -- the caller owns their per-job
-        serial fallback.  When no worker can be started or set up, the
-        pool records a ``"pool"`` degradation and hands every unfinished
-        job back as ``"unavailable"``.
+        serial fallback.  When no worker can be started, the pool records
+        a ``"pool"`` degradation and hands every unfinished job back as
+        ``"unavailable"``.
         """
         from repro.faults.report import ResilienceReport
 
@@ -222,30 +201,18 @@ class SupervisedPool:
         if not self._procs:
             self.workers = max(1, int(self.workers
                                       or min(count, os.cpu_count() or 1)))
-            self.served = [0] * self.workers
             self._procs = [None] * self.workers
             self._conns = [None] * self.workers
         results = {}
         failures = {}
         attempts = [0] * count
+        queue = deque(range(count))
         retry_pending = []      # (not_before, index)
         busy = {}               # slot -> (index, deadline)
 
-        share, extra = divmod(count, self.workers)
-        queues = []
-        cursor = 0
-        for slot in range(self.workers):
-            size = share + (1 if slot < extra else 0)
-            queues.append(deque(range(cursor, cursor + size)))
-            cursor += size
-
-        def take_job(slot):
-            if queues[slot]:
-                return queues[slot].popleft()
-            donor = max(range(self.workers), key=lambda o: len(queues[o]))
-            if queues[donor]:
-                self.steals += 1
-                return queues[donor].pop()
+        def take_job():
+            if queue:
+                return queue.popleft()
             now = time.monotonic()
             ready = [item for item in retry_pending if item[0] <= now]
             if ready:
@@ -267,7 +234,6 @@ class SupervisedPool:
                                   event="%s (attempt %d): %s"
                                   % (kind, attempts[index], detail))
             if attempts[index] <= self.retries:
-                self.chunk_retries += 1
                 retry_pending.append(
                     (time.monotonic() + backoff_delay(attempts[index]),
                      index))
@@ -279,11 +245,11 @@ class SupervisedPool:
             for slot in range(self.workers):
                 if slot in busy:
                     continue
-                index = take_job(slot)
+                index = take_job()
                 if index is None:
-                    continue
+                    break
                 if self._conns[slot] is None and not self._spawn(slot):
-                    queues[slot].appendleft(index)
+                    queue.appendleft(index)
                     continue
                 attempts[index] += 1
                 try:
@@ -296,7 +262,6 @@ class SupervisedPool:
                 deadline = (time.monotonic() + self.timeout) \
                     if self.timeout else None
                 busy[slot] = (index, deadline)
-                self.served[slot] += 1
 
         def collect(slot, index, deadline, now):
             """Settle ``slot``'s job if it replied, died or timed out;
@@ -311,9 +276,6 @@ class SupervisedPool:
                     fail_attempt(index, "crash",
                                  "worker closed pipe without result")
                     return True
-                if kind == "fatal":
-                    raise PoolUnavailable("worker setup failed: %s"
-                                          % payload)
                 if kind == "error":
                     report.run_faults += 1
                     fail_attempt(index, "error", payload)
@@ -345,8 +307,8 @@ class SupervisedPool:
         try:
             if self._broken:
                 raise PoolUnavailable(self._broken)
-            # Start every idle slot up front: persistent workers pay their
-            # setup once, in parallel, before the first job is waiting.
+            # Start every idle slot up front: the workers import the
+            # package in parallel before the first job is waiting.
             for slot in range(self.workers):
                 if self._conns[slot] is None:
                     self._spawn(slot)

@@ -37,10 +37,8 @@ class CoverageDrivenStrategy:
         for index, state in enumerate(states):
             count = self.block_counts.get(state.pc, 0)
             # Ties break on the deterministic state id, never on worklist
-            # position: insertion order differs between a single global
-            # queue and per-sub-tree queues, and sharded exploration
-            # (repro.symex.frontier) depends on the pick being a pure
-            # function of the state *set*.
+            # position, so the pick is a pure function of the state *set*
+            # and the artifact bytes do not depend on insertion order.
             if best_count is None or count < best_count \
                     or (count == best_count
                         and state.id < states[best_index].id):

@@ -33,13 +33,8 @@ class Wiretap:
     """Per-run trace recorder; states carry their own record lists so COW
     forking keeps path prefixes shared."""
 
-    def __init__(self, text_base=0, text_end=0, coverage=None,
-                 seq_start=0):
-        #: ``seq_start`` namespaces the record sequence: sharded
-        #: exploration (repro.symex.frontier) gives each sub-tree a
-        #: disjoint sequence base so merged records carry the same seq
-        #: numbers whether the sub-tree ran in-process or in a worker.
-        self._seq = itertools.count(seq_start)
+    def __init__(self, text_base=0, text_end=0, coverage=None):
+        self._seq = itertools.count()
         self.text_base = text_base
         self.text_end = text_end
         self.blocks_recorded = 0

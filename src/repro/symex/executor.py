@@ -52,16 +52,11 @@ class HardwarePolicy:
     demo) to additionally keep ``reads`` / ``writes`` lists.
     """
 
-    def __init__(self, retain_log=False, name_prefix=""):
+    def __init__(self, retain_log=False):
         self._counter = 0
         self.read_counts = {}       # kind -> count
         self.write_counts = {}      # kind -> count
         self.retain_log = retain_log
-        #: symbol-name namespace prefix.  Sharded exploration gives every
-        #: sub-tree its own policy with a distinct prefix so the symbols a
-        #: sub-tree mints are identical whether it runs in-process or in a
-        #: worker, and never collide with another sub-tree's.
-        self.name_prefix = name_prefix
         self.reads = [] if retain_log else None
         self.writes = [] if retain_log else None
 
@@ -75,7 +70,7 @@ class HardwarePolicy:
 
     def fresh(self, tag, width):
         self._counter += 1
-        name = "hw_%s%s_%d" % (self.name_prefix, tag, self._counter)
+        name = "hw_%s_%d" % (tag, self._counter)
         return E.bv_sym(name, width * 8)
 
     def device_read(self, state, kind, address, width):

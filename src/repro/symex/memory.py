@@ -78,16 +78,6 @@ class SymMemory:
 
     # ------------------------------------------------------------------
 
-    def overlay_items(self):
-        """Yield ``(address, value)`` for every overlay byte (concrete and
-        symbolic).  The overlay *is* the state-specific memory delta, so
-        this is what the frontier codec serializes to move a state across
-        a process boundary."""
-        for page_number, page in self._pages.items():
-            base = page_number * PAGE_SIZE
-            for offset, value in page.items():
-                yield base + offset, value
-
     def symbolic_addresses(self):
         """Yield ``(address, value)`` for all symbolic overlay bytes."""
         for page_number, page in self._pages.items():

@@ -222,36 +222,6 @@ class SolverContext:
         child.ground_false = self.ground_false
         return child
 
-    # -- witness serialization (frontier codec) ------------------------
-
-    def witnesses(self):
-        """``(symbols frozenset, model dict or None)`` per component.
-
-        The partition itself is a pure function of the constraint list
-        (``add`` order and merge order are deterministic), so replaying
-        the constraints rebuilds identical components; only the cached
-        witness models need to travel with a serialized state.
-        """
-        return [(comp.symbols, comp.model)
-                for comp in self._comps.values()]
-
-    def attach_witnesses(self, mapping):
-        """Restore serialized witnesses onto replayed components.
-
-        ``mapping`` is ``{symbols frozenset: model dict or None}`` as
-        produced from :meth:`witnesses`.  Every component must have an
-        entry -- a miss means the replayed partition diverged from the
-        serialized one, which would silently break cross-process
-        determinism, so it raises instead.
-        """
-        for root, comp in list(self._comps.items()):
-            if comp.symbols not in mapping:
-                raise KeyError("no serialized witness for component %r"
-                               % (sorted(comp.symbols),))
-            model = mapping[comp.symbols]
-            self._comps[root] = comp.with_model(
-                dict(model) if model is not None else None)
-
 
 class Solver:
     """Model finder over conjunctions of 1-bit constraint expressions."""

@@ -1,133 +1,39 @@
-"""Property tests: exploration strategies under frontier partitioning.
+"""The coverage strategy's deterministic tie-break.
 
-Sharded exploration (repro.symex.frontier) rests on one scheduler
-invariant: on a fixed fork tree, the *set* of states a strategy explores
-does not depend on how the worklist is partitioned -- a single global
-queue and per-sub-tree queues below a split depth must visit the same
-states.  These tests drive :class:`StateScheduler` over randomized
-synthetic fork trees and require identical visit sets for all three
-strategies, plus the coverage strategy's deterministic id tie-break that
-the invariant relies on.
+The coverage-driven strategy (paper section 3.2) picks the queued state
+whose block has run least often.  Ties are frequent, and they must break
+on the state id, never on worklist position: the pick is then a pure
+function of the state *set*, so artifact bytes do not depend on the
+order in which states entered the worklist.
 """
 
 import itertools
 
-from hypothesis import given, settings, strategies as st
-
-from repro.revnic.heuristics import CoverageDrivenStrategy, \
-    StateScheduler, make_strategy
-from repro.symex import frontier
-from repro.symex.state import PathStatus
+from repro.revnic.heuristics import CoverageDrivenStrategy
 
 
 class FakeState:
-    """Just enough of SymState for the scheduler: pc/id/depth plus the
-    loop-killer fields (left benign so every node gets visited)."""
+    """Just enough of SymState for a strategy pick: pc and id."""
 
-    def __init__(self, path, pc, ids):
-        self.path = path          # tree-node identity, not the id
+    def __init__(self, pc, ids):
         self.pc = pc
         self.id = next(ids)
-        self.depth = len(path)
-        self.status = PathStatus.RUNNING
-        self.block_counts = {}
-        self.loop_suspects = set()
-
-
-@st.composite
-def fork_trees(draw):
-    """A random fork tree as ``{path tuple: pc}``.
-
-    pcs come from a tiny alphabet so coverage counts tie constantly --
-    the case where a position-dependent pick would diverge between
-    serial and partitioned worklists.
-    """
-    pcs = {(): draw(st.integers(min_value=0, max_value=4))}
-    paths = [()]
-    for _ in range(draw(st.integers(min_value=1, max_value=25))):
-        parent = draw(st.sampled_from(paths))
-        index = sum(1 for path in paths
-                    if len(path) == len(parent) + 1
-                    and path[:-1] == parent)
-        path = parent + (index,)
-        pcs[path] = draw(st.integers(min_value=0, max_value=4))
-        paths.append(path)
-    return pcs
-
-
-def _children(tree, path):
-    return sorted(node for node in tree
-                  if len(node) == len(path) + 1 and node[:-1] == path)
-
-
-def _explore(tree, strategy_name, root, ids, park=None):
-    """One scheduler loop over the synthetic tree: visiting a node forks
-    its children, which enter the worklist unless parked."""
-    scheduler = StateScheduler(strategy=make_strategy(strategy_name))
-    scheduler.add(root)
-    visited = []
-    while True:
-        state = scheduler.next_state()
-        if state is None:
-            break
-        visited.append(state.path)
-        for child_path in _children(tree, state.path):
-            child = FakeState(child_path, tree[child_path], ids)
-            if park is not None and park(child):
-                continue
-            scheduler.add(child)
-    return visited
-
-
-def _run(tree, strategy_name, split_depth):
-    """Mirror the engine's partitioned phase: explore the prefix parking
-    states at the split depth, then each parked sub-tree in isolation
-    with a namespaced id counter (frontier.subtree_id_base)."""
-    ids = itertools.count()
-    root = FakeState((), tree[()], ids)
-    parked = []
-
-    def park(state):
-        if split_depth and state.depth >= split_depth:
-            parked.append(state)
-            return True
-        return False
-
-    visited = _explore(tree, strategy_name, root, ids,
-                       park if split_depth else None)
-    for index, sub_root in enumerate(parked):
-        sub_ids = itertools.count(frontier.subtree_id_base(index))
-        visited.extend(_explore(tree, strategy_name, sub_root, sub_ids))
-    return visited
-
-
-@given(tree=fork_trees(),
-       split=st.integers(min_value=1, max_value=4),
-       name=st.sampled_from(["coverage", "dfs", "bfs"]))
-@settings(max_examples=60, deadline=None)
-def test_partitioning_preserves_visit_set(tree, split, name):
-    serial = _run(tree, name, 0)
-    sharded = _run(tree, name, split)
-    # Exactly one visit per tree node in both modes, and the same set.
-    assert len(serial) == len(sharded) == len(tree)
-    assert set(serial) == set(sharded) == set(tree)
 
 
 def test_coverage_tie_breaks_on_state_id():
-    """Regression (the sharded-merge prerequisite): equal coverage counts
-    must break on the deterministic state id, never on worklist
-    position."""
+    """Equal coverage counts break on the deterministic state id, never
+    on worklist position."""
     ids = itertools.count(10)
     strategy = CoverageDrivenStrategy()
-    a = FakeState((0,), 7, ids)   # id 10
-    b = FakeState((1,), 7, ids)   # id 11
-    c = FakeState((2,), 7, ids)   # id 12
+    a = FakeState(7, ids)   # id 10
+    b = FakeState(7, ids)   # id 11
+    c = FakeState(7, ids)   # id 12
     for order in itertools.permutations([a, b, c]):
         states = list(order)
         assert states[strategy.pick(states)] is a
     # A strictly lower block count still beats a lower id.
     strategy.block_counts[7] = 5
-    d = FakeState((3,), 9, ids)   # id 13, untouched pc
+    d = FakeState(9, ids)   # id 13, untouched pc
     for order in itertools.permutations([a, b, d]):
         states = list(order)
         assert states[strategy.pick(states)] is d

@@ -12,6 +12,7 @@ record.
 """
 
 import json
+import os
 import time
 
 import pytest
@@ -22,6 +23,7 @@ from repro.faults import (FaultPlan, FaultPlanGenerator, FaultRecord,
 from repro.faults.campaign import ChaosCampaign
 from repro.faults.inject import maybe_raise_run_fault
 from repro.faults.plan import PERSISTENT
+from repro.pipeline import pool as pool_module
 from repro.pipeline.pool import (SupervisedPool, backoff_delay,
                                  default_retries, default_timeout)
 
@@ -33,11 +35,12 @@ def _double_worker(job, fault=None):
         raise ValueError("kapow")
     if name == "slow":
         time.sleep(value)
-    return json.dumps({"name": name, "value": value * 2})
+    return json.dumps({"name": name, "value": value * 2,
+                       "pid": os.getpid()})
 
 
-def _broken_setup(bootstrap):
-    raise RuntimeError("cannot rebuild %s" % bootstrap)
+def _refuse_start(process):
+    raise OSError("process creation refused")
 
 
 def _validate_json(payload):
@@ -129,11 +132,11 @@ class TestSupervisedPool:
     LABELS = ["a", "b", "c"]
 
     def run(self, jobs=None, labels=None, faults=None, timeout=60,
-            retries=2, max_workers=2, setup=_double_worker, bootstrap=None):
+            retries=2, max_workers=2):
         """Run a batch; ``faults`` is keyed by job index for brevity."""
         report = ResilienceReport()
         labels = labels or self.LABELS
-        with SupervisedPool(setup, bootstrap=bootstrap, workers=max_workers,
+        with SupervisedPool(_double_worker, workers=max_workers,
                             timeout=timeout, retries=retries) as pool:
             results, failures = pool.run(
                 jobs or self.JOBS, labels=labels,
@@ -146,7 +149,7 @@ class TestSupervisedPool:
     def test_plain_run_completes_everything(self):
         results, failures, report = self.run()
         assert sorted(results) == [0, 1, 2] and not failures
-        assert results[1] == {"name": "b", "value": 4}
+        assert results[1]["name"] == "b" and results[1]["value"] == 4
         assert all(entry["outcome"] == "pool"
                    for entry in report.jobs.values())
 
@@ -187,7 +190,7 @@ class TestSupervisedPool:
                    for event in report.jobs["boom"]["events"])
 
     def test_kill_with_queued_jobs_respawns_and_keeps_results(self):
-        # worker 0 owns jobs 0-1; it dies on job 0 with job 1 still queued
+        # the worker running job 0 dies while jobs are still queued
         jobs = [("a", 1), ("b", 2), ("c", 3), ("d", 4)]
         labels = ["a", "b", "c", "d"]
         results, failures, report = self.run(
@@ -200,29 +203,34 @@ class TestSupervisedPool:
         assert all(entry["outcome"] == "pool"
                    for entry in report.jobs.values())
         # five dispatches: four jobs plus the retry on a respawned worker
-        assert sum(self.pool.served) == 5
+        assert sum(entry["attempts"]
+                   for entry in report.jobs.values()) == 5
 
-    def test_setup_failure_hands_every_job_back(self):
+    def test_spawn_failure_hands_every_job_back(self, monkeypatch):
+        # The path the orchestrator, matrix and fuzz fallbacks rely on:
+        # an environment that cannot start processes at all.
+        monkeypatch.setattr(pool_module._CONTEXT.Process, "start",
+                            _refuse_start)
         started = time.monotonic()
-        results, failures, report = self.run(setup=_broken_setup,
-                                             bootstrap="image")
+        results, failures, report = self.run()
         assert time.monotonic() - started < 30
         assert not results
-        assert sorted(failures) == [0, 1, 2]
+        assert failures == {0: "unavailable", 1: "unavailable",
+                            2: "unavailable"}
         assert [d["stage"] for d in report.degradations] == ["pool"]
-        assert "RuntimeError: cannot rebuild image" \
+        assert "process creation refused" \
             in report.degradations[0]["reason"]
 
-    def test_more_jobs_than_workers_steals(self):
-        # worker 0 owns the slow job and two more; worker 1 finishes its
-        # own two jobs long before and must steal from worker 0's tail
+    def test_slow_job_does_not_hold_the_batch(self):
+        # while one worker sleeps on the slow job, the other takes every
+        # fast job from the shared queue
         jobs = [("slow", 1.5), ("b", 2), ("c", 3), ("d", 4), ("e", 5)]
         labels = ["slow", "b", "c", "d", "e"]
         results, failures, _report = self.run(jobs=jobs, labels=labels)
         assert not failures and sorted(results) == [0, 1, 2, 3, 4]
-        assert results[4] == {"name": "e", "value": 10}
-        assert self.pool.steals >= 1
-        assert sum(self.pool.served) == 5
+        assert results[4]["name"] == "e" and results[4]["value"] == 10
+        slow_pid = results[0]["pid"]
+        assert all(results[i]["pid"] != slow_pid for i in range(1, 5))
 
     def test_backoff_is_deterministic_and_bounded(self):
         delays = [backoff_delay(n) for n in range(1, 10)]
