@@ -5,9 +5,10 @@ Three experiments, all landing under ``fabric`` in
 
 * **scheduler gate** -- a 16-endpoint saturation fleet on a wide-spread
   (mostly idle) schedule, batched vs the lockstep polling reference,
-  interleaved round by round.  Batched must win by >= 1.3x on the run
-  loop (boot is mode-invariant and excluded), and both modes must emit
-  byte-identical canonical reports;
+  interleaved round by round.  Batched must poll the endpoints at most a
+  tenth as often (a deterministic count), both modes must emit
+  byte-identical canonical reports, and the run-loop wall clocks (boot
+  is mode-invariant and excluded) are recorded, not gated;
 * **determinism** -- the same seed + topology replayed across runs and
   across ``REVNIC_PARALLEL`` settings produces byte-identical canonical
   report bytes;
@@ -82,12 +83,9 @@ def test_batched_beats_lockstep(cache):
         "lockstep_polls": runs["lockstep"].polls,
     }
     update_bench("fabric", _RECORD)
-    assert best["batched"] < best["lockstep"], \
-        "batched (%.3fs) not faster than lockstep (%.3fs)" \
-        % (best["batched"], best["lockstep"])
-    assert speedup >= 1.3, \
-        "batched scheduler %.2fx over lockstep, below the 1.3x gate" \
-        % speedup
+    assert runs["batched"].polls * 10 <= runs["lockstep"].polls, \
+        "batched scheduler polled %d times, lockstep %d" \
+        % (runs["batched"].polls, runs["lockstep"].polls)
 
 
 def test_report_bytes_stable_across_runs_and_parallel(cache, monkeypatch):

@@ -9,11 +9,13 @@ Two experiments:
   unsupported ones (DMA drivers on uC/OS-II);
 * **cold vs warm** -- the same matrix against a fresh artifact store:
   the cold run pays for reverse engineering (fanned out across workers
-  where the host has cores), the warm run rides the store, and must
-  finish in under half the cold wall-clock.
+  where the host has cores), the warm run rides the store and must
+  rewrite no entry of it.  Both wall clocks are recorded, not gated.
 
 Both land in ``BENCH_pipeline.json`` under the ``validation_matrix`` key.
 """
+
+import os
 
 from repro.pipeline import ArtifactStore, PipelineOrchestrator
 from repro.validate import ValidationMatrix
@@ -49,9 +51,18 @@ def test_full_matrix_equivalence(cache):
     update_bench("validation_matrix", _RECORD)
 
 
+def _store_entries(root):
+    """``{name: inode}`` of every store entry.  A publish replaces the
+    file (temp file + ``os.replace``), so a recomputed entry gets a new
+    inode; the modification time is no witness, since every load touches
+    it for LRU."""
+    return {entry.name: entry.inode() for entry in os.scandir(root)
+            if entry.is_file()}
+
+
 def test_cold_vs_warm_matrix(tmp_path):
-    """A warm (artifact-cached) matrix run costs well under half a cold
-    one: reverse engineering dominates, and the matrix never re-runs it."""
+    """A warm (artifact-cached) matrix run never re-runs reverse
+    engineering: it rewrites no store entry."""
     store_root = str(tmp_path / "matrix-store")
 
     cold = ValidationMatrix(
@@ -59,6 +70,8 @@ def test_cold_vs_warm_matrix(tmp_path):
     cold_result = cold.run()
     assert cold_result.unexplained() == []
 
+    cold_entries = _store_entries(store_root)
+    assert cold_entries
     warm = ValidationMatrix(
         orchestrator=PipelineOrchestrator(store=ArtifactStore(store_root)))
     warm_result = warm.run()
@@ -71,6 +84,5 @@ def test_cold_vs_warm_matrix(tmp_path):
     _RECORD["warm_mode"] = warm_result.mode
     update_bench("validation_matrix", _RECORD)
 
-    assert warm_result.wall_seconds < 0.5 * cold_result.wall_seconds, \
-        "warm %.2fs vs cold %.2fs" % (warm_result.wall_seconds,
-                                      cold_result.wall_seconds)
+    assert _store_entries(store_root) == cold_entries, \
+        "the warm matrix rewrote store entries"

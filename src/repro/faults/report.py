@@ -96,12 +96,6 @@ class ResilienceReport:
                 self.stage_seconds.get(stage, 0.0)
                 + time.monotonic() - started, 6)
 
-    def absorb_store(self, store):
-        """Pull the store's robustness counters into this report."""
-        self.quarantined += getattr(store, "quarantined", 0)
-        self.recovered_tmp += getattr(store, "recovered", 0)
-        self.evicted += getattr(store, "evicted", 0)
-
     def merge(self, other):
         """Fold ``other`` (a later stage's report) into this one."""
         for counter in ("retries", "timeouts", "worker_crashes",
@@ -145,9 +139,3 @@ class ResilienceReport:
             "stage_seconds": dict(self.stage_seconds),
             "fault_records": [r.to_dict() for r in self.fault_records],
         }
-
-    def scrubbed_dict(self):
-        """``to_dict`` minus wall clocks -- the canonical-JSON-safe form."""
-        data = self.to_dict()
-        data["stage_seconds"] = {}
-        return data

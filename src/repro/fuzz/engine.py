@@ -1,13 +1,13 @@
 """The loop-until-dry differential fuzz driver.
 
 Rounds of seeded program generation fan out across the driver corpus --
-one job per driver column over the same supervised pool with serial
-fallback as the pipeline orchestrator and the validation matrix -- and
-every (program, driver, target OS) run is classified against the
-original binary.  The loop stops when ``dry_rounds``
-consecutive rounds produce **zero new coverage and zero new unexplained
-divergences** (or at the ``max_rounds`` safety bound): the sampled
-program space has gone dry under the current vocabulary.
+one job per driver column through the pipeline orchestrator's one
+fan-out (supervised pool, then per-column serial fallback), as the
+validation matrix does -- and every (program, driver, target OS) run is
+classified against the original binary.  The loop stops when
+``dry_rounds`` consecutive rounds produce **zero new coverage and zero
+new unexplained divergences** (or at the ``max_rounds`` safety bound):
+the sampled program space has gone dry under the current vocabulary.
 
 Coverage is behavioral, not just syntactic: besides the step-op unigrams
 and bigrams a round's programs exercise, every baseline observation is
@@ -17,7 +17,6 @@ bucketed wire/delivery/interrupt counts, link drops, error-log activity
 something no earlier round did.
 """
 
-import os
 import time
 from dataclasses import dataclass, field
 
@@ -137,32 +136,32 @@ class FuzzResult:
         }
 
 
-def _fuzz_column_worker(job, fault=None):
-    """Pool target: one driver's runs for one round's programs.
-
-    Same discipline as the matrix column worker: the worker builds its
-    own orchestrator over the shared store root, loads (or cold-computes
-    and persists) the driver artifact, and returns serialized results.
-    ``fault`` is the run-layer injection hook (worker-layer faults are
-    consumed by the pool worker before this function runs).
-    """
-    (driver, os_names, program_texts, strategy, script, store_root,
-     exec_backend) = job
-    from repro.faults.inject import maybe_raise_run_fault
-    from repro.pipeline.orchestrator import PipelineOrchestrator
-    from repro.pipeline.store import ArtifactStore
-
-    maybe_raise_run_fault(fault, "revnic")
-    store = ArtifactStore(store_root) if store_root else False
-    orchestrator = PipelineOrchestrator(store=store, parallel=False)
-    artifact = orchestrator.run(driver, strategy, script)
-    programs = [ScenarioProgram.from_json(text) for text in program_texts]
+def _program_column(artifact, os_names, programs, exec_backend):
+    """One driver's runs of ``programs`` plus the behavioral coverage
+    features of its baselines."""
     runs, baselines = run_program_column(artifact, os_names, programs,
                                          exec_backend=exec_backend)
     features = set()
-    for name, observation in baselines.items():
-        features |= observation_features(driver, observation)
-    return driver, [run.to_dict() for run in runs], sorted(features)
+    for observation in baselines.values():
+        features |= observation_features(artifact.name, observation)
+    return runs, features
+
+
+def _fuzz_column_worker(job, fault=None):
+    """Pool target: one driver's runs for one round's programs, encoded
+    (``job`` as :meth:`PipelineOrchestrator.column_jobs` builds it)."""
+    from repro.pipeline.orchestrator import column_artifact
+
+    os_names, program_texts, exec_backend = job[4:]
+    programs = [ScenarioProgram.from_json(text) for text in program_texts]
+    runs, features = _program_column(column_artifact(job, fault), os_names,
+                                     programs, exec_backend)
+    return [run.to_dict() for run in runs], sorted(features)
+
+
+def _decode_column(payload):
+    encoded, features = payload
+    return [ProgramRun.from_dict(run) for run in encoded], set(features)
 
 
 class FuzzEngine:
@@ -180,23 +179,17 @@ class FuzzEngine:
         """Fuzz until dry (or the round budget); returns a
         :class:`FuzzResult`.
 
-        ``faults`` maps driver name -> FaultSpec (chaos campaigns); the
-        supervised pool retries faulted columns, healthy columns keep
-        their pooled results, and unhealed columns fall back to serial
-        recomputation per driver.  The campaign-wide
-        :class:`ResilienceReport` lands on ``result.resilience``.
+        ``faults`` maps driver name -> FaultSpec (chaos campaigns).  The
+        campaign-wide :class:`ResilienceReport` of every round's fan-out
+        lands on ``result.resilience``.
         """
         from repro.faults.report import ResilienceReport
 
         config = self.config
         started = time.monotonic()
         report = ResilienceReport()
-        if parallel is None:
-            parallel = self.orchestrator.parallel \
-                and (os.cpu_count() or 1) > 1
         drivers = config.resolved_drivers()
         result = FuzzResult(config=config.to_dict(), resilience=report)
-        mode = "serial"
         dry_streak = 0
         seed_cursor = config.base_seed
         for round_index in range(config.max_rounds):
@@ -206,7 +199,7 @@ class FuzzEngine:
             round_runs, round_features, round_mode = self._run_round(
                 drivers, programs, parallel, faults, report)
             if round_mode == "parallel":
-                mode = "parallel"
+                result.mode = "parallel"
             for program in programs:
                 round_features |= program_features(program)
             new_features = round_features - result.coverage
@@ -229,84 +222,35 @@ class FuzzEngine:
                 dry_streak = 0
         else:
             result.stopped = "budget"
-        result.mode = mode
         result.wall_seconds = time.monotonic() - started
         return result
 
     # ------------------------------------------------------------------
 
     def _run_round(self, drivers, programs, parallel, faults, report):
-        """One round's (driver x program x OS) runs; pool when possible.
+        """One round's (driver x program x OS) runs, one fan-out job per
+        driver column; returns ``(runs, features, mode)``."""
+        config = self.config
+        jobs = self.orchestrator.column_jobs(
+            drivers, config.strategy, config.script, tuple(config.os_names),
+            tuple(p.to_json() for p in programs), config.exec_backend)
 
-        Fallback is per driver column: every column the pool completed
-        is kept, and only missing columns are recomputed serially (with
-        a recorded degradation when the pool had been attempted).
-        """
-        collected = {}
-        pool_attempted = parallel and len(drivers) > 1
-        if pool_attempted:
-            with report.stage_timer("pool"):
-                collected = self._run_pool(drivers, programs, faults,
-                                           report)
-        missing = [d for d in drivers if d not in collected]
-        if missing:
-            with report.stage_timer("serial"):
-                for driver in missing:
-                    if pool_attempted:
-                        report.record_degradation(
-                            "fuzz", "per-column serial fallback",
-                            job=driver)
-                        report.record_outcome(driver, "serial-fallback")
-                    artifact = self.orchestrator.run(
-                        driver, self.config.strategy, self.config.script)
-                    column, baselines = run_program_column(
-                        artifact, self.config.os_names, programs,
-                        exec_backend=self.config.exec_backend)
-                    features = set()
-                    for observation in baselines.values():
-                        features |= observation_features(driver,
-                                                         observation)
-                    collected[driver] = (column, features)
+        def serial(job, _fault):
+            artifact = self.orchestrator.run(job[0], config.strategy,
+                                             config.script)
+            return _program_column(artifact, config.os_names, programs,
+                                   config.exec_backend)
+
+        collected, mode = self.orchestrator.fan_out(
+            "fuzz", jobs, _fuzz_column_worker, _decode_column, serial,
+            report, parallel=parallel, faults=faults)
         runs = []
         features = set()
         for driver in drivers:
             column, column_features = collected[driver]
             runs.extend(column)
             features.update(column_features)
-        mode = "parallel" if pool_attempted and len(missing) < len(drivers) \
-            else "serial"
         return runs, features, mode
-
-    def _run_pool(self, drivers, programs, faults, report):
-        """Fan driver columns out across the supervised pool.
-
-        Returns ``{driver: (runs, features)}`` for every column that
-        completed (possibly after retries).  Columns the pool could not
-        heal (all of them when the pool was unavailable) are left to the
-        caller's per-column serial fallback.
-        """
-        from repro.pipeline.pool import SupervisedPool
-
-        store = self.orchestrator.store
-        store_root = store.root if store is not None else None
-        program_texts = tuple(p.to_json() for p in programs)
-        jobs = [(driver, tuple(self.config.os_names), program_texts,
-                 self.config.strategy, self.config.script, store_root,
-                 self.config.exec_backend) for driver in drivers]
-
-        def _validate(payload):
-            driver, encoded, features = payload
-            return driver, ([ProgramRun.from_dict(r) for r in encoded],
-                            set(features))
-
-        with SupervisedPool(_fuzz_column_worker,
-                            workers=self.orchestrator.max_workers,
-                            timeout=self.orchestrator.job_timeout,
-                            retries=self.orchestrator.retries) as pool:
-            results, _failures = pool.run(
-                jobs, labels=drivers, faults=faults, validate=_validate,
-                report=report)
-        return {driver: column for driver, column in results.values()}
 
 
 def run_fuzz(orchestrator=None, parallel=None, faults=None,

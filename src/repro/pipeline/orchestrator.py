@@ -16,15 +16,15 @@ Because runs are deterministic (interned expressions, seeded solver --
 see DESIGN.md), all three paths produce byte-identical canonical
 artifacts; tests assert this.
 
-Fan-out rides :class:`repro.pipeline.pool.SupervisedPool`: per-job
-timeout, bounded retry with deterministic backoff, and **per-job** serial
-fallback -- one crashed, hung or garbage-returning worker costs retries
-of that job only, never a serial recompute of healthy jobs, and every
-completed artifact is persisted before any fallback decision.  Each
-:meth:`warm` records how it survived in a
-:class:`~repro.faults.report.ResilienceReport`
-(:attr:`last_resilience`); a job that cannot be healed raises its
-classified error after recording a replayable
+Every per-driver fan-out -- this warm-up, the validation matrix's
+columns and the fuzzer's per-round columns -- is one method,
+:meth:`PipelineOrchestrator.fan_out`: the supervised pool
+(:class:`repro.pipeline.pool.SupervisedPool`: per-job timeout, bounded
+retry), then **per-job** serial fallback for whatever the pool did not
+finish, so one bad worker never costs healthy jobs a recompute.  Each
+fan-out records how it survived in a
+:class:`~repro.faults.report.ResilienceReport`; a job that fails even
+serially raises its classified error after recording a replayable
 :class:`~repro.faults.report.FaultRecord`.
 """
 
@@ -78,19 +78,57 @@ def execute_run(name, strategy="coverage", script="default",
 
 
 def _worker(job, fault=None):
-    """Supervised-pool target: compute one artifact, return its
-    serialized form.
-
-    Runs in a spawned interpreter; the JSON produced here is byte-for-byte
-    what the parent would produce in-process (determinism tests hold the
-    pipeline to that).  Worker-layer faults never reach this function
-    (the pool worker consumes them); run-layer faults pass through to
-    :func:`execute_run`.
-    """
+    """Supervised-pool target of :meth:`PipelineOrchestrator.warm`: one
+    artifact's JSON, byte-for-byte what the parent would produce
+    in-process (determinism tests hold the pipeline to that)."""
     name, strategy, script = job
     artifact = execute_run(name, strategy, script, source="worker",
                            fault=fault)
     return to_json(artifact)
+
+
+def column_artifact(job, fault):
+    """Worker-side prologue of a matrix or fuzz column job (``job`` as
+    :meth:`PipelineOrchestrator.column_jobs` builds it): the driver's
+    artifact, loaded -- or, cold, computed and persisted -- by a worker
+    orchestrator over the shared store root."""
+    from repro.faults.inject import maybe_raise_run_fault
+
+    driver, strategy, script, store_root = job[:4]
+    maybe_raise_run_fault(fault, "revnic")
+    store = ArtifactStore(store_root) if store_root else False
+    return PipelineOrchestrator(store=store, parallel=False).run(
+        driver, strategy, script)
+
+
+def _serial_job(stage, label, job, serial, pooled, spec, report):
+    """One job of :meth:`PipelineOrchestrator.fan_out`'s serial pass; a
+    job failing here has exhausted every healing layer, so it records a
+    classified, replayable :class:`FaultRecord` and re-raises."""
+    from repro.faults.report import FaultRecord
+
+    if pooled:
+        report.record_degradation(stage, "per-job serial fallback",
+                                  job=label)
+    attempt = report.jobs.get(label, {}).get("attempts", 0) + 1
+    fires = spec is not None and spec.layer == "run" \
+        and spec.fires_on(attempt)
+    run_fault = spec if fires else None
+    try:
+        result = serial(job, run_fault)
+    except ReproError as exc:
+        report.record_attempt(label, attempt, event="serial: %s: %s"
+                              % (type(exc).__name__, exc))
+        report.record_outcome(label, "failed")
+        report.record_fault(FaultRecord(
+            layer="run" if run_fault is not None else "serial",
+            kind=type(exc).__name__, job=label, error=str(exc),
+            seed=spec.params.get("seed") if spec is not None else None,
+            attempts=attempt))
+        raise
+    report.record_attempt(label, attempt)
+    report.record_outcome(label, "serial-fallback" if pooled else "serial")
+    return result
 
 
 class PipelineOrchestrator:
@@ -145,7 +183,7 @@ class PipelineOrchestrator:
         with every healthy artifact already persisted.
         """
         from repro.drivers import DRIVERS
-        from repro.faults.report import FaultRecord, ResilienceReport
+        from repro.faults.report import ResilienceReport
 
         names = sorted(DRIVERS) if names is None else list(names)
         report = ResilienceReport()
@@ -156,7 +194,7 @@ class PipelineOrchestrator:
             # Sweep publishes crashed mid-os.replace before we fan out
             # new writers over the same root.
             self.store.recover()
-        missing = []
+        missing = {}
         with report.stage_timer("load"):
             for name in names:
                 key = (name, strategy, script)
@@ -166,29 +204,29 @@ class PipelineOrchestrator:
                 if artifact is not None:
                     self._artifacts[key] = artifact
                 else:
-                    missing.append(key)
+                    missing[name] = key
 
-        if parallel is None:
-            # Fanning out only pays when there is real parallelism:
-            # spawn-per-worker interpreter start-up loses on one core.
-            parallel = self.parallel and (os.cpu_count() or 1) > 1
+        def accept(payload):
+            # Persist the worker's bytes as-is: re-encoding in the parent
+            # would force the (lazy) trace decode and produce identical
+            # JSON anyway.
+            artifact = from_json(payload, source="worker")
+            key = missing[artifact.name]
+            if self.store is not None:
+                self.store.save_json(self._disk_key(*key), payload)
+            self._artifacts[key] = artifact
+            return artifact
+
+        def serial(key, fault):
+            artifact = execute_run(*key, fault=fault)
+            self._store_artifact(key, artifact)
+            self._artifacts[key] = artifact
+            return artifact
+
         mode = "cached"
         if missing:
-            mode = "serial"
-            pooled = set()
-            pool_attempted = parallel and len(missing) > 1
-            if pool_attempted:
-                with report.stage_timer("pool"):
-                    pooled = self._run_pool(missing, faults=faults,
-                                            report=report)
-                if pooled:
-                    mode = "parallel"
-            leftovers = [key for key in missing
-                         if key not in self._artifacts]
-            if leftovers:
-                with report.stage_timer("serial"):
-                    self._run_serial(leftovers, faults, report,
-                                     degraded=pool_attempted)
+            mode = self.fan_out("warm", missing, _worker, accept, serial,
+                                report, parallel=parallel, faults=faults)[1]
         self.last_warm_seconds = time.monotonic() - started
         self.last_warm_mode = mode
         if store_before is not None:
@@ -207,79 +245,65 @@ class PipelineOrchestrator:
 
     # ------------------------------------------------------------------
 
-    def _run_pool(self, jobs, faults=None, report=None):
-        """Fan ``jobs`` out over the supervised pool.
+    def column_jobs(self, drivers, strategy, script, *args):
+        """``{driver: job}`` for :func:`column_artifact` workers: each job
+        is ``(driver, strategy, script, store_root) + args``."""
+        store_root = self.store.root if self.store is not None else None
+        return {driver: (driver, strategy, script, store_root) + args
+                for driver in drivers}
 
-        Persists and caches every artifact the pool completes -- as each
-        job finishes, independently of any other job's fate -- and
-        returns the set of completed job keys.  Jobs the pool could not
-        heal (and pool-level unavailability) are left to the caller's
-        per-job serial fallback.
+    def fan_out(self, stage, jobs, worker, validate, serial, report,
+                parallel=None, faults=None):
+        """Run ``jobs`` (``{label: job}``) on the supervised pool, then
+        serially whatever the pool did not finish.
+
+        ``worker(job, fault)`` is the module-level pool target and
+        ``validate(payload)`` turns its reply into a result (raising on
+        garbage).  ``serial(job, fault)`` computes one job in this
+        process; ``fault`` is the run-layer spec from ``faults`` that
+        fires on that attempt, which the caller may inject or ignore.
+        A serial job after an attempted pool is recorded as a ``stage``
+        degradation with outcome ``"serial-fallback"``.  Returns
+        ``({label: result}, mode)``, ``mode`` being ``"parallel"`` when
+        the pool finished any job and ``"serial"`` otherwise.
         """
+        from repro.faults.report import ResilienceReport
         from repro.pipeline.pool import SupervisedPool
 
-        def _validate(payload):
-            # Persist the worker's bytes as-is: re-encoding in the parent
-            # would force the (lazy) trace decode and produce identical
-            # JSON anyway.
-            return payload, from_json(payload, source="worker")
-
-        with SupervisedPool(_worker, workers=self.max_workers,
-                            timeout=self.job_timeout,
-                            retries=self.retries) as pool:
-            results, _failures = pool.run(
-                jobs, labels=[job[0] for job in jobs], faults=faults,
-                validate=_validate, report=report)
-        completed = set()
-        for index, (text, artifact) in sorted(results.items()):
-            job = jobs[index]
-            if self.store is not None:
-                self.store.save_json(self._disk_key(*job), text)
-            self._artifacts[job] = artifact
-            completed.add(job)
-        return completed
-
-    def _run_serial(self, jobs, faults, report, degraded):
-        """Per-job serial fallback (or plain serial warm-up).
-
-        A job that fails here has exhausted every healing layer: record a
-        classified, replayable :class:`FaultRecord` and re-raise --
-        loudly -- leaving all other artifacts computed and persisted.
-        """
-        from repro.faults.report import FaultRecord
-
-        for key in jobs:
-            name = key[0]
-            if degraded:
-                report.record_degradation("warm",
-                                          "per-job serial fallback",
-                                          job=name)
-            spec = (faults or {}).get(name)
-            attempt = report.jobs.get(name, {}).get("attempts", 0) + 1
-            run_fault = None
-            if spec is not None and spec.layer == "run" \
-                    and spec.fires_on(attempt):
-                run_fault = spec
-            try:
-                artifact = execute_run(*key, fault=run_fault)
-            except ReproError as exc:
-                report.record_attempt(name, attempt,
-                                      event="serial: %s: %s"
-                                      % (type(exc).__name__, exc))
-                report.record_outcome(name, "failed")
-                report.record_fault(FaultRecord(
-                    layer="run" if run_fault is not None else "serial",
-                    kind=type(exc).__name__, job=name, error=str(exc),
-                    seed=getattr(spec, "params", {}).get("seed")
-                    if spec is not None else None,
-                    attempts=attempt))
-                raise
-            self._store_artifact(key, artifact)
-            self._artifacts[key] = artifact
-            report.record_attempt(name, attempt)
-            report.record_outcome(name,
-                                  "serial-fallback" if degraded
-                                  else "serial")
+        if parallel is None:
+            # Fanning out only pays when there is real parallelism:
+            # spawn-per-worker interpreter start-up loses on one core.
+            parallel = self.parallel and (os.cpu_count() or 1) > 1
+        labels = list(jobs)
+        pooled = parallel and len(labels) > 1
+        faults = faults or {}
+        # This fan-out's own accounting, folded into ``report`` at the
+        # end: serial attempt numbers continue from this pool's attempts,
+        # not from earlier fan-outs sharing the same report.
+        local = ResilienceReport()
+        results = {}
+        try:
+            if pooled:
+                with local.stage_timer("pool"), SupervisedPool(
+                        worker, workers=self.max_workers,
+                        timeout=self.job_timeout,
+                        retries=self.retries) as pool:
+                    done, _failures = pool.run(
+                        [jobs[label] for label in labels], labels=labels,
+                        faults=faults, validate=validate, report=local)
+                results = {labels[index]: value
+                           for index, value in done.items()}
+            mode = "parallel" if results else "serial"
+            leftovers = [label for label in labels if label not in results]
+            if leftovers:
+                with local.stage_timer("serial"):
+                    for label in leftovers:
+                        results[label] = _serial_job(
+                            stage, label, jobs[label], serial, pooled,
+                            faults.get(label), local)
+        finally:
+            report.merge(local)
+        return results, mode
 
     def _load_cached(self, name, strategy, script):
         if self.store is None:

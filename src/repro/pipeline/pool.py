@@ -178,26 +178,20 @@ class SupervisedPool:
 
     # -- batch execution -----------------------------------------------
 
-    def run(self, jobs, labels=None, faults=None, validate=None,
-            report=None):
+    def run(self, jobs, labels, faults, validate, report):
         """Run every job; returns ``(results, failures)``.
 
-        ``validate`` (payload -> value, raising on garbage) gates every
-        result; ``faults`` maps job label -> :class:`FaultSpec` (only
-        worker- and run-layer specs are delivered).  ``results`` maps job
+        ``labels`` names each job in ``report`` and keys ``faults``
+        (label -> :class:`FaultSpec`; only worker- and run-layer specs
+        are delivered).  ``validate`` (payload -> value,
+        raising on garbage) gates every result.  ``results`` maps job
         index to the validated value, ``failures`` maps every other index
         to a classification string -- the caller owns their per-job
         serial fallback.  When no worker can be started, the pool records
         a ``"pool"`` degradation and hands every unfinished job back as
         ``"unavailable"``.
         """
-        from repro.faults.report import ResilienceReport
-
-        if report is None:
-            report = ResilienceReport()
         count = len(jobs)
-        labels = list(labels) if labels else [str(i) for i in range(count)]
-        faults = faults or {}
         if not self._procs:
             self.workers = max(1, int(self.workers
                                       or min(count, os.cpu_count() or 1)))
@@ -281,7 +275,7 @@ class SupervisedPool:
                     fail_attempt(index, "error", payload)
                     return True
                 try:
-                    value = validate(payload) if validate else payload
+                    value = validate(payload)
                 except Exception as exc:
                     report.garbage_results += 1
                     fail_attempt(index, "garbage", str(exc))

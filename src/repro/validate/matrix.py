@@ -20,17 +20,16 @@ Cell semantics:
 
 Each cell also carries its *expectation*; an **unexplained** divergence is
 any behavioral mismatch, or an unsupported result where equivalence was
-expected.  The matrix fans out across the same supervised pool as the
-pipeline orchestrator (:class:`repro.pipeline.pool.SupervisedPool`:
-per-job timeout, bounded retry, classified failures) -- one job per
-driver column, each loading (or, cold, computing and storing) its
-artifact from the shared on-disk store -- with **per-column** serial
-fallback: one misbehaving column never forces healthy columns to
+expected.  The matrix runs one job per driver column through the
+pipeline orchestrator's one fan-out
+(:meth:`repro.pipeline.orchestrator.PipelineOrchestrator.fan_out`:
+supervised pool, then per-column serial fallback), each column loading
+(or, cold, computing and storing) its artifact from the shared on-disk
+store: one misbehaving column never forces healthy columns to
 recompute.  Every run records how it survived in
 :attr:`MatrixResult.resilience`.
 """
 
-import os
 import time
 from dataclasses import dataclass, field
 
@@ -220,25 +219,14 @@ def compute_column(artifact, os_names, scenario_names, exec_backend=None):
 
 
 def _column_worker(job, fault=None):
-    """Supervised-pool target: one driver's whole matrix column.
+    """Supervised-pool target: one driver's whole matrix column, encoded
+    (``job`` as :meth:`PipelineOrchestrator.column_jobs` builds it)."""
+    from repro.pipeline.orchestrator import column_artifact
 
-    The worker builds its own orchestrator over the shared store root:
-    warm runs load the artifact in milliseconds, cold runs compute it here
-    (that *is* the parallel cold matrix) and persist it for everyone else.
-    """
-    (driver, os_names, scenario_names, strategy, script, store_root,
-     exec_backend) = job
-    from repro.faults.inject import maybe_raise_run_fault
-    from repro.pipeline.orchestrator import PipelineOrchestrator
-    from repro.pipeline.store import ArtifactStore
-
-    maybe_raise_run_fault(fault, "revnic")
-    store = ArtifactStore(store_root) if store_root else False
-    orchestrator = PipelineOrchestrator(store=store, parallel=False)
-    artifact = orchestrator.run(driver, strategy, script)
-    column = compute_column(artifact, os_names, scenario_names,
-                            exec_backend=exec_backend)
-    return driver, [cell.to_dict() for cell in column]
+    os_names, scenario_names, exec_backend = job[4:]
+    column = compute_column(column_artifact(job, fault), os_names,
+                            scenario_names, exec_backend=exec_backend)
+    return [cell.to_dict() for cell in column]
 
 
 class ValidationMatrix:
@@ -263,40 +251,30 @@ class ValidationMatrix:
     def run(self, parallel=None, faults=None):
         """Compute the full matrix; returns a :class:`MatrixResult`.
 
-        ``faults`` maps driver name -> FaultSpec (chaos campaigns); the
-        supervised pool retries faulted columns and any column it cannot
-        heal falls back to serial recomputation -- per column, with every
-        healthy column's pooled result kept.
+        One fan-out job per driver column; ``faults`` maps driver name ->
+        FaultSpec (chaos campaigns).
         """
         from repro.faults.report import ResilienceReport
 
         started = time.monotonic()
         report = ResilienceReport()
-        if parallel is None:
-            parallel = self.orchestrator.parallel \
-                and (os.cpu_count() or 1) > 1
-        columns = {}
-        pool_attempted = parallel and len(self.drivers) > 1
-        if pool_attempted:
-            with report.stage_timer("pool"):
-                columns = self._run_pool(faults, report)
-        mode = "parallel" if columns else "serial"
-        missing = [d for d in self.drivers if d not in columns]
-        if missing:
-            with report.stage_timer("serial"):
-                artifacts = self.orchestrator.warm(missing, self.strategy,
-                                                   self.script,
-                                                   parallel=False)
-                for name in missing:
-                    if pool_attempted:
-                        report.record_degradation(
-                            "matrix", "per-column serial fallback",
-                            job=name)
-                        report.record_outcome(name, "serial-fallback")
-                    columns[name] = compute_column(
-                        artifacts[name], self.os_names,
-                        self.scenario_names,
-                        exec_backend=self.exec_backend)
+        jobs = self.orchestrator.column_jobs(
+            self.drivers, self.strategy, self.script, tuple(self.os_names),
+            tuple(self.scenario_names), self.exec_backend)
+
+        def serial(job, _fault):
+            artifact = self.orchestrator.run(job[0], self.strategy,
+                                             self.script)
+            return compute_column(artifact, self.os_names,
+                                  self.scenario_names,
+                                  exec_backend=self.exec_backend)
+
+        def decode(payload):
+            return [CellResult.from_dict(cell) for cell in payload]
+
+        columns, mode = self.orchestrator.fan_out(
+            "matrix", jobs, _column_worker, decode, serial, report,
+            parallel=parallel, faults=faults)
         cells = {}
         for driver in self.drivers:
             for cell in columns[driver]:
@@ -306,36 +284,6 @@ class ValidationMatrix:
                             scenario_names=list(self.scenario_names),
                             wall_seconds=time.monotonic() - started,
                             mode=mode, resilience=report)
-
-    def _run_pool(self, faults, report):
-        """Fan driver columns out across the supervised pool.
-
-        Returns the columns that completed (possibly after retries) --
-        never discarding healthy columns because another column failed.
-        Columns the pool could not heal (all of them when the pool was
-        unavailable) are left to the caller's per-column serial fallback.
-        """
-        from repro.pipeline.pool import SupervisedPool
-
-        store = self.orchestrator.store
-        store_root = store.root if store is not None else None
-        jobs = [(driver, tuple(self.os_names), tuple(self.scenario_names),
-                 self.strategy, self.script, store_root, self.exec_backend)
-                for driver in self.drivers]
-
-        def _validate(payload):
-            driver, encoded = payload
-            return driver, [CellResult.from_dict(c) for c in encoded]
-
-        with SupervisedPool(_column_worker,
-                            workers=self.orchestrator.max_workers,
-                            timeout=self.orchestrator.job_timeout,
-                            retries=self.orchestrator.retries) as pool:
-            results, _failures = pool.run(
-                jobs, labels=self.drivers, faults=faults,
-                validate=_validate, report=report)
-        return {driver: column
-                for driver, column in results.values()}
 
 
 def run_matrix(orchestrator=None, parallel=None, **kwargs):

@@ -270,12 +270,11 @@ class TestResilienceReport:
         assert len(first.degradations) == 1
         assert not first.healed()
 
-    def test_scrubbed_dict_drops_wall_clock(self):
+    def test_stage_timer_records_wall_clock(self):
         report = ResilienceReport()
         with report.stage_timer("load"):
             pass
         assert report.to_dict()["stage_seconds"]
-        assert report.scrubbed_dict()["stage_seconds"] == {}
         # round-trips through JSON (the fuzz artifact embeds it)
         assert json.loads(json.dumps(report.to_dict()))
 

@@ -152,6 +152,77 @@ class TestDeterminism:
             assert all(a.source == "worker" for a in fresh.values())
 
 
+#: Two quick-script drivers, so each fan-out has two jobs to pool.
+FAN_OUT_DRIVERS = ["rtl8029", "smc91c111"]
+
+
+def _warm(parallel, faults=None):
+    # A storeless orchestrator: every driver is missing, so warm-up fans
+    # its pipelines out instead of loading them.
+    orchestrator = PipelineOrchestrator(store=False)
+    artifacts = orchestrator.warm(FAN_OUT_DRIVERS, script="quick",
+                                  parallel=parallel, faults=faults)
+    return ({name: canonical_json(artifact)
+             for name, artifact in artifacts.items()},
+            orchestrator.last_resilience)
+
+
+def _matrix(parallel, faults=None):
+    from repro.validate import ValidationMatrix
+
+    result = ValidationMatrix(orchestrator=get_cache(),
+                              drivers=FAN_OUT_DRIVERS, os_names=["linsim"],
+                              scenarios=["udp_stream"], script="quick") \
+        .run(parallel=parallel, faults=faults)
+    return ({key: cell.to_dict() for key, cell in result.cells.items()},
+            result.resilience)
+
+
+def _fuzz(parallel, faults=None, max_rounds=1, drivers=FAN_OUT_DRIVERS):
+    from repro.fuzz import canonical_fuzz_json, run_fuzz
+
+    result = run_fuzz(orchestrator=get_cache(), parallel=parallel,
+                      faults=faults, drivers=tuple(drivers),
+                      os_names=("linsim",), programs_per_round=1,
+                      max_rounds=max_rounds, dry_rounds=max_rounds,
+                      script="quick")
+    return canonical_fuzz_json(result), result.resilience
+
+
+class TestFanOut:
+    """The one supervised fan-out behind warm-up, the matrix and the
+    fuzzer: pool first, then per-job serial fallback."""
+
+    @pytest.mark.parametrize("stage", ["warm", "matrix", "fuzz"])
+    def test_all_failing_in_pool_fall_back_serially(self, stage):
+        # Every job fails in the pool (persistent garbage), so none comes
+        # back; each serial recompute must still be recorded.
+        from repro.faults import FaultSpec
+        from repro.faults.plan import PERSISTENT
+
+        run = {"warm": _warm, "matrix": _matrix, "fuzz": _fuzz}[stage]
+        garbage = FaultSpec(layer="worker", kind="garbage",
+                            attempts=PERSISTENT)
+        faulted, report = run(True, {name: garbage
+                                     for name in FAN_OUT_DRIVERS})
+        serial, _report = run(False)
+        assert [report.jobs[name]["outcome"] for name in FAN_OUT_DRIVERS] \
+            == ["serial-fallback", "serial-fallback"]
+        assert [(d["stage"], d["job"]) for d in report.degradations] \
+            == [(stage, name) for name in FAN_OUT_DRIVERS]
+        assert report.garbage_results > 0
+        assert faulted == serial
+
+    def test_serial_fuzz_rounds_count_no_retries(self):
+        # One report spans every round; a serial attempt is numbered
+        # within its own round's fan-out, never after earlier rounds.
+        _canonical, report = _fuzz(False, max_rounds=3,
+                                   drivers=["rtl8029"])
+        assert report.retries == 0
+        assert report.jobs["rtl8029"]["outcome"] == "serial"
+        assert report.jobs["rtl8029"]["attempts"] == 3
+
+
 class TestStore:
     def test_cache_round_trip_is_byte_identical(self, tmp_path,
                                                 artifacts):
@@ -204,8 +275,7 @@ class TestStore:
 
     def test_warm_session_loads_not_runs(self, tmp_path, artifacts):
         """Second-session behaviour: with a populated store, warm-up is
-        cache loads only (measured < 1s on the reference machine; the
-        assertion carries slack for loaded CI runners)."""
+        cache loads only."""
         store = ArtifactStore(str(tmp_path))
         first = PipelineOrchestrator(store=store)
         for name, artifact in artifacts.items():
@@ -214,7 +284,6 @@ class TestStore:
         warmed = second.warm()
         assert second.last_warm_mode == "cached"
         assert all(a.source == "disk-cache" for a in warmed.values())
-        assert second.last_warm_seconds < 3.0
         for name in ALL:
             assert canonical_json(warmed[name]) \
                 == canonical_json(artifacts[name]), name

@@ -142,31 +142,3 @@ class TestMatrix:
         text = validation_matrix_render(result)
         assert "rtl8029" in text and "winsim" in text
         assert "UNEXPLAINED" not in text
-
-    def test_columns_all_failing_in_pool_record_serial_fallback(self):
-        # Every column fails in the pool (persistent garbage), so none
-        # comes back; the serial recompute must still be recorded.
-        from repro.faults import FaultSpec
-        from repro.faults.plan import PERSISTENT
-
-        drivers = ["rtl8029", "smc91c111"]
-        garbage = FaultSpec(layer="worker", kind="garbage",
-                            attempts=PERSISTENT)
-
-        def matrix():
-            return ValidationMatrix(orchestrator=get_cache(),
-                                    drivers=drivers, os_names=["linsim"],
-                                    scenarios=["udp_stream"],
-                                    script="quick")
-
-        faulted = matrix().run(parallel=True,
-                               faults={name: garbage for name in drivers})
-        serial = matrix().run(parallel=False)
-        report = faulted.resilience
-        assert [report.jobs[name]["outcome"] for name in drivers] \
-            == ["serial-fallback", "serial-fallback"]
-        assert [(d["stage"], d["job"]) for d in report.degradations] \
-            == [("matrix", name) for name in drivers]
-        assert report.garbage_results > 0
-        assert {key: cell.to_dict() for key, cell in faulted.cells.items()} \
-            == {key: cell.to_dict() for key, cell in serial.cells.items()}

@@ -23,11 +23,16 @@ cold store is filled once)::
                                without wall_seconds),
               "fabric": sha256(canonical_fabric_json of the batched,
                                compiled 64-endpoint saturation fleet,
-                               seed 7)}}
+                               seed 7),
+              "fuzz": sha256(canonical_fuzz_json of a serial two-round
+                             campaign from the CI fuzz job's seed,
+                             base_seed 12648430, 3 programs a round)}}
 
-These are the same documents the benchmark's ``matrix_warm`` and
-``fabric_saturation`` passes digest, so a change to the guest VM can
-show its matrix observations and fabric reports are byte-identical.
+The matrix and fabric documents are the ones the benchmark's
+``matrix_warm`` and ``fabric_saturation`` passes digest, so a change to
+the guest VM can show its matrix observations and fabric reports are
+byte-identical; the fuzz digest covers the differential fuzzer's
+campaign bytes the same way.
 
 Usage:
     PYTHONPATH=src python tools/artifact_digests.py [--warm] [--out FILE]
@@ -46,9 +51,12 @@ import os
 import subprocess
 import sys
 
-WARM_SECTIONS = ("fabric", "matrix")
+WARM_SECTIONS = ("fabric", "fuzz", "matrix")
 FABRIC_ENDPOINTS = 64
 FABRIC_SEED = 7
+#: The CI fuzz job's campaign, cut to two rounds.
+FUZZ_CAMPAIGN = {"base_seed": 12648430, "programs_per_round": 3,
+                 "max_rounds": 2}
 
 
 def _sha256(text):
@@ -69,8 +77,8 @@ def driver_digests(name):
 
 
 def warm_digest(section):
-    """Digest of one warm ``section`` (``matrix`` or ``fabric``),
-    computed in-process over the default artifact store."""
+    """Digest of one warm ``section`` (``matrix``, ``fabric`` or
+    ``fuzz``), computed in-process over the default artifact store."""
     from repro.pipeline.orchestrator import PipelineOrchestrator
 
     orchestrator = PipelineOrchestrator(parallel=False)
@@ -82,6 +90,13 @@ def warm_digest(section):
             parallel=False).summary()
         summary.pop("wall_seconds")
         return _sha256(json.dumps(summary, sort_keys=True))
+    if section == "fuzz":
+        from repro.fuzz.artifact import canonical_fuzz_json
+        from repro.fuzz.engine import run_fuzz
+
+        result = run_fuzz(orchestrator=orchestrator, parallel=False,
+                          **FUZZ_CAMPAIGN)
+        return _sha256(canonical_fuzz_json(result))
     from repro.net.fabric import build_workload, canonical_fabric_json, \
         run_fleet
 
@@ -139,8 +154,9 @@ def main(argv=None):
     parser.add_argument("--check", metavar="FILE",
                         help="compare against digests written earlier")
     parser.add_argument("--warm", action="store_true",
-                        help="digest the warm validation matrix and "
-                             "fabric instead of the driver artifacts")
+                        help="digest the warm validation matrix, fabric "
+                             "and fuzz campaign instead of the driver "
+                             "artifacts")
     parser.add_argument("--driver", help=argparse.SUPPRESS)
     parser.add_argument("--warm-section", choices=WARM_SECTIONS,
                         help=argparse.SUPPRESS)
