@@ -3,12 +3,11 @@
 The paper (section 3.2) claims its coverage-driven state selection "speeds
 up exploration, compared to depth-first search (which can get stuck in
 polling loops) or breadth-first search (which can take a long time to
-complete a complex entry point)".  This bench runs RevNIC under all three
+complete a complex entry point)".  This test runs RevNIC under all three
 strategies with the same block budget and compares final coverage.
 """
 
 import pytest
-from conftest import run_once
 
 from repro.drivers import build_driver, device_class
 from repro.revnic import RevNic, RevNicConfig
@@ -29,19 +28,16 @@ def explore(strategy):
 
 
 @pytest.mark.parametrize("strategy", ["coverage", "dfs", "bfs"])
-def test_strategy(benchmark, strategy):
-    fraction, stats = run_once(benchmark, explore, strategy)
+def test_strategy(strategy):
+    fraction, stats = explore(strategy)
     print("\n%s: %.1f%% coverage, %d blocks, %d solver queries"
           % (strategy, 100 * fraction, stats["blocks_executed"],
              stats["solver_queries"]))
     assert fraction > 0.20
 
 
-def test_coverage_strategy_wins(benchmark):
-    def compare():
-        return {s: explore(s)[0] for s in ("coverage", "dfs", "bfs")}
-
-    results = run_once(benchmark, compare)
+def test_coverage_strategy_wins():
+    results = {s: explore(s)[0] for s in ("coverage", "dfs", "bfs")}
     print("\nfinal coverage under equal budget:", {
         k: "%.1f%%" % (100 * v) for k, v in results.items()})
     # The paper's heuristic should match or beat both baselines under the

@@ -2,11 +2,9 @@
 
 Without killing states that re-execute polling-loop iterations, symbolic
 execution floods the scheduler with near-identical states (paper section
-3.2).  This bench compares state churn with the killer on vs (effectively)
+3.2).  This test compares state churn with the killer on vs (effectively)
 off.
 """
-
-from conftest import run_once
 
 from repro.drivers import build_driver, device_class
 from repro.revnic import RevNic, RevNicConfig
@@ -24,13 +22,9 @@ def explore(loop_kill_threshold):
     return result
 
 
-def test_loop_killer_bounds_state_growth(benchmark):
-    def compare():
-        with_killer = explore(loop_kill_threshold=8)
-        without_killer = explore(loop_kill_threshold=10_000)
-        return with_killer, without_killer
-
-    with_killer, without_killer = run_once(benchmark, compare)
+def test_loop_killer_bounds_state_growth():
+    with_killer = explore(loop_kill_threshold=8)
+    without_killer = explore(loop_kill_threshold=10_000)
     blocks_with = with_killer.stats["blocks_executed"]
     blocks_without = without_killer.stats["blocks_executed"]
     print("\nblocks: killer=%d, no-killer=%d; coverage: %.1f%% vs %.1f%%"

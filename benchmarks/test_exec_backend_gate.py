@@ -1,7 +1,6 @@
-"""Benchmark gate: the compiled execution tier beats the interpreters.
+"""Benchmark gate: the compiled execution tier matches the interpreters.
 
-Two experiments, both landing under ``exec_backend`` in
-``BENCH_pipeline.json``:
+Two experiments:
 
 * **original-binary matrix column** -- one driver's full workload catalog
   on the source-OS harness (the baseline side of a validation-matrix
@@ -13,9 +12,9 @@ Two experiments, both landing under ``exec_backend`` in
   tree-walking IR interpreter and through compiled blocks.  Same
   behaviour and perf counters; the compiled side runs compiled blocks.
 
-Both sides' wall clocks are recorded, not gated (the observed margins
-are ~1.5x on the binary column and ~3x on the synthesized run); the
-gates are the deterministic ``exec_counters()`` block-run count.
+The gates are the deterministic ``exec_counters()`` block-run count;
+how much faster the compiled tier is belongs to ``perfbench/`` (see
+``perfbench/README.md``).
 """
 
 from repro.drivers import device_class
@@ -26,15 +25,9 @@ from repro.templates import DmaNicTemplate
 from repro.validate.observe import OriginalDut
 from repro.validate.scenarios import SCENARIOS, run_scenario
 
-from conftest import best_of, update_bench
-
 
 MAC = b"\x52\x54\x00\xAA\xBB\xCC"
 PEER = b"\x02\x00\x00\x00\x00\x01"
-
-#: Accumulated across the tests in this module; merged into the bench
-#: report as each test completes, so partial runs still record.
-_RECORD = {}
 
 
 def _run_column(backend):
@@ -50,23 +43,13 @@ def _block_runs():
     return exec_counters()["block_runs"]
 
 
-def test_original_binary_column_compiled_faster(cache):
-    interpreted, obs_step = best_of(2, lambda: _run_column("step"))
+def test_original_binary_column_compiled_identical_and_dispatched(cache):
+    obs_step = _run_column("step")
     before = _block_runs()
-    compiled, obs_compiled = best_of(2, lambda: _run_column("compiled"))
+    obs_compiled = _run_column("compiled")
     block_runs = _block_runs() - before
     assert obs_step == obs_compiled, \
         "execution tier changed observable behaviour"
-    _RECORD["matrix_column"] = {
-        "driver": "rtl8029",
-        "side": "original-binary",
-        "scenarios": len(SCENARIOS),
-        "interpreted_seconds": round(interpreted, 3),
-        "compiled_seconds": round(compiled, 3),
-        "speedup": round(interpreted / compiled, 2),
-        "compiled_block_runs": block_runs,
-    }
-    update_bench("exec_backend", _RECORD)
     assert block_runs > 0, "the compiled DBT tier ran no compiled block"
 
 
@@ -95,39 +78,20 @@ def _run_synthesized(artifact, backend, packets=60):
     }
 
 
-def test_synthesized_rtl8139_run_compiled_faster(cache):
+def test_synthesized_rtl8139_run_compiled_identical_and_dispatched(cache):
     artifact = cache.run("rtl8139")
-    interpreted, out_interp = best_of(
-        2, lambda: _run_synthesized(artifact, "interp"))
+    out_interp = _run_synthesized(artifact, "interp")
     before = _block_runs()
-    compiled, out_compiled = best_of(
-        2, lambda: _run_synthesized(artifact, "compiled"))
+    out_compiled = _run_synthesized(artifact, "compiled")
     block_runs = _block_runs() - before
     assert out_interp == out_compiled, \
         "execution tier changed synthesized-driver behaviour or counters"
-    _RECORD["synthesized_run"] = {
-        "driver": "rtl8139",
-        "target_os": "winsim",
-        "packets": 60,
-        "interpreted_seconds": round(interpreted, 3),
-        "compiled_seconds": round(compiled, 3),
-        "speedup": round(interpreted / compiled, 2),
-        "compiled_block_runs": block_runs,
-    }
-    update_bench("exec_backend", _RECORD)
     assert block_runs > 0, "the synthesized driver ran no compiled block"
 
 
 def test_symex_fast_path_share_recorded(cache):
     """The concrete fast path carries a meaningful share of symbolic-phase
-    blocks for every driver; record the shares next to the gate."""
-    shares = {}
+    blocks for every driver."""
     for artifact in cache.all_drivers():
         stats = artifact.stats
-        shares[artifact.name] = {
-            "fast_blocks": stats["exec_fast_blocks"],
-            "blocks_executed": stats["blocks_executed"],
-        }
         assert 0 < stats["exec_fast_blocks"] < stats["blocks_executed"]
-    _RECORD["symex_fast_path"] = shares
-    update_bench("exec_backend", _RECORD)

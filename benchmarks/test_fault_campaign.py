@@ -1,13 +1,11 @@
-"""Benchmark gate: the chaos fault campaign and its recovery overhead.
+"""Benchmark gate: the chaos fault campaign.
 
 Runs handcrafted fault schedules -- a worker kill healed by in-pool
 retry, store corruption healed by quarantine + recompute, and a
-persistent run fault that must fail loudly -- and lands a
-``fault_campaign`` section in ``BENCH_pipeline.json``: the fault-free
-baseline warm time next to each schedule's wall clock (recovery
-overhead), plus the absorbed-fault counters.  The schedules are explicit
-rather than generator-drawn so the bench exercises every fault layer on
-every run, deterministically.
+persistent run fault that must fail loudly -- and checks the absorbed-
+fault counters each schedule leaves in its resilience report.  The
+schedules are explicit rather than generator-drawn so the test exercises
+every fault layer on every run, deterministically.
 
 The gate is the robustness acceptance bar itself: every schedule ends
 loud-or-identical (:class:`ChaosInvariantError` otherwise fails the
@@ -17,8 +15,6 @@ faulted job never forces a serial recompute of healthy jobs.
 
 from repro.faults.campaign import ChaosCampaign
 from repro.faults.plan import PERSISTENT, FaultPlan, FaultSpec
-
-from conftest import update_bench
 
 
 #: Two quick-script drivers keep the cold recomputes affordable while
@@ -43,9 +39,9 @@ PLANS = (
 )
 
 
-def test_fault_campaign_recovery_overhead():
-    """Every schedule ends loud-or-identical; recovery overhead vs the
-    fault-free warm is recorded in the bench report."""
+def test_fault_campaign_heals_or_fails_loudly():
+    """Every schedule ends loud-or-identical, and each absorbed fault is
+    counted in its schedule's resilience report."""
     campaign = ChaosCampaign(drivers=DRIVERS, script="quick",
                              job_timeout=30.0)
     try:
@@ -89,24 +85,3 @@ def test_fault_campaign_recovery_overhead():
     # ...that still left the healthy driver's artifact computed
     assert faulted.resilience["jobs"]["rtl8029"]["outcome"] in (
         "pool", "serial-fallback")
-
-    baseline = summary["baseline_seconds"]
-    update_bench("fault_campaign", {
-        "drivers": list(DRIVERS),
-        "script": "quick",
-        "baseline_seconds": baseline,
-        "schedules": [
-            {"seed": o.seed,
-             "verdict": o.verdict,
-             "wall_seconds": round(o.wall_seconds, 3),
-             "overhead_x": round(o.wall_seconds / baseline, 2)
-             if baseline else None,
-             "retries": o.resilience.get("retries", 0),
-             "timeouts": o.resilience.get("timeouts", 0),
-             "worker_crashes": o.resilience.get("worker_crashes", 0),
-             "garbage_results": o.resilience.get("garbage_results", 0),
-             "quarantined": o.resilience.get("quarantined", 0),
-             "recovered_tmp": o.resilience.get("recovered_tmp", 0)}
-            for o in report.outcomes],
-        "summary": summary,
-    })

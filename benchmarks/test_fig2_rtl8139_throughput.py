@@ -1,12 +1,10 @@
 """Bench F2: RTL8139 throughput on x86 (Figure 2)."""
 
-from conftest import run_once
-
 from repro.eval.figures import fig2_compute, render_throughput
 
 
-def test_fig2(benchmark, cache):
-    series = run_once(benchmark, fig2_compute, cache=cache)
+def test_fig2(cache):
+    series = fig2_compute(cache=cache)
     print()
     print(render_throughput(series, "Figure 2: RTL8139 throughput on x86"))
 

@@ -1,12 +1,10 @@
 """Bench F3: RTL8139 CPU utilization on x86 (Figure 3)."""
 
-from conftest import run_once
-
 from repro.eval.figures import fig3_compute, render_utilization
 
 
-def test_fig3(benchmark, cache):
-    series = run_once(benchmark, fig3_compute, cache=cache)
+def test_fig3(cache):
+    series = fig3_compute(cache=cache)
     print()
     print(render_utilization(series,
                              "Figure 3: CPU utilization for RTL8139"))

@@ -1,12 +1,10 @@
 """Bench F4: 91C111 throughput ported Windows -> uC/OS-II FPGA (Fig 4)."""
 
-from conftest import run_once
-
 from repro.eval.figures import fig4_compute, render_throughput
 
 
-def test_fig4(benchmark, cache):
-    series = run_once(benchmark, fig4_compute, cache=cache)
+def test_fig4(cache):
+    series = fig4_compute(cache=cache)
     print()
     print(render_throughput(series, "Figure 4: 91C111 on the FPGA"))
     original = [p.throughput_mbps for p in series["uC/OSII Original"]]

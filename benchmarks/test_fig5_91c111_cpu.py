@@ -1,12 +1,10 @@
 """Bench F5: CPU fraction spent inside the 91C111 driver (Figure 5)."""
 
-from conftest import run_once
-
 from repro.eval.figures import fig5_compute, render_fraction_series
 
 
-def test_fig5(benchmark, cache):
-    series = run_once(benchmark, fig5_compute, cache=cache)
+def test_fig5(cache):
+    series = fig5_compute(cache=cache)
     print()
     print(render_fraction_series(
         series, "Figure 5: CPU fraction spent inside the 91C111 driver"))

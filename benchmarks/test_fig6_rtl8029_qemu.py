@@ -1,12 +1,10 @@
 """Bench F6: RTL8029 throughput on the QEMU testbed (Figure 6)."""
 
-from conftest import run_once
-
 from repro.eval.figures import fig6_compute, render_throughput
 
 
-def test_fig6(benchmark, cache):
-    series = run_once(benchmark, fig6_compute, cache=cache)
+def test_fig6(cache):
+    series = fig6_compute(cache=cache)
     print()
     print(render_throughput(series, "Figure 6: RTL8029 throughput (QEMU)"))
 
@@ -32,9 +30,9 @@ def test_fig6(benchmark, cache):
         assert abs(a - b) / a < 0.05
 
 
-def test_fig6_cpu_bound(benchmark, cache):
+def test_fig6_cpu_bound(cache):
     """CPU utilization is ~100% in the VM (no DMA, no wire time)."""
-    series = run_once(benchmark, fig6_compute, cache=cache)
+    series = fig6_compute(cache=cache)
     for name, points in series.items():
         for point in points:
             assert point.cpu_utilization > 0.99, (name, point)

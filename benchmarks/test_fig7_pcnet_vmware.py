@@ -1,12 +1,10 @@
 """Bench F7: AMD PCNet throughput on the VMware testbed (Figure 7)."""
 
-from conftest import run_once
-
 from repro.eval.figures import fig7_compute, render_throughput
 
 
-def test_fig7(benchmark, cache):
-    series = run_once(benchmark, fig7_compute, cache=cache)
+def test_fig7(cache):
+    series = fig7_compute(cache=cache)
     print()
     print(render_throughput(series, "Figure 7: AMD PCNet (VMware)"))
 

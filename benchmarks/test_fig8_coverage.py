@@ -1,18 +1,16 @@
 """Bench F8: basic-block coverage vs RevNIC running time (Figure 8)."""
 
-from conftest import run_once
-
 from repro.eval.figures import fig8_compute, render_fig8
 
 
-def test_fig8(benchmark, cache):
-    timelines = run_once(benchmark, fig8_compute, cache=cache)
+def test_fig8(cache):
+    timelines = fig8_compute(cache=cache)
     print()
     print(render_fig8(timelines))
     for name, samples in timelines.items():
         assert samples, name
         fractions = [f for _b, _s, f in samples]
-        # Coverage is monotonically non-decreasing and ends above the
+        # Coverage never decreases along the run and ends above the
         # paper's "most tested drivers reach over 80%" threshold.
         assert all(a <= b + 1e-9 for a, b in zip(fractions, fractions[1:]))
         assert fractions[-1] > 0.80, (name, fractions[-1])

@@ -1,12 +1,10 @@
 """Bench F9: automatically recovered vs manual functions (Figure 9)."""
 
-from conftest import run_once
-
 from repro.eval.figures import fig9_compute, render_fig9
 
 
-def test_fig9(benchmark, cache):
-    breakdown = run_once(benchmark, fig9_compute, cache=cache)
+def test_fig9(cache):
+    breakdown = fig9_compute(cache=cache)
     print()
     print(render_fig9(breakdown))
     fractions = [row["fraction"] for row in breakdown.values()]

@@ -1,12 +1,10 @@
 """Bench T1: regenerate Table 1 (driver-binary characteristics)."""
 
-from conftest import run_once
-
 from repro.eval.tables import table1_compute, table1_render
 
 
-def test_table1(benchmark):
-    rows = run_once(benchmark, table1_compute)
+def test_table1():
+    rows = table1_compute()
     print()
     print(table1_render(rows))
     assert len(rows) == 4

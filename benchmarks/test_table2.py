@@ -1,12 +1,10 @@
 """Bench T2: regenerate Table 2 (functionality coverage matrix)."""
 
-from conftest import run_once
-
 from repro.eval.tables import TABLE2_FEATURES, table2_compute, table2_render
 
 
-def test_table2(benchmark, cache):
-    matrix = run_once(benchmark, table2_compute, cache)
+def test_table2(cache):
+    matrix = table2_compute(cache)
     print()
     print(table2_render(matrix))
     # Every testable feature of every synthesized driver must pass --

@@ -1,12 +1,10 @@
 """Bench T3: regenerate Table 3 (template-writing effort)."""
 
-from conftest import run_once
-
 from repro.eval.tables import table3_compute, table3_render
 
 
-def test_table3(benchmark):
-    rows = run_once(benchmark, table3_compute)
+def test_table3():
+    rows = table3_compute()
     print()
     print(table3_render(rows))
     by_os = {row["target_os"]: row for row in rows}

@@ -1,12 +1,10 @@
 """Bench T4: regenerate Table 4 (developer effort / automation)."""
 
-from conftest import run_once
-
 from repro.eval.tables import table4_compute, table4_render
 
 
-def test_table4(benchmark, cache):
-    rows = run_once(benchmark, table4_compute, cache)
+def test_table4(cache):
+    rows = table4_compute(cache)
     print()
     print(table4_render(rows))
     for row in rows:

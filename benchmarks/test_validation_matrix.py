@@ -10,22 +10,14 @@ Two experiments:
 * **cold vs warm** -- the same matrix against a fresh artifact store:
   the cold run pays for reverse engineering (fanned out across workers
   where the host has cores), the warm run rides the store and must
-  rewrite no entry of it.  Both wall clocks are recorded, not gated.
-
-Both land in ``BENCH_pipeline.json`` under the ``validation_matrix`` key.
+  rewrite no entry of it.  The warm matrix's speed is measured by
+  ``perfbench/`` (see ``perfbench/README.md``), not here.
 """
 
 import os
 
 from repro.pipeline import ArtifactStore, PipelineOrchestrator
 from repro.validate import ValidationMatrix
-
-from conftest import update_bench
-
-
-#: Accumulated across the tests in this module; merged into the bench
-#: report as each test completes, so partial runs still record.
-_RECORD = {}
 
 
 def test_full_matrix_equivalence(cache):
@@ -47,8 +39,6 @@ def test_full_matrix_equivalence(cache):
         - sum(len(result.cell(d, o).ran)
               for d in result.drivers for o in result.os_names
               if result.cell(d, o).status == "unsupported")
-    _RECORD["summary"] = summary
-    update_bench("validation_matrix", _RECORD)
 
 
 def _store_entries(root):
@@ -77,12 +67,5 @@ def test_cold_vs_warm_matrix(tmp_path):
     warm_result = warm.run()
     assert warm_result.unexplained() == []
     assert len(warm_result.cells) == 16
-
-    _RECORD["cold_wall_seconds"] = round(cold_result.wall_seconds, 3)
-    _RECORD["cold_mode"] = cold_result.mode
-    _RECORD["warm_wall_seconds"] = round(warm_result.wall_seconds, 3)
-    _RECORD["warm_mode"] = warm_result.mode
-    update_bench("validation_matrix", _RECORD)
-
     assert _store_entries(store_root) == cold_entries, \
         "the warm matrix rewrote store entries"

@@ -62,8 +62,6 @@ def main(argv=None):
         print("absorbed: %(retries)d retries, %(timeouts)d timeouts, "
               "%(quarantined)d quarantined entries, %(recovered_tmp)d "
               "recovered temp files" % summary)
-        print("baseline %(baseline_seconds).1fs, campaign "
-              "%(wall_seconds).1fs" % summary)
         for outcome in report.outcomes:
             line = "  seed %d: %s" % (outcome.seed, outcome.verdict)
             if outcome.verdict == "faulted":

@@ -14,7 +14,7 @@ programs (same seed ==> byte-identical fault schedule):
 :mod:`repro.faults.plan` maps seeds to fault schedules,
 :mod:`repro.faults.inject` applies them, and
 :mod:`repro.faults.report` collects what the pipeline did to survive
-(retries, timeouts, quarantines, degradations, per-stage wall clock).
+(retries, timeouts, quarantines, degradations).
 The chaos campaign -- :mod:`repro.faults.campaign`, imported explicitly
 because it sits on top of :mod:`repro.pipeline` -- asserts the invariant
 that matters: under any injected schedule the pipeline either produces

@@ -26,7 +26,6 @@ twin.
 import os
 import shutil
 import tempfile
-import time
 from dataclasses import dataclass, field
 
 from repro.errors import ReproError
@@ -54,27 +53,23 @@ class ChaosOutcome:
     fault_records: list = field(default_factory=list)
     resilience: dict = field(default_factory=dict)
     store_faults: list = field(default_factory=list)
-    wall_seconds: float = 0.0
 
     def to_dict(self):
         return {"seed": self.seed, "plan": self.plan,
                 "verdict": self.verdict, "error": self.error,
                 "fault_records": list(self.fault_records),
                 "resilience": dict(self.resilience),
-                "store_faults": list(self.store_faults),
-                "wall_seconds": round(self.wall_seconds, 3)}
+                "store_faults": list(self.store_faults)}
 
 
 @dataclass
 class ChaosReport:
-    """One campaign's outcomes, plus the fault-free baseline cost."""
+    """One campaign's outcomes."""
 
     drivers: tuple
     strategy: str
     script: str
     outcomes: list = field(default_factory=list)
-    baseline_seconds: float = 0.0
-    wall_seconds: float = 0.0
 
     def summary(self):
         verdicts = [outcome.verdict for outcome in self.outcomes]
@@ -88,9 +83,7 @@ class ChaosReport:
                 "quarantined": sum(o.resilience.get("quarantined", 0)
                                    for o in self.outcomes),
                 "recovered_tmp": sum(o.resilience.get("recovered_tmp", 0)
-                                     for o in self.outcomes),
-                "baseline_seconds": round(self.baseline_seconds, 3),
-                "wall_seconds": round(self.wall_seconds, 3)}
+                                     for o in self.outcomes)}
 
     def to_dict(self):
         return {"drivers": list(self.drivers), "strategy": self.strategy,
@@ -121,7 +114,6 @@ class ChaosCampaign:
         self._workdir = workdir
         self._own_workdir = workdir is None
         self._baseline = None           # {driver: canonical_json bytes}
-        self._baseline_seconds = None
         self._pristine_root = None      # fault-free store to prime from
 
     # ------------------------------------------------------------------
@@ -146,10 +138,8 @@ class ChaosCampaign:
             self._pristine_root = os.path.join(self.workdir(), "pristine")
             orchestrator = PipelineOrchestrator(
                 store=ArtifactStore(self._pristine_root), parallel=False)
-            started = time.monotonic()
             artifacts = orchestrator.warm(self.drivers, self.strategy,
                                           self.script, parallel=False)
-            self._baseline_seconds = time.monotonic() - started
             self._baseline = {name: canonical_json(artifacts[name])
                               for name in self.drivers}
         return self._baseline
@@ -178,7 +168,6 @@ class ChaosCampaign:
         plan = plan_or_seed if isinstance(plan_or_seed, FaultPlan) \
             else self.generator.plan(plan_or_seed)
         baseline = self.baseline()
-        started = time.monotonic()
 
         schedule_dir = tempfile.mkdtemp(prefix="seed%d-" % plan.seed,
                                         dir=self.workdir())
@@ -230,7 +219,6 @@ class ChaosCampaign:
         report = orchestrator.last_resilience
         if report is not None:
             outcome.resilience = report.to_dict()
-        outcome.wall_seconds = time.monotonic() - started
         shutil.rmtree(schedule_dir, ignore_errors=True)
         return outcome
 
@@ -239,14 +227,11 @@ class ChaosCampaign:
         ``plans``); returns a :class:`ChaosReport`."""
         if plans is None:
             plans = self.generator.plans(base_seed, schedules)
-        started = time.monotonic()
         self.baseline()
         report = ChaosReport(drivers=self.drivers, strategy=self.strategy,
-                             script=self.script,
-                             baseline_seconds=self._baseline_seconds)
+                             script=self.script)
         for plan in plans:
             report.outcomes.append(self.run_schedule(plan))
-        report.wall_seconds = time.monotonic() - started
         return report
 
     # ------------------------------------------------------------------

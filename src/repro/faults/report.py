@@ -3,18 +3,16 @@
 Every orchestrated campaign -- a pipeline warm-up, a validation matrix, a
 fuzz run, a chaos schedule -- carries a :class:`ResilienceReport`: how
 many retries, timeouts, worker crashes and garbage results the supervised
-pool absorbed, what the store quarantined or recovered, which jobs
-degraded from pool to serial, and per-stage wall clock.  Degradation
-(parallel -> serial, retry -> fallback) is an explicit, observable control
-decision here, never a silent ``except Exception``.
+pool absorbed, what the store quarantined or recovered, and which jobs
+degraded from pool to serial.  Degradation (parallel -> serial, retry ->
+fallback) is an explicit, observable control decision here, never a
+silent ``except Exception``.
 
 A :class:`FaultRecord` is the loud half of the chaos invariant: when the
 pipeline cannot heal a fault it must fail with a *classified, replayable*
 record -- the layer/kind/job plus the plan seed that reproduces it.
 """
 
-import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 
@@ -41,7 +39,7 @@ class FaultRecord:
 
 @dataclass
 class ResilienceReport:
-    """How one campaign survived: counters, events, per-stage wall clock."""
+    """How one campaign survived: counters and events."""
 
     retries: int = 0
     timeouts: int = 0
@@ -56,8 +54,6 @@ class ResilienceReport:
     degradations: list = field(default_factory=list)
     #: per-job provenance: label -> {"attempts", "outcome", "events"}
     jobs: dict = field(default_factory=dict)
-    #: stage name -> cumulative wall seconds
-    stage_seconds: dict = field(default_factory=dict)
     #: classified, replayable faults that survived every healing layer
     fault_records: list = field(default_factory=list)
 
@@ -86,16 +82,6 @@ class ResilienceReport:
     def record_fault(self, record):
         self.fault_records.append(record)
 
-    @contextmanager
-    def stage_timer(self, stage):
-        started = time.monotonic()
-        try:
-            yield
-        finally:
-            self.stage_seconds[stage] = round(
-                self.stage_seconds.get(stage, 0.0)
-                + time.monotonic() - started, 6)
-
     def merge(self, other):
         """Fold ``other`` (a later stage's report) into this one."""
         for counter in ("retries", "timeouts", "worker_crashes",
@@ -109,9 +95,6 @@ class ResilienceReport:
             mine["attempts"] += entry["attempts"]
             mine["outcome"] = entry["outcome"]
             mine["events"].extend(entry["events"])
-        for stage, seconds in other.stage_seconds.items():
-            self.stage_seconds[stage] = round(
-                self.stage_seconds.get(stage, 0.0) + seconds, 6)
         self.fault_records.extend(other.fault_records)
         return self
 
@@ -136,6 +119,5 @@ class ResilienceReport:
                              "outcome": entry["outcome"],
                              "events": list(entry["events"])}
                      for label, entry in sorted(self.jobs.items())},
-            "stage_seconds": dict(self.stage_seconds),
             "fault_records": [r.to_dict() for r in self.fault_records],
         }

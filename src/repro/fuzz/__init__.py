@@ -21,8 +21,7 @@ scenario space*:
   serialization (same seed + config + code ==> byte-identical JSON),
   shared with the pipeline's content-addressed store;
 * :mod:`repro.fuzz.soak` -- sustained saturation workloads per driver x
-  execution backend, tracking packets/sec and divergence-free steps for
-  the ``fuzz_soak`` benchmark section;
+  execution backend, counting packets moved and divergence-free steps;
 * :mod:`repro.fuzz.strategies` -- hypothesis strategies over the same
   vocabulary (test-only; import requires hypothesis).
 

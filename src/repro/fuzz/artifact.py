@@ -103,7 +103,7 @@ def canonical_fuzz_json(result):
     summary["mode"] = "scrubbed"
     data["summary"] = summary
     # The resilience report records *how* a run survived (pool vs serial,
-    # retries, timings) -- volatile by design, so canonical equivalence
+    # retries, timeouts) -- volatile by design, so canonical equivalence
     # scrubs it entirely.
     data["resilience"] = None
     return json.dumps(data, sort_keys=True, separators=(",", ":"))

@@ -3,14 +3,12 @@
 Where the fuzz engine samples many short programs, soak drives one long
 deterministic saturation program -- interleaved TX/RX bursts at ring-
 pressure rates -- through the full differential harness, per driver and
-per execution backend, and reports throughput (packets/sec through the
-differential comparison) plus the divergence-free step count.  Divergence-
-free soak time is a first-class benchmark: the equivalence claim is only
-as strong as the sustained traffic it survives, and the ``fuzz_soak``
-section of ``BENCH_pipeline.json`` tracks it alongside the matrix.
+per execution backend, and reports the packets moved plus the divergence-
+free step count.  The equivalence claim is only as strong as the
+sustained traffic it survives.  Soak measures no time: timing claims
+belong to ``perfbench/``.
 """
 
-import time
 from dataclasses import dataclass
 
 from repro.fuzz.differential import run_program_column
@@ -49,16 +47,12 @@ class SoakRecord:
     divergence_free_steps: int
     divergences: int
     packets: int
-    wall_seconds: float
-    packets_per_sec: float
 
     def to_dict(self):
         return {"driver": self.driver, "target_os": self.target_os,
                 "backend": self.backend, "steps": self.steps,
                 "divergence_free_steps": self.divergence_free_steps,
-                "divergences": self.divergences, "packets": self.packets,
-                "wall_seconds": round(self.wall_seconds, 3),
-                "packets_per_sec": round(self.packets_per_sec, 1)}
+                "divergences": self.divergences, "packets": self.packets}
 
 
 def soak_cell(artifact, os_name, backend, rounds=10):
@@ -70,10 +64,8 @@ def soak_cell(artifact, os_name, backend, rounds=10):
     tree-walking reference exactly as the matrix does.
     """
     program = saturation_program(rounds=rounds)
-    started = time.monotonic()
     runs, baselines = run_program_column(artifact, (os_name,), [program],
                                          exec_backend=backend)
-    wall = time.monotonic() - started
     (run,) = runs
     baseline = baselines.get(program.name)
     packets = 0
@@ -83,9 +75,7 @@ def soak_cell(artifact, os_name, backend, rounds=10):
     return SoakRecord(
         driver=artifact.name, target_os=os_name, backend=backend,
         steps=run.steps, divergence_free_steps=divergence_free,
-        divergences=len(run.divergences), packets=packets,
-        wall_seconds=wall,
-        packets_per_sec=packets / wall if wall > 0 else 0.0)
+        divergences=len(run.divergences), packets=packets)
 
 
 def run_fabric_soak(orchestrator=None, endpoints=16, seed=0xFAB1C,
@@ -119,8 +109,7 @@ def run_soak(orchestrator=None, drivers=None, os_name="winsim",
     """The full soak sweep: every driver x every execution backend.
 
     Returns a JSON-ready dict: per-driver per-backend records plus
-    corpus-wide totals (programs run, steps, packets/sec, divergences)
-    -- the ``fuzz_soak`` benchmark payload.
+    corpus-wide totals (programs run, steps, packets, divergences).
     """
     from repro.drivers import DRIVERS
     from repro.pipeline.orchestrator import PipelineOrchestrator
@@ -129,7 +118,7 @@ def run_soak(orchestrator=None, drivers=None, os_name="winsim",
     drivers = sorted(DRIVERS) if drivers is None else list(drivers)
     cells = {}
     totals = {"programs_run": 0, "steps": 0, "packets": 0,
-              "divergences": 0, "wall_seconds": 0.0}
+              "divergences": 0}
     for driver in drivers:
         artifact = orchestrator.run(driver, strategy, script)
         cells[driver] = {}
@@ -140,10 +129,5 @@ def run_soak(orchestrator=None, drivers=None, os_name="winsim",
             totals["steps"] += record.steps
             totals["packets"] += record.packets
             totals["divergences"] += record.divergences
-            totals["wall_seconds"] += record.wall_seconds
-    totals["wall_seconds"] = round(totals["wall_seconds"], 3)
-    totals["packets_per_sec"] = round(
-        totals["packets"] / totals["wall_seconds"], 1) \
-        if totals["wall_seconds"] > 0 else 0.0
     return {"os_name": os_name, "rounds": rounds, "drivers": cells,
             "totals": totals}

@@ -10,8 +10,8 @@ Two schedulers share one switching engine:
   ticks cost nothing.
 * **lockstep** is the polling reference: every endpoint is visited on
   every tick of every switching round, and every frame moves through a
-  per-frame call.  It exists to be raced against (the benchmark gate)
-  and to cross-check determinism -- both modes produce byte-identical
+  per-frame call.  It is the poll-count reference of the benchmark gate
+  and cross-checks determinism -- both modes produce byte-identical
   canonical fabric reports.
 
 Both schedulers process due steps in endpoint-index order, harvest in
@@ -204,19 +204,11 @@ class FabricRun:
 
     # -- schedulers ----------------------------------------------------
 
-    def run(self, booted=False):
-        """Boot the fleet and run the workload to quiescence.
-
-        ``booted=True`` skips the per-endpoint boot (the caller already
-        booted them) so ``wall_seconds`` measures the run loop alone --
-        boot cost is mode-invariant, and the scheduler gate races the
-        schedulers, not driver initialization.  The report bytes are
-        identical either way.
-        """
+    def run(self):
+        """Boot the fleet and run the workload to quiescence."""
         started = time.perf_counter()
-        if not booted:
-            for ep in self.endpoints:
-                ep.boot()
+        for ep in self.endpoints:
+            ep.boot()
         # Boot settle: a driver that transmits during initialize gets its
         # frames switched before the clock starts, in both modes.
         self._cycle(0, self.endpoints)

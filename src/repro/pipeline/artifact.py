@@ -15,8 +15,8 @@ translation blocks are emitted once, in traversal order; all sets are
 sorted), so a serial in-process run, a ``multiprocessing`` worker run and
 a cache round-trip of the same driver produce byte-identical canonical
 JSON.  The only non-deterministic fields are wall-clock timings, which
-:func:`canonical_json` scrubs; :func:`to_json` keeps them for the
-benchmark reports.
+:func:`canonical_json` scrubs; :func:`to_json` keeps them for Table 4
+and Figure 8.
 """
 
 import json

@@ -175,12 +175,13 @@ class PipelineOrchestrator:
         computing the missing ones in supervised parallel workers.
 
         Returns ``{name: RunArtifact}``; :attr:`last_warm_seconds` /
-        :attr:`last_warm_mode` record how the fan-out ran (for the
-        benchmark report) and :attr:`last_resilience` records what it
-        survived.  ``faults`` maps driver name -> FaultSpec for chaos
-        campaigns.  A job that fails even its serial fallback raises the
-        classified error -- after recording a replayable fault record and
-        with every healthy artifact already persisted.
+        :attr:`last_warm_mode` record how the fan-out ran (printed by
+        ``examples/port_all_drivers.py``) and :attr:`last_resilience`
+        records what it survived.  ``faults`` maps driver name ->
+        FaultSpec for chaos campaigns.  A job that fails even its serial
+        fallback raises the classified error -- after recording a
+        replayable fault record and with every healthy artifact already
+        persisted.
         """
         from repro.drivers import DRIVERS
         from repro.faults.report import ResilienceReport
@@ -195,16 +196,15 @@ class PipelineOrchestrator:
             # new writers over the same root.
             self.store.recover()
         missing = {}
-        with report.stage_timer("load"):
-            for name in names:
-                key = (name, strategy, script)
-                if key in self._artifacts:
-                    continue
-                artifact = self._load_cached(*key)
-                if artifact is not None:
-                    self._artifacts[key] = artifact
-                else:
-                    missing[name] = key
+        for name in names:
+            key = (name, strategy, script)
+            if key in self._artifacts:
+                continue
+            artifact = self._load_cached(*key)
+            if artifact is not None:
+                self._artifacts[key] = artifact
+            else:
+                missing[name] = key
 
         def accept(payload):
             # Persist the worker's bytes as-is: re-encoding in the parent
@@ -284,10 +284,9 @@ class PipelineOrchestrator:
         results = {}
         try:
             if pooled:
-                with local.stage_timer("pool"), SupervisedPool(
-                        worker, workers=self.max_workers,
-                        timeout=self.job_timeout,
-                        retries=self.retries) as pool:
+                with SupervisedPool(worker, workers=self.max_workers,
+                                    timeout=self.job_timeout,
+                                    retries=self.retries) as pool:
                     done, _failures = pool.run(
                         [jobs[label] for label in labels], labels=labels,
                         faults=faults, validate=validate, report=local)
@@ -295,12 +294,10 @@ class PipelineOrchestrator:
                            for index, value in done.items()}
             mode = "parallel" if results else "serial"
             leftovers = [label for label in labels if label not in results]
-            if leftovers:
-                with local.stage_timer("serial"):
-                    for label in leftovers:
-                        results[label] = _serial_job(
-                            stage, label, jobs[label], serial, pooled,
-                            faults.get(label), local)
+            for label in leftovers:
+                results[label] = _serial_job(
+                    stage, label, jobs[label], serial, pooled,
+                    faults.get(label), local)
         finally:
             report.merge(local)
         return results, mode

@@ -251,7 +251,7 @@ class TestSymexConcreteFastPath:
         """A whole engine run with the fast path off is byte-identical
         (minus wall-clock) to one with it on: same trace, same coverage,
         same constraints-derived counters."""
-        from repro.pipeline.artifact import artifact_to_dict, build_artifact
+        from repro.pipeline.artifact import build_artifact, canonical_json
         from repro.revnic import RevNic, RevNicConfig
         from repro.synth import synthesize
 
@@ -267,14 +267,9 @@ class TestSymexConcreteFastPath:
             else:
                 assert engine.executor.fast_blocks == 0
             artifact = build_artifact(config, result, synthesize(result))
-            data = artifact_to_dict(artifact)
-            data["stats"]["wall_seconds"] = 0.0
+            data = json.loads(canonical_json(artifact))
             data["stats"]["phases"] = None
             data["stats"]["exec_fast_blocks"] = None
-            data["coverage"]["timeline"] = [
-                [blocks, 0.0, fraction]
-                for blocks, _seconds, fraction in
-                data["coverage"]["timeline"]]
-            return json.dumps(data, sort_keys=True, default=str)
+            return json.dumps(data, sort_keys=True)
 
         assert run(True) == run(False)
