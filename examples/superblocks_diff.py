@@ -17,8 +17,10 @@ covering every consumer of the execution tiers:
 
 Any divergence prints the first differing canonical path and exits 1;
 a run where the on-side never dispatched a chain is vacuous and also
-fails.  CI runs this with a fixed configuration and uploads both
-documents on mismatch.
+fails, and so does one that never iterated a loop chain (every
+driver's quick script makes at least one loop hot; rtl8029's remote-DMA
+byte loop is the hottest).  CI runs this with a fixed configuration per
+driver and uploads both documents on mismatch.
 
 Usage:
     PYTHONPATH=src python examples/superblocks_diff.py [options]
@@ -153,17 +155,24 @@ def main(argv=None):
                 handle.write(text)
 
     chain_runs = after["superblock_runs"] - before["superblock_runs"]
+    loop_iterations = (after["superblock_loop_iterations"]
+                       - before["superblock_loop_iterations"])
     print("driver=%s script=%s" % (args.driver, args.script))
     print("superblocks off  %.3fs" % off_seconds)
     print("superblocks on   %.3fs  chains formed=%d runs=%d blocks=%d "
-          "deopts=%d" %
+          "deopts=%d loop iterations=%d" %
           (on_seconds,
            after["superblocks_formed"] - before["superblocks_formed"],
            chain_runs,
            after["superblock_blocks"] - before["superblock_blocks"],
-           after["superblock_deopts"] - before["superblock_deopts"]))
+           after["superblock_deopts"] - before["superblock_deopts"],
+           loop_iterations))
     if chain_runs == 0:
         print("VACUOUS: the on-side run never dispatched a superblock",
+              file=sys.stderr)
+        return 1
+    if loop_iterations == 0:
+        print("VACUOUS: the on-side run never iterated a loop chain",
               file=sys.stderr)
         return 1
     if on_text == off_text:

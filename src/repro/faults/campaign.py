@@ -278,14 +278,3 @@ class ChaosCampaign:
                 "resilience": chaos.resilience.to_dict()
                 if chaos.resilience is not None else {},
                 "summary": chaos.summary()}
-
-
-def run_chaos(drivers=None, strategy="coverage", script="quick",
-              base_seed=0xFA0175, schedules=3, **campaign_kwargs):
-    """One-call entry point: run a chaos campaign and clean up after it."""
-    campaign = ChaosCampaign(drivers=drivers, strategy=strategy,
-                             script=script, **campaign_kwargs)
-    try:
-        return campaign.run(base_seed=base_seed, schedules=schedules)
-    finally:
-        campaign.cleanup()

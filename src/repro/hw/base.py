@@ -25,10 +25,6 @@ class PciDescriptor:
     mmio_size: int = 0
     irq_line: int = 0
 
-    @property
-    def uses_mmio(self):
-        return self.mmio_size > 0
-
 
 class NicDevice:
     """Base class for NIC models.

@@ -22,17 +22,40 @@ that retranslates a patched block produces a fresh block object and
 therefore a fresh compiled function -- the mid-block-patch invalidation
 semantics come for free.
 
+Guest RAM is accessed inline.  A load or store whose bytes lie wholly
+inside ``env.ram.hit`` -- the last region the guest
+:class:`~repro.vm.memory.Memory` hit -- reads or writes that region's
+``mmap`` directly and counts one ``mem_ops``; a store must also miss the
+memory's watched code span, whose writes bump ``write_epoch``.  Every
+other access (a miss, the MMIO window, a fault, a watched-span store)
+calls ``env.mem_read``/``env.mem_write`` and classifies the address with
+``env.is_device_address``, as the interpreter does for all of them.
+Environments whose callables are not a memory's own bus accessors bind
+``ram`` to :data:`~repro.vm.memory.NEVER_HIT`, so the shared generated
+code always calls them.
+
 The op lowering in :func:`_emit_op` is shared with the superblock
 code generator (:mod:`repro.ir.superblock`), which subclasses
 :class:`_Writer` to retarget the counter sinks at local accumulators and
 wrap returns in the chain-exit protocol.
 """
 
+import struct
+
 from repro.errors import VmFault
 from repro.ir import nodes as N
 from repro.ir.interp import BlockResult
 
 _MASK32 = 0xFFFFFFFF
+
+#: Little-endian accessors the inline RAM path applies to a region's
+#: ``mmap`` (one-byte accesses index it directly).
+_RAM_HELPERS = {
+    "_ld2": struct.Struct("<H").unpack_from,
+    "_ld4": struct.Struct("<I").unpack_from,
+    "_st2": struct.Struct("<H").pack_into,
+    "_st4": struct.Struct("<I").pack_into,
+}
 
 #: ``a`` signed-reinterpreted, as a source expression (operand repeated).
 _SIGNED = "(%s - 4294967296 if %s & 2147483648 else %s)"
@@ -154,18 +177,29 @@ def _emit_op(w, op):
             a, b = _signed(a), _signed(b)
         w.line(t % op.dst + " = 1 if %s %s %s else 0" % (a, sign, b))
     elif isinstance(op, N.IrLoad):
-        w.used.update(("mem_read", "is_dev"))
+        w.used.update(("ram", "mem_read", "is_dev"))
         w.flush(including=1)
-        w.line(t % op.dst + " = mem_read(%s, %d)" % (t % op.addr, op.width))
-        _emit_access_count(w, t % op.addr)
+        dst, address, width = t % op.dst, t % op.addr, op.width
+        if width == 1:
+            hit = "%s = _rm[%s - _rb]" % (dst, address)
+        else:
+            hit = "%s = _ld%d(_rm, %s - _rb)[0]" % (dst, width, address)
+        _emit_ram_access(w, address, width, hit,
+                         "%s = mem_read(%s, %d)" % (dst, address, width))
         return False
     elif isinstance(op, N.IrStore):
-        w.used.update(("mem_write", "is_dev"))
+        w.used.update(("ram", "mem_write", "is_dev"))
         w.flush(including=1)
-        w.line("mem_write(%s, %d, %s)"
-               % (t % op.addr, op.width, t % op.src))
-        _emit_access_count(w, t % op.addr)
-        w.after_store(t % op.addr)
+        address, width, value = t % op.addr, op.width, t % op.src
+        masked = "%s & %d" % (value, (1 << 8 * width) - 1)
+        if width == 1:
+            hit = "_rm[%s - _rb] = %s" % (address, masked)
+        else:
+            hit = "_st%d(_rm, %s - _rb, %s)" % (width, address, masked)
+        _emit_ram_access(w, address, width, hit,
+                         "mem_write(%s, %d, %s)" % (address, width, value),
+                         store=True)
+        w.after_store(address)
         return False
     elif isinstance(op, N.IrIn):
         w.used.add("io_read")
@@ -219,14 +253,34 @@ def _emit_op(w, op):
     return False
 
 
-def _emit_access_count(w, address_ref):
-    w.line("if is_dev(%s):" % address_ref)
-    w.line("    %s += 1" % w.io_target)
-    w.line("else:")
+def _emit_ram_access(w, address_ref, width, hit, miss, store=False):
+    """Emit one guest load or store: ``hit`` when the access lies wholly
+    in ``env.ram``'s last-hit region (never an MMIO address) and, for a
+    store, misses the watched code span whose writes must bump
+    ``write_epoch``; otherwise ``miss``, the environment's callable,
+    classified by ``is_dev`` like the interpreter does."""
+    w.line("_rb, _rl, _rm = ram.hit")
+    if width == 1:
+        test = "_rb <= %s < _rl" % address_ref
+    else:
+        test = "_rb <= %s and %s + %d <= _rl" \
+            % (address_ref, address_ref, width)
+    if store:
+        test += " and (%s >= ram.watch_hi or %s + %d <= ram.watch_lo)" \
+            % (address_ref, address_ref, width)
+    w.line("if %s:" % test)
+    w.line("    " + hit)
     w.line("    %s += 1" % w.mem_target)
+    w.line("else:")
+    w.line("    " + miss)
+    w.line("    if is_dev(%s):" % address_ref)
+    w.line("        %s += 1" % w.io_target)
+    w.line("    else:")
+    w.line("        %s += 1" % w.mem_target)
 
 
 _BINDINGS = {
+    "ram": "    ram = env.ram",
     "regs": "    regs = env.regs",
     "mem_read": "    mem_read = env.mem_read",
     "mem_write": "    mem_write = env.mem_write",
@@ -270,6 +324,7 @@ def compile_source(source, name, filename, extra=None):
     whatever ``extra`` bindings the flavour needs."""
     namespace = {"_c": _COUNTER_CELLS, "VmFault": VmFault,
                  "BlockResult": BlockResult}
+    namespace.update(_RAM_HELPERS)
     if extra:
         namespace.update(extra)
     exec(compile(source, filename, "exec"), namespace)

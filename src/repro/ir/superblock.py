@@ -15,10 +15,11 @@ guarded, and a violated guard exits ("deopts") at the next member
 boundary with a plain ``BlockResult`` jump to the member's pc, where the
 per-block path resumes.  Concretely:
 
-* **instruction budget** -- before entering member *k* the chain checks
-  the caller's remaining budget and exits if exhausted, so a run that
-  hits its step limit stops at exactly the same block boundary (and
-  counter values) as per-block dispatch;
+* **instruction budget** -- before entering member *k* (or re-entering
+  a loop chain's head) the chain checks the caller's remaining budget
+  and exits if exhausted, so a run that hits its step limit stops at
+  exactly the same block boundary (and counter values) as per-block
+  dispatch;
 * **block budget** -- same check against the synthesized runtime's
   block-count budget;
 * **self-patching code** -- every store is guarded against the chain's
@@ -41,6 +42,17 @@ never fused; conditional jumps fuse the profiled-hotter edge and exit
 through the other.  Mid-chain exits report how many members actually
 entered so the dispatcher can account steps and locate the terminating
 member (import calls and halts need its last instruction address).
+
+**Loop chains.**  A chain whose continuation is its own head (a single
+self-looping block included) runs its members inside a ``while`` loop.
+The back-edge is a member boundary like any other -- dirty-code deopt,
+instruction budget, block budget -- and a dynamic loop additionally
+exits to its head once ``ram.write_epoch`` differs from its value at
+entry, so the next dispatch revalidates the member bytes.  The
+members-entered and instruction counts are running totals across
+iterations (the terminating member is ``blocks[(members - 1) %
+len(blocks)]``), and back-edges taken are counted in
+``superblock_loop_iterations``.
 """
 
 import os
@@ -55,9 +67,10 @@ SUPERBLOCKS_ENV = "REVNIC_SUPERBLOCKS"
 _DISABLED = ("off", "0", "no", "false", "disabled")
 
 #: Mutable cells shared with every generated superblock: [chains formed,
-#: chain runs, member blocks executed inside chains, dirty-deopt exits].
-#: Deterministic -- tests assert the tier actually ran (or deopted).
-_SB_CELLS = [0, 0, 0, 0]
+#: chain runs, member blocks executed inside chains, dirty-deopt exits,
+#: loop-chain back-edges taken].  Deterministic -- tests assert the tier
+#: actually ran (or deopted, or looped).
+_SB_CELLS = [0, 0, 0, 0, 0]
 
 
 def superblock_counters():
@@ -65,7 +78,8 @@ def superblock_counters():
     return {"superblocks_formed": _SB_CELLS[0],
             "superblock_runs": _SB_CELLS[1],
             "superblock_blocks": _SB_CELLS[2],
-            "superblock_deopts": _SB_CELLS[3]}
+            "superblock_deopts": _SB_CELLS[3],
+            "superblock_loop_iterations": _SB_CELLS[4]}
 
 
 def superblocks_enabled():
@@ -96,10 +110,9 @@ class _ChainWriter(_Writer):
     def __init__(self, guard_span):
         _Writer.__init__(self)
         self.guard_span = guard_span   # (lo, hi) or None
-        self.members_entered = 1
 
     def wrap_return(self, expr):
-        return "return (%s), %d, _i" % (expr, self.members_entered)
+        return "return (%s), _n, _i" % expr
 
     def after_store(self, address_ref):
         if self.guard_span is not None:
@@ -108,53 +121,40 @@ class _ChainWriter(_Writer):
             self.line("    _w = True")
 
 
-def superblock_source(blocks, guard_code_writes):
+def superblock_source(blocks, guard_code_writes, loop=False):
     """The generated module source fusing ``blocks`` into one function
     ``_sb(env, instr_budget, block_budget) -> (BlockResult, members,
     instrs)``.
 
     ``guard_code_writes`` emits the self-patch store guard (the dynamic
-    flavour; synthesized block maps are immutable and skip it).  Like
-    :func:`repro.ir.compile.block_source` this is a pure function of the
-    member blocks.
+    flavour; synthesized block maps are immutable and skip it).
+    ``loop`` marks a chain whose last member continues into its head:
+    the members run inside a ``while`` loop whose back-edge passes the
+    same boundary guards as any member boundary (plus, in the dynamic
+    flavour, an exit on a changed ``ram.write_epoch`` so the next
+    dispatch revalidates the member bytes).  ``members`` and ``instrs``
+    are running totals across iterations.  Like
+    :func:`repro.ir.compile.block_source` this is a pure function of its
+    arguments.
     """
     span = (min(b.pc for b in blocks), max(b.end_pc for b in blocks))
     w = _ChainWriter(span if guard_code_writes else None)
     last = len(blocks) - 1
-    instrs = 0
     for index, block in enumerate(blocks):
-        w.members_entered = index + 1
         if index:
-            # Member boundary: deopt on a dirty code span, exit on an
-            # exhausted instruction or block budget.  Exits return a
-            # plain jump to this member's pc -- exactly what the
-            # per-block tier would be dispatching next.
-            exit_const = w.const(
-                "x", "BlockResult(\"jump\", %d)" % block.pc)
-            if guard_code_writes:
-                w.line("if _w:")
-                w.line("    _s[3] += 1")
-                w.line("    return %s, %d, _i" % (exit_const, index))
-            w.line("if _i >= instr_budget or %d >= block_budget:" % index)
-            w.line("    return %s, %d, _i" % (exit_const, index))
-            if guard_code_writes:
-                # Per-block dispatch would have advanced the CPU's pc to
-                # this member before running it; track that so a fault
-                # escaping the chain reports the same faulting-block pc.
-                w.line("env.cpu.pc = %d" % block.pc)
-        instrs += len(block.instr_addrs)
-        w.line("_n = %d" % (index + 1))
-        w.line("_i = %d" % instrs)
+            _emit_boundary(w, block.pc, guard_code_writes)
+        w.line("_n += 1")
+        w.line("_i += %d" % len(block.instr_addrs))
         terminator = block.terminator
         if not isinstance(terminator, N.TERMINATOR_TYPES):
             terminator = None
-        if index != last:
+        if index != last or loop:
             body_ops = block.ops[:-1] if terminator is not None \
                 else block.ops
             for op in body_ops:
                 _emit_op(w, op)
-            _emit_chain_link(w, terminator, index + 1,
-                             blocks[index + 1].pc)
+            next_pc = blocks[0 if index == last else index + 1].pc
+            _emit_chain_link(w, terminator, next_pc)
         else:
             terminated = False
             for op in block.ops:
@@ -165,6 +165,12 @@ def superblock_source(blocks, guard_code_writes):
                 w.flush()
                 w.line(w.wrap_return(w.const(
                     "f", "BlockResult(\"jump\", %d)" % block.end_pc)))
+    if loop:
+        # The back-edge: everything a fresh dispatch of the head would
+        # check before running it again.
+        _emit_boundary(w, blocks[0].pc, guard_code_writes, back_edge=True)
+        if guard_code_writes:
+            w.used.add("ram")
 
     header = ["%s = %s" % pair for pair in w.consts]
     header += ["def _sb(env, instr_budget, block_budget):",
@@ -173,12 +179,21 @@ def superblock_source(blocks, guard_code_writes):
     header.append("    _i = 0; _o = 0; _io = 0; _mem = 0; _n = 0")
     if guard_code_writes:
         header.append("    _w = False")
+        if loop:
+            header.append("    _e = ram.write_epoch")
     header.append("    try:")
-    body = ["    " + line for line in w.lines]
+    indent = "    "
+    if loop:
+        header.append("        while True:")
+        indent = "        "
+    body = [indent + line for line in w.lines]
     footer = ["    finally:",
-              "        _s[2] += _n",
-              "        env.instrs_retired += _i",
-              "        env.ops_retired += _o"]
+              "        _s[2] += _n"]
+    if loop:
+        # Back-edges taken: every entry of the head after the first.
+        footer.append("        _s[4] += (_n - 1) // %d" % len(blocks))
+    footer += ["        env.instrs_retired += _i",
+               "        env.ops_retired += _o"]
     if w.used & {"io_read", "io_write", "is_dev"}:
         footer.append("        env.io_ops += _io")
     if "is_dev" in w.used:
@@ -186,7 +201,29 @@ def superblock_source(blocks, guard_code_writes):
     return "\n".join(header + body + footer) + "\n"
 
 
-def _emit_chain_link(w, terminator, entered, next_pc):
+def _emit_boundary(w, pc, dynamic, back_edge=False):
+    """Guards before entering the member at ``pc``: deopt on a dirty
+    code span, exit on an exhausted instruction or block budget.  Exits
+    return a plain jump to ``pc`` -- exactly what the per-block tier
+    would be dispatching next."""
+    exit_const = w.const("x", "BlockResult(\"jump\", %d)" % pc)
+    if dynamic:
+        w.line("if _w:")
+        w.line("    _s[3] += 1")
+        w.line("    return %s, _n, _i" % exit_const)
+        if back_edge:
+            w.line("if ram.write_epoch != _e:")
+            w.line("    return %s, _n, _i" % exit_const)
+    w.line("if _i >= instr_budget or _n >= block_budget:")
+    w.line("    return %s, _n, _i" % exit_const)
+    if dynamic:
+        # Per-block dispatch would have advanced the CPU's pc to this
+        # member before running it; track that so a fault escaping the
+        # chain reports the same faulting-block pc.
+        w.line("env.cpu.pc = %d" % pc)
+
+
+def _emit_chain_link(w, terminator, next_pc):
     """Fold an interior member's terminator into the fall-through to the
     next member, exiting through the non-fused edge when one exists."""
     if terminator is None:
@@ -212,7 +249,7 @@ def _emit_chain_link(w, terminator, entered, next_pc):
             exit_const = w.const(
                 "j", "BlockResult(\"jump\", %d)" % terminator.fallthrough)
             w.line("if not %s:" % cond)
-        w.line("    return %s, %d, _i" % (exit_const, entered))
+        w.line("    return %s, _n, _i" % exit_const)
         return
     raise ValueError(  # pragma: no cover - formation never fuses these
         "cannot fuse terminator %r" % (terminator,))
@@ -226,11 +263,12 @@ class Superblock:
     verified against: while no write has happened since, revalidation is
     a single integer compare instead of guest-byte reads."""
 
-    __slots__ = ("pc", "blocks", "fn", "_spans", "valid_epoch")
+    __slots__ = ("pc", "blocks", "loop", "fn", "_spans", "valid_epoch")
 
-    def __init__(self, blocks, fn, spans):
+    def __init__(self, blocks, loop, fn, spans):
         self.pc = blocks[0].pc
         self.blocks = blocks
+        self.loop = loop
         self.fn = fn
         self._spans = spans
         self.valid_epoch = None
@@ -377,6 +415,7 @@ class SuperblockManager:
         blocks = []
         seen = set()
         pc = head_pc
+        loop = False
         while len(blocks) < self._config.max_members:
             block = self._fetch(pc)
             if block is None:
@@ -384,26 +423,31 @@ class SuperblockManager:
             blocks.append(block)
             seen.add(pc)
             nxt = self._next_pc(block)
+            if nxt == head_pc:
+                # The chain continues into its own head: a loop chain
+                # (a lone self-looping block included).
+                loop = True
+                break
             if nxt is None or nxt in seen:
                 break
             pc = nxt
-        if len(blocks) < 2:
+        if len(blocks) < 2 and not loop:
             # Nothing to fuse (terminator ends the chain immediately, or
             # the continuation is untranslatable): never retry this head.
             self._supers[head_pc] = _DECLINED
             if self.dispatch is not None:
                 self.dispatch[head_pc] = None
             return None
-        sb = self._build(blocks)
+        sb = self._build(blocks, loop)
         self._supers[head_pc] = sb
         if self.dispatch is not None:
             self.dispatch[head_pc] = sb
         _SB_CELLS[0] += 1
         return sb
 
-    def _build(self, blocks):
+    def _build(self, blocks, loop):
         guard = self._flavor == "dynamic"
-        key = (self._flavor,
+        key = (self._flavor, loop,
                tuple((b.pc, b.size, len(b.instr_addrs), tuple(b.ops))
                      for b in blocks))
         if guard and self._epoch_source is not None:
@@ -412,14 +456,14 @@ class SuperblockManager:
         fn = _SHARED_CHAINS.get(key)
         if fn is None:
             fn = compile_source(
-                superblock_source(blocks, guard), "_sb",
+                superblock_source(blocks, guard, loop), "_sb",
                 "<superblock-0x%08x>" % blocks[0].pc,
                 extra={"_s": _SB_CELLS})
             if len(_SHARED_CHAINS) >= _SHARED_CHAINS_MAX:
                 _SHARED_CHAINS.clear()
             _SHARED_CHAINS[key] = fn
         spans = _member_spans(blocks, self._read) if guard else None
-        return Superblock(blocks, fn, spans)
+        return Superblock(blocks, loop, fn, spans)
 
 
 def _member_spans(blocks, read_code):

@@ -36,10 +36,6 @@ class BlockRecord:
     #: resolved guest target for calls/jumps (None when unresolved)
     target: object = None
 
-    @property
-    def device_accesses(self):
-        return [a for a in self.accesses if a.kind in ("mmio", "port", "dma")]
-
 
 @dataclass
 class ImportRecord:
@@ -69,10 +65,6 @@ class TraceSegment:
     entry_address: int
     paths: list = field(default_factory=list)
 
-    @property
-    def completed_paths(self):
-        return [p for p in self.paths if p.status == "completed"]
-
 
 @dataclass
 class Trace:
@@ -97,11 +89,3 @@ class Trace:
         """Set of translation-block start addresses seen in the trace."""
         return {r.pc for _s, _p, r in self.all_records()
                 if isinstance(r, BlockRecord)}
-
-    def executed_instruction_addrs(self):
-        """Set of guest instruction addresses covered by the trace."""
-        out = set()
-        for _segment, _path, record in self.all_records():
-            if isinstance(record, BlockRecord):
-                out.update(record.block.instr_addrs)
-        return out

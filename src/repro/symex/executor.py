@@ -35,6 +35,7 @@ from repro.layout import RETURN_TO_OS, import_index, is_mmio
 from repro.symex import expr as E
 from repro.symex.solver import UNSAT
 from repro.symex.state import PathStatus
+from repro.vm.memory import NEVER_HIT
 
 
 class HardwarePolicy:
@@ -125,6 +126,10 @@ class _FastEnv:
 
     __slots__ = ("regs", "accesses", "_memory", "_writes", "_is_dma",
                  "ops_retired", "instrs_retired", "io_ops", "mem_ops")
+
+    #: Compiled blocks must reach the buffered callables below, never a
+    #: memory region directly.
+    ram = NEVER_HIT
 
     def __init__(self, state, is_dma):
         self.regs = list(state.regs)

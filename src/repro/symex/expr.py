@@ -126,10 +126,6 @@ def bv_sym(name, width=32):
     return Expr("sym", width, name=name)
 
 
-def _width_of(value):
-    return 32 if isinstance(value, int) else value.width
-
-
 def _binop(kind, a, b, width, fold):
     if isinstance(a, int) and isinstance(b, int):
         return fold(a, b) & _mask(width)
@@ -138,7 +134,7 @@ def _binop(kind, a, b, width, fold):
 
 def bv_add(a, b, width=32):
     if b == 0:
-        return a if isinstance(a, int) else a
+        return a
     if a == 0 and isinstance(b, Expr):
         return b
     # (x + c1) + c2 -> x + (c1 + c2)

@@ -134,9 +134,6 @@ class SolverContext:
                 out.append(comp)
         return out
 
-    def constraint_count(self):
-        return sum(len(c.constraints) for c in self._comps.values())
-
     # -- updates -------------------------------------------------------
 
     def set_model(self, component, model):

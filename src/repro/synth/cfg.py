@@ -35,12 +35,6 @@ class RecoveredFunction:
     #: entry-point role if registered ('send', 'isr', ...) else None
     role: str = None
 
-    @property
-    def is_fully_synthesized(self):
-        """Hardware-only / pure functions need no template integration;
-        functions that call the OS require manual pasting (Figure 9)."""
-        return not self.imports_called
-
     def sorted_blocks(self):
         return [self.blocks[pc] for pc in sorted(self.blocks)]
 

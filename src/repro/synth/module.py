@@ -68,9 +68,6 @@ class SynthesizedDriver:
 
     runtime_header = RUNTIME_HEADER
 
-    def has_block(self, address):
-        return address in self.block_map
-
     def function_for_role(self, role):
         entry = self.entry_points.get(role)
         return self.functions.get(entry) if entry is not None else None

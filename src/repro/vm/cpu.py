@@ -209,7 +209,9 @@ class Cpu:
                     result, members, instrs = sb.fn(
                         env, max_steps - steps, max_steps)
                     steps += instrs
-                    last_block = sb.blocks[members - 1]
+                    # ``members`` is a running total: a loop chain
+                    # counts every iteration's members.
+                    last_block = sb.blocks[(members - 1) % len(sb.blocks)]
                 else:
                     try:
                         block = get_block(self.pc)
@@ -410,13 +412,14 @@ class _CpuEnv:
     like PUSH/POP/CALL/RET accounting).
     """
 
-    __slots__ = ("cpu", "regs", "mem_read", "mem_write", "io_read",
+    __slots__ = ("cpu", "regs", "ram", "mem_read", "mem_write", "io_read",
                  "io_write", "is_device_address", "ops_retired")
 
     def __init__(self, cpu):
         self.cpu = cpu
         self.regs = cpu.regs
         bus = cpu.bus
+        self.ram = bus.memory
         self.mem_read = bus.mem_read
         self.mem_write = bus.mem_write
         self.io_read = bus.io_read

@@ -3,10 +3,11 @@
 import mmap
 
 from repro.errors import MemoryFault
+from repro.layout import MMIO_BASE, MMIO_LIMIT
 
 _WIDTH_MASK = {1: 0xFF, 2: 0xFFFF, 4: 0xFFFFFFFF}
 
-#: A ``_hit`` entry no access can match (base > limit).
+#: A ``hit`` entry no access can match (base > limit).
 _NO_HIT = (1, 0, None)
 
 
@@ -24,19 +25,27 @@ class Memory:
     1.5 MiB heap costs a few resident pages, not 1.5 MiB.  Accesses test
     the last region hit first (two compares) and scan the few regions
     only on a miss.
+
+    ``hit``, ``watch_lo``/``watch_hi`` and ``write_epoch`` are public
+    because compiled IR blocks (:mod:`repro.ir.compile`) access RAM
+    inline through them: a load or store wholly inside ``hit`` -- and,
+    for a store, clear of the watched span -- is exactly what
+    :meth:`read`/:meth:`write` would do, without the calls.  No region
+    may intersect the bus's MMIO window, so a hit is never a device
+    access.
     """
 
     def __init__(self):
         self._regions = []  # (base, limit, name, buffer), sorted by base
-        self._hit = _NO_HIT  # (base, limit, buffer) of the last region hit
+        self.hit = _NO_HIT  # (base, limit, buffer) of the last region hit
         #: Bumped whenever a write (CPU store, DMA, loader) intersects
         #: the watched code span below.  Consumers that cache derived
         #: views of guest code -- the superblock tier's per-chain byte
         #: revalidation -- compare epochs to skip re-reading code that
         #: cannot have changed.  Data writes never bump it.
         self.write_epoch = 0
-        self._watch_lo = 1   # empty span (lo > hi): nothing watched yet
-        self._watch_hi = 0
+        self.watch_lo = 1   # empty span (lo > hi): nothing watched yet
+        self.watch_hi = 0
 
     # ------------------------------------------------------------------
     # Region management
@@ -46,6 +55,8 @@ class Memory:
         if size <= 0:
             raise ValueError("region size must be positive")
         limit = base + size
+        if base < MMIO_LIMIT and MMIO_BASE < limit:
+            raise ValueError("region %r overlaps the MMIO window" % name)
         for rbase, rlimit, rname, _buf in self._regions:
             if base < rlimit and rbase < limit:
                 raise ValueError("region %r overlaps %r" % (name, rname))
@@ -72,7 +83,7 @@ class Memory:
         address+size)``; remembers it as the last hit."""
         for base, limit, _name, buf in self._regions:
             if base <= address and address + size <= limit:
-                self._hit = (base, limit, buf)
+                self.hit = (base, limit, buf)
                 return base, buf
         raise MemoryFault(address, kind)
 
@@ -81,7 +92,7 @@ class Memory:
 
     def read(self, address, width):
         """Read an unsigned little-endian integer of ``width`` bytes."""
-        base, limit, buf = self._hit
+        base, limit, buf = self.hit
         if not (base <= address and address + width <= limit):
             base, buf = self._region(address, width, "read")
         offset = address - base
@@ -89,10 +100,10 @@ class Memory:
 
     def write(self, address, width, value):
         """Write an unsigned little-endian integer of ``width`` bytes."""
-        base, limit, buf = self._hit
+        base, limit, buf = self.hit
         if not (base <= address and address + width <= limit):
             base, buf = self._region(address, width, "write")
-        if address < self._watch_hi and address + width > self._watch_lo:
+        if address < self.watch_hi and address + width > self.watch_lo:
             self.write_epoch += 1
         offset = address - base
         buf[offset:offset + width] = \
@@ -102,7 +113,7 @@ class Memory:
         """Read ``size`` raw bytes."""
         if size == 0:
             return b""
-        base, limit, buf = self._hit
+        base, limit, buf = self.hit
         if not (base <= address and address + size <= limit):
             base, buf = self._region(address, size, "read")
         offset = address - base
@@ -113,10 +124,10 @@ class Memory:
         size = len(data)
         if not size:
             return
-        base, limit, buf = self._hit
+        base, limit, buf = self.hit
         if not (base <= address and address + size <= limit):
             base, buf = self._region(address, size, "write")
-        if address < self._watch_hi and address + size > self._watch_lo:
+        if address < self.watch_hi and address + size > self.watch_lo:
             self.write_epoch += 1
         offset = address - base
         buf[offset:offset + size] = data
@@ -125,8 +136,23 @@ class Memory:
         """Grow the watched code span to include ``[lo, hi)``.  One flat
         span (not a list) keeps the per-write check to two compares; the
         over-approximation only costs spurious epoch bumps."""
-        if self._watch_lo > self._watch_hi:
-            self._watch_lo, self._watch_hi = lo, hi
+        if self.watch_lo > self.watch_hi:
+            self.watch_lo, self.watch_hi = lo, hi
         else:
-            self._watch_lo = min(self._watch_lo, lo)
-            self._watch_hi = max(self._watch_hi, hi)
+            self.watch_lo = min(self.watch_lo, lo)
+            self.watch_hi = max(self.watch_hi, hi)
+
+
+class _NeverHit:
+    """The ``ram`` of an environment whose loads and stores must all go
+    through its callables: every compiled access misses ``hit``."""
+
+    __slots__ = ()
+    hit = _NO_HIT
+    watch_lo = 1
+    watch_hi = 0
+    write_epoch = 0
+
+
+#: Shared stand-in for :class:`Memory` in custom execution environments.
+NEVER_HIT = _NeverHit()

@@ -20,17 +20,26 @@ from repro.guestos.harness import DriverHarness
 from repro.ir import (
     BACKENDS,
     IrEnv,
+    TranslationBlock,
     compile_block,
     exec_counters,
     get_backend,
     run_block,
 )
+from repro.ir import nodes as N
 from repro.isa.registers import REG_SP
-from repro.layout import HEAP_BASE, STACK_TOP, TEXT_BASE, page_align
+from repro.layout import (
+    HEAP_BASE,
+    MMIO_BASE,
+    STACK_TOP,
+    TEXT_BASE,
+    page_align,
+)
 from repro.net import UdpWorkload
 from repro.targetos import TARGET_OSES
 from repro.templates import DmaNicTemplate
 from repro.vm import Machine
+from repro.vm.memory import NEVER_HIT
 
 MAC = b"\x52\x54\x00\xAA\xBB\xCC"
 PEER = b"\x02\x00\x00\x00\x00\x01"
@@ -273,3 +282,179 @@ class TestSymexConcreteFastPath:
             return json.dumps(data, sort_keys=True)
 
         assert run(True) == run(False)
+
+
+def _ram_block(accesses, pc=0x1000):
+    """One block performing ``accesses`` in order -- ``("ld", address,
+    width)`` loads into r1.. and ``("st", address, width, value)``
+    stores -- then halting."""
+    ops = []
+    temp = 0
+    for index, access in enumerate(accesses):
+        ops.append(N.IrConst(dst=temp, value=access[1]))
+        if access[0] == "ld":
+            ops.append(N.IrLoad(dst=temp + 1, addr=temp, width=access[2]))
+            ops.append(N.IrSetReg(reg=1 + index % 12, src=temp + 1))
+        else:
+            ops.append(N.IrConst(dst=temp + 1, value=access[3]))
+            ops.append(N.IrStore(addr=temp, src=temp + 1, width=access[2]))
+        temp += 2
+    ops.append(N.IrHalt())
+    return TranslationBlock(pc=pc, size=8, instr_addrs=[pc], ops=ops)
+
+
+class _MmioProbe:
+    """A device claiming an MMIO range; records every register access."""
+
+    def __init__(self):
+        self.log = []
+
+    def mmio_read(self, offset, width):
+        self.log.append(("r", offset, width))
+        return 0x5A5A5A5A & ((1 << (8 * width)) - 1)
+
+    def mmio_write(self, offset, width, value):
+        self.log.append(("w", offset, width, value))
+
+
+class TestInlineRam:
+    """Compiled blocks access guest RAM inline on a hit in the memory's
+    last-hit region; every other access takes the environment's
+    callables.  Both paths must be indistinguishable from the ``interp``
+    backend, which always calls."""
+
+    @staticmethod
+    def _run(accesses, backend, setup=None):
+        machine = Machine()
+        machine.memory.map_region(0x10000, 0x1000, "low")
+        machine.memory.map_region(0x11000, 0x1000, "high")
+        machine.memory.write_bytes(HEAP_BASE, b"\xAA" * 16)
+        probe = _MmioProbe()
+        machine.bus.attach_mmio(MMIO_BASE, 0x100, probe)
+        seen = []
+        machine.bus.observer = lambda *event: seen.append(event)
+        if setup is not None:
+            setup(machine)
+        env = IrEnv.for_machine(machine)
+        assert env.ram is machine.memory
+        fault = None
+        try:
+            get_backend(backend).run(_ram_block(accesses), env)
+        except VmFault as exc:
+            fault = (type(exc).__name__, str(exc))
+        memory = machine.memory
+        return {
+            "fault": fault,
+            "regs": list(env.regs),
+            "counters": (env.ops_retired, env.io_ops, env.mem_ops),
+            "ram": [memory.read_bytes(HEAP_BASE, 16),
+                    memory.read_bytes(0x10FF0, 0x10),
+                    memory.read_bytes(0x11000, 0x10)],
+            "device": probe.log,
+            "observed": seen,
+            "epoch": memory.write_epoch,
+        }
+
+    def _agree(self, accesses, setup=None):
+        interp = self._run(accesses, "interp", setup)
+        assert self._run(accesses, "compiled", setup) == interp
+        return interp
+
+    def test_straddling_adjacent_regions_faults_at_same_op(self):
+        for kind in (("ld", 0x10FFE, 4), ("st", 0x10FFE, 4, 7),
+                     ("ld", 0x10FFF, 2)):
+            # The first access makes "low" the last-hit region.
+            result = self._agree([("ld", 0x10FF0, 4), kind,
+                                  ("st", HEAP_BASE, 4, 1)])
+            assert result["fault"][0] == "MemoryFault"
+            assert result["counters"][1:] == (0, 1)
+
+    def test_unmapped_address_faults(self):
+        for kind in (("ld", 0x50000, 4), ("st", 0x50000, 1, 3)):
+            result = self._agree([("st", HEAP_BASE, 1, 9), kind])
+            assert result["fault"][0] == "MemoryFault"
+
+    def test_mmio_window_routes_to_device(self):
+        result = self._agree([("ld", HEAP_BASE, 4),
+                              ("ld", MMIO_BASE + 4, 2),
+                              ("st", MMIO_BASE + 8, 4, 0xCAFEF00D),
+                              ("st", HEAP_BASE, 2, 0x1234)])
+        assert result["fault"] is None
+        assert result["counters"][1:] == (2, 2)
+        assert result["device"] == [("r", 4, 2), ("w", 8, 4, 0xCAFEF00D)]
+        assert len(result["observed"]) == 2
+
+    def test_accesses_alternating_between_regions(self):
+        accesses = []
+        for step in range(6):
+            accesses.append(("st", HEAP_BASE + step, 1, step + 1))
+            accesses.append(("st", 0x10FF0 + 2 * step, 2, 0x100 + step))
+            accesses.append(("ld", 0x11000 + step, 1))
+            accesses.append(("ld", HEAP_BASE, 4))
+        result = self._agree(accesses)
+        assert result["counters"][1:] == (0, len(accesses))
+
+    @pytest.mark.parametrize("width", [1, 2, 4])
+    def test_store_masks_to_width(self, width):
+        result = self._agree([("st", HEAP_BASE + 4, width, 0xFEDCBA98),
+                              ("ld", HEAP_BASE + 4, 4)])
+        expected = (0xFEDCBA98).to_bytes(4, "little")[:width]
+        assert result["ram"][0][4:4 + width] == expected
+        assert result["ram"][0][4 + width:8] == b"\xAA" * (4 - width)
+
+    def test_store_into_watched_span_bumps_epoch_once(self):
+        def watch(machine):
+            machine.memory.watch_code_span(HEAP_BASE + 8, HEAP_BASE + 12)
+
+        outside = self._agree([("st", HEAP_BASE, 4, 1),
+                               ("st", HEAP_BASE + 12, 4, 2)], watch)
+        assert outside["epoch"] == 0
+        # A store overlapping the span's first byte from below counts.
+        inside = self._agree([("st", HEAP_BASE, 4, 1),
+                              ("st", HEAP_BASE + 6, 4, 2),
+                              ("st", HEAP_BASE + 12, 4, 3)], watch)
+        assert inside["epoch"] == 1
+
+    def test_bare_env_uses_its_callables(self):
+        calls = []
+
+        def mem_read(address, width):
+            calls.append(("r", address, width))
+            return 0x11
+
+        def mem_write(address, width, value):
+            calls.append(("w", address, width, value))
+
+        env = IrEnv([0] * 16, mem_read, mem_write, None, None)
+        assert env.ram is NEVER_HIT
+        block = _ram_block([("st", HEAP_BASE, 2, 0x55), ("ld", HEAP_BASE, 1)])
+        get_backend("compiled").run(block, env)
+        assert calls == [("w", HEAP_BASE, 2, 0x55), ("r", HEAP_BASE, 1)]
+        assert env.regs[2] == 0x11 and env.mem_ops == 2
+
+    def test_symex_fast_env_uses_its_callables(self):
+        from repro.symex.executor import _FastEnv
+
+        class _State:
+            regs = [0] * 16
+
+            class memory:
+                @staticmethod
+                def read_byte(address):
+                    return address & 0xFF
+
+        env = _FastEnv(_State(), lambda address: False)
+        assert env.ram is NEVER_HIT
+        block = _ram_block([("st", HEAP_BASE, 4, 0x01020304),
+                            ("ld", HEAP_BASE + 1, 2),
+                            ("ld", HEAP_BASE + 8, 1)])
+        get_backend("compiled").run(block, env)
+        assert [(a.address, a.is_write) for a in env.accesses] == [
+            (HEAP_BASE, True), (HEAP_BASE + 1, False),
+            (HEAP_BASE + 8, False)]
+        assert env.regs[2] == 0x0203 and env.regs[3] == 0x08
+
+    def test_regions_never_overlap_the_mmio_window(self):
+        memory = Machine().memory
+        with pytest.raises(ValueError):
+            memory.map_region(MMIO_BASE - 0x1000, 0x2000, "bad")
