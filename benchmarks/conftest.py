@@ -1,8 +1,8 @@
 """Shared fixtures for the benchmark harness.
 
-The artifact cache is warmed once per session -- cold runs fan out across
-worker processes through :mod:`repro.pipeline`, warm sessions load
-artifacts from the on-disk store -- so the per-table/figure tests check
+The artifact cache is warmed once per session -- cold runs compute
+through :mod:`repro.pipeline`, warm sessions load artifacts from the
+on-disk store -- so the per-table/figure tests check
 their experiment, not redundant RevNIC re-runs.  Nothing here measures
 time: timing claims live in ``perfbench/`` (see ``perfbench/README.md``).
 """

@@ -49,7 +49,7 @@ def test_bounded_fuzz_campaign(cache):
         assert save_fuzz_result(store, result) == fuzz_key(config)
 
     # the determinism bar: re-running the identical campaign serializes
-    # byte-identically (wall-clock and pool mode scrubbed)
+    # byte-identically (wall-clock and run mode scrubbed)
     again = FuzzEngine(orchestrator=cache, config=FuzzConfig(**BOUNDED)) \
         .run()
     assert canonical_fuzz_json(again) == canonical_fuzz_json(result)

@@ -8,8 +8,7 @@ Two experiments:
   scenario, and the only non-equivalent cells must be the expected
   unsupported ones (DMA drivers on uC/OS-II);
 * **cold vs warm** -- the same matrix against a fresh artifact store:
-  the cold run pays for reverse engineering (fanned out across workers
-  where the host has cores), the warm run rides the store and must
+  the cold run pays for reverse engineering, the warm run rides the store and must
   rewrite no entry of it.  The warm matrix's speed is measured by
   ``perfbench/`` (see ``perfbench/README.md``), not here.
 """

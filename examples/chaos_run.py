@@ -1,10 +1,10 @@
 #!/usr/bin/env python
 """Run a seeded chaos campaign and report how the pipeline survived.
 
-Each schedule derives a deterministic fault plan from its seed -- worker
-kills/hangs/garbage, store corruption (truncation, bit flips, orphaned
-temp files, crashed publishes), induced run-layer failures -- and runs
-the driver pipeline under it.  The campaign asserts the robustness
+Each schedule derives a deterministic fault plan from its seed -- store
+corruption (truncation, bit flips, orphaned temp files, crashed
+publishes) and induced run-layer failures -- and runs the driver
+pipeline under it.  The campaign asserts the robustness
 invariant: every schedule must end **byte-identical** to the fault-free
 baseline or **fail loudly** with a classified, replayable fault record.
 A silent wrong answer exits non-zero with the offending plan's JSON, so
@@ -18,7 +18,6 @@ Options:
     --schedules N     number of fault schedules         (default 3)
     --drivers a,b     driver subset                     (default: all)
     --script NAME     exercise script                   (default: quick)
-    --job-timeout S   per-job supervision budget        (default 20.0)
     --fuzz-seed N     also check the fuzz-composition invariant with
                       this fault-plan seed              (default: off)
     --out PATH        write the full campaign JSON here
@@ -41,14 +40,12 @@ def main(argv=None):
     parser.add_argument("--schedules", type=int, default=3)
     parser.add_argument("--drivers", default="")
     parser.add_argument("--script", default="quick")
-    parser.add_argument("--job-timeout", type=float, default=20.0)
     parser.add_argument("--fuzz-seed", type=int, default=None)
     parser.add_argument("--out", default="")
     args = parser.parse_args(argv)
 
     drivers = tuple(args.drivers.split(",")) if args.drivers else None
-    campaign = ChaosCampaign(drivers=drivers, script=args.script,
-                             job_timeout=args.job_timeout)
+    campaign = ChaosCampaign(drivers=drivers, script=args.script)
     status = 0
     payload = {}
     try:
@@ -59,9 +56,8 @@ def main(argv=None):
         print("chaos campaign: %(schedules)d schedules -- "
               "%(identical)d byte-identical, %(faulted)d loud classified "
               "failures" % summary)
-        print("absorbed: %(retries)d retries, %(timeouts)d timeouts, "
-              "%(quarantined)d quarantined entries, %(recovered_tmp)d "
-              "recovered temp files" % summary)
+        print("absorbed: %(quarantined)d quarantined entries, "
+              "%(recovered_tmp)d recovered temp files" % summary)
         for outcome in report.outcomes:
             line = "  seed %d: %s" % (outcome.seed, outcome.verdict)
             if outcome.verdict == "faulted":
@@ -70,15 +66,10 @@ def main(argv=None):
         if args.fuzz_seed is not None:
             fuzz = campaign.fuzz_invariant(args.fuzz_seed)
             payload["fuzz_invariant"] = fuzz
-            resilience = fuzz["resilience"]
             print("fuzz composition: byte-identical under plan seed %d "
-                  "(absorbed %d crashes, %d garbage results, %d "
-                  "timeouts via %d retries)"
-                  % (args.fuzz_seed,
-                     resilience.get("worker_crashes", 0),
-                     resilience.get("garbage_results", 0),
-                     resilience.get("timeouts", 0),
-                     resilience.get("retries", 0)))
+                  "(%d store faults applied, %d entries quarantined)"
+                  % (args.fuzz_seed, len(fuzz["store_faults"]),
+                     fuzz["quarantined"]))
         print("\ninvariant holds: loud-or-identical on every schedule")
     except ChaosInvariantError as exc:
         print("\nINVARIANT VIOLATION: %s" % exc, file=sys.stderr)

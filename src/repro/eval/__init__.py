@@ -5,7 +5,7 @@ data and a ``render()`` printing the same rows/series the paper reports.
 The expensive pipeline stages (RevNIC runs, synthesis) are shared through
 :mod:`repro.pipeline`: every experiment consumes serializable
 :class:`~repro.pipeline.artifact.RunArtifact` objects from the process-wide
-orchestrator, which fans cold runs out across worker processes and caches
+orchestrator, which computes each cold run at most once and caches
 artifacts on disk between sessions.
 """
 

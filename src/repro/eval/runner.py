@@ -5,8 +5,8 @@ experiment the process-wide
 :class:`~repro.pipeline.orchestrator.PipelineOrchestrator`, whose
 ``run(name)`` returns the serializable
 :class:`~repro.pipeline.artifact.RunArtifact` for one driver -- loaded
-from memory, from the content-addressed on-disk store, or computed (cold
-runs fan out across worker processes).  Consumers never see a live
+from memory, from the content-addressed on-disk store, or computed in
+process.  Consumers never see a live
 RevNIC engine; tables, figures, the perf model, the validation matrix
 and the functional tests all read artifacts.
 """

@@ -266,13 +266,12 @@ def table4_compute(cache=None):
 # ==========================================================================
 # Validation matrix: drivers x target OSes under the workload catalog
 
-def validation_matrix_compute(cache=None, parallel=None):
+def validation_matrix_compute(cache=None):
     """Run the full differential validation matrix (see repro.validate)."""
     from repro.eval.runner import get_cache
     from repro.validate import ValidationMatrix
 
-    return ValidationMatrix(orchestrator=cache or get_cache()) \
-        .run(parallel=parallel)
+    return ValidationMatrix(orchestrator=cache or get_cache()).run()
 
 
 def _cell_text(cell):

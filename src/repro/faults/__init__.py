@@ -1,11 +1,10 @@
 """Deterministic fault-injection plane and self-healing accounting.
 
 RevNIC's claim is that synthesized drivers survive hostile conditions;
-this package holds the pipeline itself to the same bar.  Three layers of
-faults, all generated from a seed the way the fuzzer generates scenario
+this package holds the pipeline itself to the same bar.  Two layers of
+faults, both generated from a seed the way the fuzzer generates scenario
 programs (same seed ==> byte-identical fault schedule):
 
-* **worker** -- a pool worker is killed, hangs, or returns garbage;
 * **store** -- an on-disk cache entry is truncated, bit-flipped, or a
   publish is crashed mid-``os.replace`` leaving an orphaned temp file;
 * **run** -- ``execute_run`` raises an induced :class:`GuestOsError` or
@@ -14,7 +13,7 @@ programs (same seed ==> byte-identical fault schedule):
 :mod:`repro.faults.plan` maps seeds to fault schedules,
 :mod:`repro.faults.inject` applies them, and
 :mod:`repro.faults.report` collects what the pipeline did to survive
-(retries, timeouts, quarantines, degradations).
+(job outcomes, quarantines, recovered temp files).
 The chaos campaign -- :mod:`repro.faults.campaign`, imported explicitly
 because it sits on top of :mod:`repro.pipeline` -- asserts the invariant
 that matters: under any injected schedule the pipeline either produces
@@ -28,7 +27,6 @@ from repro.faults.plan import (
     FaultSpec,
     RUN_KINDS,
     STORE_KINDS,
-    WORKER_KINDS,
 )
 from repro.faults.report import FaultRecord, ResilienceReport
 
@@ -40,5 +38,4 @@ __all__ = [
     "ResilienceReport",
     "RUN_KINDS",
     "STORE_KINDS",
-    "WORKER_KINDS",
 ]

@@ -10,17 +10,16 @@ fault record -- never a silent wrong answer.**
 Per schedule: generate the :class:`FaultPlan` for a seed, stand up a
 fresh artifact store (primed from a pristine copy when the plan carries
 store-layer faults, cold otherwise), vandalize it per the plan, then
-warm the driver corpus through the supervised pool with the plan's
-worker/run faults installed.  A warm-up that completes must match the
-fault-free baseline byte for byte (``canonical_json``); one that raises
-must leave a :class:`~repro.faults.report.FaultRecord` behind.  Anything
-else raises :class:`ChaosInvariantError` -- the campaign itself is the
-assertion.
+warm the driver corpus with the plan's run faults installed.  A warm-up
+that completes must match the fault-free baseline byte for byte
+(``canonical_json``); one that raises must leave a
+:class:`~repro.faults.report.FaultRecord` behind.  Anything else raises
+:class:`ChaosInvariantError` -- the campaign itself is the assertion.
 
-``fuzz_invariant`` runs the same bargain through the PR-6 differential
-fuzzer: a seeded fuzz campaign executed under a worker-fault schedule
-must produce ``canonical_fuzz_json`` bytes identical to its fault-free
-twin.
+``fuzz_invariant`` runs the same bargain through the differential
+fuzzer: a seeded fuzz campaign executed over a store vandalized by a
+store-fault schedule must produce ``canonical_fuzz_json`` bytes
+identical to its fault-free twin.
 """
 
 import os
@@ -76,10 +75,6 @@ class ChaosReport:
         return {"schedules": len(self.outcomes),
                 "identical": verdicts.count("identical"),
                 "faulted": verdicts.count("faulted"),
-                "retries": sum(o.resilience.get("retries", 0)
-                               for o in self.outcomes),
-                "timeouts": sum(o.resilience.get("timeouts", 0)
-                                for o in self.outcomes),
                 "quarantined": sum(o.resilience.get("quarantined", 0)
                                    for o in self.outcomes),
                 "recovered_tmp": sum(o.resilience.get("recovered_tmp", 0)
@@ -97,8 +92,7 @@ class ChaosCampaign:
     loud-or-identical invariant on every one of them."""
 
     def __init__(self, drivers=None, strategy="coverage", script="quick",
-                 generator=None, job_timeout=20.0, retries=2,
-                 workdir=None):
+                 generator=None, workdir=None):
         from repro.drivers import DRIVERS
 
         self.drivers = tuple(sorted(DRIVERS)) if drivers is None \
@@ -107,10 +101,6 @@ class ChaosCampaign:
         self.script = script
         self.generator = generator or FaultPlanGenerator(
             jobs=len(self.drivers))
-        #: per-job supervision budget; hang faults sleep far past this,
-        #: so keep it small enough that a campaign stays affordable.
-        self.job_timeout = job_timeout
-        self.retries = retries
         self._workdir = workdir
         self._own_workdir = workdir is None
         self._baseline = None           # {driver: canonical_json bytes}
@@ -137,9 +127,9 @@ class ChaosCampaign:
         if self._baseline is None:
             self._pristine_root = os.path.join(self.workdir(), "pristine")
             orchestrator = PipelineOrchestrator(
-                store=ArtifactStore(self._pristine_root), parallel=False)
+                store=ArtifactStore(self._pristine_root))
             artifacts = orchestrator.warm(self.drivers, self.strategy,
-                                          self.script, parallel=False)
+                                          self.script)
             self._baseline = {name: canonical_json(artifacts[name])
                               for name in self.drivers}
         return self._baseline
@@ -147,12 +137,10 @@ class ChaosCampaign:
     # ------------------------------------------------------------------
 
     def fault_map(self, plan):
-        """Resolve a plan's worker/run faults to driver names (first
-        fault per driver wins; targets wrap around the sorted corpus)."""
+        """Resolve a plan's run faults to driver names (first fault per
+        driver wins; targets wrap around the sorted corpus)."""
         mapping = {}
-        for spec in plan.faults:
-            if spec.layer not in ("worker", "run"):
-                continue
+        for spec in plan.layer("run"):
             driver = self.drivers[spec.target % len(self.drivers)]
             mapping.setdefault(driver, spec)
         return mapping
@@ -178,21 +166,15 @@ class ChaosCampaign:
             # pristine fault-free store, then vandalize per the plan.
             shutil.copytree(self._pristine_root, store_root)
         store = ArtifactStore(store_root)
-        applied = []
-        for spec in store_faults:
-            record = corrupt_store_entry(store, spec)
-            if record is not None:
-                applied.append(record)
+        applied = _vandalize(store, store_faults)
 
-        orchestrator = PipelineOrchestrator(
-            store=store, parallel=True, job_timeout=self.job_timeout,
-            retries=self.retries)
+        orchestrator = PipelineOrchestrator(store=store)
         outcome = ChaosOutcome(seed=plan.seed, plan=plan.to_dict(),
                                verdict="identical",
                                store_faults=applied)
         try:
             artifacts = orchestrator.warm(self.drivers, self.strategy,
-                                          self.script, parallel=True,
+                                          self.script,
                                           faults=self.fault_map(plan))
         except ReproError as exc:
             report = orchestrator.last_resilience
@@ -239,16 +221,18 @@ class ChaosCampaign:
     def fuzz_invariant(self, seed, **fuzz_kwargs):
         """Compose the fault plane with the differential fuzzer.
 
-        Runs one small seeded fuzz campaign fault-free, then again under
-        the worker-fault schedule for ``seed`` (same warm store, so the
-        faults land on the fuzz columns themselves); the two campaigns
-        must be canonically byte-identical.  Returns the chaos twin's
-        outcome dict; raises :class:`ChaosInvariantError` on divergence.
+        Runs one small seeded fuzz campaign fault-free, then again over a
+        copy of its warm store vandalized by the store-fault schedule for
+        ``seed`` (so the faults land on the artifacts the fuzz columns
+        load); the two campaigns must be canonically byte-identical, and
+        at least one store fault must have landed.  Returns the chaos
+        twin's outcome dict; raises :class:`ChaosInvariantError` on
+        divergence or on a schedule that vandalized nothing.
         """
         from repro.fuzz.artifact import canonical_fuzz_json
         from repro.fuzz.engine import run_fuzz
 
-        generator = FaultPlanGenerator(layers=("worker",),
+        generator = FaultPlanGenerator(layers=("store",),
                                        jobs=len(self.drivers))
         plan = generator.plan(seed)
         fuzz_kwargs.setdefault("drivers", self.drivers)
@@ -263,18 +247,35 @@ class ChaosCampaign:
         store_root = os.path.join(self.workdir(), "fuzz-store")
         baseline = run_fuzz(
             orchestrator=PipelineOrchestrator(
-                store=ArtifactStore(store_root), parallel=False),
-            parallel=False, **fuzz_kwargs)
-        chaos_orchestrator = PipelineOrchestrator(
-            store=ArtifactStore(store_root), parallel=True,
-            job_timeout=self.job_timeout, retries=self.retries)
-        chaos = run_fuzz(orchestrator=chaos_orchestrator, parallel=True,
-                         faults=self.fault_map(plan), **fuzz_kwargs)
+                store=ArtifactStore(store_root)), **fuzz_kwargs)
+        twin_root = tempfile.mkdtemp(prefix="fuzz-seed%d-" % seed,
+                                     dir=self.workdir())
+        shutil.copytree(store_root, twin_root, dirs_exist_ok=True)
+        twin_store = ArtifactStore(twin_root)
+        applied = _vandalize(twin_store, plan.layer("store"))
+        if not applied:
+            raise ChaosInvariantError(
+                "vacuous fuzz composition: fault plan %s vandalized no "
+                "store entry" % plan.to_json())
+        chaos = run_fuzz(
+            orchestrator=PipelineOrchestrator(store=twin_store),
+            **fuzz_kwargs)
         if canonical_fuzz_json(chaos) != canonical_fuzz_json(baseline):
             raise ChaosInvariantError(
                 "SILENT WRONG ANSWER: fuzz campaign under fault plan %s "
                 "diverged from its fault-free twin" % plan.to_json())
         return {"seed": seed, "plan": plan.to_dict(),
-                "resilience": chaos.resilience.to_dict()
-                if chaos.resilience is not None else {},
+                "store_faults": applied,
+                "quarantined": twin_store.counters()["quarantined"],
                 "summary": chaos.summary()}
+
+
+def _vandalize(store, faults):
+    """Apply store-layer ``faults`` to ``store``; returns the records of
+    the ones that landed."""
+    applied = []
+    for spec in faults:
+        record = corrupt_store_entry(store, spec)
+        if record is not None:
+            applied.append(record)
+    return applied

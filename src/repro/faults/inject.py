@@ -1,10 +1,7 @@
 """Applying fault schedules: the mechanics of breaking things on purpose.
 
-Three entry points, one per layer:
+Two entry points, one per layer:
 
-* :func:`apply_worker_fault` runs inside a supervised pool worker, before
-  the real job: it kills the process, hangs it past the supervisor's
-  job timeout, or hands back a garbage payload to reply with;
 * :func:`maybe_raise_run_fault` is consulted by
   :func:`repro.pipeline.orchestrator.execute_run` between pipeline
   stages: it raises the induced, classified exception
@@ -19,50 +16,14 @@ contents; nothing reads a clock or an unseeded RNG.
 """
 
 import os
-import time
 
 from repro.errors import GuestOsError, SolverError
 
-#: Exit code a kill-faulted worker dies with (distinguishable from a
-#: Python traceback exit in the supervisor's accounting).
-KILL_EXIT_CODE = 113
-
-#: Fallback sleep for hang faults that carry no explicit duration.
-DEFAULT_HANG_SECONDS = 3600.0
-
-#: Payload substituted by garbage faults that carry no explicit payload.
-DEFAULT_GARBAGE = "{\"garbage\": tru"
-
 
 def _spec_dict(fault):
-    """Accept either a FaultSpec or its dict form (specs cross process
-    boundaries as dicts)."""
+    """Accept either a FaultSpec or its dict form (as a serialized plan
+    carries it)."""
     return fault.to_dict() if hasattr(fault, "to_dict") else fault
-
-
-def apply_worker_fault(fault):
-    """Apply a worker-layer fault inside a pool worker, before its job.
-
-    Returns the garbage payload the worker must reply with instead of
-    running the job, or ``None`` when the job should run; kill and hang
-    faults never return at all.
-    """
-    fault = _spec_dict(fault)
-    if fault is None or fault.get("layer") != "worker":
-        return None
-    kind = fault["kind"]
-    params = fault.get("params", {})
-    if kind == "kill":
-        os._exit(KILL_EXIT_CODE)
-    if kind == "hang":
-        time.sleep(params.get("seconds", DEFAULT_HANG_SECONDS))
-        # A hang that outlives the supervisor's patience is killed before
-        # reaching here; if the timeout was generous, die quietly so the
-        # attempt still reads as a crash, never as a silent success.
-        os._exit(KILL_EXIT_CODE)
-    if kind == "garbage":
-        return params.get("payload", DEFAULT_GARBAGE)
-    raise ValueError("unknown worker fault kind %r" % (kind,))
 
 
 def maybe_raise_run_fault(fault, stage):

@@ -9,16 +9,13 @@ report carries the serialized plan and replaying it reproduces the exact
 fault schedule, byte for byte.
 
 Fault targets are small integers resolved against the sorted job list
-(worker/run layers) or the sorted key list (store layer) at injection
-time, so a plan stays meaningful whatever corpus subset a campaign runs.
+(run layer) or the sorted key list (store layer) at injection time, so a
+plan stays meaningful whatever corpus subset a campaign runs.
 """
 
 import json
 import random
 from dataclasses import dataclass, field
-
-#: Worker-level fault kinds: what a pool worker process does to us.
-WORKER_KINDS = ("kill", "hang", "garbage")
 
 #: Store-level fault kinds: what a hostile disk does to cache entries.
 STORE_KINDS = ("truncate", "bitflip", "orphan_tmp", "partial_publish")
@@ -26,50 +23,39 @@ STORE_KINDS = ("truncate", "bitflip", "orphan_tmp", "partial_publish")
 #: Run-level fault kinds: induced failures inside ``execute_run``.
 RUN_KINDS = ("guest_os_error", "solver_budget")
 
-#: ``attempts`` value meaning "fires on every attempt, including the
-#: serial fallback" -- the plan wants a loud classified failure.
-PERSISTENT = 99
+_LAYER_KINDS = {"store": STORE_KINDS, "run": RUN_KINDS}
 
 
 @dataclass(frozen=True)
 class FaultSpec:
     """One injected fault.
 
-    ``attempts`` is how many consecutive attempts of the targeted job the
-    fault fires on (worker/run layers); a transient fault (``attempts``
-    below the retry budget) must be healed by retry or per-job fallback,
-    a :data:`PERSISTENT` one must surface as a loud classified failure.
+    A store fault must be healed (quarantine and recompute, or a
+    recovery sweep); a run fault fails its job the first time it fires,
+    which must surface as a loud classified failure.
     """
 
-    layer: str                  # 'worker' | 'store' | 'run'
+    layer: str                  # 'store' | 'run'
     kind: str
-    target: int = 0             # job ordinal (worker/run) or key ordinal (store)
-    attempts: int = 1
+    target: int = 0             # job ordinal (run) or key ordinal (store)
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        kinds = {"worker": WORKER_KINDS, "store": STORE_KINDS,
-                 "run": RUN_KINDS}.get(self.layer)
+        kinds = _LAYER_KINDS.get(self.layer)
         if kinds is None:
             raise ValueError("unknown fault layer %r" % (self.layer,))
         if self.kind not in kinds:
             raise ValueError("unknown %s fault kind %r"
                              % (self.layer, self.kind))
 
-    def fires_on(self, attempt):
-        """Does this fault fire on 1-based ``attempt`` of its job?"""
-        return attempt <= self.attempts
-
     def to_dict(self):
         return {"layer": self.layer, "kind": self.kind,
-                "target": self.target, "attempts": self.attempts,
-                "params": dict(self.params)}
+                "target": self.target, "params": dict(self.params)}
 
     @classmethod
     def from_dict(cls, data):
         return cls(layer=data["layer"], kind=data["kind"],
-                   target=data["target"], attempts=data["attempts"],
-                   params=dict(data["params"]))
+                   target=data["target"], params=dict(data["params"]))
 
 
 @dataclass(frozen=True)
@@ -103,24 +89,6 @@ class FaultPlan:
         return cls.from_dict(json.loads(text))
 
 
-def _gen_kill(rng):
-    return {}
-
-
-def _gen_hang(rng):
-    # Sleep far past any sane job timeout: the supervisor must kill us.
-    return {"seconds": rng.choice((600, 3600))}
-
-
-def _gen_garbage(rng):
-    return {"payload": rng.choice((
-        "{\"truncated\": tru",              # cut-off JSON
-        "not json at all",
-        "{\"schema\": -1, \"driver\": null}",  # decodes, wrong shape
-        "",
-    ))}
-
-
 def _gen_truncate(rng):
     return {"keep_fraction": rng.choice((0.0, 0.25, 0.5, 0.9))}
 
@@ -146,9 +114,6 @@ def _gen_solver_budget(rng):
 
 
 _PARAM_GENERATORS = {
-    "kill": _gen_kill,
-    "hang": _gen_hang,
-    "garbage": _gen_garbage,
     "truncate": _gen_truncate,
     "bitflip": _gen_bitflip,
     "orphan_tmp": _gen_orphan_tmp,
@@ -157,8 +122,6 @@ _PARAM_GENERATORS = {
     "solver_budget": _gen_solver_budget,
 }
 
-_LAYER_KINDS = {"worker": WORKER_KINDS, "store": STORE_KINDS,
-                "run": RUN_KINDS}
 
 
 class FaultPlanGenerator:
@@ -167,13 +130,12 @@ class FaultPlanGenerator:
     ``plan(seed)`` is a pure function (same discipline as
     :class:`~repro.fuzz.generate.ProgramGenerator`): two generators in two
     processes produce byte-identical ``to_json()`` output for the same
-    seed.  Worker faults are always transient (the retry/fallback path
-    must heal them); run faults are occasionally :data:`PERSISTENT` so
-    campaigns also exercise the loud-failure half of the invariant.
+    seed.  Store faults exercise the healing half of the invariant, run
+    faults the loud-failure half.
     """
 
-    def __init__(self, layers=("worker", "store", "run"), min_faults=1,
-                 max_faults=3, jobs=4, persistent_run_faults=True):
+    def __init__(self, layers=("store", "run"), min_faults=1,
+                 max_faults=3, jobs=4):
         for layer in layers:
             if layer not in _LAYER_KINDS:
                 raise ValueError("unknown fault layer %r" % (layer,))
@@ -184,7 +146,6 @@ class FaultPlanGenerator:
         self.min_faults = min_faults
         self.max_faults = max_faults
         self.jobs = jobs
-        self.persistent_run_faults = persistent_run_faults
 
     def plan(self, seed):
         """The :class:`FaultPlan` for ``seed``."""
@@ -195,16 +156,9 @@ class FaultPlanGenerator:
             layer = rng.choice(self.layers)
             kind = rng.choice(_LAYER_KINDS[layer])
             params = _PARAM_GENERATORS[kind](rng)
-            attempts = 1
-            if layer == "worker":
-                attempts = rng.choice((1, 1, 2))
-            elif layer == "run":
-                attempts = rng.choice((1, 1, 2))
-                if self.persistent_run_faults and rng.random() < 0.25:
-                    attempts = PERSISTENT
             faults.append(FaultSpec(layer=layer, kind=kind,
                                     target=rng.randrange(self.jobs),
-                                    attempts=attempts, params=params))
+                                    params=params))
         return FaultPlan(seed=seed, faults=tuple(faults))
 
     def plans(self, base_seed, count):

@@ -14,7 +14,7 @@ scenario space*:
   original binary and every synthesized target-OS driver, classified by
   the shared :mod:`repro.validate.differ` semantics;
 * :mod:`repro.fuzz.engine` -- the loop-until-dry campaign driver:
-  rounds of programs fanned out per driver over spawn workers, stopping
+  rounds of programs run one driver column at a time, stopping
   after N consecutive rounds with zero new coverage and zero new
   divergences;
 * :mod:`repro.fuzz.artifact` -- canonical, versioned campaign

@@ -3,10 +3,10 @@
 A campaign serializes to versioned JSON the same way pipeline run
 artifacts do: the encoding is a *canonical* function of the campaign's
 outputs (sorted keys, sorted coverage, no whitespace), with the only
-non-deterministic fields -- wall clock and pool mode -- scrubbed by
-:func:`canonical_fuzz_json`.  Same seed, same config, same code ==>
-byte-identical canonical JSON; the determinism tests hold the fuzzer to
-exactly that.
+non-deterministic fields -- wall clock, run mode and the resilience
+report -- scrubbed by :func:`canonical_fuzz_json`.  Same seed, same
+config, same code ==> byte-identical canonical JSON; the determinism
+tests hold the fuzzer to exactly that.
 
 Campaign records share the pipeline's content-addressed
 :class:`~repro.pipeline.store.ArtifactStore` under a ``fuzz-`` key
@@ -92,8 +92,8 @@ def canonical_fuzz_json(result):
     """Deterministic JSON with the volatile fields scrubbed.
 
     Byte-equality of canonical JSON is the campaign-equivalence relation:
-    two runs of the same seed and config (serial or pooled, cold or warm)
-    must produce identical bytes.
+    two runs of the same seed and config (cold or warm, faulted-but-healed
+    or clean) must produce identical bytes.
     """
     data = fuzz_to_dict(result)
     data["wall_seconds"] = 0.0
@@ -102,9 +102,9 @@ def canonical_fuzz_json(result):
     summary["wall_seconds"] = 0.0
     summary["mode"] = "scrubbed"
     data["summary"] = summary
-    # The resilience report records *how* a run survived (pool vs serial,
-    # retries, timeouts) -- volatile by design, so canonical equivalence
-    # scrubs it entirely.
+    # The resilience report records *how* a run went (job attempts and
+    # outcomes) -- volatile by design, so canonical equivalence scrubs it
+    # entirely.
     data["resilience"] = None
     return json.dumps(data, sort_keys=True, separators=(",", ":"))
 

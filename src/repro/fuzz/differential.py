@@ -72,8 +72,7 @@ def run_program_column(artifact, os_names, programs, exec_backend=None):
 
     Mirrors :func:`repro.validate.matrix.compute_column`: one baseline
     per program (the original binary), shared by every target OS; pure
-    function of the artifact and programs, so it is safe in a worker
-    process.  Returns ``(runs, baselines)`` where ``baselines`` maps
+    function of the artifact and programs.  Returns ``(runs, baselines)`` where ``baselines`` maps
     program name -> baseline :class:`Observation` (the fuzz engine mines
     them for behavior coverage).
     """

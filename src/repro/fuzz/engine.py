@@ -2,9 +2,8 @@
 
 Rounds of seeded program generation fan out across the driver corpus --
 one job per driver column through the pipeline orchestrator's one
-fan-out (supervised pool, then per-column serial fallback), as the
-validation matrix does -- and every (program, driver, target OS) run is
-classified against the original binary.  The loop stops when
+fan-out, as the validation matrix does -- and every (program, driver,
+target OS) run is classified against the original binary.  The loop stops when
 ``dry_rounds`` consecutive rounds produce **zero new coverage and zero
 new unexplained divergences** (or at the ``max_rounds`` safety bound):
 the sampled program space has gone dry under the current vocabulary.
@@ -20,9 +19,8 @@ something no earlier round did.
 import time
 from dataclasses import dataclass, field
 
-from repro.fuzz.differential import ProgramRun, run_program_column
+from repro.fuzz.differential import run_program_column
 from repro.fuzz.generate import MAX_STEPS, MIN_STEPS, ProgramGenerator
-from repro.net.traffic import ScenarioProgram
 from repro.validate.matrix import OS_ORDER
 
 
@@ -147,23 +145,6 @@ def _program_column(artifact, os_names, programs, exec_backend):
     return runs, features
 
 
-def _fuzz_column_worker(job, fault=None):
-    """Pool target: one driver's runs for one round's programs, encoded
-    (``job`` as :meth:`PipelineOrchestrator.column_jobs` builds it)."""
-    from repro.pipeline.orchestrator import column_artifact
-
-    os_names, program_texts, exec_backend = job[4:]
-    programs = [ScenarioProgram.from_json(text) for text in program_texts]
-    runs, features = _program_column(column_artifact(job, fault), os_names,
-                                     programs, exec_backend)
-    return [run.to_dict() for run in runs], sorted(features)
-
-
-def _decode_column(payload):
-    encoded, features = payload
-    return [ProgramRun.from_dict(run) for run in encoded], set(features)
-
-
 class FuzzEngine:
     """Runs a differential fuzz campaign over the driver corpus."""
 
@@ -175,13 +156,12 @@ class FuzzEngine:
         self.generator = ProgramGenerator(min_steps=self.config.min_steps,
                                           max_steps=self.config.max_steps)
 
-    def run(self, parallel=None, faults=None):
+    def run(self):
         """Fuzz until dry (or the round budget); returns a
         :class:`FuzzResult`.
 
-        ``faults`` maps driver name -> FaultSpec (chaos campaigns).  The
-        campaign-wide :class:`ResilienceReport` of every round's fan-out
-        lands on ``result.resilience``.
+        The campaign-wide :class:`ResilienceReport` of every round's
+        fan-out lands on ``result.resilience``.
         """
         from repro.faults.report import ResilienceReport
 
@@ -196,10 +176,8 @@ class FuzzEngine:
             programs = self.generator.programs(seed_cursor,
                                                config.programs_per_round)
             seed_cursor += config.programs_per_round
-            round_runs, round_features, round_mode = self._run_round(
-                drivers, programs, parallel, faults, report)
-            if round_mode == "parallel":
-                result.mode = "parallel"
+            round_runs, round_features = self._run_round(
+                drivers, programs, report)
             for program in programs:
                 round_features |= program_features(program)
             new_features = round_features - result.coverage
@@ -227,35 +205,29 @@ class FuzzEngine:
 
     # ------------------------------------------------------------------
 
-    def _run_round(self, drivers, programs, parallel, faults, report):
+    def _run_round(self, drivers, programs, report):
         """One round's (driver x program x OS) runs, one fan-out job per
-        driver column; returns ``(runs, features, mode)``."""
+        driver column; returns ``(runs, features)``."""
         config = self.config
-        jobs = self.orchestrator.column_jobs(
-            drivers, config.strategy, config.script, tuple(config.os_names),
-            tuple(p.to_json() for p in programs), config.exec_backend)
 
-        def serial(job, _fault):
-            artifact = self.orchestrator.run(job[0], config.strategy,
+        def compute(driver, _fault):
+            artifact = self.orchestrator.run(driver, config.strategy,
                                              config.script)
             return _program_column(artifact, config.os_names, programs,
                                    config.exec_backend)
 
-        collected, mode = self.orchestrator.fan_out(
-            "fuzz", jobs, _fuzz_column_worker, _decode_column, serial,
-            report, parallel=parallel, faults=faults)
+        collected = self.orchestrator.fan_out(
+            {driver: driver for driver in drivers}, compute, report)
         runs = []
         features = set()
         for driver in drivers:
             column, column_features = collected[driver]
             runs.extend(column)
             features.update(column_features)
-        return runs, features, mode
+        return runs, features
 
 
-def run_fuzz(orchestrator=None, parallel=None, faults=None,
-             **config_kwargs):
+def run_fuzz(orchestrator=None, **config_kwargs):
     """One-call entry point: build and run a fuzz campaign."""
     config = FuzzConfig(**config_kwargs)
-    return FuzzEngine(orchestrator=orchestrator, config=config) \
-        .run(parallel=parallel, faults=faults)
+    return FuzzEngine(orchestrator=orchestrator, config=config).run()

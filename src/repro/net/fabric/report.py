@@ -6,8 +6,8 @@ statistics, per-endpoint counters and fleet totals.  Volatile fields
 (wall clock, throughput, scheduler mode and its cost counters) ride
 along for benchmarks but are scrubbed by :func:`canonical_fabric_json` --
 byte-equality of the canonical form is the fabric determinism relation:
-same seed + same topology must produce identical bytes across runs,
-across ``REVNIC_PARALLEL`` settings, and across scheduler modes.
+same seed + same topology must produce identical bytes across runs and
+across scheduler modes.
 
 Reports persist in the shared :class:`~repro.pipeline.store.
 ArtifactStore` under ``fabric-`` keys, content-addressed by workload +

@@ -60,10 +60,6 @@ class Medium:
             return
         self._receiver.receive_frame(frame_bytes)
 
-    def pending_tx(self):
-        """Number of transmitted frames awaiting harvest (fabric poll)."""
-        return len(self.transmitted)
-
     def pop_transmitted(self):
         """Return and clear the transmitted-frame log, as ``bytes``."""
         frames, self.transmitted = self.transmitted, []

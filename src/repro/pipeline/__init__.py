@@ -12,10 +12,9 @@ synthesis per driver -- hands a compact, serializable
 * :mod:`repro.pipeline.store` -- the content-addressed on-disk cache
   (keyed by driver image, config, schema and a source-tree fingerprint;
   checksummed entries, quarantine, crash-consistent publish, GC);
-* :mod:`repro.pipeline.pool` -- the supervised persistent-process pool
-  (per-job timeout, bounded retry, classified failure accounting);
 * :mod:`repro.pipeline.orchestrator` -- the orchestration layer that
-  computes cold artifacts in supervised worker processes.
+  computes each missing artifact at most once, in process, and runs the
+  per-driver fan-outs (warm-up, matrix, fuzz) one job after another.
 """
 
 from repro.pipeline.artifact import (
@@ -32,7 +31,6 @@ from repro.pipeline.orchestrator import (
     execute_run,
     get_orchestrator,
 )
-from repro.pipeline.pool import SupervisedPool
 from repro.pipeline.store import (
     ArtifactStore,
     artifact_key,
@@ -55,5 +53,4 @@ __all__ = [
     "artifact_key",
     "code_fingerprint",
     "default_store",
-    "SupervisedPool",
 ]

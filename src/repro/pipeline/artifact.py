@@ -12,9 +12,8 @@ engine.
 The JSON codec is versioned and *canonical*: encoding is a deterministic
 function of the run's outputs (interned expression DAGs and shared
 translation blocks are emitted once, in traversal order; all sets are
-sorted), so a serial in-process run, a ``multiprocessing`` worker run and
-a cache round-trip of the same driver produce byte-identical canonical
-JSON.  The only non-deterministic fields are wall-clock timings, which
+sorted), so a fresh run and a cache round-trip of the same driver
+produce byte-identical canonical JSON.  The only non-deterministic fields are wall-clock timings, which
 :func:`canonical_json` scrubs; :func:`to_json` keeps them for Table 4
 and Figure 8.
 """
@@ -78,8 +77,7 @@ class RunArtifact:
         self.code = code
         self.synthesized = synthesized
         self.schema = schema
-        #: where this artifact came from: 'computed', 'disk-cache',
-        #: 'worker'
+        #: where this artifact came from: 'computed' or 'disk-cache'
         self.source = source
 
     # -- consumer conveniences -----------------------------------------
@@ -642,6 +640,6 @@ def canonical_json(artifact):
     """Deterministic JSON with volatile timing fields scrubbed.
 
     Byte-equality of canonical JSON is the artifact-equivalence relation
-    the determinism tests (serial vs parallel vs cached) assert on.
+    the determinism tests (computed vs cached vs recomputed) assert on.
     """
     return canonical_dumps(_scrub_volatile(artifact_to_dict(artifact)))

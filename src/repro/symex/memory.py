@@ -76,25 +76,3 @@ class SymMemory:
         for i, byte in enumerate(data):
             self.write_byte(address + i, byte)
 
-    # ------------------------------------------------------------------
-
-    def symbolic_addresses(self):
-        """Yield ``(address, value)`` for all symbolic overlay bytes."""
-        for page_number, page in self._pages.items():
-            base = page_number * PAGE_SIZE
-            for offset, value in page.items():
-                if not is_concrete(value):
-                    yield base + offset, value
-
-    def concrete_delta(self):
-        """Yield ``(address, int)`` for concrete overlay bytes (writes the
-        path performed that have not reached backing memory)."""
-        for page_number, page in self._pages.items():
-            base = page_number * PAGE_SIZE
-            for offset, value in page.items():
-                if is_concrete(value):
-                    yield base + offset, value
-
-    def overlay_size(self):
-        """Total overlay bytes (memory-pressure metric)."""
-        return sum(len(page) for page in self._pages.values())

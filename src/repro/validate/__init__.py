@@ -15,8 +15,8 @@ layers:
 * :mod:`repro.validate.differ` -- field-by-field divergence semantics
   plus the shared match / unsupported / divergent verdict rule (the
   matrix and the scenario fuzzer classify identically);
-* :mod:`repro.validate.matrix` -- the matrix runner: per-driver columns
-  fanned out over the pipeline's process pool, artifacts served from the
+* :mod:`repro.validate.matrix` -- the matrix runner: one job per
+  driver column through the pipeline's fan-out, artifacts served from the
   on-disk store, cells classified equivalent / unsupported / divergent
   against per-cell expectations.
 

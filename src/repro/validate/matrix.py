@@ -22,11 +22,9 @@ Each cell also carries its *expectation*; an **unexplained** divergence is
 any behavioral mismatch, or an unsupported result where equivalence was
 expected.  The matrix runs one job per driver column through the
 pipeline orchestrator's one fan-out
-(:meth:`repro.pipeline.orchestrator.PipelineOrchestrator.fan_out`:
-supervised pool, then per-column serial fallback), each column loading
-(or, cold, computing and storing) its artifact from the shared on-disk
-store: one misbehaving column never forces healthy columns to
-recompute.  Every run records how it survived in
+(:meth:`repro.pipeline.orchestrator.PipelineOrchestrator.fan_out`),
+each column loading (or, cold, computing and storing) its artifact from
+the on-disk store.  Every run records its columns in
 :attr:`MatrixResult.resilience`.
 """
 
@@ -143,7 +141,7 @@ class MatrixResult:
     os_names: list
     scenario_names: list
     wall_seconds: float = 0.0
-    mode: str = "serial"      # 'parallel' | 'serial'
+    mode: str = "serial"
     #: :class:`~repro.faults.report.ResilienceReport` of this run
     resilience: object = None
 
@@ -179,8 +177,8 @@ class MatrixResult:
 def compute_column(artifact, os_names, scenario_names, exec_backend=None):
     """All cells for one driver, sharing one baseline per scenario.
 
-    Pure function of the artifact and catalog -- safe to run in a worker
-    process; everything it returns serializes through ``to_dict``.
+    Pure function of the artifact and catalog; everything it returns
+    serializes through ``to_dict``.
     ``exec_backend`` overrides the execution tier on *both* sides
     (``None`` keeps the library default: compiled blocks everywhere).
     """
@@ -218,17 +216,6 @@ def compute_column(artifact, os_names, scenario_names, exec_backend=None):
     return cells
 
 
-def _column_worker(job, fault=None):
-    """Supervised-pool target: one driver's whole matrix column, encoded
-    (``job`` as :meth:`PipelineOrchestrator.column_jobs` builds it)."""
-    from repro.pipeline.orchestrator import column_artifact
-
-    os_names, scenario_names, exec_backend = job[4:]
-    column = compute_column(column_artifact(job, fault), os_names,
-                            scenario_names, exec_backend=exec_backend)
-    return [cell.to_dict() for cell in column]
-
-
 class ValidationMatrix:
     """Runs the differential matrix over the driver corpus."""
 
@@ -248,33 +235,26 @@ class ValidationMatrix:
         #: compiled everywhere; "interp"/"step" for the ablation)
         self.exec_backend = exec_backend
 
-    def run(self, parallel=None, faults=None):
+    def run(self, parallel=None):
         """Compute the full matrix; returns a :class:`MatrixResult`.
 
-        One fan-out job per driver column; ``faults`` maps driver name ->
-        FaultSpec (chaos campaigns).
+        One fan-out job per driver column.
         """
+        # ``parallel`` is accepted and ignored: perfbench/worker.py passes it.
         from repro.faults.report import ResilienceReport
 
         started = time.monotonic()
         report = ResilienceReport()
-        jobs = self.orchestrator.column_jobs(
-            self.drivers, self.strategy, self.script, tuple(self.os_names),
-            tuple(self.scenario_names), self.exec_backend)
 
-        def serial(job, _fault):
-            artifact = self.orchestrator.run(job[0], self.strategy,
+        def compute(driver, _fault):
+            artifact = self.orchestrator.run(driver, self.strategy,
                                              self.script)
             return compute_column(artifact, self.os_names,
                                   self.scenario_names,
                                   exec_backend=self.exec_backend)
 
-        def decode(payload):
-            return [CellResult.from_dict(cell) for cell in payload]
-
-        columns, mode = self.orchestrator.fan_out(
-            "matrix", jobs, _column_worker, decode, serial, report,
-            parallel=parallel, faults=faults)
+        columns = self.orchestrator.fan_out(
+            {driver: driver for driver in self.drivers}, compute, report)
         cells = {}
         for driver in self.drivers:
             for cell in columns[driver]:
@@ -283,10 +263,9 @@ class ValidationMatrix:
                             os_names=list(self.os_names),
                             scenario_names=list(self.scenario_names),
                             wall_seconds=time.monotonic() - started,
-                            mode=mode, resilience=report)
+                            resilience=report)
 
 
-def run_matrix(orchestrator=None, parallel=None, **kwargs):
+def run_matrix(orchestrator=None, **kwargs):
     """One-call entry point: build and run the full validation matrix."""
-    return ValidationMatrix(orchestrator=orchestrator, **kwargs) \
-        .run(parallel=parallel)
+    return ValidationMatrix(orchestrator=orchestrator, **kwargs).run()

@@ -125,10 +125,6 @@ class Cpu:
         if self._sb_manager is not None:
             self._sb_manager.invalidate()
 
-    def invalidate_decode_cache(self):
-        """Backward-compatible alias for :meth:`code_changed`."""
-        self.code_changed()
-
     # ------------------------------------------------------------------
     # Execution
 

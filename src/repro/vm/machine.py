@@ -10,10 +10,9 @@ class Machine:
     """A complete guest machine.
 
     Owns the standard region map (heap + stack; the loader adds the driver
-    image regions) and an interrupt-line registry.  Device models raise
-    interrupts through :meth:`raise_irq`; the guest-OS simulator registers a
-    handler per line (in NDIS terms, the OS dispatches the interrupt to the
-    miniport ISR, which is also how RevNIC injects *symbolic* interrupts).
+    image regions) and an interrupt latch: :meth:`raise_irq` asserts a
+    line and :meth:`drain_irqs` hands the latched lines to whoever
+    services them.
     """
 
     def __init__(self, exec_backend=None, exec_superblocks=None):
@@ -21,7 +20,6 @@ class Machine:
         self.bus = Bus(self.memory)
         self.cpu = Cpu(self.bus, exec_backend=exec_backend,
                        exec_superblocks=exec_superblocks)
-        self._irq_handlers = {}
         self._pending_irqs = []
         self.irq_count = 0
         self.memory.map_region(HEAP_BASE, HEAP_LIMIT - HEAP_BASE, "heap")
@@ -31,26 +29,12 @@ class Machine:
     # ------------------------------------------------------------------
     # Interrupts
 
-    def register_irq_handler(self, line, handler):
-        """Register ``handler()`` to service interrupt ``line``."""
-        self._irq_handlers[line] = handler
-
     def raise_irq(self, line):
-        """Assert interrupt ``line``.
-
-        If a handler is registered it runs immediately when the CPU is not
-        inside guest code (devices only raise interrupts from Python-side
-        device models, so this is always at an instruction boundary);
-        otherwise the interrupt is latched for :meth:`drain_irqs`.
-        """
+        """Assert interrupt ``line``: latch it for :meth:`drain_irqs`."""
         self.irq_count += 1
-        handler = self._irq_handlers.get(line)
-        if handler is not None:
-            handler()
-        else:
-            self._pending_irqs.append(line)
+        self._pending_irqs.append(line)
 
     def drain_irqs(self):
-        """Return and clear latched interrupts raised before registration."""
+        """Return and clear the latched interrupts."""
         pending, self._pending_irqs = self._pending_irqs, []
         return pending

@@ -76,7 +76,7 @@ class TestMediumBytearray:
         popped = medium.pop_transmitted()
         assert popped == [b"x" * 60]
         assert all(type(f) is bytes for f in popped)
-        assert medium.pending_tx() == 0
+        assert medium.transmitted == []
 
     def test_inject_normalizes_to_bytes(self):
         medium = Medium()

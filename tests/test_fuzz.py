@@ -129,7 +129,7 @@ def bounded_campaign():
                         programs_per_round=2, max_rounds=2, dry_rounds=2,
                         base_seed=4242)
     engine = FuzzEngine(orchestrator=get_cache(), config=config)
-    return config, engine.run(parallel=False)
+    return config, engine.run()
 
 
 class TestEngine:
@@ -148,8 +148,7 @@ class TestEngine:
         """The acceptance bar: same seed -> byte-identical canonical
         fuzz artifact."""
         config, result = bounded_campaign
-        again = FuzzEngine(orchestrator=get_cache(),
-                           config=config).run(parallel=False)
+        again = FuzzEngine(orchestrator=get_cache(), config=config).run()
         assert canonical_fuzz_json(again) == canonical_fuzz_json(result)
 
     def test_campaign_round_trips_through_json(self, bounded_campaign):

@@ -170,10 +170,6 @@ class TestTranslation:
         cpu.pc = TEXT_BASE
         cpu.run()
         assert cpu.regs[2] == 99
-        # The legacy name remains an alias of the unified hook.
-        cpu._decode_cache[0] = None
-        cpu.invalidate_decode_cache()
-        assert not cpu._decode_cache
 
     def test_printer_smoke(self):
         machine = load("""

@@ -5,8 +5,8 @@ The contracts under test (see DESIGN.md "Artifact-based orchestration"):
 * serialize -> deserialize is lossless for every field downstream
   consumers use, and rendered experiment outputs (Table 4, Figures 8/9)
   are identical between the live-object and deserialized paths;
-* serial in-process runs, parallel worker runs and on-disk cache loads
-  of the same driver produce byte-identical canonical JSON;
+* fresh in-process runs and on-disk cache loads of the same driver
+  produce byte-identical canonical JSON;
 * the on-disk store is content-addressed (config changes miss, corrupt
   entries miss, same inputs hit) and a warm cache makes a session's
   four-driver warm-up loads, not runs.
@@ -133,92 +133,24 @@ class TestRoundTrip:
 class TestDeterminism:
     def test_recompute_matches_session_artifact(self, artifacts):
         """A fresh in-process run is canonically byte-identical to the
-        session's artifact (which may have come from the disk cache or a
-        worker process)."""
+        session's artifact (which may have come from the disk cache)."""
         fresh = execute_run("rtl8029")
         assert canonical_json(fresh) == canonical_json(
             artifacts["rtl8029"])
 
-    def test_parallel_fanout_matches_serial(self, artifacts):
-        """Artifacts computed by spawn-pool workers are canonically
-        byte-identical to the session's, for the whole corpus."""
-        orchestrator = PipelineOrchestrator(store=False)
-        fresh = orchestrator.warm(parallel=True)
-        assert set(fresh) == set(artifacts)
-        for name in ALL:
-            assert canonical_json(fresh[name]) \
-                == canonical_json(artifacts[name]), name
-        if orchestrator.last_warm_mode == "parallel":
-            assert all(a.source == "worker" for a in fresh.values())
-
-
-#: Two quick-script drivers, so each fan-out has two jobs to pool.
-FAN_OUT_DRIVERS = ["rtl8029", "smc91c111"]
-
-
-def _warm(parallel, faults=None):
-    # A storeless orchestrator: every driver is missing, so warm-up fans
-    # its pipelines out instead of loading them.
-    orchestrator = PipelineOrchestrator(store=False)
-    artifacts = orchestrator.warm(FAN_OUT_DRIVERS, script="quick",
-                                  parallel=parallel, faults=faults)
-    return ({name: canonical_json(artifact)
-             for name, artifact in artifacts.items()},
-            orchestrator.last_resilience)
-
-
-def _matrix(parallel, faults=None):
-    from repro.validate import ValidationMatrix
-
-    result = ValidationMatrix(orchestrator=get_cache(),
-                              drivers=FAN_OUT_DRIVERS, os_names=["linsim"],
-                              scenarios=["udp_stream"], script="quick") \
-        .run(parallel=parallel, faults=faults)
-    return ({key: cell.to_dict() for key, cell in result.cells.items()},
-            result.resilience)
-
-
-def _fuzz(parallel, faults=None, max_rounds=1, drivers=FAN_OUT_DRIVERS):
-    from repro.fuzz import canonical_fuzz_json, run_fuzz
-
-    result = run_fuzz(orchestrator=get_cache(), parallel=parallel,
-                      faults=faults, drivers=tuple(drivers),
-                      os_names=("linsim",), programs_per_round=1,
-                      max_rounds=max_rounds, dry_rounds=max_rounds,
-                      script="quick")
-    return canonical_fuzz_json(result), result.resilience
-
 
 class TestFanOut:
-    """The one supervised fan-out behind warm-up, the matrix and the
-    fuzzer: pool first, then per-job serial fallback."""
-
-    @pytest.mark.parametrize("stage", ["warm", "matrix", "fuzz"])
-    def test_all_failing_in_pool_fall_back_serially(self, stage):
-        # Every job fails in the pool (persistent garbage), so none comes
-        # back; each serial recompute must still be recorded.
-        from repro.faults import FaultSpec
-        from repro.faults.plan import PERSISTENT
-
-        run = {"warm": _warm, "matrix": _matrix, "fuzz": _fuzz}[stage]
-        garbage = FaultSpec(layer="worker", kind="garbage",
-                            attempts=PERSISTENT)
-        faulted, report = run(True, {name: garbage
-                                     for name in FAN_OUT_DRIVERS})
-        serial, _report = run(False)
-        assert [report.jobs[name]["outcome"] for name in FAN_OUT_DRIVERS] \
-            == ["serial-fallback", "serial-fallback"]
-        assert [(d["stage"], d["job"]) for d in report.degradations] \
-            == [(stage, name) for name in FAN_OUT_DRIVERS]
-        assert report.garbage_results > 0
-        assert faulted == serial
+    """The one fan-out behind warm-up, the matrix and the fuzzer."""
 
     def test_serial_fuzz_rounds_count_no_retries(self):
-        # One report spans every round; a serial attempt is numbered
-        # within its own round's fan-out, never after earlier rounds.
-        _canonical, report = _fuzz(False, max_rounds=3,
-                                   drivers=["rtl8029"])
-        assert report.retries == 0
+        # One report spans every round; each round's fan-out runs a job
+        # exactly once.
+        from repro.fuzz import run_fuzz
+
+        report = run_fuzz(orchestrator=get_cache(), drivers=("rtl8029",),
+                          os_names=("linsim",), programs_per_round=1,
+                          max_rounds=3, dry_rounds=3,
+                          script="quick").resilience
         assert report.jobs["rtl8029"]["outcome"] == "serial"
         assert report.jobs["rtl8029"]["attempts"] == 3
 
@@ -294,7 +226,7 @@ class TestQuickScript:
         """The reduced exerciser script is wired through the orchestrator
         (smoke runs: driver_entry, initialize, send, halt)."""
         orchestrator = PipelineOrchestrator(store=ArtifactStore(
-            str(tmp_path)), parallel=False)
+            str(tmp_path)))
         artifact = orchestrator.run("rtl8029", script="quick")
         assert artifact.script == "quick"
         assert artifact.config["script"] == "quick"

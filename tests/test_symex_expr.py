@@ -429,12 +429,3 @@ class TestSymMemory:
         child = mem.fork()
         assert child.read(0x500, 4) == 0xABCD
 
-    def test_overlay_iterators(self):
-        mem = self.make()
-        mem.write_byte(0x600, 5)
-        mem.write_byte(0x601, E.bv_sym("s", 8))
-        concrete = dict(mem.concrete_delta())
-        symbolic = dict(mem.symbolic_addresses())
-        assert concrete == {0x600: 5}
-        assert 0x601 in symbolic
-        assert mem.overlay_size() == 2

@@ -131,7 +131,7 @@ class TestMatrix:
                                   drivers=["rtl8029"],
                                   os_names=["winsim", "linsim"],
                                   scenarios=["udp_stream", "link_flap"])
-        result = matrix.run(parallel=False)
+        result = matrix.run()
         assert isinstance(result, MatrixResult)
         assert set(result.cells) == {("rtl8029", "winsim"),
                                      ("rtl8029", "linsim")}

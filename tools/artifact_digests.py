@@ -81,21 +81,20 @@ def warm_digest(section):
     ``fuzz``), computed in-process over the default artifact store."""
     from repro.pipeline.orchestrator import PipelineOrchestrator
 
-    orchestrator = PipelineOrchestrator(parallel=False)
-    orchestrator.warm(parallel=False)
+    orchestrator = PipelineOrchestrator()
+    orchestrator.warm()
     if section == "matrix":
         from repro.validate.matrix import ValidationMatrix
 
-        summary = ValidationMatrix(orchestrator=orchestrator).run(
-            parallel=False).summary()
+        summary = ValidationMatrix(orchestrator=orchestrator).run() \
+            .summary()
         summary.pop("wall_seconds")
         return _sha256(json.dumps(summary, sort_keys=True))
     if section == "fuzz":
         from repro.fuzz.artifact import canonical_fuzz_json
         from repro.fuzz.engine import run_fuzz
 
-        result = run_fuzz(orchestrator=orchestrator, parallel=False,
-                          **FUZZ_CAMPAIGN)
+        result = run_fuzz(orchestrator=orchestrator, **FUZZ_CAMPAIGN)
         return _sha256(canonical_fuzz_json(result))
     from repro.net.fabric import build_workload, canonical_fabric_json, \
         run_fleet
