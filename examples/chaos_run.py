@@ -58,6 +58,8 @@ def main(argv=None):
               "failures" % summary)
         print("absorbed: %(quarantined)d quarantined entries, "
               "%(recovered_tmp)d recovered temp files" % summary)
+        print("skipped: %(skipped_run_faults)d run faults whose target "
+              "loaded from the store and never computed" % summary)
         for outcome in report.outcomes:
             line = "  seed %d: %s" % (outcome.seed, outcome.verdict)
             if outcome.verdict == "faulted":

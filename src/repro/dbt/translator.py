@@ -246,6 +246,31 @@ class CodeWindow:
         return Translator(self.read)
 
 
+#: Translated blocks shared across translators, ``pc -> [(block, raw)]``:
+#: the same driver image loaded into many machines translates once.  A
+#: block is a pure function of its ``pc`` and the bytes it covers, so a
+#: candidate whose ``raw`` equals the current guest bytes is exactly the
+#: block a fresh translation would build (compiled function included).
+#: Only terminated blocks are shared -- a block truncated by a fetch or
+#: decode fault depends on bytes past its end.  Every hit re-checks the
+#: bytes, so patched or reloaded code can never match a stale entry and
+#: ``invalidate()`` need not touch this table.  Bounded like
+#: ``compile._SHARED_PROGRAMS``: cleared once it holds
+#: ``_SHARED_BLOCKS_MAX`` blocks (live translators keep theirs).
+_SHARED_BLOCKS = {}
+_SHARED_BLOCKS_MAX = 8192
+_shared_count = 0
+
+
+def _share(block, raw):
+    global _shared_count
+    if _shared_count >= _SHARED_BLOCKS_MAX:
+        _SHARED_BLOCKS.clear()
+        _shared_count = 0
+    _SHARED_BLOCKS.setdefault(block.pc, []).append((block, raw))
+    _shared_count += 1
+
+
 class Translator:
     """Caching DBT front end.
 
@@ -255,6 +280,8 @@ class Translator:
     the code may not be available in advance").  Checking only the first
     instruction is not enough: a patch landing past a block's first
     instruction would otherwise keep serving the stale translation.
+    A miss in the per-translator cache consults the shared
+    ``_SHARED_BLOCKS`` table under the same byte check before translating.
     """
 
     def __init__(self, read_code):
@@ -270,10 +297,21 @@ class Translator:
             current = bytes(self._read_code(pc, block.size))
             if current == raw:
                 return block
+        for entry in _SHARED_BLOCKS.get(pc, ()):
+            block, raw = entry
+            try:
+                if bytes(self._read_code(pc, block.size)) != raw:
+                    continue
+            except Exception:
+                continue
+            self._cache[pc] = entry
+            return block
         block = translate_block(self._read_code, pc)
         if current is None or len(current) != block.size:
             current = bytes(self._read_code(pc, block.size))
         self._cache[pc] = (block, current)
+        if isinstance(block.terminator, N.TERMINATOR_TYPES):
+            _share(block, current)
         return block
 
     def invalidate(self):

@@ -15,6 +15,10 @@ that completes must match the fault-free baseline byte for byte
 (``canonical_json``); one that raises must leave a
 :class:`~repro.faults.report.FaultRecord` behind.  Anything else raises
 :class:`ChaosInvariantError` -- the campaign itself is the assertion.
+A run fault fires only when its target driver computes; one whose target
+loaded intact from the store (or that an earlier fault on the same driver
+shadows) is listed in ``skipped_run_faults``, so a schedule that
+exercised less than its plan says is visible as such.
 
 ``fuzz_invariant`` runs the same bargain through the differential
 fuzzer: a seeded fuzz campaign executed over a store vandalized by a
@@ -52,13 +56,17 @@ class ChaosOutcome:
     fault_records: list = field(default_factory=list)
     resilience: dict = field(default_factory=dict)
     store_faults: list = field(default_factory=list)
+    #: run-fault specs that never fired: their target loaded from the
+    #: store (or never ran), or an earlier fault on it shadowed them
+    skipped_run_faults: list = field(default_factory=list)
 
     def to_dict(self):
         return {"seed": self.seed, "plan": self.plan,
                 "verdict": self.verdict, "error": self.error,
                 "fault_records": list(self.fault_records),
                 "resilience": dict(self.resilience),
-                "store_faults": list(self.store_faults)}
+                "store_faults": list(self.store_faults),
+                "skipped_run_faults": list(self.skipped_run_faults)}
 
 
 @dataclass
@@ -78,7 +86,9 @@ class ChaosReport:
                 "quarantined": sum(o.resilience.get("quarantined", 0)
                                    for o in self.outcomes),
                 "recovered_tmp": sum(o.resilience.get("recovered_tmp", 0)
-                                     for o in self.outcomes)}
+                                     for o in self.outcomes),
+                "skipped_run_faults": sum(len(o.skipped_run_faults)
+                                          for o in self.outcomes)}
 
     def to_dict(self):
         return {"drivers": list(self.drivers), "strategy": self.strategy,
@@ -141,9 +151,11 @@ class ChaosCampaign:
         driver wins; targets wrap around the sorted corpus)."""
         mapping = {}
         for spec in plan.layer("run"):
-            driver = self.drivers[spec.target % len(self.drivers)]
-            mapping.setdefault(driver, spec)
+            mapping.setdefault(self._target(spec), spec)
         return mapping
+
+    def _target(self, spec):
+        return self.drivers[spec.target % len(self.drivers)]
 
     def run_schedule(self, plan_or_seed):
         """Run one fault schedule; returns a :class:`ChaosOutcome`.
@@ -172,10 +184,10 @@ class ChaosCampaign:
         outcome = ChaosOutcome(seed=plan.seed, plan=plan.to_dict(),
                                verdict="identical",
                                store_faults=applied)
+        faults = self.fault_map(plan)
         try:
             artifacts = orchestrator.warm(self.drivers, self.strategy,
-                                          self.script,
-                                          faults=self.fault_map(plan))
+                                          self.script, faults=faults)
         except ReproError as exc:
             report = orchestrator.last_resilience
             records = report.fault_records if report is not None else []
@@ -185,6 +197,9 @@ class ChaosCampaign:
                     "record: %s: %s (plan %s)"
                     % (plan.seed, type(exc).__name__, exc,
                        plan.to_json()))
+            for record in records:
+                if record.layer == "run":
+                    record.seed = plan.seed
             outcome.verdict = "faulted"
             outcome.error = "%s: %s" % (type(exc).__name__, exc)
             outcome.fault_records = [r.to_dict() for r in records]
@@ -201,6 +216,13 @@ class ChaosCampaign:
         report = orchestrator.last_resilience
         if report is not None:
             outcome.resilience = report.to_dict()
+            # A fault fires only as its driver's installed fault, and
+            # only when that driver computed.
+            fired = {driver: spec for driver, spec in faults.items()
+                     if driver in report.jobs}
+            outcome.skipped_run_faults = [
+                spec.to_dict() for spec in plan.layer("run")
+                if fired.get(self._target(spec)) is not spec]
         shutil.rmtree(schedule_dir, ignore_errors=True)
         return outcome
 

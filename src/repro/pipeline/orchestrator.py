@@ -118,6 +118,24 @@ class PipelineOrchestrator:
         report = ResilienceReport()
         self.last_resilience = report
         store_before = self.store.counters() if self.store else None
+        try:
+            self._warm_missing(names, strategy, script, report, faults)
+        finally:
+            # Folded even when a job fails: what the store quarantined,
+            # recovered or evicted before the failure still happened.
+            if store_before is not None:
+                after = self.store.counters()
+                report.quarantined += after["quarantined"] \
+                    - store_before["quarantined"]
+                report.recovered_tmp += after["recovered"] \
+                    - store_before["recovered"]
+                report.evicted += after["evicted"] - store_before["evicted"]
+        return {name: self._artifacts[(name, strategy, script)]
+                for name in names}
+
+    def _warm_missing(self, names, strategy, script, report, faults):
+        """Load what the store holds and compute the rest; sets
+        :attr:`last_warm_seconds` and :attr:`last_warm_mode`."""
         started = time.monotonic()
         if self.store is not None:
             # Sweep publishes crashed mid-os.replace before writing new
@@ -146,15 +164,6 @@ class PipelineOrchestrator:
             mode = "serial"
         self.last_warm_seconds = time.monotonic() - started
         self.last_warm_mode = mode
-        if store_before is not None:
-            after = self.store.counters()
-            report.quarantined += after["quarantined"] \
-                - store_before["quarantined"]
-            report.recovered_tmp += after["recovered"] \
-                - store_before["recovered"]
-            report.evicted += after["evicted"] - store_before["evicted"]
-        return {name: self._artifacts[(name, strategy, script)]
-                for name in names}
 
     def all_drivers(self):
         """Warmed artifacts for the whole corpus, in sorted driver order."""
@@ -189,9 +198,7 @@ class PipelineOrchestrator:
                 report.record_outcome(label, "failed")
                 report.record_fault(FaultRecord(
                     layer="run" if fault is not None else "job",
-                    kind=type(exc).__name__, job=label, error=str(exc),
-                    seed=fault.params.get("seed")
-                    if fault is not None else None))
+                    kind=type(exc).__name__, job=label, error=str(exc)))
                 raise
             report.record_attempt(label)
             report.record_outcome(label, "serial")

@@ -127,14 +127,14 @@ class TestCompiledBlockSemantics:
         assert compile_block(block) is compile_block(block)
 
     def test_shared_program_cache_across_translators(self):
-        """Identical code in two translators shares one compiled
-        function (content-addressed), so repeated harness construction
-        does not recompile the corpus."""
+        """Identical code in two translators shares one translated block
+        and with it one compiled function, so repeated harness
+        construction neither retranslates nor recompiles the corpus."""
         machine = load(".export main\nmain:\n movi r1, 7\n halt")
         read = lambda addr, size: machine.memory.read_bytes(addr, size)
         block_a = Translator(read).get(TEXT_BASE)
         block_b = Translator(read).get(TEXT_BASE)
-        assert block_a is not block_b
+        assert block_a is block_b
         assert compile_block(block_a) is compile_block(block_b)
 
     def test_divide_by_zero_faults_like_interp(self):

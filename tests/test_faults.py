@@ -15,7 +15,7 @@ import pytest
 from repro.errors import GuestOsError, ReproError, SolverError
 from repro.faults import (FaultPlan, FaultPlanGenerator, FaultRecord,
                           FaultSpec, ResilienceReport)
-from repro.faults.campaign import ChaosCampaign
+from repro.faults.campaign import ChaosCampaign, ChaosReport
 from repro.faults.inject import maybe_raise_run_fault
 from repro.pipeline import ArtifactStore, PipelineOrchestrator
 
@@ -137,6 +137,61 @@ class TestOrchestratorUnderFault:
         assert outcome.resilience["jobs"]["rtl8029"]["outcome"] == "serial"
         assert outcome.resilience["jobs"]["smc91c111"]["outcome"] \
             == "failed"
+
+    def test_run_fault_records_carry_the_plan_seed(self, campaign):
+        # the second fault on the same driver is shadowed by the first
+        plan = FaultPlan(seed=11, faults=(
+            FaultSpec(layer="run", kind="solver_budget", target=0),
+            FaultSpec(layer="run", kind="guest_os_error", target=0)))
+        outcome = campaign.run_schedule(plan)
+        assert outcome.verdict == "faulted"
+        assert "SolverError" in outcome.error
+        assert outcome.fault_records
+        assert all(r["seed"] == 11 for r in outcome.fault_records)
+        assert outcome.skipped_run_faults == [plan.faults[1].to_dict()]
+
+    def test_failed_warm_still_reports_store_deltas(self, campaign,
+                                                     monkeypatch):
+        # the bit-flipped entry is quarantined and its driver computes
+        # into the run fault; the other driver loads from the store, so
+        # its run fault is skipped
+        from repro.faults import campaign as campaign_module
+
+        campaign.baseline()
+        stores = []
+
+        def capture(root):
+            store = ArtifactStore(root)
+            stores.append((store, store.counters()))
+            return store
+
+        monkeypatch.setattr(campaign_module, "ArtifactStore", capture)
+        plan = FaultPlan(seed=13, faults=(
+            FaultSpec(layer="store", kind="bitflip", target=0,
+                      params={"salt": 5}),
+            FaultSpec(layer="run", kind="guest_os_error", target=0),
+            FaultSpec(layer="run", kind="guest_os_error", target=1)))
+        outcome = campaign.run_schedule(plan)
+        assert outcome.verdict == "faulted"
+        [(store, before)] = stores
+        delta = store.counters()["quarantined"] - before["quarantined"]
+        assert delta == 1
+        assert outcome.resilience["quarantined"] == delta
+        assert len(outcome.skipped_run_faults) == 1
+
+    def test_run_faults_on_cached_drivers_are_skipped(self, campaign):
+        plan = FaultPlan(seed=17, faults=(
+            FaultSpec(layer="store", kind="orphan_tmp", target=0,
+                      params={"salt": 3}),
+            FaultSpec(layer="run", kind="guest_os_error", target=0),
+            FaultSpec(layer="run", kind="solver_budget", target=1)))
+        outcome = campaign.run_schedule(plan)
+        assert outcome.verdict == "identical"
+        assert outcome.skipped_run_faults \
+            == [spec.to_dict() for spec in plan.layer("run")]
+        report = ChaosReport(drivers=self.DRIVERS, strategy="coverage",
+                             script="quick", outcomes=[outcome])
+        assert report.summary()["skipped_run_faults"] == 2
 
     def test_jobs_before_a_run_fault_are_persisted(self, tmp_path):
         store = ArtifactStore(str(tmp_path))

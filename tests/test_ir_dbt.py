@@ -323,6 +323,159 @@ class TestBlockHelpers:
         assert block.end_pc == 0x110
 
 
+@pytest.fixture()
+def shared_blocks(monkeypatch):
+    """An empty shared block table for the test (restored afterwards)."""
+    from repro.dbt import translator as translator_module
+
+    table = {}
+    monkeypatch.setattr(translator_module, "_SHARED_BLOCKS", table)
+    monkeypatch.setattr(translator_module, "_shared_count", 0)
+    return table
+
+
+def _map_at(machine, address, code, pages=1):
+    """Map ``pages`` pages at TEXT_BASE and write ``code`` at ``address``."""
+    page = page_align(1)
+    machine.memory.map_region(TEXT_BASE, pages * page, "text")
+    machine.memory.write_bytes(address, code)
+    return machine
+
+
+class TestSharedBlocks:
+    """Translated blocks are shared across translators by content: one
+    translation per distinct (pc, bytes), re-checked on every hit."""
+
+    def test_same_image_shares_block_and_function(self, shared_blocks):
+        from repro.ir import compile_block
+
+        source = ".export main\nmain:\n movi r1, 7\n halt"
+        first, second = load(source), load(source)
+        block_a = Translator(reader(first)).get(TEXT_BASE)
+        block_b = Translator(reader(second)).get(TEXT_BASE)
+        assert block_a is block_b
+        assert compile_block(block_a) is compile_block(block_b)
+        assert shared_blocks[TEXT_BASE] == [(block_a, bytes(
+            first.memory.read_bytes(TEXT_BASE, block_a.size)))]
+
+    def test_patch_retranslates_only_in_the_patched_machine(
+            self, shared_blocks):
+        from repro.isa import INSTR_SIZE, Instruction, Op, encode
+
+        source = """
+        .export main
+        main:
+            movi r1, 1
+            movi r2, 2
+            halt
+        """
+        patched, intact = load(source), load(source)
+        translator_p = Translator(reader(patched))
+        translator_i = Translator(reader(intact))
+        original = translator_p.get(TEXT_BASE)
+        assert translator_i.get(TEXT_BASE) is original
+        patched.memory.write_bytes(TEXT_BASE + INSTR_SIZE,
+                                   encode(Instruction(Op.MOVI, 2, imm=99)))
+        fresh = translator_p.get(TEXT_BASE)
+        assert fresh is not original
+        assert any(isinstance(op, N.IrConst) and op.value == 99
+                   for op in fresh.ops)
+        assert translator_i.get(TEXT_BASE) is original
+        assert Translator(reader(intact)).get(TEXT_BASE) is original
+        assert Translator(reader(patched)).get(TEXT_BASE) is fresh
+
+    def test_different_images_at_one_pc_get_their_own_blocks(
+            self, shared_blocks):
+        one = load(".export main\nmain:\n movi r1, 1\n halt")
+        two = load(".export main\nmain:\n movi r1, 2\n halt")
+        block_one = Translator(reader(one)).get(TEXT_BASE)
+        block_two = Translator(reader(two)).get(TEXT_BASE)
+        assert block_one is not block_two
+        assert block_one.ops[0].value == 1 and block_two.ops[0].value == 2
+        assert Translator(reader(one)).get(TEXT_BASE) is block_one
+        assert Translator(reader(two)).get(TEXT_BASE) is block_two
+        assert len(shared_blocks[TEXT_BASE]) == 2
+
+    @pytest.mark.parametrize("cause", ["undecodable", "unmapped"])
+    @pytest.mark.parametrize("truncated_first", [True, False])
+    def test_truncated_block_is_never_shared(self, shared_blocks, cause,
+                                             truncated_first):
+        from repro.isa import Instruction, Op, encode
+
+        movi = encode(Instruction(Op.MOVI, 1, imm=5))
+        halt = encode(Instruction(Op.HALT))
+        if cause == "undecodable":
+            pc = TEXT_BASE
+            short = _map_at(Machine(), pc, movi + b"\xff" * len(halt))
+        else:
+            # the second instruction falls on the next, unmapped page
+            pc = TEXT_BASE + page_align(1) - len(movi)
+            short = _map_at(Machine(), pc, movi)
+        full = _map_at(Machine(), pc, movi + halt, pages=2)
+
+        def get_short():
+            block = Translator(reader(short)).get(pc)
+            assert len(block.instr_addrs) == 1
+            assert block.terminator is not None
+            assert not isinstance(block.terminator, N.TERMINATOR_TYPES)
+            return block
+
+        if truncated_first:
+            get_short()
+            assert pc not in shared_blocks
+        block = Translator(reader(full)).get(pc)
+        assert len(block.instr_addrs) == 2
+        assert isinstance(block.terminator, N.IrHalt)
+        if not truncated_first:
+            assert get_short() is not block
+        assert shared_blocks[pc] == [(block, movi + halt)]
+
+    def test_table_clears_at_its_bound(self, shared_blocks, monkeypatch):
+        from repro.dbt import translator as translator_module
+        from repro.isa import INSTR_SIZE
+
+        monkeypatch.setattr(translator_module, "_SHARED_BLOCKS_MAX", 2)
+        machine = load(".export main\nmain:\n halt\n halt\n halt")
+        translator = Translator(reader(machine))
+        pcs = [TEXT_BASE + i * INSTR_SIZE for i in range(3)]
+        blocks = [translator.get(pc) for pc in pcs]
+        assert set(shared_blocks) == {pcs[2]}
+        # live translators keep what they translated
+        assert translator.get(pcs[0]) is blocks[0]
+        # a fresh one retranslates the dropped block
+        assert Translator(reader(machine)).get(pcs[0]) is not blocks[0]
+
+    def test_warm_matrix_rerun_is_identical_and_translates_nothing(
+            self, shared_blocks, monkeypatch):
+        from repro.dbt import translator as translator_module
+        from repro.eval.runner import get_cache
+        from repro.validate.matrix import ValidationMatrix
+
+        def run():
+            result = ValidationMatrix(orchestrator=get_cache(),
+                                      drivers=["rtl8029"],
+                                      os_names=["winsim"]).run()
+            summary = result.summary()
+            summary.pop("wall_seconds")
+            cells = {key: cell.to_dict()
+                     for key, cell in result.cells.items()}
+            return summary, cells
+
+        first = run()
+        calls = []
+        real = translator_module.translate_block
+
+        def counting(read_code, pc):
+            calls.append(pc)
+            return real(read_code, pc)
+
+        monkeypatch.setattr(translator_module, "translate_block", counting)
+        second = run()
+        assert second == first
+        assert first[0]["scenarios_run"] > 0
+        assert calls == []
+
+
 # A hot loop whose body crosses two translation blocks (the bltu inside
 # splits it); every superblock regression below chains it.
 _HOT_LOOP = """
