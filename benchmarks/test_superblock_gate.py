@@ -3,11 +3,12 @@
 Two experiments:
 
 * **original-binary matrix column** -- the rtl8029 workload catalog on
-  the source-OS harness, compiled per-block vs compiled+superblocks
-  (and the per-step interpreter as the reference).  Same observations,
+  the source-OS harness, the ``"blocks"`` tier (compiled per-block) vs
+  the ``"compiled"`` tier (compiled+superblocks), with the ``"step"``
+  per-instruction interpreter as the reference.  Same observations,
   and the superblock side dispatches superblocks;
 * **synthesized-driver run** -- the rtl8139 artifact in the winsim
-  template, compiled-only vs compiled+superblocks.  Same behaviour and
+  template, ``"blocks"`` vs ``"compiled"``.  Same behaviour and
   perf counters; the superblock side dispatches superblocks.
 
 The gates are the deterministic ``superblock_counters()`` run count;
@@ -32,22 +33,21 @@ def _superblock_runs():
     return superblock_counters()["superblock_runs"]
 
 
-def _run_column(backend, superblocks=False):
+def _run_column(backend):
     """The original rtl8029 binary through the whole workload catalog."""
     observations = []
     for scenario in SCENARIOS:
-        dut = OriginalDut("rtl8029", exec_backend=backend,
-                          exec_superblocks=superblocks)
+        dut = OriginalDut("rtl8029", exec_backend=backend)
         observations.append(run_scenario(dut, scenario).to_dict())
     return observations
 
 
 def test_matrix_column_superblocks_identical_and_dispatched(cache):
     obs_step = _run_column("step")
-    obs_off = _run_column("compiled", superblocks=False)
+    obs_off = _run_column("blocks")
     # Only the "on" run can dispatch a superblock.
     before = _superblock_runs()
-    obs_on = _run_column("compiled", superblocks=True)
+    obs_on = _run_column("compiled")
     superblock_runs = _superblock_runs() - before
     assert obs_off == obs_on, \
         "superblock tier changed observable behaviour"
@@ -56,12 +56,11 @@ def test_matrix_column_superblocks_identical_and_dispatched(cache):
     assert superblock_runs > 0, "the superblock tier dispatched nothing"
 
 
-def _run_synthesized(artifact, superblocks, packets=60):
+def _run_synthesized(artifact, backend, packets=60):
     target = TARGET_OSES["winsim"](device_class(artifact.name), mac=MAC)
     template = DmaNicTemplate(artifact.synthesized, target,
                               original_image=artifact.image,
-                              exec_backend="compiled",
-                              exec_superblocks=superblocks)
+                              exec_backend=backend)
     template.initialize()
     tx = UdpWorkload(MAC, PEER, 256)
     statuses = [template.send(tx.next_frame().to_bytes())
@@ -84,9 +83,9 @@ def _run_synthesized(artifact, superblocks, packets=60):
 
 def test_synthesized_rtl8139_run_superblocks_identical_and_dispatched(cache):
     artifact = cache.run("rtl8139")
-    out_off = _run_synthesized(artifact, False)
+    out_off = _run_synthesized(artifact, "blocks")
     before = _superblock_runs()
-    out_on = _run_synthesized(artifact, True)
+    out_on = _run_synthesized(artifact, "compiled")
     superblock_runs = _superblock_runs() - before
     assert out_off == out_on, \
         "superblock tier changed synthesized-driver behaviour or counters"

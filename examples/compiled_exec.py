@@ -1,13 +1,15 @@
 #!/usr/bin/env python
-"""Time one synthesized driver entry point on both execution backends.
+"""Time one synthesized driver entry point on three execution tiers.
 
 Loads the rtl8029 artifact from the pipeline cache (reverse engineering
 runs once, then comes from disk), pastes the synthesized driver into the
-winsim template twice -- once over the tree-walking IR interpreter, once
-over the compiled block tier (``repro.ir.compile``) -- and drives the
-same send workload through both.  Behaviour and perf counters are
-identical by construction; only the wall-clock differs, which is the
-whole point of the compiled tier.
+winsim template three times -- once per ``exec_backend`` tier:
+``"interp"`` (the tree-walking IR interpreter), ``"blocks"`` (compiled
+blocks, ``repro.ir.compile``) and ``"compiled"`` (compiled blocks fused
+into superblocks, ``repro.ir.superblock``) -- and drives the same send
+workload through each.  Behaviour and perf counters are identical by
+construction; only the wall-clock differs, which is the whole point of
+the compiled tiers.
 
 Usage:
     PYTHONPATH=src python examples/compiled_exec.py [packets]
@@ -57,19 +59,20 @@ def main():
           % (artifact.name, 100 * artifact.coverage_fraction, packets))
 
     results = {}
-    for backend in ("interp", "compiled"):
+    for backend in ("interp", "blocks", "compiled"):
         seconds, summary = drive(artifact, backend, packets)
         results[backend] = (seconds, summary)
         print("\n%-8s  %.3fs" % (backend, seconds))
         for key, value in summary.items():
             print("  %-20s %s" % (key, value))
 
-    interp_summary, compiled_summary = (results[n][1]
-                                        for n in ("interp", "compiled"))
-    assert interp_summary == compiled_summary, "backends diverged!"
+    summaries = [summary for _seconds, summary in results.values()]
+    assert all(s == summaries[0] for s in summaries), "tiers diverged!"
     counters = exec_counters()
-    print("\nidentical behaviour and counters; compiled tier %.1fx faster"
-          % (results["interp"][0] / results["compiled"][0]))
+    print("\nidentical behaviour and counters; blocks %.1fx, compiled "
+          "%.1fx faster than interp"
+          % (results["interp"][0] / results["blocks"][0],
+             results["interp"][0] / results["compiled"][0]))
     print("(%d blocks compiled this process, %d compiled-block executions)"
           % (counters["blocks_compiled"], counters["block_runs"]))
     return 0

@@ -2,9 +2,10 @@
 """Run one driver cold with superblocks off and on, diff all the bytes.
 
 The superblock-tier contract (``repro.ir.superblock``): fusing hot block
-chains changes wall time only.  This script builds, twice -- once with
-``REVNIC_SUPERBLOCKS=off``, once ``on`` -- a canonical JSON document
-covering every consumer of the execution tiers:
+chains changes wall time only.  This script builds, twice -- once in
+the ``"blocks"`` execution tier (compiled blocks, superblocks off), once
+in ``"compiled"`` (superblocks on) -- a canonical JSON document covering
+every consumer of the execution tiers:
 
 * the **pipeline artifact** -- a cold reverse-engineering run's
   :class:`RunArtifact` canonical JSON (superblocks never fuse pipeline
@@ -34,12 +35,11 @@ Options:
 
 import argparse
 import json
-import os
 import sys
 import time
 
 from repro.drivers import DRIVERS, build_driver, device_class
-from repro.ir.superblock import SUPERBLOCKS_ENV, superblock_counters
+from repro.ir.superblock import superblock_counters
 from repro.net import UdpWorkload
 from repro.pipeline.artifact import build_artifact, canonical_json
 from repro.revnic import RevNic, RevNicConfig
@@ -53,22 +53,21 @@ MAC = b"\x52\x54\x00\xAA\xBB\xCC"
 PEER = b"\x02\x00\x00\x00\x00\x01"
 
 
-def run_matrix_column(name):
-    """The original binary through the workload catalog (compiled tier,
-    superblocks following the environment default)."""
+def run_matrix_column(name, exec_backend):
+    """The original binary through the workload catalog."""
     observations = []
     for scenario in SCENARIOS:
-        dut = OriginalDut(name, exec_backend="compiled")
+        dut = OriginalDut(name, exec_backend=exec_backend)
         observations.append(run_scenario(dut, scenario).to_dict())
     return observations
 
 
-def run_synthesized(artifact, packets=20):
+def run_synthesized(artifact, exec_backend, packets=20):
     """The synthesized driver in the winsim template (static flavour)."""
     target = TARGET_OSES["winsim"](device_class(artifact.name), mac=MAC)
     template = DmaNicTemplate(artifact.synthesized, target,
                               original_image=artifact.image,
-                              exec_backend="compiled")
+                              exec_backend=exec_backend)
     template.initialize()
     tx = UdpWorkload(MAC, PEER, 256)
     statuses = [template.send(tx.next_frame().to_bytes())
@@ -89,8 +88,7 @@ def run_synthesized(artifact, packets=20):
     }
 
 
-def run_once(name, script, superblocks):
-    os.environ[SUPERBLOCKS_ENV] = "on" if superblocks else "off"
+def run_once(name, script, exec_backend):
     image = build_driver(name)
     config = RevNicConfig(driver_name=name, pci=device_class(name).PCI,
                           script=script)
@@ -100,8 +98,8 @@ def run_once(name, script, superblocks):
     artifact = build_artifact(config, result, synthesize(result))
     document = {
         "artifact": json.loads(canonical_json(artifact)),
-        "matrix_column": run_matrix_column(name),
-        "synthesized_run": run_synthesized(artifact),
+        "matrix_column": run_matrix_column(name, exec_backend),
+        "synthesized_run": run_synthesized(artifact, exec_backend),
     }
     elapsed = time.perf_counter() - started
     return json.dumps(document, indent=1, sort_keys=True), elapsed
@@ -145,9 +143,9 @@ def main(argv=None):
     parser.add_argument("--out-on")
     args = parser.parse_args(argv)
 
-    off_text, off_seconds = run_once(args.driver, args.script, False)
+    off_text, off_seconds = run_once(args.driver, args.script, "blocks")
     before = superblock_counters()
-    on_text, on_seconds = run_once(args.driver, args.script, True)
+    on_text, on_seconds = run_once(args.driver, args.script, "compiled")
     after = superblock_counters()
     for path, text in ((args.out_off, off_text), (args.out_on, on_text)):
         if path:

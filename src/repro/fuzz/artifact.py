@@ -22,6 +22,7 @@ import json
 from repro.errors import ArtifactError
 from repro.fuzz.differential import ProgramRun
 from repro.fuzz.engine import FuzzResult
+from repro.pipeline.artifact import canonical_dumps
 
 #: Bump on any incompatible change to the encoding below.
 #: v2: added the ``resilience`` field (the campaign's ResilienceReport).
@@ -80,8 +81,7 @@ def fuzz_from_dict(data):
 
 def fuzz_to_json(result):
     """Full-fidelity deterministic-format JSON (timings included)."""
-    return json.dumps(fuzz_to_dict(result), sort_keys=True,
-                      separators=(",", ":"))
+    return canonical_dumps(fuzz_to_dict(result))
 
 
 def fuzz_from_json(text):
@@ -106,7 +106,7 @@ def canonical_fuzz_json(result):
     # outcomes) -- volatile by design, so canonical equivalence scrubs it
     # entirely.
     data["resilience"] = None
-    return json.dumps(data, sort_keys=True, separators=(",", ":"))
+    return canonical_dumps(data)
 
 
 def fuzz_key(config):
@@ -122,8 +122,7 @@ def fuzz_key(config):
         else dict(config)
     digest = hashlib.sha256()
     digest.update(b"fuzz-schema:%d|" % FUZZ_SCHEMA_VERSION)
-    digest.update(json.dumps(config_dict, sort_keys=True,
-                             separators=(",", ":")).encode())
+    digest.update(canonical_dumps(config_dict).encode())
     digest.update(code_fingerprint().encode())
     return "fuzz-%s" % digest.hexdigest()
 

@@ -67,19 +67,19 @@ class ProgramRun:
                    program=data["program"])
 
 
-def run_program_column(artifact, os_names, programs, exec_backend=None):
+def run_program_column(artifact, os_names, programs,
+                       exec_backend="compiled"):
     """All (program x target OS) runs for one driver's artifact.
 
     Mirrors :func:`repro.validate.matrix.compute_column`: one baseline
     per program (the original binary), shared by every target OS; pure
-    function of the artifact and programs.  Returns ``(runs, baselines)`` where ``baselines`` maps
-    program name -> baseline :class:`Observation` (the fuzz engine mines
-    them for behavior coverage).
+    function of the artifact and programs; ``exec_backend`` names the
+    execution tier on both sides.  Returns ``(runs, baselines)`` where
+    ``baselines`` maps program name -> baseline :class:`Observation`
+    (the fuzz engine mines them for behavior coverage).
     """
     driver = artifact.name
     supported = set(artifact.synthesized.entry_points)
-    original_backend = "compiled" if exec_backend is None else exec_backend
-    synth_backend = "interp" if exec_backend == "step" else exec_backend
     runs = []
     baselines = {}
     for program in programs:
@@ -93,12 +93,12 @@ def run_program_column(artifact, os_names, programs, exec_backend=None):
                     steps=len(program.steps)))
             continue
         baseline = run_scenario(
-            OriginalDut(driver, exec_backend=original_backend), program)
+            OriginalDut(driver, exec_backend=exec_backend), program)
         baselines[program.name] = baseline
         for os_name in os_names:
             candidate = run_scenario(
                 SynthesizedDut(artifact, os_name,
-                               exec_backend=synth_backend), program)
+                               exec_backend=exec_backend), program)
             outcome = classify_observations(baseline, candidate)
             run = ProgramRun(
                 driver=driver, target_os=os_name,
@@ -115,7 +115,7 @@ def run_program_column(artifact, os_names, programs, exec_backend=None):
 
 
 def replay_program(program, driver, os_names, artifact,
-                   exec_backend=None):
+                   exec_backend="compiled"):
     """Replay one (possibly deserialized) program differentially.
 
     The seed-replay workflow: load a serialized program (``dict`` or

@@ -75,7 +75,7 @@ class FuzzConfig:
     max_steps: int = MAX_STEPS
     strategy: str = "coverage"
     script: str = "default"
-    exec_backend: str = None
+    exec_backend: str = None   # None runs the default tier, "compiled"
 
     def resolved_drivers(self):
         from repro.drivers import DRIVERS
@@ -214,7 +214,7 @@ class FuzzEngine:
             artifact = self.orchestrator.run(driver, config.strategy,
                                              config.script)
             return _program_column(artifact, config.os_names, programs,
-                                   config.exec_backend)
+                                   config.exec_backend or "compiled")
 
         collected = self.orchestrator.fan_out(
             {driver: driver for driver in drivers}, compute, report)

@@ -59,9 +59,8 @@ def soak_cell(artifact, os_name, backend, rounds=10):
     """Run the saturation program differentially for one driver on one
     target OS under one execution backend; returns a :class:`SoakRecord`.
 
-    ``backend`` is the original-binary execution tier (``"compiled"`` /
-    ``"interp"``); the synthesized side maps ``"step"`` to its
-    tree-walking reference exactly as the matrix does.
+    ``backend`` names the execution tier of both sides, exactly as in
+    the matrix.
     """
     program = saturation_program(rounds=rounds)
     runs, baselines = run_program_column(artifact, (os_name,), [program],

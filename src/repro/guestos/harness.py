@@ -4,6 +4,8 @@ The paper exercises drivers with a user-mode program that loads the driver,
 invokes standard IOCTLs, performs sends, exercises reception and unloads
 (section 3.2).  :class:`DriverHarness` is that program for both the
 concrete functional runs (Table 2) and the performance measurements.
+The binary runs in the CPU tier ``exec_backend`` names (see
+:mod:`repro.vm.cpu`), ``"compiled"`` by default.
 """
 
 from repro.guestos.ndis import NdisEnv
@@ -16,15 +18,13 @@ class DriverHarness:
     """Boots a driver binary against a device model and drives it."""
 
     def __init__(self, image, device_cls, mac=b"\x52\x54\x00\x12\x34\x56",
-                 exec_backend="compiled", exec_superblocks=None):
-        """``exec_backend`` picks the CPU tier the binary runs on:
-        ``"compiled"`` (default, DBT + generated-source blocks),
-        ``"interp"`` (DBT + tree-walker) or ``"step"``/``None`` (the
-        per-instruction interpreter).  ``exec_superblocks`` gates the
-        superblock tier on the compiled backend (``None`` follows the
-        ``REVNIC_SUPERBLOCKS`` environment default)."""
-        self.machine = Machine(exec_backend=exec_backend,
-                               exec_superblocks=exec_superblocks)
+                 exec_backend="compiled"):
+        """``exec_backend`` names the CPU tier the binary runs on (see
+        :mod:`repro.vm.cpu`): ``"compiled"`` (default, DBT with
+        generated-source blocks and superblocks), ``"blocks"`` (the same
+        without superblocks), ``"interp"`` (DBT with the tree-walker) or
+        ``"step"`` (the per-instruction interpreter)."""
+        self.machine = Machine(exec_backend=exec_backend)
         self.medium = Medium()
         self.device = device_cls(mac, medium=self.medium)
         self.medium.attach(self.device)

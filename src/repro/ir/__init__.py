@@ -34,17 +34,9 @@ from repro.ir.printer import format_block, format_op
 from repro.ir.interp import IrEnv, run_block
 from repro.ir.compile import (block_source, compile_block, compile_source,
                               exec_counters)
-from repro.ir.superblock import (Superblock, SuperblockConfig,
-                                 SuperblockManager, superblock_counters,
-                                 superblock_source, superblocks_enabled)
-from repro.ir.backend import (
-    BACKENDS,
-    DEFAULT_BACKEND,
-    CompiledBackend,
-    ExecutionBackend,
-    InterpBackend,
-    get_backend,
-)
+from repro.ir.superblock import (Superblock, SuperblockManager,
+                                 superblock_counters, superblock_source)
+from repro.ir.backend import TIERS, resolve_tier
 
 __all__ = [
     "BinKind",
@@ -76,15 +68,9 @@ __all__ = [
     "compile_source",
     "exec_counters",
     "Superblock",
-    "SuperblockConfig",
     "SuperblockManager",
     "superblock_counters",
     "superblock_source",
-    "superblocks_enabled",
-    "BACKENDS",
-    "DEFAULT_BACKEND",
-    "CompiledBackend",
-    "ExecutionBackend",
-    "InterpBackend",
-    "get_backend",
+    "TIERS",
+    "resolve_tier",
 ]

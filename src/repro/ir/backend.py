@@ -1,69 +1,51 @@
-"""Execution backends: how concrete layers run IR translation blocks.
+"""Execution tiers: how concrete layers run IR translation blocks.
 
-One :class:`ExecutionBackend` is the strategy shared by every layer that
-executes recovered or translated code concretely -- the DBT mode of the
-concrete CPU (:mod:`repro.vm.cpu`), the synthesized-driver runtime
-(:mod:`repro.templates.runtime` over :mod:`repro.synth.module`), and the
-symbolic executor's concrete fast path (:mod:`repro.symex.executor`).
-Both backends execute one block against an :class:`~repro.ir.interp.IrEnv`
--compatible environment and return a
-:class:`~repro.ir.interp.BlockResult`:
+Every layer that executes recovered or translated code concretely -- the
+DBT mode of the concrete CPU (:mod:`repro.vm.cpu`) and the
+synthesized-driver runtime (:mod:`repro.templates.runtime` over
+:mod:`repro.synth.module`) -- takes one ``exec_backend`` setting naming
+a rung of one ladder:
 
-* ``interp`` -- the tree-walking interpreter (:func:`repro.ir.interp.run_block`),
-  zero warm-up cost, used as the differential reference;
-* ``compiled`` -- the generated-source tier
-  (:func:`repro.ir.compile.compile_block`), the default everywhere.
+* ``"step"`` -- the CPU's per-instruction interpreter; the synthesized
+  side has no instructions to step, so it tree-walks blocks instead;
+* ``"interp"`` -- the tree-walking interpreter
+  (:func:`repro.ir.interp.run_block`), zero warm-up cost, used as the
+  differential reference;
+* ``"blocks"`` -- the generated-source tier
+  (:func:`repro.ir.compile.compile_block`), one function per block;
+* ``"compiled"`` -- compiled blocks plus profile-guided superblocks
+  (:mod:`repro.ir.superblock`), the default everywhere.
+
+All four tiers are observably identical; only speed differs.
+:func:`resolve_tier` is the one place a name becomes behaviour.
 """
 
 from repro.ir.compile import compile_block
 from repro.ir.interp import run_block
 
-#: Backend every layer uses when none is requested.
-DEFAULT_BACKEND = "compiled"
+
+def _run_compiled(block, env):
+    return compile_block(block)(env)
 
 
-class ExecutionBackend:
-    """Strategy for executing one translation block concretely."""
-
-    name = "base"
-
-    def run(self, block, env):
-        """Execute ``block`` in ``env``; returns a ``BlockResult``."""
-        raise NotImplementedError
-
-
-class InterpBackend(ExecutionBackend):
-    """Tree-walking reference backend."""
-
-    name = "interp"
-
-    def run(self, block, env):
-        return run_block(block, env)
-
-
-class CompiledBackend(ExecutionBackend):
-    """Generated-source backend (one Python function per block)."""
-
-    name = "compiled"
-
-    def run(self, block, env):
-        return compile_block(block)(env)
-
-
-BACKENDS = {
-    "interp": InterpBackend(),
-    "compiled": CompiledBackend(),
+#: name -> (block runner ``run(block, env) -> BlockResult``, whether
+#: hot block chains fuse into superblocks)
+_TIERS = {
+    "step": (run_block, False),
+    "interp": (run_block, False),
+    "blocks": (_run_compiled, False),
+    "compiled": (_run_compiled, True),
 }
 
+#: The four tier names, slowest first.
+TIERS = tuple(_TIERS)
 
-def get_backend(spec, default=DEFAULT_BACKEND):
-    """Resolve ``spec`` (None, a name, or a backend instance)."""
-    if spec is None:
-        spec = default
-    if isinstance(spec, ExecutionBackend):
-        return spec
-    backend = BACKENDS.get(spec)
-    if backend is None:
-        raise ValueError("unknown execution backend %r (one of %s)"
-                         % (spec, ", ".join(sorted(BACKENDS))))
-    return backend
+
+def resolve_tier(name):
+    """``(run_block, superblocks)`` for tier ``name``; raises
+    ``ValueError`` for anything but the four names in :data:`TIERS`."""
+    try:
+        return _TIERS[name]
+    except (KeyError, TypeError):
+        raise ValueError("unknown execution tier %r (one of %s)"
+                         % (name, ", ".join(TIERS))) from None

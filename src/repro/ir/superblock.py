@@ -53,18 +53,22 @@ members-entered and instruction counts are running totals across
 iterations (the terminating member is ``blocks[(members - 1) %
 len(blocks)]``), and back-edges taken are counted in
 ``superblock_loop_iterations``.
-"""
 
-import os
+**Gate.**  Chains form only in the ``"compiled"`` execution tier
+(:func:`repro.ir.backend.resolve_tier`); ``"blocks"`` runs the same
+compiled blocks without them and is the per-block reference the
+equivalence tests compare against.  Formation follows the module
+constants :data:`HOT_THRESHOLD` and :data:`MAX_MEMBERS`.
+"""
 
 from repro.ir import nodes as N
 from repro.ir.compile import _BINDINGS, _Writer, _emit_op, compile_source
 
-#: Environment toggle for the superblock tier (used when a consumer does
-#: not pass an explicit setting): ``off``/``0`` disables, default on.
-SUPERBLOCKS_ENV = "REVNIC_SUPERBLOCKS"
-
-_DISABLED = ("off", "0", "no", "false", "disabled")
+#: Formation thresholds: how many per-block dispatches a head needs
+#: before its chain forms, and how many members one chain may fuse.
+#: Read at every use, so a test can patch them for eager formation.
+HOT_THRESHOLD = 16
+MAX_MEMBERS = 16
 
 #: Mutable cells shared with every generated superblock: [chains formed,
 #: chain runs, member blocks executed inside chains, dirty-deopt exits,
@@ -80,23 +84,6 @@ def superblock_counters():
             "superblock_blocks": _SB_CELLS[2],
             "superblock_deopts": _SB_CELLS[3],
             "superblock_loop_iterations": _SB_CELLS[4]}
-
-
-def superblocks_enabled():
-    """The environment-default for consumers without an explicit
-    setting."""
-    return os.environ.get(SUPERBLOCKS_ENV, "").lower() not in _DISABLED
-
-
-class SuperblockConfig:
-    """Formation knobs: how hot a head must run before chaining and how
-    many members one chain may fuse."""
-
-    __slots__ = ("hot_threshold", "max_members")
-
-    def __init__(self, hot_threshold=16, max_members=16):
-        self.hot_threshold = hot_threshold
-        self.max_members = max_members
 
 
 class _ChainWriter(_Writer):
@@ -311,7 +298,7 @@ class SuperblockManager:
     used to skip byte revalidation while memory is untouched.
     """
 
-    def __init__(self, get_block, flavor, read_code=None, config=None,
+    def __init__(self, get_block, flavor, read_code=None,
                  epoch_source=None):
         if flavor not in ("dynamic", "static"):
             raise ValueError("unknown superblock flavor %r" % (flavor,))
@@ -321,7 +308,6 @@ class SuperblockManager:
         self._flavor = flavor
         self._read = read_code
         self._epoch_source = epoch_source
-        self._config = config if config is not None else SuperblockConfig()
         self._supers = {}
         self._counts = {}
         self._edges = {}
@@ -379,7 +365,7 @@ class SuperblockManager:
             return None
         count = self._counts.get(pc, 0) + 1
         self._counts[pc] = count
-        if count < self._config.hot_threshold:
+        if count < HOT_THRESHOLD:
             return None
         formed = self._form(pc)
         if formed is not None:
@@ -416,7 +402,7 @@ class SuperblockManager:
         seen = set()
         pc = head_pc
         loop = False
-        while len(blocks) < self._config.max_members:
+        while len(blocks) < MAX_MEMBERS:
             block = self._fetch(pc)
             if block is None:
                 break

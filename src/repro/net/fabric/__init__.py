@@ -14,10 +14,8 @@ single driver checked differentially (:mod:`~repro.net.fabric.mirror`).
 
 from repro.net.fabric.endpoint import (FabricEndpoint, HostEndpoint,
                                        fabric_mac)
-from repro.net.fabric.fleet import (MODE_ENV, QUEUE_DEPTH_ENV, EndpointSpec,
-                                    FabricRun, build_fleet, fabric_mode,
-                                    fabric_queue_depth, fleet_specs,
-                                    run_fleet)
+from repro.net.fabric.fleet import (EndpointSpec, FabricRun, build_fleet,
+                                    fleet_specs, run_fleet)
 from repro.net.fabric.mirror import (REMOTE_OPS, mirror_verdict,
                                      run_mirrored_program)
 from repro.net.fabric.report import (FABRIC_SCHEMA_VERSION, build_report,
@@ -31,9 +29,7 @@ from repro.net.fabric.workloads import (WORKLOADS, EndpointProgram,
 
 __all__ = [
     "FabricEndpoint", "HostEndpoint", "fabric_mac",
-    "MODE_ENV", "QUEUE_DEPTH_ENV", "EndpointSpec", "FabricRun",
-    "build_fleet", "fabric_mode", "fabric_queue_depth", "fleet_specs",
-    "run_fleet",
+    "EndpointSpec", "FabricRun", "build_fleet", "fleet_specs", "run_fleet",
     "REMOTE_OPS", "mirror_verdict", "run_mirrored_program",
     "FABRIC_SCHEMA_VERSION", "build_report", "canonical_fabric_json",
     "fabric_key", "fabric_to_json", "load_fabric_report",

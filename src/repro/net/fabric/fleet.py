@@ -19,7 +19,6 @@ index order, and deliver in port order, so the frame interleaving -- and
 therefore every driver-visible observation -- is identical.
 """
 
-import os
 import time
 from dataclasses import dataclass
 
@@ -27,31 +26,7 @@ from repro.net.fabric.endpoint import FabricEndpoint, fabric_mac
 from repro.net.fabric.switch import (DEFAULT_MAC_AGE, DEFAULT_QUEUE_DEPTH,
                                      SwitchNode)
 
-#: Scheduler selection: ``batched`` (default) or ``lockstep``.  Runtime
-#: only -- the canonical fabric report is identical under both.
-MODE_ENV = "REVNIC_FABRIC_MODE"
-#: Per-port egress queue depth.  Part of the topology: changing it
-#: changes drop accounting and therefore the report bytes.
-QUEUE_DEPTH_ENV = "REVNIC_FABRIC_QUEUE_DEPTH"
-
 _MODES = ("batched", "lockstep")
-
-
-def fabric_mode(override=None):
-    """The effective scheduler mode (argument > environment > default)."""
-    mode = override or os.environ.get(MODE_ENV) or "batched"
-    if mode not in _MODES:
-        raise ValueError("unknown fabric mode %r (have: %s)"
-                         % (mode, ", ".join(_MODES)))
-    return mode
-
-
-def fabric_queue_depth(override=None):
-    """The effective per-port queue depth (argument > env > default)."""
-    if override is not None:
-        return int(override)
-    value = os.environ.get(QUEUE_DEPTH_ENV)
-    return int(value) if value else DEFAULT_QUEUE_DEPTH
 
 
 @dataclass(frozen=True)
@@ -137,14 +112,19 @@ class FabricRun:
     def __init__(self, endpoints, switch=None, mode=None,
                  queue_depth=None, mac_age=DEFAULT_MAC_AGE):
         self.endpoints = list(endpoints)
+        if queue_depth is None:
+            queue_depth = DEFAULT_QUEUE_DEPTH
         self.switch = switch or SwitchNode(
-            len(self.endpoints), queue_depth=fabric_queue_depth(queue_depth),
-            mac_age=mac_age)
+            len(self.endpoints), queue_depth=queue_depth, mac_age=mac_age)
         if len(self.switch.ports) != len(self.endpoints):
             raise ValueError("switch has %d ports for %d endpoints"
                              % (len(self.switch.ports),
                                 len(self.endpoints)))
-        self.mode = fabric_mode(mode)
+        mode = mode or "batched"
+        if mode not in _MODES:
+            raise ValueError("unknown fabric mode %r (have: %s)"
+                             % (mode, ", ".join(_MODES)))
+        self.mode = mode
         self.polls = 0
         self.wakeups = 0
         self.rounds = 0

@@ -2,9 +2,10 @@
 
 The paper pastes generated C into per-OS templates and compiles.  Here the
 equivalent executable artifact is an IR module: the recovered basic blocks,
-runnable against any target machine through an
-:class:`~repro.ir.backend.ExecutionBackend` (generated-source compiled
-blocks by default, the :mod:`repro.ir.interp` tree-walker on request).  The
+runnable against any target machine in one of the execution tiers of
+:func:`repro.ir.backend.resolve_tier` (generated-source compiled blocks
+fused into superblocks by default; compiled blocks alone, or the
+:mod:`repro.ir.interp` tree-walker, on request).  The
 target-OS simulators (:mod:`repro.targetos`) provide the template
 boilerplate around it and an ``os_interface`` that answers the driver's OS
 API calls -- the "pasting into the template" step.
@@ -25,7 +26,7 @@ blocks" developer warning).
 from dataclasses import dataclass, field
 
 from repro.errors import SynthesisError
-from repro.ir.backend import get_backend
+from repro.ir.backend import resolve_tier
 from repro.isa.registers import REG_SP
 from repro.layout import RETURN_TO_OS, import_index
 from repro.revnic.trace import Trace
@@ -75,57 +76,36 @@ class SynthesizedDriver:
     # ------------------------------------------------------------------
 
     def run_entry(self, role, env, args, os_interface, max_blocks=200_000,
-                  backend=None, superblocks=None):
+                  backend="compiled"):
         """Execute entry point ``role`` with stack ``args`` in ``env``.
 
         ``env`` is an :class:`~repro.ir.interp.IrEnv` over the *target*
         machine; ``os_interface.call(name, arg_reader) -> (retval, nargs)``
         answers OS API calls (the template's adaptation layer).
-        ``backend`` selects the execution tier (compiled blocks by
-        default; ``"interp"`` tree-walks); ``superblocks`` gates the
-        superblock tier on the compiled backend (``None`` follows the
-        ``REVNIC_SUPERBLOCKS`` environment default).  Returns r0.
+        ``backend`` names the execution tier (``"compiled"``, the
+        default, fuses hot chains into superblocks; ``"blocks"`` runs
+        compiled blocks alone; ``"interp"`` and ``"step"`` tree-walk).
+        Returns r0.
         """
         entry = self.entry_points.get(role)
         if entry is None:
             raise SynthesisError("no synthesized entry point %r" % role)
         return self.run_function(entry, env, args, os_interface, max_blocks,
-                                 backend=backend, superblocks=superblocks)
-
-    def _superblock_manager(self, superblocks):
-        """The lazily built static-flavour superblock manager (shared by
-        every run over this driver's immutable block map), or ``None``
-        when the tier is off."""
-        from repro.ir.superblock import (SuperblockConfig,
-                                         SuperblockManager,
-                                         superblocks_enabled)
-
-        if superblocks is None:
-            if not superblocks_enabled():
-                return None
-            config = None
-        elif superblocks is False:
-            return None
-        elif superblocks is True:
-            config = None
-        elif isinstance(superblocks, SuperblockConfig):
-            config = superblocks
-        else:
-            return None
-        manager = getattr(self, "_sb_manager", None)
-        if manager is None:
-            manager = SuperblockManager(self.block_map.get, "static",
-                                        config=config)
-            self._sb_manager = manager
-        return manager
+                                 backend=backend)
 
     def run_function(self, entry, env, args, os_interface,
-                     max_blocks=200_000, backend=None, superblocks=None):
+                     max_blocks=200_000, backend="compiled"):
         """Call a recovered function at ``entry`` (stdcall protocol)."""
-        backend = get_backend(backend)
-        run = backend.run
-        manager = self._superblock_manager(superblocks) \
-            if backend.name == "compiled" else None
+        run, superblocks = resolve_tier(backend)
+        manager = None
+        if superblocks:
+            # One static-flavour manager shared by every run over this
+            # driver's immutable block map.
+            manager = getattr(self, "_sb_manager", None)
+            if manager is None:
+                from repro.ir.superblock import SuperblockManager
+                manager = SuperblockManager(self.block_map.get, "static")
+                self._sb_manager = manager
         sp = env.regs[REG_SP]
         for value in reversed(args):
             sp -= 4

@@ -3,13 +3,15 @@
 One instance per (synthesized driver, target OS) pair: owns the IR
 environment over the target machine and performs stdcall invocations of
 recovered entry points, routing their OS API calls through the target OS's
-adaptation table.  Entry points execute through a shared
-:class:`~repro.ir.backend.ExecutionBackend` -- generated-source compiled
-blocks by default, the tree-walking interpreter when ``exec_backend`` is
-``"interp"`` (the differential reference and ablation baseline).
+adaptation table.  Entry points execute in the tier ``exec_backend``
+names (:func:`repro.ir.backend.resolve_tier`): generated-source compiled
+blocks plus superblocks by default (``"compiled"``), compiled blocks
+alone (``"blocks"``), or the tree-walking interpreter (``"interp"``, and
+``"step"``, since synthesized code has no per-instruction tier) -- the
+differential references and ablation baselines.
 """
 
-from repro.ir.backend import get_backend
+from repro.ir.backend import resolve_tier
 from repro.ir.interp import IrEnv
 from repro.isa.registers import REG_SP
 from repro.layout import STACK_TOP
@@ -18,14 +20,11 @@ from repro.layout import STACK_TOP
 class SyntheticDriverRuntime:
     """Runs recovered IR functions on a target OS's machine."""
 
-    def __init__(self, driver, target_os, exec_backend=None,
-                 exec_superblocks=None):
+    def __init__(self, driver, target_os, exec_backend="compiled"):
+        resolve_tier(exec_backend)
         self.driver = driver
         self.os = target_os
-        self.backend = get_backend(exec_backend)
-        #: superblock-tier gate for the compiled backend (``None``
-        #: follows the ``REVNIC_SUPERBLOCKS`` environment default)
-        self.superblocks = exec_superblocks
+        self.exec_backend = exec_backend
         self.env = IrEnv.for_machine(target_os.machine)
         #: total IR ops retired by synthesized code (perf-model input)
         self.env.ops_retired = 0
@@ -67,8 +66,7 @@ class SyntheticDriverRuntime:
         self.env.regs[REG_SP] = STACK_TOP
         return self.driver.run_entry(role, self.env, list(args), self.os,
                                      max_blocks=max_blocks,
-                                     backend=self.backend,
-                                     superblocks=self.superblocks)
+                                     backend=self.exec_backend)
 
     def call_address(self, entry, args, max_blocks=200_000):
         """Invoke an arbitrary recovered function by address."""
@@ -76,5 +74,4 @@ class SyntheticDriverRuntime:
         self.env.regs[REG_SP] = STACK_TOP
         return self.driver.run_function(entry, self.env, list(args),
                                         self.os, max_blocks=max_blocks,
-                                        backend=self.backend,
-                                        superblocks=self.superblocks)
+                                        backend=self.exec_backend)

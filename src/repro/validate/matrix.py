@@ -174,21 +174,17 @@ class MatrixResult:
         }
 
 
-def compute_column(artifact, os_names, scenario_names, exec_backend=None):
+def compute_column(artifact, os_names, scenario_names,
+                   exec_backend="compiled"):
     """All cells for one driver, sharing one baseline per scenario.
 
     Pure function of the artifact and catalog; everything it returns
     serializes through ``to_dict``.
-    ``exec_backend`` overrides the execution tier on *both* sides
-    (``None`` keeps the library default: compiled blocks everywhere).
+    ``exec_backend`` names the execution tier on *both* sides.
     """
     driver = artifact.name
     scenarios = [CATALOG[name] for name in scenario_names]
     supported_roles = set(artifact.synthesized.entry_points)
-    original_backend = "compiled" if exec_backend is None else exec_backend
-    # The synthesized side has no per-instruction tier; "step" means the
-    # tree-walking reference there.
-    synth_backend = "interp" if exec_backend == "step" else exec_backend
     baselines = {}
     cells = []
     for os_name in os_names:
@@ -198,11 +194,11 @@ def compute_column(artifact, os_names, scenario_names, exec_backend=None):
                 results.append(ScenarioResult(scenario.name, "skipped"))
                 continue
             candidate_dut = SynthesizedDut(artifact, os_name,
-                                           exec_backend=synth_backend)
+                                           exec_backend=exec_backend)
             baseline = baselines.get(scenario.name)
             if baseline is None:
                 baseline = run_scenario(
-                    OriginalDut(driver, exec_backend=original_backend),
+                    OriginalDut(driver, exec_backend=exec_backend),
                     scenario)
                 baselines[scenario.name] = baseline
             candidate = run_scenario(candidate_dut, scenario)
@@ -221,7 +217,7 @@ class ValidationMatrix:
 
     def __init__(self, orchestrator=None, drivers=None, os_names=None,
                  scenarios=None, strategy="coverage", script="default",
-                 exec_backend=None):
+                 exec_backend="compiled"):
         from repro.pipeline.orchestrator import PipelineOrchestrator
 
         self.orchestrator = orchestrator or PipelineOrchestrator()
@@ -231,8 +227,8 @@ class ValidationMatrix:
             if scenarios is None else list(scenarios)
         self.strategy = strategy
         self.script = script
-        #: execution-tier override for both comparison sides (None =
-        #: compiled everywhere; "interp"/"step" for the ablation)
+        #: execution tier of both comparison sides ("compiled" everywhere;
+        #: the slower tiers for the ablation)
         self.exec_backend = exec_backend
 
     def run(self, parallel=None):

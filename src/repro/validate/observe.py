@@ -14,7 +14,9 @@ the medium, frames delivered up to the OS, driver-operation status codes
 in order, device register state and statistics, OID query results,
 interrupt counts, and error-log contents.  Two observations being equal is
 the functional-equivalence claim of the paper's section 5.2, scenario by
-scenario.
+scenario.  Either side runs in the execution tier its ``exec_backend``
+names (:func:`repro.ir.backend.resolve_tier`), ``"compiled"`` by
+default; observations are identical across tiers.
 """
 
 from dataclasses import asdict, dataclass, field
@@ -207,22 +209,21 @@ class DriverUnderTest:
 class OriginalDut(DriverUnderTest):
     """The baseline: the original binary on the source-OS harness.
 
-    ``exec_backend`` selects the CPU tier (see
+    ``exec_backend`` names the CPU tier (see
     :class:`~repro.guestos.harness.DriverHarness`): ``"compiled"`` by
-    default, ``"interp"`` for the DBT tree-walker, ``"step"`` for the
-    per-instruction interpreter.  Observations are identical across
-    tiers; only wall-clock differs.
+    default, ``"blocks"`` without superblocks, ``"interp"`` for the DBT
+    tree-walker, ``"step"`` for the per-instruction interpreter.
+    Observations are identical across tiers; only wall-clock differs.
     """
 
     side = "original"
 
     def __init__(self, driver_name, mac=VALIDATION_MAC,
-                 exec_backend="compiled", exec_superblocks=None):
+                 exec_backend="compiled"):
         super().__init__(driver_name, mac)
         self._front = DriverHarness(build_driver(driver_name),
                                     device_class(driver_name), mac=mac,
-                                    exec_backend=exec_backend,
-                                    exec_superblocks=exec_superblocks)
+                                    exec_backend=exec_backend)
 
     @property
     def medium(self):
@@ -267,10 +268,13 @@ class SynthesizedDut(DriverUnderTest):
     ``artifact`` is a :class:`~repro.pipeline.artifact.RunArtifact`; the
     DMA-capable template variant is selected from the corpus metadata,
     exactly as a developer picks the template for a bus-master NIC.
+    ``exec_backend`` names the runtime's tier the same way as
+    :class:`OriginalDut`'s (``"step"`` tree-walks: synthesized code has
+    no per-instruction tier).
     """
 
     def __init__(self, artifact, os_name, mac=VALIDATION_MAC,
-                 exec_backend=None, exec_superblocks=None):
+                 exec_backend="compiled"):
         super().__init__(artifact.name, mac)
         self.target_os = os_name
         self.side = "synthesized/%s" % os_name
@@ -279,8 +283,7 @@ class SynthesizedDut(DriverUnderTest):
             else NicTemplate
         self._front = template_cls(artifact.synthesized, target,
                                    original_image=artifact.image,
-                                   exec_backend=exec_backend,
-                                   exec_superblocks=exec_superblocks)
+                                   exec_backend=exec_backend)
         self._os = target
 
     @property

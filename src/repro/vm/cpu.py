@@ -1,20 +1,23 @@
 """Concrete R32 CPU: per-instruction interpreter plus a DBT mode.
 
-Two execution tiers behind one :meth:`Cpu.run`:
+One ``exec_backend`` name (:func:`repro.ir.backend.resolve_tier`) picks
+the tier behind :meth:`Cpu.run`:
 
-* the historical **per-instruction interpreter** (``exec_backend=None`` or
-  ``"step"``): fetch/decode (with a decode cache) and dispatch one
+* ``"step"`` (the default): the historical **per-instruction
+  interpreter** -- fetch/decode (with a decode cache) and dispatch one
   instruction at a time;
-* **DBT mode** (``exec_backend="compiled"`` or ``"interp"``): translate a
-  whole block once through the caching
-  :class:`~repro.dbt.translator.Translator`, execute it through an
-  :class:`~repro.ir.backend.ExecutionBackend` (generated-source compiled
-  functions by default), and chain block to block.  Counter semantics
-  (``instret``, ``io_ops``, ``mem_ops``) and observable behaviour are
-  identical to the interpreter on any run that returns to the OS.
+* **DBT mode** (``"interp"``, ``"blocks"`` or ``"compiled"``): translate
+  a whole block once through the caching
+  :class:`~repro.dbt.translator.Translator`, execute it through the
+  tier's block runner (tree-walked, or a generated-source function), and
+  chain block to block; ``"compiled"`` additionally fuses hot block
+  chains into superblocks (:mod:`repro.ir.superblock`).  Counter
+  semantics (``instret``, ``io_ops``, ``mem_ops``) and observable
+  behaviour are identical to the interpreter on any run that returns to
+  the OS.
 
-Both tiers read guest code through caches; :meth:`Cpu.code_changed` is the
-single invalidation hook loaders call after (re)writing code.
+Every tier reads guest code through caches; :meth:`Cpu.code_changed` is
+the single invalidation hook loaders call after (re)writing code.
 """
 
 import enum
@@ -56,23 +59,20 @@ class Cpu:
     window; it receives ``(cpu, import_index)`` and must return the number
     of 4-byte stack arguments consumed (stdcall callee-clean).
 
-    ``exec_backend`` selects the execution tier: ``None`` / ``"step"`` for
-    the per-instruction interpreter, ``"compiled"`` / ``"interp"`` (or an
-    :class:`~repro.ir.backend.ExecutionBackend`) for DBT mode.
-
-    ``exec_superblocks`` controls the superblock tier layered on the
-    compiled backend: ``None`` follows the ``REVNIC_SUPERBLOCKS``
-    environment default, ``True``/``False`` force it, and a
-    :class:`~repro.ir.superblock.SuperblockConfig` enables it with
-    explicit formation knobs.
+    ``exec_backend`` names the execution tier (one of
+    :data:`repro.ir.backend.TIERS`; an unknown name raises
+    ``ValueError`` here): ``"step"`` for the per-instruction
+    interpreter, ``"interp"``, ``"blocks"`` or ``"compiled"`` for DBT
+    mode.
     """
 
-    def __init__(self, bus, import_handler=None, exec_backend=None,
-                 exec_superblocks=None):
+    def __init__(self, bus, import_handler=None, exec_backend="step"):
+        from repro.ir.backend import resolve_tier
+
+        resolve_tier(exec_backend)
         self.bus = bus
         self.import_handler = import_handler
-        self.exec_backend = None if exec_backend == "step" else exec_backend
-        self.exec_superblocks = exec_superblocks
+        self.exec_backend = exec_backend
         self.regs = [0] * NUM_REGS
         self.pc = 0
         #: Retired instruction count (performance-model input).
@@ -134,7 +134,7 @@ class Cpu:
         Returns the :class:`ExitReason`.  Guest faults propagate as
         :class:`~repro.errors.VmFault`.
         """
-        if self.exec_backend is not None and self.exec_backend != "step":
+        if self.exec_backend != "step":
             return self._run_dbt(max_steps)
         steps = 0
         try:
@@ -145,54 +145,35 @@ class Cpu:
             return exit_info.reason
         return ExitReason.STEP_LIMIT
 
-    def _superblock_manager(self, backend):
-        """The lazily built superblock manager, or ``None`` when the
-        tier is off (non-compiled backend, or disabled by the
-        ``exec_superblocks`` setting / environment default)."""
-        if getattr(backend, "name", None) != "compiled":
-            return None
-        setting = self.exec_superblocks
-        if setting is None:
-            from repro.ir.superblock import superblocks_enabled
-            if not superblocks_enabled():
-                return None
-            config = None
-        elif setting is False:
-            return None
-        elif setting is True:
-            config = None
-        else:
-            config = setting
-        if self._sb_manager is None:
-            from repro.ir.superblock import SuperblockManager
-            self._sb_manager = SuperblockManager(
-                self._translator.get, "dynamic",
-                read_code=self.bus.memory.read_bytes, config=config,
-                epoch_source=self.bus.memory)
-        return self._sb_manager
-
     def _run_dbt(self, max_steps):
         """DBT mode: translate once, execute through the backend, chain.
 
         The translator revalidates a cached block's bytes before serving
-        it (mid-block patches retranslate); the backend then runs the
-        block's compiled function (or tree-walks it) against an adapter
-        that drives this CPU's registers, bus, and counters.  With the
-        compiled backend, hot heads additionally dispatch through the
-        superblock tier (:mod:`repro.ir.superblock`): one fused function
+        it (mid-block patches retranslate); the tier's block runner then
+        runs the block's compiled function (or tree-walks it) against an
+        adapter that drives this CPU's registers, bus, and counters.  In
+        the ``"compiled"`` tier, hot heads additionally dispatch through
+        the superblock tier (:mod:`repro.ir.superblock`): one fused function
         covering a profiled chain of blocks, revalidated against guest
         bytes before every run and exiting at the exact block boundary
         per-block dispatch would reach on any violated assumption.
         """
         from repro.dbt.translator import Translator
-        from repro.ir.backend import get_backend
+        from repro.ir.backend import resolve_tier
 
         if self._translator is None:
             self._translator = Translator(self.bus.memory.read_bytes)
         get_block = self._translator.get
-        backend = get_backend(self.exec_backend)
-        run = backend.run
-        manager = self._superblock_manager(backend)
+        run, superblocks = resolve_tier(self.exec_backend)
+        manager = None
+        if superblocks:
+            if self._sb_manager is None:
+                from repro.ir.superblock import SuperblockManager
+                self._sb_manager = SuperblockManager(
+                    get_block, "dynamic",
+                    read_code=self.bus.memory.read_bytes,
+                    epoch_source=self.bus.memory)
+            manager = self._sb_manager
         # Fresh adapter per run: callers may swap the register list
         # between runs (NdisEnv.invoke restores saved registers).
         env = _CpuEnv(self)

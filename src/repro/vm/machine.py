@@ -15,11 +15,10 @@ class Machine:
     services them.
     """
 
-    def __init__(self, exec_backend=None, exec_superblocks=None):
+    def __init__(self, exec_backend="step"):
         self.memory = Memory()
         self.bus = Bus(self.memory)
-        self.cpu = Cpu(self.bus, exec_backend=exec_backend,
-                       exec_superblocks=exec_superblocks)
+        self.cpu = Cpu(self.bus, exec_backend=exec_backend)
         self._pending_irqs = []
         self.irq_count = 0
         self.memory.map_region(HEAP_BASE, HEAP_LIMIT - HEAP_BASE, "heap")

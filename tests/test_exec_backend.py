@@ -1,10 +1,10 @@
-"""The unified compiled-execution backend.
+"""The unified compiled-execution tiers.
 
-Three layers ride :mod:`repro.ir.compile` through the shared
-:class:`~repro.ir.backend.ExecutionBackend`: the concrete CPU's DBT mode,
-the synthesized-driver runtime, and the symbolic executor's concrete fast
-path.  These tests pin the cross-tier equivalences: identical semantics,
-identical counters, identical traces.
+Three layers ride :mod:`repro.ir.compile`: the concrete CPU's DBT mode
+and the synthesized-driver runtime, both through the one tier setting
+``exec_backend`` (:func:`repro.ir.backend.resolve_tier`), and the
+symbolic executor's concrete fast path.  These tests pin the cross-tier
+equivalences: identical semantics, identical counters, identical traces.
 """
 
 import json
@@ -18,13 +18,14 @@ from repro.errors import VmFault
 from repro.eval.runner import get_cache
 from repro.guestos.harness import DriverHarness
 from repro.ir import (
-    BACKENDS,
+    TIERS,
     IrEnv,
     TranslationBlock,
     compile_block,
     exec_counters,
-    get_backend,
+    resolve_tier,
     run_block,
+    superblock_counters,
 )
 from repro.ir import nodes as N
 from repro.isa.registers import REG_SP
@@ -38,6 +39,7 @@ from repro.layout import (
 from repro.net import UdpWorkload
 from repro.targetos import TARGET_OSES
 from repro.templates import DmaNicTemplate
+from repro.validate import CATALOG, OriginalDut, SynthesizedDut, run_scenario
 from repro.vm import Machine
 from repro.vm.memory import NEVER_HIT
 
@@ -93,12 +95,12 @@ main:
 def run_ir(machine, backend_name):
     env = IrEnv.for_machine(machine)
     env.regs[REG_SP] = STACK_TOP
-    backend = get_backend(backend_name)
+    run, _superblocks = resolve_tier(backend_name)
     translator = Translator(
         lambda addr, size: machine.memory.read_bytes(addr, size))
     pc = TEXT_BASE
     for _ in range(10_000):
-        result = backend.run(translator.get(pc), env)
+        result = run(translator.get(pc), env)
         if result.kind == "halt":
             return env
         pc = result.target
@@ -160,7 +162,7 @@ class TestCompiledBlockSemantics:
                 lambda a, s, m=machine: m.memory.read_bytes(a, s))
             block = translator.get(TEXT_BASE)
             with pytest.raises(VmFault):
-                get_backend(name).run(block, env)
+                resolve_tier(name)[0](block, env)
             envs.append(env)
         assert envs[0].ops_retired == envs[1].ops_retired
         assert envs[0].regs == envs[1].regs
@@ -172,12 +174,46 @@ class TestCompiledBlockSemantics:
         after = exec_counters()
         assert after["block_runs"] > before["block_runs"]
 
-    def test_get_backend_resolution(self):
-        assert get_backend(None).name == "compiled"
-        assert get_backend("interp").name == "interp"
-        assert get_backend(BACKENDS["compiled"]) is BACKENDS["compiled"]
-        with pytest.raises(ValueError):
-            get_backend("llvm")
+    def test_resolve_tier(self):
+        assert TIERS == ("step", "interp", "blocks", "compiled")
+        assert resolve_tier("step") == (run_block, False)
+        assert resolve_tier("interp") == (run_block, False)
+        compiled, superblocks = resolve_tier("compiled")
+        assert superblocks and compiled is not run_block
+        assert resolve_tier("blocks") == (compiled, False)
+        for bad in ("llvm", None, True, ["compiled"]):
+            with pytest.raises(ValueError):
+                resolve_tier(bad)
+
+
+class TestTierSetting:
+    """One ``exec_backend`` name, checked when the object is built."""
+
+    @pytest.mark.parametrize("build", [
+        lambda tier: Machine(exec_backend=tier),
+        lambda tier: OriginalDut("rtl8029", exec_backend=tier),
+        lambda tier: SynthesizedDut(get_cache().run("rtl8029"), "winsim",
+                                    exec_backend=tier),
+    ], ids=["Machine", "OriginalDut", "SynthesizedDut"])
+    @pytest.mark.parametrize("tier", ["bogus", "off", None, False])
+    def test_unknown_tier_raises_at_construction(self, build, tier):
+        with pytest.raises(ValueError, match="unknown execution tier"):
+            build(tier)
+
+    def test_synthesized_step_runs_the_tree_walker(self):
+        """The synthesized side has no per-instruction tier: ``"step"``
+        tree-walks -- no compiled block and no superblock runs -- and
+        observes what ``"compiled"`` observes."""
+        artifact = get_cache().run("rtl8029")
+        scenario = CATALOG["udp_stream"]
+        compiled = run_scenario(SynthesizedDut(artifact, "winsim"), scenario)
+        before = exec_counters()["block_runs"], \
+            superblock_counters()["superblock_runs"]
+        stepped = run_scenario(
+            SynthesizedDut(artifact, "winsim", exec_backend="step"), scenario)
+        assert (exec_counters()["block_runs"],
+                superblock_counters()["superblock_runs"]) == before
+        assert stepped.to_dict() == compiled.to_dict()
 
 
 class TestCpuDbtMode:
@@ -339,7 +375,7 @@ class TestInlineRam:
         assert env.ram is machine.memory
         fault = None
         try:
-            get_backend(backend).run(_ram_block(accesses), env)
+            resolve_tier(backend)[0](_ram_block(accesses), env)
         except VmFault as exc:
             fault = (type(exc).__name__, str(exc))
         memory = machine.memory
@@ -428,7 +464,7 @@ class TestInlineRam:
         env = IrEnv([0] * 16, mem_read, mem_write, None, None)
         assert env.ram is NEVER_HIT
         block = _ram_block([("st", HEAP_BASE, 2, 0x55), ("ld", HEAP_BASE, 1)])
-        get_backend("compiled").run(block, env)
+        compile_block(block)(env)
         assert calls == [("w", HEAP_BASE, 2, 0x55), ("r", HEAP_BASE, 1)]
         assert env.regs[2] == 0x11 and env.mem_ops == 2
 
@@ -448,7 +484,7 @@ class TestInlineRam:
         block = _ram_block([("st", HEAP_BASE, 4, 0x01020304),
                             ("ld", HEAP_BASE + 1, 2),
                             ("ld", HEAP_BASE + 8, 1)])
-        get_backend("compiled").run(block, env)
+        compile_block(block)(env)
         assert [(a.address, a.is_write) for a in env.accesses] == [
             (HEAP_BASE, True), (HEAP_BASE + 1, False),
             (HEAP_BASE + 8, False)]

@@ -20,7 +20,9 @@ from repro.eval.runner import get_cache
 from repro.net import BROADCAST_MAC, Medium
 from repro.net.crc import crc32_ethernet, crc32_ethernet_reference
 from repro.net.fabric import (
+    DEFAULT_QUEUE_DEPTH,
     EndpointProgram,
+    FabricRun,
     FleetWorkload,
     HostEndpoint,
     SwitchNode,
@@ -203,6 +205,15 @@ class TestSwitchSemantics:
             SwitchNode(2, queue_depth=0)
         with pytest.raises(ValueError, match="mac_age"):
             SwitchNode(2, mac_age=0)
+
+    def test_fabric_run_defaults_and_unknown_mode(self):
+        """Scheduler and queue depth are arguments only: ``None`` means
+        ``"batched"`` and the default depth; an unknown mode is loud."""
+        run = FabricRun([object(), object()])
+        assert run.mode == "batched"
+        assert run.switch.queue_depth == DEFAULT_QUEUE_DEPTH
+        with pytest.raises(ValueError, match="unknown fabric mode"):
+            FabricRun([object(), object()], mode="bogus")
 
 
 class TestWorkloads:

@@ -1,5 +1,7 @@
 """Tests for the IR, the DBT, and differential CPU-vs-IR execution."""
 
+from unittest import mock
+
 import pytest
 
 from repro.asm import assemble
@@ -9,6 +11,9 @@ from repro.ir import nodes as N
 from repro.isa.registers import REG_SP
 from repro.layout import RETURN_TO_OS, STACK_TOP, TEXT_BASE, page_align
 from repro.vm import Machine
+
+#: Patched to 1 so superblocks form at a head's first dispatch.
+_HOT_THRESHOLD = "repro.ir.superblock.HOT_THRESHOLD"
 
 
 def load(source):
@@ -165,7 +170,7 @@ class TestTranslation:
         cpu.pc = TEXT_BASE
         cpu.run()
         assert cpu.regs[2] == 99
-        cpu.exec_backend = None
+        cpu.exec_backend = "step"
         cpu.regs[2] = 0
         cpu.pc = TEXT_BASE
         cpu.run()
@@ -532,16 +537,17 @@ body:
 class TestSuperblockDeopt:
     """Every guarded assumption a superblock makes must deopt back to
     per-block semantics bit-for-bit: self-patching stores, mid-chain
-    faults, step-limit boundaries, and ``code_changed()``."""
+    faults, step-limit boundaries, and ``code_changed()``.  Each test
+    compares ``"blocks"`` against ``"compiled"`` with chains forming at a
+    head's first dispatch."""
 
     @staticmethod
-    def _run(source, exec_backend, superblocks=False, max_steps=10_000):
+    def _run(source, exec_backend, max_steps=10_000):
         from repro.errors import VmFault
 
         machine = load(source)
         cpu = machine.cpu
         cpu.exec_backend = exec_backend
-        cpu.exec_superblocks = superblocks
         cpu.pc = TEXT_BASE
         reason = fault = None
         try:
@@ -551,70 +557,66 @@ class TestSuperblockDeopt:
         return (str(reason), fault, list(cpu.regs), cpu.pc, cpu.instret,
                 cpu.mem_ops, cpu.io_ops)
 
-    @staticmethod
-    def _hot():
-        from repro.ir import SuperblockConfig
-        return SuperblockConfig(hot_threshold=1)
-
+    @mock.patch(_HOT_THRESHOLD, 1)
     def test_self_patch_deopts_identically(self):
         from repro.ir import superblock_counters
 
-        baseline = self._run(_SELF_PATCH, "compiled")
+        baseline = self._run(_SELF_PATCH, "blocks")
         before = superblock_counters()
-        fused = self._run(_SELF_PATCH, "compiled", superblocks=self._hot())
+        fused = self._run(_SELF_PATCH, "compiled")
         after = superblock_counters()
         assert fused == baseline
         assert after["superblocks_formed"] > before["superblocks_formed"]
         assert after["superblock_deopts"] > before["superblock_deopts"], \
             "the store into the chain's own code span must deopt"
 
+    @mock.patch(_HOT_THRESHOLD, 1)
     def test_fault_mid_chain_flushes_counters(self):
         from repro.ir import superblock_counters
 
-        baseline = self._run(_FAULTING_LOOP, "compiled")
+        baseline = self._run(_FAULTING_LOOP, "blocks")
         assert baseline[1] == "VmFault"
         before = superblock_counters()
-        fused = self._run(_FAULTING_LOOP, "compiled",
-                          superblocks=self._hot())
+        fused = self._run(_FAULTING_LOOP, "compiled")
         after = superblock_counters()
         assert fused == baseline
         assert after["superblock_runs"] > before["superblock_runs"], \
             "the fault must have been raised from inside a chain"
 
     @pytest.mark.parametrize("limit", [1, 2, 3, 5, 8, 13, 40, 77, 200])
+    @mock.patch(_HOT_THRESHOLD, 1)
     def test_step_limit_exits_at_same_boundary(self, limit):
-        baseline = self._run(_HOT_LOOP, "compiled", max_steps=limit)
-        fused = self._run(_HOT_LOOP, "compiled", superblocks=self._hot(),
-                          max_steps=limit)
+        baseline = self._run(_HOT_LOOP, "blocks", max_steps=limit)
+        fused = self._run(_HOT_LOOP, "compiled", max_steps=limit)
         assert fused == baseline
 
+    @mock.patch(_HOT_THRESHOLD, 1)
     def test_interrupted_run_resumes_identically(self):
         """Stop mid-trace (where an interrupt window would open), then
         resume: the two-leg run must land exactly where one uninterrupted
         run does, chained or not."""
-        def run_split(superblocks):
+        def run_split(exec_backend):
             machine = load(_HOT_LOOP)
             cpu = machine.cpu
-            cpu.exec_backend = "compiled"
-            cpu.exec_superblocks = superblocks
+            cpu.exec_backend = exec_backend
             cpu.pc = TEXT_BASE
             cpu.run(max_steps=37)     # mid-chain on the fused path
             cpu.run(max_steps=10_000)
             return (list(cpu.regs), cpu.pc, cpu.instret)
 
-        whole = self._run(_HOT_LOOP, "compiled", superblocks=self._hot())
-        split = run_split(self._hot())
-        assert run_split(False) == split
+        whole = self._run(_HOT_LOOP, "compiled")
+        split = run_split("compiled")
+        assert run_split("blocks") == split
         assert split[0] == whole[2] and split[1] == whole[3] \
             and split[2] == whole[4]
 
+    @mock.patch(_HOT_THRESHOLD, 1)
     def test_code_changed_drops_chains(self):
         from repro.isa import INSTR_SIZE, Instruction, Op, encode
 
         machine = load(_HOT_LOOP)
         cpu = machine.cpu
         cpu.exec_backend = "compiled"
-        cpu.exec_superblocks = self._hot()
         cpu.pc = TEXT_BASE
         cpu.run()
         manager = cpu._sb_manager
@@ -632,9 +634,10 @@ class TestSuperblockDeopt:
         cpu.run()
         expected = self._run(_HOT_LOOP.replace("add r2, r2, 1",
                                                "add r2, r2, 5"),
-                             "compiled")
+                             "blocks")
         assert cpu.regs[2] == expected[2][2]
 
+    @mock.patch(_HOT_THRESHOLD, 1)
     def test_stale_chain_revalidation_without_signal(self):
         """A patch landing between dispatches without ``code_changed()``
         is caught by per-run byte revalidation: the chain is dropped, the
@@ -644,7 +647,6 @@ class TestSuperblockDeopt:
         machine = load(_HOT_LOOP)
         cpu = machine.cpu
         cpu.exec_backend = "compiled"
-        cpu.exec_superblocks = self._hot()
         cpu.pc = TEXT_BASE
         cpu.run()
         manager = cpu._sb_manager
@@ -661,5 +663,5 @@ class TestSuperblockDeopt:
         cpu.run()
         expected = self._run(_HOT_LOOP.replace("add r2, r2, 1",
                                                "add r2, r2, 3"),
-                             "compiled")
+                             "blocks")
         assert cpu.regs[2] == expected[2][2]

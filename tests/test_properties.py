@@ -1,10 +1,12 @@
 """Property-based tests (hypothesis) on core invariants."""
 
+from unittest import mock
+
 from hypothesis import given, settings, strategies as st
 
 from repro.asm import assemble
 from repro.errors import VmFault
-from repro.ir.superblock import SuperblockConfig, superblock_counters
+from repro.ir.superblock import superblock_counters
 from repro.isa import Instruction, Op, decode, encode
 from repro.isa.encoding import INSTR_SIZE, NO_REG
 from repro.layout import HEAP_BASE, TEXT_BASE, page_align
@@ -18,6 +20,9 @@ from repro.vm import Machine
 reg = st.integers(min_value=0, max_value=15)
 u32 = st.integers(min_value=0, max_value=0xFFFFFFFF)
 u8 = st.integers(min_value=0, max_value=0xFF)
+
+#: Patched to 1 so superblocks form at a head's first dispatch.
+_HOT_THRESHOLD = "repro.ir.superblock.HOT_THRESHOLD"
 
 
 class TestEncodingProperties:
@@ -211,7 +216,7 @@ class TestBackendDifferential:
     @settings(max_examples=60, deadline=None)
     @given(instrs=st.lists(random_instruction(), min_size=1, max_size=24))
     def test_three_backends_agree(self, instrs):
-        step = self._execute(instrs, None)
+        step = self._execute(instrs, "step")
         interp = self._execute(instrs, "interp")
         compiled = self._execute(instrs, "compiled")
         assert step == interp
@@ -226,6 +231,8 @@ class TestSuperblockDifferential:
     counters in locals and flushes them in ``finally``, so the tuple
     compared here includes ``instret``/``mem_ops``/``io_ops`` to pin
     the counter contract under faults as well as on clean exits.
+    The superblock tier runs with chains forming at a head's first
+    dispatch.
     """
 
     _segment = st.lists(random_instruction(), min_size=1, max_size=8)
@@ -257,14 +264,13 @@ class TestSuperblockDifferential:
         return program
 
     @staticmethod
-    def _run(program, backend, superblocks=False):
+    def _run(program, backend):
         machine = Machine()
         code = b"".join(encode(i) for i in program)
         machine.memory.map_region(TEXT_BASE, page_align(len(code)), "text")
         machine.memory.write_bytes(TEXT_BASE, code)
         cpu = machine.cpu
         cpu.exec_backend = backend
-        cpu.exec_superblocks = superblocks
         cpu.pc = TEXT_BASE
         fault = None
         try:
@@ -280,12 +286,11 @@ class TestSuperblockDifferential:
            trips=st.integers(min_value=2, max_value=4))
     def test_four_tiers_agree(self, seg_a, seg_b, seg_c, trips):
         program = self._build(seg_a, seg_b, seg_c, trips)
-        step, _ = self._run(program, None)
+        step, _ = self._run(program, "step")
         interp, interp_ret = self._run(program, "interp")
-        compiled, compiled_ret = self._run(program, "compiled")
-        fused, fused_ret = self._run(
-            program, "compiled",
-            superblocks=SuperblockConfig(hot_threshold=1))
+        compiled, compiled_ret = self._run(program, "blocks")
+        with mock.patch(_HOT_THRESHOLD, 1):
+            fused, fused_ret = self._run(program, "compiled")
         assert step == interp
         assert step == compiled
         assert step == fused
@@ -306,15 +311,14 @@ class TestSuperblockDifferential:
         tier stopping at the same instruction."""
         program = self._build(seg_a, seg_b, seg_c, trips)
 
-        def run_limited(superblocks):
+        def run_limited(exec_backend):
             machine = Machine()
             code = b"".join(encode(i) for i in program)
             machine.memory.map_region(TEXT_BASE, page_align(len(code)),
                                       "text")
             machine.memory.write_bytes(TEXT_BASE, code)
             cpu = machine.cpu
-            cpu.exec_backend = "compiled"
-            cpu.exec_superblocks = superblocks
+            cpu.exec_backend = exec_backend
             cpu.pc = TEXT_BASE
             fault = None
             reason = None
@@ -325,8 +329,8 @@ class TestSuperblockDifferential:
             return (reason, fault, list(cpu.regs), cpu.pc, cpu.instret,
                     cpu.mem_ops, machine.memory.read_bytes(_SCRATCH, 0x100))
 
-        assert run_limited(False) == \
-            run_limited(SuperblockConfig(hot_threshold=1))
+        with mock.patch(_HOT_THRESHOLD, 1):
+            assert run_limited("blocks") == run_limited("compiled")
 
 
 class TestAssemblerProperties:

@@ -2,13 +2,15 @@
 
 Formation is tested against hand-built translation blocks (what chains
 may and may not fuse); the consumer tests drive the real original-binary
-harness and the synthesized-driver runtime with superblocks forced hot
-and assert the observations are bit-identical to the per-block tier --
+harness and the synthesized-driver runtime in the ``"compiled"`` tier
+with superblocks forced hot (the formation thresholds patched) and
+assert the observations are bit-identical to the ``"blocks"`` tier --
 the same claim the validation matrix makes across OSes, applied across
 execution tiers.
 """
 
 import itertools
+from unittest import mock
 
 import pytest
 
@@ -18,7 +20,6 @@ from repro.errors import SynthesisError, VmFault
 from repro.eval.runner import get_cache
 from repro.guestos.harness import DriverHarness
 from repro.ir import (
-    SuperblockConfig,
     SuperblockManager,
     TranslationBlock,
     superblock_counters,
@@ -47,7 +48,10 @@ from repro.vm import ExitReason, Machine
 MAC = b"\x52\x54\x00\xAA\xBB\xCC"
 PEER = b"\x02\x00\x00\x00\x00\x01"
 
-_HOT = SuperblockConfig(hot_threshold=1)
+#: Formation thresholds the tests patch (to 1: chains form at a head's
+#: first dispatch).
+_HOT_THRESHOLD = "repro.ir.superblock.HOT_THRESHOLD"
+_MAX_MEMBERS = "repro.ir.superblock.MAX_MEMBERS"
 
 
 def _block(pc, terminator, n_instr=2, reg=1):
@@ -71,11 +75,10 @@ def _linear(block_map, start, count, stride=0x40):
     return pcs
 
 
+@mock.patch(_HOT_THRESHOLD, 1)
 class TestFormation:
-    def _manager(self, block_map, **config):
-        return SuperblockManager(block_map.get, "static",
-                                 config=SuperblockConfig(hot_threshold=1,
-                                                         **config))
+    def _manager(self, block_map):
+        return SuperblockManager(block_map.get, "static")
 
     def test_direct_jump_chain(self):
         block_map = {}
@@ -85,10 +88,11 @@ class TestFormation:
         assert sb is not None
         assert [b.pc for b in sb.blocks] == pcs
 
+    @mock.patch(_MAX_MEMBERS, 4)
     def test_max_members_bounds_chain(self):
         block_map = {}
         pcs = _linear(block_map, 0x1000, 12)
-        manager = self._manager(block_map, max_members=4)
+        manager = self._manager(block_map)
         sb = manager.lookup(0x1000)
         assert [b.pc for b in sb.blocks] == pcs[:4]
 
@@ -128,7 +132,7 @@ class TestFormation:
             calls.append(pc)
             return _block(pc, N.IrHalt())
 
-        manager = SuperblockManager(get_block, "static", config=_HOT)
+        manager = SuperblockManager(get_block, "static")
         assert manager.lookup(0x1000) is None
         fetches = len(calls)
         assert manager.lookup(0x1000) is None
@@ -152,17 +156,16 @@ class TestFormation:
             fallthrough: _block(fallthrough, N.IrHalt()),
             taken: _block(taken, N.IrHalt()),
         }
-        manager = SuperblockManager(
-            block_map.get, "static",
-            config=SuperblockConfig(hot_threshold=3))
-        # Two observed traversals of the taken edge, none of the other.
-        assert manager.lookup(0x1000) is None
-        assert manager.lookup(taken) is None
-        assert manager.lookup(0x1000) is None
-        assert manager.lookup(taken) is None
-        sb = manager.lookup(0x1000)
-        assert sb is not None
-        assert [b.pc for b in sb.blocks] == [0x1000, taken]
+        manager = self._manager(block_map)
+        with mock.patch(_HOT_THRESHOLD, 3):
+            # Two observed traversals of the taken edge, none of the other.
+            assert manager.lookup(0x1000) is None
+            assert manager.lookup(taken) is None
+            assert manager.lookup(0x1000) is None
+            assert manager.lookup(taken) is None
+            sb = manager.lookup(0x1000)
+            assert sb is not None
+            assert [b.pc for b in sb.blocks] == [0x1000, taken]
 
     def test_condjump_tie_prefers_fallthrough(self):
         taken, fallthrough = 0x1200, 0x1040
@@ -172,15 +175,14 @@ class TestFormation:
             fallthrough: _block(fallthrough, N.IrHalt()),
             taken: _block(taken, N.IrHalt()),
         }
-        manager = SuperblockManager(
-            block_map.get, "static",
-            config=SuperblockConfig(hot_threshold=3))
-        assert manager.lookup(0x1000) is None
-        assert manager.lookup(taken) is None
-        assert manager.lookup(0x1000) is None
-        assert manager.lookup(fallthrough) is None
-        sb = manager.lookup(0x1000)
-        assert [b.pc for b in sb.blocks] == [0x1000, fallthrough]
+        manager = self._manager(block_map)
+        with mock.patch(_HOT_THRESHOLD, 3):
+            assert manager.lookup(0x1000) is None
+            assert manager.lookup(taken) is None
+            assert manager.lookup(0x1000) is None
+            assert manager.lookup(fallthrough) is None
+            sb = manager.lookup(0x1000)
+            assert [b.pc for b in sb.blocks] == [0x1000, fallthrough]
 
     def test_invalidate_drops_chains_and_profile(self):
         block_map = {}
@@ -224,14 +226,15 @@ class TestCodegen:
         assert "env.instrs_retired += _i" in source
 
 
+@mock.patch(_HOT_THRESHOLD, 1)
 class TestHarnessEquivalence:
-    """Original binary, full driver lifecycle: superblocks on vs off."""
+    """Original binary, full driver lifecycle: ``"blocks"`` vs
+    ``"compiled"`` (superblocks off vs on)."""
 
-    def _lifecycle(self, superblocks):
+    def _lifecycle(self, exec_backend):
         harness = DriverHarness(build_driver("rtl8029"),
                                 device_class("rtl8029"), mac=MAC,
-                                exec_backend="compiled",
-                                exec_superblocks=superblocks)
+                                exec_backend=exec_backend)
         harness.boot()
         workload = UdpWorkload(MAC, PEER, 128)
         statuses = [harness.send(workload.next_frame().to_bytes())
@@ -251,9 +254,9 @@ class TestHarnessEquivalence:
         }
 
     def test_lifecycle_identical_and_chains_ran(self):
-        baseline = self._lifecycle(False)
+        baseline = self._lifecycle("blocks")
         before = superblock_counters()
-        fused = self._lifecycle(_HOT)
+        fused = self._lifecycle("compiled")
         after = superblock_counters()
         assert fused == baseline
         assert after["superblock_runs"] > before["superblock_runs"], \
@@ -262,24 +265,24 @@ class TestHarnessEquivalence:
     def test_scenario_observation_identical(self):
         scenario = CATALOG["udp_stream"]
         observations = []
-        for superblocks in (False, _HOT):
-            dut = OriginalDut("rtl8029", exec_backend="compiled",
-                              exec_superblocks=superblocks)
+        for exec_backend in ("blocks", "compiled"):
+            dut = OriginalDut("rtl8029", exec_backend=exec_backend)
             dut.boot()
             observations.append(run_scenario(dut, scenario).to_dict())
             dut.shutdown()
         assert observations[0] == observations[1]
 
 
+@mock.patch(_HOT_THRESHOLD, 1)
 class TestSynthesizedEquivalence:
-    """Synthesized driver in the target-OS template: on vs off."""
+    """Synthesized driver in the target-OS template: ``"blocks"`` vs
+    ``"compiled"``."""
 
-    def _lifecycle(self, artifact, superblocks):
+    def _lifecycle(self, artifact, exec_backend):
         target = TARGET_OSES["winsim"](device_class("rtl8029"), mac=MAC)
         template = DmaNicTemplate(artifact.synthesized, target,
                                   original_image=artifact.image,
-                                  exec_backend="compiled",
-                                  exec_superblocks=superblocks)
+                                  exec_backend=exec_backend)
         template.initialize()
         workload = UdpWorkload(MAC, PEER, 96)
         statuses = [template.send(workload.next_frame().to_bytes())
@@ -296,17 +299,18 @@ class TestSynthesizedEquivalence:
 
     def test_template_identical_and_chains_ran(self):
         artifact = get_cache().run("rtl8029")
-        baseline = self._lifecycle(artifact, False)
+        baseline = self._lifecycle(artifact, "blocks")
         before = superblock_counters()
-        fused = self._lifecycle(artifact, _HOT)
+        fused = self._lifecycle(artifact, "compiled")
         after = superblock_counters()
         assert fused == baseline
         assert after["superblock_runs"] > before["superblock_runs"]
 
 
+@mock.patch(_HOT_THRESHOLD, 1)
 class TestLoopFormation:
     def _manager(self, block_map):
-        return SuperblockManager(block_map.get, "static", config=_HOT)
+        return SuperblockManager(block_map.get, "static")
 
     def test_self_looping_block_forms_a_loop_chain(self):
         block_map = {0x1000: _block(0x1000, N.IrJump(target=0x1000))}
@@ -425,21 +429,18 @@ def _load(program):
     return machine, len(code)
 
 
+#: Hot at the second lookup, once the back-edge has been profiled.
+@mock.patch(_HOT_THRESHOLD, 2)
 class TestLoopDifferential:
     """A loop chain cut by every instruction and block budget from zero
     past its natural end stops where per-block ``interp`` dispatch
     stops: same registers, memory, pc, counters and blocks run."""
-
-    #: Hot at the second lookup, once the back-edge has been profiled.
-    _CONFIG = SuperblockConfig(hot_threshold=2)
 
     def _cpu_run(self, budget, backend, variant, scratch):
         machine, size = _load(
             _loop_program(Instruction(Op.HALT), variant, scratch))
         cpu = machine.cpu
         cpu.exec_backend = backend
-        cpu.exec_superblocks = \
-            self._CONFIG if backend == "compiled" else False
         cpu.pc = TEXT_BASE
         try:
             outcome = cpu.run(max_steps=budget)
@@ -504,9 +505,7 @@ class TestLoopDifferential:
         outcome = "returned"
         try:
             driver.run_function(TEXT_BASE, env, [], None,
-                                max_blocks=max_blocks, backend=backend,
-                                superblocks=self._CONFIG
-                                if backend == "compiled" else False)
+                                max_blocks=max_blocks, backend=backend)
         except SynthesisError:
             outcome = "budget"
         return (outcome, list(env.regs), env.instrs_retired,

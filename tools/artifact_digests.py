@@ -19,8 +19,9 @@ leave ``c_source`` and ``coverage`` as they were.
 interpreter over artifacts from the default store (warmed first, so a
 cold store is filled once)::
 
-    {"warm": {"matrix": sha256(validation-matrix summary JSON
-                               without wall_seconds),
+    {"warm": {"matrix": sha256(canonical JSON of every validation-matrix
+                               cell's to_dict(), sorted by (driver, os),
+                               plus the summary without wall_seconds),
               "fabric": sha256(canonical_fabric_json of the batched,
                                compiled 64-endpoint saturation fleet,
                                seed 7),
@@ -28,11 +29,14 @@ cold store is filled once)::
                              campaign from the CI fuzz job's seed,
                              base_seed 12648430, 3 programs a round)}}
 
-The matrix and fabric documents are the ones the benchmark's
-``matrix_warm`` and ``fabric_saturation`` passes digest, so a change to
-the guest VM can show its matrix observations and fabric reports are
-byte-identical; the fuzz digest covers the differential fuzzer's
-campaign bytes the same way.
+The matrix document covers what every cell saw -- each scenario's
+verdict, divergences and candidate error -- so a change that moves a
+cell's observations without flipping a verdict moves the digest (the
+benchmark's ``matrix_warm`` pass digests only the summary).  The fabric
+document is the one the benchmark's ``fabric_saturation`` pass
+digests, so a change to the guest VM can show its matrix observations
+and fabric reports are byte-identical; the fuzz digest covers the
+differential fuzzer's campaign bytes the same way.
 
 Usage:
     PYTHONPATH=src python tools/artifact_digests.py [--warm] [--out FILE]
@@ -79,6 +83,7 @@ def driver_digests(name):
 def warm_digest(section):
     """Digest of one warm ``section`` (``matrix``, ``fabric`` or
     ``fuzz``), computed in-process over the default artifact store."""
+    from repro.pipeline.artifact import canonical_dumps
     from repro.pipeline.orchestrator import PipelineOrchestrator
 
     orchestrator = PipelineOrchestrator()
@@ -86,10 +91,13 @@ def warm_digest(section):
     if section == "matrix":
         from repro.validate.matrix import ValidationMatrix
 
-        summary = ValidationMatrix(orchestrator=orchestrator).run() \
-            .summary()
+        result = ValidationMatrix(orchestrator=orchestrator).run()
+        summary = result.summary()
         summary.pop("wall_seconds")
-        return _sha256(json.dumps(summary, sort_keys=True))
+        cells = [cell.to_dict()
+                 for _key, cell in sorted(result.cells.items())]
+        return _sha256(canonical_dumps({"cells": cells,
+                                        "summary": summary}))
     if section == "fuzz":
         from repro.fuzz.artifact import canonical_fuzz_json
         from repro.fuzz.engine import run_fuzz
