@@ -55,8 +55,9 @@ def main(argv=None):
 
     switch = report["switch"]
     totals = report["totals"]
+    volatile = report["volatile"]
     print("fabric soak: %d endpoints, workload %s, seed %#x (%s mode)"
-          % (args.endpoints, args.workload, args.seed, report["mode"]))
+          % (args.endpoints, args.workload, args.seed, volatile["mode"]))
     print("switch: %d frames switched, %d flooded, %d unknown floods, "
           "%d filtered, %d queue drops, %d aged out"
           % (switch["frames_switched"], switch["flooded"],
@@ -67,7 +68,7 @@ def main(argv=None):
           % (totals["steps"], totals["tx_frames"], totals["rx_frames"],
              totals["irq_count"], totals["step_errors"], report["ticks"]))
     print("throughput: %.1f packets/sec (%.3fs run loop)"
-          % (report["packets_per_second"], report["wall_seconds"]))
+          % (volatile["packets_per_second"], volatile["wall_seconds"]))
     canonical = canonical_fabric_json(report)
     print("canonical report digest: %s"
           % hashlib.sha256(canonical.encode()).hexdigest()[:16])

@@ -64,8 +64,7 @@ def main(argv=None):
           % summary)
     print("verdicts: %(matched)d matched, %(unsupported)d unsupported, "
           "%(divergent)d divergent, %(skipped)d skipped" % summary)
-    print("coverage: %(coverage)d features, %(wall_seconds).1fs "
-          "(%(mode)s)" % summary)
+    print("coverage: %(coverage)d features, %(wall_seconds).1fs" % summary)
 
     if args.out:
         with open(args.out, "w") as handle:

@@ -315,12 +315,11 @@ def validation_matrix_render(result=None):
             if all(cell.expected == "unsupported" for cell in unsupported) \
             else " (UNEXPECTED)"
     lines.append("cells: %d equivalent, %d unsupported%s, "
-                 "%d divergent; %d/%d scenarios matched [%s %.1fs]"
+                 "%d divergent; %d/%d scenarios matched [%.1fs]"
                  % (summary["equivalent"], summary["unsupported"],
                     unsupported_note, summary["divergent"],
                     summary["scenarios_matched"],
-                    summary["scenarios_run"], summary["mode"],
-                    summary["wall_seconds"]))
+                    summary["scenarios_run"], summary["wall_seconds"]))
     for driver, os_name, scenario in result.unexplained():
         first = scenario.divergences[0].detail if scenario.divergences \
             else scenario.candidate_error

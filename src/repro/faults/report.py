@@ -1,9 +1,8 @@
 """Resilience accounting: what the pipeline did to survive.
 
-Every orchestrated campaign -- a pipeline warm-up, a validation matrix, a
-fuzz run, a chaos schedule -- carries a :class:`ResilienceReport`: each
-job's attempts and outcome, and what the store quarantined, recovered or
-evicted along the way.
+Every pipeline warm-up, and so every chaos schedule, carries a
+:class:`ResilienceReport`: each job's attempts and outcome, and what the
+store quarantined, recovered or evicted along the way.
 
 A :class:`FaultRecord` is the loud half of the chaos invariant: when the
 pipeline cannot heal a fault it must fail with a *classified, replayable*
@@ -48,7 +47,7 @@ class ResilienceReport:
                                             "events": []})
 
     def record_attempt(self, label, event=None):
-        """Count one run of job ``label`` (one per fan-out it is in)."""
+        """Count one run of job ``label`` (one per warm-up it is in)."""
         entry = self.job_entry(label)
         entry["attempts"] += 1
         if event:

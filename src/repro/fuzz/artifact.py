@@ -2,11 +2,11 @@
 
 A campaign serializes to versioned JSON the same way pipeline run
 artifacts do: the encoding is a *canonical* function of the campaign's
-outputs (sorted keys, sorted coverage, no whitespace), with the only
-non-deterministic fields -- wall clock, run mode and the resilience
-report -- scrubbed by :func:`canonical_fuzz_json`.  Same seed, same
-config, same code ==> byte-identical canonical JSON; the determinism
-tests hold the fuzzer to exactly that.
+outputs (sorted keys, sorted coverage, no whitespace), with the one
+non-deterministic value -- the wall clock -- under the document's
+top-level ``volatile`` section, which :func:`canonical_fuzz_json` drops.
+Same seed, same config, same code ==> byte-identical canonical JSON; the
+determinism tests hold the fuzzer to exactly that.
 
 Campaign records share the pipeline's content-addressed
 :class:`~repro.pipeline.store.ArtifactStore` under a ``fuzz-`` key
@@ -22,24 +22,20 @@ import json
 from repro.errors import ArtifactError
 from repro.fuzz.differential import ProgramRun
 from repro.fuzz.engine import FuzzResult
-from repro.pipeline.artifact import canonical_dumps
+from repro.pipeline.artifact import VOLATILE, canonical_dumps, stable_dumps
 
 #: Bump on any incompatible change to the encoding below.
 #: v2: added the ``resilience`` field (the campaign's ResilienceReport).
-FUZZ_SCHEMA_VERSION = 2
-
-
-def _resilience_dict(resilience):
-    if resilience is None:
-        return None
-    if hasattr(resilience, "to_dict"):
-        return resilience.to_dict()
-    return dict(resilience)
+#: v3: dropped ``mode`` and ``resilience``; ``wall_seconds`` moved under
+#: the top-level ``volatile`` section (and out of ``summary``).
+FUZZ_SCHEMA_VERSION = 3
 
 
 def fuzz_to_dict(result):
     """Encode a :class:`FuzzResult` as a JSON-serializable dict (full
-    fidelity, wall clock, mode and resilience included)."""
+    fidelity, wall clock under :data:`~repro.pipeline.artifact.VOLATILE`)."""
+    summary = result.summary()
+    del summary["wall_seconds"]
     return {
         "schema": FUZZ_SCHEMA_VERSION,
         "config": dict(result.config),
@@ -47,11 +43,9 @@ def fuzz_to_dict(result):
         "runs": [run.to_dict() for run in result.runs],
         "coverage": sorted(result.coverage),
         "rounds": list(result.rounds),
-        "summary": result.summary(),
+        "summary": summary,
         "stopped": result.stopped,
-        "mode": result.mode,
-        "wall_seconds": result.wall_seconds,
-        "resilience": _resilience_dict(result.resilience),
+        VOLATILE: {"wall_seconds": result.wall_seconds},
     }
 
 
@@ -68,10 +62,8 @@ def fuzz_from_dict(data):
             runs=[ProgramRun.from_dict(r) for r in data["runs"]],
             coverage=set(data["coverage"]),
             rounds=list(data["rounds"]),
-            wall_seconds=data["wall_seconds"],
-            mode=data["mode"],
+            wall_seconds=data[VOLATILE]["wall_seconds"],
             stopped=data["stopped"],
-            resilience=data.get("resilience"),
         )
     except ArtifactError:
         raise
@@ -89,24 +81,13 @@ def fuzz_from_json(text):
 
 
 def canonical_fuzz_json(result):
-    """Deterministic JSON with the volatile fields scrubbed.
+    """Deterministic JSON without the wall clock.
 
     Byte-equality of canonical JSON is the campaign-equivalence relation:
     two runs of the same seed and config (cold or warm, faulted-but-healed
     or clean) must produce identical bytes.
     """
-    data = fuzz_to_dict(result)
-    data["wall_seconds"] = 0.0
-    data["mode"] = "scrubbed"
-    summary = dict(data["summary"])
-    summary["wall_seconds"] = 0.0
-    summary["mode"] = "scrubbed"
-    data["summary"] = summary
-    # The resilience report records *how* a run went (job attempts and
-    # outcomes) -- volatile by design, so canonical equivalence scrubs it
-    # entirely.
-    data["resilience"] = None
-    return canonical_dumps(data)
+    return stable_dumps(fuzz_to_dict(result))
 
 
 def fuzz_key(config):

@@ -1,12 +1,12 @@
 """The loop-until-dry differential fuzz driver.
 
-Rounds of seeded program generation fan out across the driver corpus --
-one job per driver column through the pipeline orchestrator's one
-fan-out, as the validation matrix does -- and every (program, driver,
-target OS) run is classified against the original binary.  The loop stops when
-``dry_rounds`` consecutive rounds produce **zero new coverage and zero
-new unexplained divergences** (or at the ``max_rounds`` safety bound):
-the sampled program space has gone dry under the current vocabulary.
+Rounds of seeded program generation run across the driver corpus --
+one driver column after another, as the validation matrix does -- and
+every (program, driver, target OS) run is classified against the
+original binary.  The loop stops when ``dry_rounds`` consecutive rounds
+produce **zero new coverage and zero new unexplained divergences** (or
+at the ``max_rounds`` safety bound): the sampled program space has gone
+dry under the current vocabulary.
 
 Coverage is behavioral, not just syntactic: besides the step-op unigrams
 and bigrams a round's programs exercise, every baseline observation is
@@ -107,10 +107,7 @@ class FuzzResult:
     coverage: set = field(default_factory=set)
     rounds: list = field(default_factory=list)     # per-round summaries
     wall_seconds: float = 0.0
-    mode: str = "serial"
     stopped: str = "dry"       # 'dry' | 'budget'
-    #: the campaign's ResilienceReport (or its dict when deserialized)
-    resilience: object = None
 
     def unexplained(self):
         return [run for run in self.runs if run.unexplained]
@@ -129,7 +126,6 @@ class FuzzResult:
             "coverage": len(self.coverage),
             "rounds": len(self.rounds),
             "stopped": self.stopped,
-            "mode": self.mode,
             "wall_seconds": round(self.wall_seconds, 3),
         }
 
@@ -158,26 +154,18 @@ class FuzzEngine:
 
     def run(self):
         """Fuzz until dry (or the round budget); returns a
-        :class:`FuzzResult`.
-
-        The campaign-wide :class:`ResilienceReport` of every round's
-        fan-out lands on ``result.resilience``.
-        """
-        from repro.faults.report import ResilienceReport
-
+        :class:`FuzzResult`."""
         config = self.config
         started = time.monotonic()
-        report = ResilienceReport()
         drivers = config.resolved_drivers()
-        result = FuzzResult(config=config.to_dict(), resilience=report)
+        result = FuzzResult(config=config.to_dict())
         dry_streak = 0
         seed_cursor = config.base_seed
         for round_index in range(config.max_rounds):
             programs = self.generator.programs(seed_cursor,
                                                config.programs_per_round)
             seed_cursor += config.programs_per_round
-            round_runs, round_features = self._run_round(
-                drivers, programs, report)
+            round_runs, round_features = self._run_round(drivers, programs)
             for program in programs:
                 round_features |= program_features(program)
             new_features = round_features - result.coverage
@@ -205,23 +193,18 @@ class FuzzEngine:
 
     # ------------------------------------------------------------------
 
-    def _run_round(self, drivers, programs, report):
-        """One round's (driver x program x OS) runs, one fan-out job per
-        driver column; returns ``(runs, features)``."""
+    def _run_round(self, drivers, programs):
+        """One round's (driver x program x OS) runs, one driver column
+        after another; returns ``(runs, features)``."""
         config = self.config
-
-        def compute(driver, _fault):
-            artifact = self.orchestrator.run(driver, config.strategy,
-                                             config.script)
-            return _program_column(artifact, config.os_names, programs,
-                                   config.exec_backend or "compiled")
-
-        collected = self.orchestrator.fan_out(
-            {driver: driver for driver in drivers}, compute, report)
         runs = []
         features = set()
         for driver in drivers:
-            column, column_features = collected[driver]
+            artifact = self.orchestrator.run(driver, config.strategy,
+                                             config.script)
+            column, column_features = _program_column(
+                artifact, config.os_names, programs,
+                config.exec_backend or "compiled")
             runs.extend(column)
             features.update(column_features)
         return runs, features

@@ -2,12 +2,13 @@
 
 A fabric report is the complete deterministic record of one fleet run:
 topology, workload identity (name + seed + content digest), switch
-statistics, per-endpoint counters and fleet totals.  Volatile fields
+statistics, per-endpoint counters and fleet totals.  The volatile values
 (wall clock, throughput, scheduler mode and its cost counters) ride
-along for benchmarks but are scrubbed by :func:`canonical_fabric_json` --
-byte-equality of the canonical form is the fabric determinism relation:
-same seed + same topology must produce identical bytes across runs and
-across scheduler modes.
+along for benchmarks under the report's top-level ``volatile`` section,
+which :func:`canonical_fabric_json` drops -- byte-equality of the
+canonical form is the fabric determinism relation: same seed + same
+topology must produce identical bytes across runs and across scheduler
+modes.
 
 Reports persist in the shared :class:`~repro.pipeline.store.
 ArtifactStore` under ``fabric-`` keys, content-addressed by workload +
@@ -17,9 +18,12 @@ topology + schema + code fingerprint -- the PR 3/PR 7 store discipline.
 import hashlib
 import json
 
-from repro.pipeline.artifact import canonical_dumps
+from repro.pipeline.artifact import VOLATILE, canonical_dumps, stable_dumps
 
-FABRIC_SCHEMA_VERSION = 1
+#: Bump on any incompatible change to the report below.  v2: the wall
+#: clock, throughput, scheduler mode and scheduler counters moved under
+#: the top-level ``volatile`` section.
+FABRIC_SCHEMA_VERSION = 2
 
 
 def build_report(workload, endpoints, run):
@@ -63,12 +67,13 @@ def build_report(workload, endpoints, run):
         "endpoints": per_endpoint,
         "per_driver": per_driver,
         "totals": totals,
-        # -- volatile (scrubbed from the canonical form) ---------------
-        "wall_seconds": round(wall, 6),
-        "packets_per_second": round(packets / wall, 1) if wall > 0
-        else 0.0,
-        "mode": run.mode,
-        "scheduler": run.scheduler_counters(),
+        VOLATILE: {
+            "wall_seconds": round(wall, 6),
+            "packets_per_second": round(packets / wall, 1) if wall > 0
+            else 0.0,
+            "mode": run.mode,
+            "scheduler": run.scheduler_counters(),
+        },
     }
 
 
@@ -78,18 +83,13 @@ def fabric_to_json(report):
 
 
 def canonical_fabric_json(report):
-    """Deterministic JSON with the volatile fields scrubbed.
+    """Deterministic JSON without the volatile section.
 
     Byte-equality of this form is the fabric determinism relation; the
     scheduler mode and its cost counters are volatile *by design* so the
     batched and lockstep schedulers can be byte-compared.
     """
-    data = dict(report)
-    data["wall_seconds"] = 0.0
-    data["packets_per_second"] = 0.0
-    data["mode"] = "scrubbed"
-    data["scheduler"] = None
-    return canonical_dumps(data)
+    return stable_dumps(report)
 
 
 def fabric_key(workload, topology):

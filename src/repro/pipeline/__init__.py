@@ -13,8 +13,8 @@ synthesis per driver -- hands a compact, serializable
   (keyed by driver image, config, schema and a source-tree fingerprint;
   checksummed entries, quarantine, crash-consistent publish, GC);
 * :mod:`repro.pipeline.orchestrator` -- the orchestration layer that
-  computes each missing artifact at most once, in process, and runs the
-  per-driver fan-outs (warm-up, matrix, fuzz) one job after another.
+  computes each missing artifact at most once, in process, one driver
+  after another.
 """
 
 from repro.pipeline.artifact import (

@@ -13,9 +13,13 @@ The JSON codec is versioned and *canonical*: encoding is a deterministic
 function of the run's outputs (interned expression DAGs and shared
 translation blocks are emitted once, in traversal order; all sets are
 sorted), so a fresh run and a cache round-trip of the same driver
-produce byte-identical canonical JSON.  The only non-deterministic fields are wall-clock timings, which
-:func:`canonical_json` scrubs; :func:`to_json` keeps them for Table 4
-and Figure 8.
+produce byte-identical canonical JSON.  The only non-deterministic
+values are wall-clock timings (the run's seconds and each coverage
+sample's); they live under the document's one top-level ``volatile``
+section, which :func:`canonical_json` drops and :func:`to_json` keeps
+for Table 4 and Figure 8.  Fuzz campaigns and fabric reports follow the
+same rule, so :func:`stable_dumps` is the one function that decides what
+a byte comparison ignores.
 """
 
 import json
@@ -41,8 +45,16 @@ from repro.synth.report import FunctionSummary, SynthesisReport
 #: ``solver_unknown``/``solver_unsat`` verdict counts, and the solver's
 #: random fallback went, which moves trace and eval counters.  v5: the
 #: ``config`` map lost ``explore_split_depth`` together with partitioned
-#: exploration.
-SCHEMA_VERSION = 5
+#: exploration.  v6: the wall-clock values moved under the top-level
+#: ``volatile`` section (``wall_seconds`` out of ``stats``, the seconds
+#: out of each coverage-timeline sample, which became a
+#: ``[blocks, fraction]`` pair).
+SCHEMA_VERSION = 6
+
+#: The top-level key of every byte-compared document (run artifacts,
+#: fuzz campaigns, fabric reports) that holds its non-deterministic
+#: values; :func:`stable_dumps` drops it.
+VOLATILE = "volatile"
 
 
 class RunArtifact:
@@ -518,10 +530,11 @@ def _decode_synthesized(encoded, dec):
 
 def artifact_to_dict(artifact):
     """Encode ``artifact`` as a JSON-serializable dict (full fidelity,
-    including wall-clock timings)."""
+    wall-clock timings under :data:`VOLATILE`)."""
     enc = _Encoder()
     trace = _encode_trace(artifact.trace, enc)
     synthesized = _encode_synthesized(artifact.synthesized, enc)
+    timeline = artifact.coverage.timeline
     return {
         "schema": SCHEMA_VERSION,
         "driver": artifact.driver,
@@ -530,7 +543,8 @@ def artifact_to_dict(artifact):
         "config": _encode_config(artifact.config),
         "entry_points": {name: addr for name, addr
                          in sorted(artifact.entry_points.items())},
-        "stats": artifact.stats,
+        "stats": {key: value for key, value in artifact.stats.items()
+                  if key != "wall_seconds"},
         "dma_regions": [list(region) for region in artifact.dma_regions],
         "import_names": {str(slot): name for slot, name
                          in sorted(artifact.import_names.items())},
@@ -539,14 +553,19 @@ def artifact_to_dict(artifact):
         "coverage": {
             "leaders": list(artifact.coverage.leaders),
             "executed": sorted(artifact.coverage.executed),
-            "timeline": [list(sample)
-                         for sample in artifact.coverage.timeline],
+            "timeline": [[blocks, fraction]
+                         for blocks, _seconds, fraction in timeline],
         },
         "trace": trace,
         "synthesized": synthesized,
         # The tables last: they were filled while encoding the above.
         "exprs": enc.exprs,
         "blocks": enc.blocks,
+        VOLATILE: {
+            "wall_seconds": artifact.stats["wall_seconds"],
+            "timeline_seconds": [seconds
+                                 for _blocks, seconds, _fraction in timeline],
+        },
     }
 
 
@@ -575,11 +594,14 @@ def artifact_from_dict(data, source="disk-cache"):
         # pin the whole parsed JSON (code hex, tables, synthesis) in
         # memory for artifacts whose trace is never walked.
         trace_data = data["trace"]
+        volatile = data[VOLATILE]
         coverage = CoverageTracker(
             leaders=list(data["coverage"]["leaders"]),
             executed=set(data["coverage"]["executed"]),
-            timeline=[tuple(sample)
-                      for sample in data["coverage"]["timeline"]])
+            timeline=[(blocks, seconds, fraction)
+                      for (blocks, fraction), seconds
+                      in zip(data["coverage"]["timeline"],
+                             volatile["timeline_seconds"], strict=True)])
         return RunArtifact(
             driver=data["driver"],
             strategy=data["strategy"],
@@ -588,7 +610,8 @@ def artifact_from_dict(data, source="disk-cache"):
             trace=lambda: _decode_trace(trace_data, dec),
             coverage=coverage,
             entry_points=dict(data["entry_points"]),
-            stats=data["stats"],
+            stats=dict(data["stats"],
+                       wall_seconds=volatile["wall_seconds"]),
             dma_regions=[tuple(region) for region in data["dma_regions"]],
             import_names={int(slot): name for slot, name
                           in data["import_names"].items()},
@@ -613,6 +636,18 @@ def canonical_dumps(data):
     return json.dumps(data, sort_keys=True, separators=(",", ":"))
 
 
+def stable_dumps(document):
+    """Canonical JSON of ``document`` without its :data:`VOLATILE`
+    section.
+
+    Byte-equality of this form is the equivalence relation of every
+    byte-compared document: computed, cached and faulted-but-recovered
+    runs of one input must agree on it.
+    """
+    return canonical_dumps({key: value for key, value in document.items()
+                            if key != VOLATILE})
+
+
 def to_json(artifact):
     """Full-fidelity deterministic JSON (timings included)."""
     return canonical_dumps(artifact_to_dict(artifact))
@@ -622,24 +657,10 @@ def from_json(text, source="disk-cache"):
     return artifact_from_dict(json.loads(text), source=source)
 
 
-def _scrub_volatile(data):
-    """Zero the wall-clock fields -- the only run outputs that are not a
-    deterministic function of (driver image, config, code)."""
-    stats = dict(data["stats"])
-    stats["wall_seconds"] = 0.0
-    data["stats"] = stats
-    coverage = dict(data["coverage"])
-    coverage["timeline"] = [[blocks, 0.0, fraction]
-                            for blocks, _seconds, fraction
-                            in coverage["timeline"]]
-    data["coverage"] = coverage
-    return data
-
-
 def canonical_json(artifact):
-    """Deterministic JSON with volatile timing fields scrubbed.
+    """Deterministic JSON without the wall-clock timings.
 
     Byte-equality of canonical JSON is the artifact-equivalence relation
     the determinism tests (computed vs cached vs recomputed) assert on.
     """
-    return canonical_dumps(_scrub_volatile(artifact_to_dict(artifact)))
+    return stable_dumps(artifact_to_dict(artifact))

@@ -11,17 +11,17 @@ Because runs are deterministic (interned expressions, seeded solver --
 see DESIGN.md), all three paths produce byte-identical canonical
 artifacts; tests assert this.
 
-Every per-driver fan-out -- the warm-up, the validation matrix's
-columns and the fuzzer's per-round columns -- is one method,
-:meth:`PipelineOrchestrator.fan_out`, which runs its jobs one after
-another in this process.  The runs are independent, but process
+:meth:`PipelineOrchestrator.warm` computes the missing drivers one
+after another in this process.  The runs are independent, but process
 fan-out did not pay: rtl8139 alone is about half of a cold warm-up, and
 a warm matrix column is too short to amortize a spawned interpreter
-(DESIGN.md has the measurements).  Each fan-out records its jobs in a
-:class:`~repro.faults.report.ResilienceReport`; a job that fails
-raises its classified error after recording a replayable
-:class:`~repro.faults.report.FaultRecord`, with every job before it
-already computed and persisted.
+(DESIGN.md has the measurements).  The warm-up records its jobs in a
+:class:`~repro.faults.report.ResilienceReport`
+(:attr:`PipelineOrchestrator.last_resilience`, which chaos campaigns
+read); a job that fails raises its classified error after recording a
+replayable :class:`~repro.faults.report.FaultRecord`, with every job
+before it already computed and persisted.  The validation matrix and
+the fuzzer loop over their driver columns themselves.
 """
 
 import time
@@ -134,9 +134,20 @@ class PipelineOrchestrator:
                 for name in names}
 
     def _warm_missing(self, names, strategy, script, report, faults):
-        """Load what the store holds and compute the rest; sets
-        :attr:`last_warm_seconds` and :attr:`last_warm_mode`."""
+        """Load what the store holds and compute the rest, recording
+        each computed job in ``report``; sets :attr:`last_warm_seconds`
+        and :attr:`last_warm_mode`.
+
+        ``faults`` maps a driver name to the run-layer spec injected into
+        its run.  A job that raises a :class:`ReproError` records
+        outcome ``"failed"`` and a classified, replayable
+        :class:`FaultRecord`, then re-raises: the jobs before it are done
+        and persisted, the jobs after it never start.
+        """
+        from repro.faults.report import FaultRecord
+
         started = time.monotonic()
+        faults = faults or {}
         if self.store is not None:
             # Sweep publishes crashed mid-os.replace before writing new
             # entries over the same root.
@@ -151,58 +162,30 @@ class PipelineOrchestrator:
                 self._artifacts[key] = artifact
             else:
                 missing[name] = key
-
-        def compute(key, fault):
-            artifact = execute_run(*key, fault=fault)
-            self._store_artifact(key, artifact)
+        for name, key in missing.items():
+            fault = faults.get(name)
+            try:
+                artifact = execute_run(*key, fault=fault)
+                self._store_artifact(key, artifact)
+            except ReproError as exc:
+                report.record_attempt(name, event="%s: %s"
+                                      % (type(exc).__name__, exc))
+                report.record_outcome(name, "failed")
+                report.record_fault(FaultRecord(
+                    layer="run" if fault is not None else "job",
+                    kind=type(exc).__name__, job=name, error=str(exc)))
+                raise
             self._artifacts[key] = artifact
-            return artifact
-
-        mode = "cached"
-        if missing:
-            self.fan_out(missing, compute, report, faults=faults)
-            mode = "serial"
+            report.record_attempt(name)
+            report.record_outcome(name, "serial")
         self.last_warm_seconds = time.monotonic() - started
-        self.last_warm_mode = mode
+        self.last_warm_mode = "serial" if missing else "cached"
 
     def all_drivers(self):
         """Warmed artifacts for the whole corpus, in sorted driver order."""
         return list(self.warm().values())
 
     # ------------------------------------------------------------------
-
-    @staticmethod
-    def fan_out(jobs, compute, report, faults=None):
-        """Run ``jobs`` (``{label: job}``) one after another; returns
-        ``{label: result}``.
-
-        ``compute(job, fault)`` runs one job in this process; ``fault``
-        is the run-layer spec ``faults`` maps its label to (or ``None``),
-        which the caller may inject or ignore.  Each job is recorded in
-        ``report`` with outcome ``"serial"``.  A job that raises a
-        :class:`ReproError` records outcome ``"failed"`` and a classified,
-        replayable :class:`FaultRecord`, then re-raises: the jobs before
-        it are done, the jobs after it never start.
-        """
-        from repro.faults.report import FaultRecord
-
-        faults = faults or {}
-        results = {}
-        for label, job in jobs.items():
-            fault = faults.get(label)
-            try:
-                results[label] = compute(job, fault)
-            except ReproError as exc:
-                report.record_attempt(label, event="%s: %s"
-                                      % (type(exc).__name__, exc))
-                report.record_outcome(label, "failed")
-                report.record_fault(FaultRecord(
-                    layer="run" if fault is not None else "job",
-                    kind=type(exc).__name__, job=label, error=str(exc)))
-                raise
-            report.record_attempt(label)
-            report.record_outcome(label, "serial")
-        return results
 
     def _load_cached(self, name, strategy, script):
         if self.store is None:

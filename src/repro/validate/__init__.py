@@ -15,10 +15,10 @@ layers:
 * :mod:`repro.validate.differ` -- field-by-field divergence semantics
   plus the shared match / unsupported / divergent verdict rule (the
   matrix and the scenario fuzzer classify identically);
-* :mod:`repro.validate.matrix` -- the matrix runner: one job per
-  driver column through the pipeline's fan-out, artifacts served from the
-  on-disk store, cells classified equivalent / unsupported / divergent
-  against per-cell expectations.
+* :mod:`repro.validate.matrix` -- the matrix runner: driver columns one
+  after another, artifacts served from the on-disk store, cells
+  classified equivalent / unsupported / divergent against per-cell
+  expectations.
 
 See ``docs/validation.md`` for the catalog, the divergence semantics and
 how to extend either.

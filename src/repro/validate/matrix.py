@@ -20,19 +20,17 @@ Cell semantics:
 
 Each cell also carries its *expectation*; an **unexplained** divergence is
 any behavioral mismatch, or an unsupported result where equivalence was
-expected.  The matrix runs one job per driver column through the
-pipeline orchestrator's one fan-out
-(:meth:`repro.pipeline.orchestrator.PipelineOrchestrator.fan_out`),
-each column loading (or, cold, computing and storing) its artifact from
-the on-disk store.  Every run records its columns in
-:attr:`MatrixResult.resilience`.
+expected.  The matrix runs its driver columns one after another in
+this process, each column loading (or, cold, computing and storing) its
+artifact through the pipeline orchestrator; a column that fails raises
+its classified error.
 """
 
 import time
 from dataclasses import dataclass, field
 
 from repro.drivers import DRIVERS
-from repro.validate.differ import Divergence, classify_observations
+from repro.validate.differ import classify_observations
 from repro.validate.observe import OriginalDut, SynthesizedDut
 from repro.validate.scenarios import CATALOG, SCENARIOS, run_scenario
 
@@ -69,13 +67,6 @@ class ScenarioResult:
         return {"name": self.name, "verdict": self.verdict,
                 "divergences": [d.to_dict() for d in self.divergences],
                 "candidate_error": self.candidate_error}
-
-    @classmethod
-    def from_dict(cls, data):
-        return cls(name=data["name"], verdict=data["verdict"],
-                   divergences=[Divergence.from_dict(d)
-                                for d in data["divergences"]],
-                   candidate_error=data["candidate_error"])
 
 
 @dataclass
@@ -124,26 +115,16 @@ class CellResult:
                 "expected": self.expected,
                 "scenarios": [s.to_dict() for s in self.scenarios]}
 
-    @classmethod
-    def from_dict(cls, data):
-        return cls(driver=data["driver"], target_os=data["target_os"],
-                   expected=data["expected"],
-                   scenarios=[ScenarioResult.from_dict(s)
-                              for s in data["scenarios"]])
-
 
 @dataclass
 class MatrixResult:
-    """The full matrix plus how the run went."""
+    """The full matrix plus its wall clock."""
 
     cells: dict               # (driver, os_name) -> CellResult
     drivers: list
     os_names: list
     scenario_names: list
     wall_seconds: float = 0.0
-    mode: str = "serial"
-    #: :class:`~repro.faults.report.ResilienceReport` of this run
-    resilience: object = None
 
     def cell(self, driver, os_name):
         return self.cells[(driver, os_name)]
@@ -170,7 +151,6 @@ class MatrixResult:
                                      for cell in self.cells.values()),
             "unexplained": len(self.unexplained()),
             "wall_seconds": round(self.wall_seconds, 3),
-            "mode": self.mode,
         }
 
 
@@ -178,8 +158,7 @@ def compute_column(artifact, os_names, scenario_names,
                    exec_backend="compiled"):
     """All cells for one driver, sharing one baseline per scenario.
 
-    Pure function of the artifact and catalog; everything it returns
-    serializes through ``to_dict``.
+    Pure function of the artifact and catalog.
     ``exec_backend`` names the execution tier on *both* sides.
     """
     driver = artifact.name
@@ -232,34 +211,22 @@ class ValidationMatrix:
         self.exec_backend = exec_backend
 
     def run(self, parallel=None):
-        """Compute the full matrix; returns a :class:`MatrixResult`.
-
-        One fan-out job per driver column.
-        """
+        """Compute the full matrix, one driver column after another;
+        returns a :class:`MatrixResult`."""
         # ``parallel`` is accepted and ignored: perfbench/worker.py passes it.
-        from repro.faults.report import ResilienceReport
-
         started = time.monotonic()
-        report = ResilienceReport()
-
-        def compute(driver, _fault):
-            artifact = self.orchestrator.run(driver, self.strategy,
-                                             self.script)
-            return compute_column(artifact, self.os_names,
-                                  self.scenario_names,
-                                  exec_backend=self.exec_backend)
-
-        columns = self.orchestrator.fan_out(
-            {driver: driver for driver in self.drivers}, compute, report)
         cells = {}
         for driver in self.drivers:
-            for cell in columns[driver]:
+            artifact = self.orchestrator.run(driver, self.strategy,
+                                             self.script)
+            for cell in compute_column(artifact, self.os_names,
+                                       self.scenario_names,
+                                       exec_backend=self.exec_backend):
                 cells[(driver, cell.target_os)] = cell
         return MatrixResult(cells=cells, drivers=list(self.drivers),
                             os_names=list(self.os_names),
                             scenario_names=list(self.scenario_names),
-                            wall_seconds=time.monotonic() - started,
-                            resilience=report)
+                            wall_seconds=time.monotonic() - started)
 
 
 def run_matrix(orchestrator=None, **kwargs):

@@ -58,10 +58,6 @@ class Observation:
     def to_dict(self):
         return asdict(self)
 
-    @classmethod
-    def from_dict(cls, data):
-        return cls(**data)
-
 
 class DriverUnderTest:
     """Uniform operation vocabulary over both sides of the comparison.

@@ -61,15 +61,12 @@ class Cpu:
 
     ``exec_backend`` names the execution tier (one of
     :data:`repro.ir.backend.TIERS`; an unknown name raises
-    ``ValueError`` here): ``"step"`` for the per-instruction
-    interpreter, ``"interp"``, ``"blocks"`` or ``"compiled"`` for DBT
-    mode.
+    ``ValueError`` here and on any later assignment): ``"step"`` for the
+    per-instruction interpreter, ``"interp"``, ``"blocks"`` or
+    ``"compiled"`` for DBT mode.
     """
 
     def __init__(self, bus, import_handler=None, exec_backend="step"):
-        from repro.ir.backend import resolve_tier
-
-        resolve_tier(exec_backend)
         self.bus = bus
         self.import_handler = import_handler
         self.exec_backend = exec_backend
@@ -84,6 +81,17 @@ class Cpu:
         self._decode_cache = {}
         self._translator = None
         self._sb_manager = None
+
+    @property
+    def exec_backend(self):
+        return self._exec_backend
+
+    @exec_backend.setter
+    def exec_backend(self, name):
+        from repro.ir.backend import resolve_tier
+
+        self._tier = resolve_tier(name)
+        self._exec_backend = name
 
     # ------------------------------------------------------------------
     # Register / stack helpers
@@ -134,7 +142,7 @@ class Cpu:
         Returns the :class:`ExitReason`.  Guest faults propagate as
         :class:`~repro.errors.VmFault`.
         """
-        if self.exec_backend != "step":
+        if self._exec_backend != "step":
             return self._run_dbt(max_steps)
         steps = 0
         try:
@@ -159,12 +167,11 @@ class Cpu:
         per-block dispatch would reach on any violated assumption.
         """
         from repro.dbt.translator import Translator
-        from repro.ir.backend import resolve_tier
 
         if self._translator is None:
             self._translator = Translator(self.bus.memory.read_bytes)
         get_block = self._translator.get
-        run, superblocks = resolve_tier(self.exec_backend)
+        run, superblocks = self._tier
         manager = None
         if superblocks:
             if self._sb_manager is None:

@@ -187,14 +187,17 @@ class TestCompiledBlockSemantics:
 
 
 class TestTierSetting:
-    """One ``exec_backend`` name, checked when the object is built."""
+    """One ``exec_backend`` name, checked when the object is built and
+    whenever a CPU's tier is reassigned."""
 
     @pytest.mark.parametrize("build", [
         lambda tier: Machine(exec_backend=tier),
         lambda tier: OriginalDut("rtl8029", exec_backend=tier),
         lambda tier: SynthesizedDut(get_cache().run("rtl8029"), "winsim",
                                     exec_backend=tier),
-    ], ids=["Machine", "OriginalDut", "SynthesizedDut"])
+        lambda tier: setattr(Machine(exec_backend="compiled").cpu,
+                             "exec_backend", tier),
+    ], ids=["Machine", "OriginalDut", "SynthesizedDut", "Cpu-assignment"])
     @pytest.mark.parametrize("tier", ["bogus", "off", None, False])
     def test_unknown_tier_raises_at_construction(self, build, tier):
         with pytest.raises(ValueError, match="unknown execution tier"):

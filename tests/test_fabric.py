@@ -278,8 +278,8 @@ class TestFleetRuns:
             == canonical_fabric_json(lockstep)
         assert canonical_fabric_json(batched) \
             == canonical_fabric_json(again)
-        assert batched["mode"] == "batched"
-        assert lockstep["mode"] == "lockstep"
+        assert batched["volatile"]["mode"] == "batched"
+        assert lockstep["volatile"]["mode"] == "lockstep"
 
     def test_link_flap_mid_burst_three_endpoints(self, cache):
         # Endpoint 1 pulls its cable between two bursts from endpoint 0;
@@ -324,7 +324,7 @@ class TestFleetRuns:
     def test_report_shape_and_per_driver_aggregates(self, cache):
         plan = build_workload("saturation", 4, 9)
         report = self._report(cache, plan)
-        assert report["schema_version"] == 1
+        assert report["schema_version"] == 2
         assert report["workload"]["digest"] == plan.digest()
         assert report["topology"]["ports"] == 4
         assert len(report["endpoints"]) == 4
@@ -334,7 +334,7 @@ class TestFleetRuns:
             assert record["driver"] in report["per_driver"]
             assert "instrs_retired" in record
             assert "calls" in record
-        assert report["packets_per_second"] >= 0.0
+        assert report["volatile"]["packets_per_second"] >= 0.0
 
     def test_store_round_trip_under_fabric_prefix(self, cache, tmp_path):
         store = ArtifactStore(tmp_path / "store")

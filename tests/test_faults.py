@@ -86,7 +86,7 @@ class TestRunFaultInjection:
 
 class TestResilienceReport:
     def test_attempt_accounting(self):
-        # one attempt per fan-out a job runs in; events are kept in order
+        # one attempt per warm-up a job runs in; events are kept in order
         report = ResilienceReport()
         report.record_attempt("job")
         report.record_attempt("job", event="GuestOsError: boom")

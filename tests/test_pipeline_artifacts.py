@@ -7,6 +7,9 @@ The contracts under test (see DESIGN.md "Artifact-based orchestration"):
   are identical between the live-object and deserialized paths;
 * fresh in-process runs and on-disk cache loads of the same driver
   produce byte-identical canonical JSON;
+* artifacts, fuzz campaigns and fabric reports keep their wall-clock
+  values under one ``volatile`` key, which the canonical form drops and
+  a store round trip keeps;
 * the on-disk store is content-addressed (config changes miss, corrupt
   entries miss, same inputs hit) and a warm cache makes a session's
   four-driver warm-up loads, not runs.
@@ -139,20 +142,110 @@ class TestDeterminism:
             artifacts["rtl8029"])
 
 
-class TestFanOut:
-    """The one fan-out behind warm-up, the matrix and the fuzzer."""
+class TestVolatileSection:
+    """Every byte-compared document keeps its non-deterministic values
+    under one top-level ``volatile`` key, which the canonical form drops
+    and a store round trip keeps."""
 
-    def test_serial_fuzz_rounds_count_no_retries(self):
-        # One report spans every round; each round's fan-out runs a job
-        # exactly once.
+    @pytest.fixture(scope="class")
+    def campaign(self):
         from repro.fuzz import run_fuzz
 
-        report = run_fuzz(orchestrator=get_cache(), drivers=("rtl8029",),
-                          os_names=("linsim",), programs_per_round=1,
-                          max_rounds=3, dry_rounds=3,
-                          script="quick").resilience
-        assert report.jobs["rtl8029"]["outcome"] == "serial"
-        assert report.jobs["rtl8029"]["attempts"] == 3
+        return run_fuzz(orchestrator=get_cache(), drivers=("rtl8029",),
+                        os_names=("winsim",), programs_per_round=1,
+                        max_rounds=1)
+
+    @pytest.fixture(scope="class")
+    def fleet(self):
+        from repro.net.fabric import build_workload, run_fleet
+
+        plan = build_workload("saturation", 4, 5)
+        return plan, {mode: run_fleet(plan, orchestrator=get_cache(),
+                                      mode=mode)
+                      for mode in ("batched", "lockstep")}
+
+    def test_canonical_forms_have_no_volatile_key(self, artifacts,
+                                                  campaign, fleet):
+        from repro.fuzz import canonical_fuzz_json, fuzz_to_json
+        from repro.net.fabric import canonical_fabric_json, fabric_to_json
+
+        _plan, reports = fleet
+        pairs = [(to_json(artifacts["rtl8029"]),
+                  canonical_json(artifacts["rtl8029"])),
+                 (fuzz_to_json(campaign), canonical_fuzz_json(campaign)),
+                 (fabric_to_json(reports["batched"]),
+                  canonical_fabric_json(reports["batched"]))]
+        for full, canonical in pairs:
+            assert '"volatile"' in full
+            assert '"volatile"' not in canonical
+
+    def test_artifact_store_round_trip_keeps_timings(self, tmp_path,
+                                                     artifacts):
+        from repro.eval.figures import fig8_compute
+        from repro.eval.tables import table4_compute
+
+        store = ArtifactStore(str(tmp_path))
+        loaded = {}
+        for name, artifact in artifacts.items():
+            key = artifact_key(artifact.image, build_config(name))
+            store.save(key, artifact)
+            loaded[name] = store.load(key)
+        live, cached = _StubCache(artifacts), _StubCache(loaded)
+        seconds = [row["wall_seconds"] for row in table4_compute(cached)]
+        assert seconds == [row["wall_seconds"]
+                           for row in table4_compute(live)]
+        assert all(value > 0 for value in seconds)
+        timelines = fig8_compute(cached)
+        assert timelines == fig8_compute(live)
+        assert any(seconds > 0 for samples in timelines.values()
+                   for _blocks, seconds, _fraction in samples)
+
+    def test_fuzz_store_round_trip_keeps_wall_clock(self, tmp_path,
+                                                    campaign):
+        from repro.fuzz import load_fuzz_result, save_fuzz_result
+
+        store = ArtifactStore(str(tmp_path))
+        save_fuzz_result(store, campaign)
+        loaded = load_fuzz_result(store, campaign.config)
+        assert loaded.wall_seconds == campaign.wall_seconds > 0
+
+    def test_fabric_store_round_trip_keeps_volatile(self, tmp_path, fleet):
+        from repro.net.fabric import load_fabric_report, save_fabric_report
+
+        plan, reports = fleet
+        report = reports["batched"]
+        store = ArtifactStore(str(tmp_path))
+        save_fabric_report(store, plan, report)
+        loaded = load_fabric_report(store, plan, report["topology"])
+        assert loaded["volatile"] == report["volatile"]
+        assert loaded["volatile"]["mode"] == "batched"
+
+    def test_documents_differing_only_when_volatile_agree(self, artifacts,
+                                                          campaign, fleet):
+        from repro.fuzz import (canonical_fuzz_json, fuzz_from_dict,
+                                fuzz_to_dict)
+        from repro.net.fabric import canonical_fabric_json
+
+        artifact = artifacts["rtl8029"]
+        data = json.loads(to_json(artifact))
+        data["volatile"]["wall_seconds"] += 1.0
+        data["volatile"]["timeline_seconds"] = [
+            seconds + 1.0 for seconds in data["volatile"]["timeline_seconds"]]
+        slower = from_json(json.dumps(data))
+        assert to_json(slower) != to_json(artifact)
+        assert canonical_json(slower) == canonical_json(artifact)
+
+        data = fuzz_to_dict(campaign)
+        data["volatile"]["wall_seconds"] += 1.0
+        slower = fuzz_from_dict(data)
+        assert slower.wall_seconds != campaign.wall_seconds
+        assert canonical_fuzz_json(slower) == canonical_fuzz_json(campaign)
+
+        _plan, reports = fleet
+        assert reports["batched"]["volatile"] \
+            != reports["lockstep"]["volatile"]
+        assert canonical_fabric_json(reports["batched"]) \
+            == canonical_fabric_json(reports["lockstep"])
 
 
 class TestStore:

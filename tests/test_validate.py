@@ -4,8 +4,8 @@ import pytest
 
 from repro.eval.runner import get_cache
 from repro.eval.tables import validation_matrix_render
-from repro.validate import (CATALOG, SCENARIOS, CellResult, MatrixResult,
-                            OriginalDut, SynthesizedDut, ValidationMatrix,
+from repro.validate import (CATALOG, SCENARIOS, MatrixResult, OriginalDut,
+                            SynthesizedDut, ValidationMatrix,
                             compare_observations, compute_column,
                             expected_status, run_scenario)
 
@@ -48,11 +48,6 @@ class TestObservations:
         a = run_scenario(OriginalDut("rtl8029"), CATALOG["udp_stream"])
         b = run_scenario(OriginalDut("rtl8029"), CATALOG["udp_stream"])
         assert a.ok and compare_observations(a, b) == []
-
-    def test_observation_round_trips_through_dict(self):
-        obs = run_scenario(OriginalDut("rtl8029"), CATALOG["udp_stream"])
-        again = type(obs).from_dict(obs.to_dict())
-        assert compare_observations(obs, again) == []
 
     def test_injected_divergence_is_detected(self, rtl8029_artifact):
         baseline = run_scenario(OriginalDut("rtl8029"),
@@ -106,13 +101,6 @@ class TestMatrix:
         assert expected_status("pcnet", "ucsim") == "unsupported"
         assert expected_status("rtl8029", "ucsim") == "equivalent"
         assert expected_status("rtl8139", "linsim") == "equivalent"
-
-    def test_cell_round_trips_through_dict(self, rtl8029_artifact):
-        (cell,) = compute_column(rtl8029_artifact, ("winsim",),
-                                 ["udp_stream"])
-        again = CellResult.from_dict(cell.to_dict())
-        assert again.to_dict() == cell.to_dict()
-        assert again.status == cell.status
 
     def test_quick_script_artifacts_skip_gated_scenarios(self):
         """Reduced-script artifacts carry no set/query_information entry

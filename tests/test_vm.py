@@ -539,11 +539,3 @@ class TestCpu:
         """)
         assert m.cpu.regs[9] == 0xAB
 
-
-class TestMachineIrqs:
-    def test_latched_when_unregistered(self):
-        m = Machine()
-        m.raise_irq(3)
-        assert m.irq_count == 1
-        assert m.drain_irqs() == [3]
-        assert m.drain_irqs() == []

@@ -25,9 +25,14 @@ cold store is filled once)::
               "fabric": sha256(canonical_fabric_json of the batched,
                                compiled 64-endpoint saturation fleet,
                                seed 7),
-              "fuzz": sha256(canonical_fuzz_json of a serial two-round
+              "fuzz": sha256(canonical_fuzz_json of a two-round
                              campaign from the CI fuzz job's seed,
                              base_seed 12648430, 3 programs a round)}}
+
+The artifact, fabric and fuzz digests hash each document's canonical
+form, which drops its top-level ``volatile`` section (wall clock,
+throughput, scheduler mode); the matrix has no document of its own, so
+its summary's one timing, ``wall_seconds``, is left out here.
 
 The matrix document covers what every cell saw -- each scenario's
 verdict, divergences and candidate error -- so a change that moves a
