@@ -35,11 +35,16 @@ Received frames are stored in the ring with the classic 4-byte header
 (status, next-page, count lo, count hi).
 """
 
-from repro.hw.base import NicDevice, PciDescriptor, mask_width
+from operator import attrgetter
+
+from repro.hw.base import NicDevice, PciDescriptor
 
 PAGE_SIZE = 256
 MEM_START_PAGE = 0x40
 MEM_STOP_PAGE = 0x80
+#: Packet memory as NE2000 addresses: ``[MEM_BASE, MEM_LIMIT)``.
+MEM_BASE = MEM_START_PAGE * PAGE_SIZE
+MEM_LIMIT = MEM_STOP_PAGE * PAGE_SIZE
 
 # CR bits
 CR_STP = 0x01
@@ -70,6 +75,25 @@ DCR_FDX = 0x40
 REG_CR = 0x00
 REG_DATA = 0x10
 REG_RESET = 0x1F
+
+
+def _reads_as(value):
+    return lambda device: value
+
+
+_ZERO = _reads_as(0)
+
+#: Page-0 register reads, indexed by port offset: a getter of the
+#: device state each register reports.  Offsets without a readable
+#: page-0 register read 0; CR, the data port and reset never get here.
+_PAGE0_READS = (
+    _ZERO, attrgetter("pstart"), attrgetter("pstop"), attrgetter("bnry"),
+    _reads_as(0x01),  # TSR: transmit OK
+    _ZERO, _ZERO, attrgetter("isr"),
+    _ZERO, _ZERO, _ZERO, _ZERO,
+    attrgetter("rcr"), attrgetter("tcr"), attrgetter("dcr"),
+    attrgetter("imr"),
+) + (_ZERO,) * 16
 
 
 class Ne2000Device(NicDevice):
@@ -114,11 +138,9 @@ class Ne2000Device(NicDevice):
             self.raise_interrupt()
 
     def _mem_index(self, address):
-        base = MEM_START_PAGE * PAGE_SIZE
-        limit = MEM_STOP_PAGE * PAGE_SIZE
-        if not base <= address < limit:
+        if not MEM_BASE <= address < MEM_LIMIT:
             return None
-        return address - base
+        return address - MEM_BASE
 
     # ------------------------------------------------------------------
     # Register access
@@ -126,14 +148,13 @@ class Ne2000Device(NicDevice):
     def io_read(self, offset, width):
         if offset == REG_DATA:
             return self._remote_read(width)
-        value = self._read_reg(offset)
-        return mask_width(value, width)
+        return self._read_reg(offset) & ((1 << 8 * width) - 1)
 
     def io_write(self, offset, width, value):
         if offset == REG_DATA:
             self._remote_write(value, width)
             return
-        self._write_reg(offset, mask_width(value, 1))
+        self._write_reg(offset, value & 0xFF)
 
     def _read_reg(self, offset):
         if offset == REG_CR:
@@ -141,15 +162,9 @@ class Ne2000Device(NicDevice):
         if offset == REG_RESET:
             self.reset()
             return 0
-        page = self._page()
+        page = (self.cr >> CR_PS_SHIFT) & 0x3
         if page == 0:
-            return {
-                0x01: self.pstart, 0x02: self.pstop, 0x03: self.bnry,
-                0x04: 0x01,  # TSR: transmit OK
-                0x07: self.isr,
-                0x0C: self.rcr, 0x0D: self.tcr, 0x0E: self.dcr,
-                0x0F: self.imr,
-            }.get(offset, 0)
+            return _PAGE0_READS[offset](self)
         if page == 1:
             if 0x01 <= offset <= 0x06:
                 return self.par[offset - 0x01]
@@ -231,28 +246,45 @@ class Ne2000Device(NicDevice):
     # ------------------------------------------------------------------
     # Remote DMA (driver-driven copies through the data port)
 
+    # An access wholly inside packet memory is one slice (it cannot wrap
+    # RSAR: packet memory ends below 0x10000); any other walks byte by
+    # byte, reading 0 / dropping writes outside packet memory.
+
     def _remote_read(self, width):
-        value = 0
-        for i in range(width):
-            index = self._mem_index(self.rsar)
-            byte = self.mem[index] if index is not None else 0
-            value |= byte << (8 * i)
-            self.rsar = (self.rsar + 1) & 0xFFFF
-            if self.rbcr:
-                self.rbcr -= 1
+        index = self.rsar - MEM_BASE
+        if 0 <= index and self.rsar + width <= MEM_LIMIT:
+            value = int.from_bytes(self.mem[index:index + width], "little")
+            self.rsar += width
+            self.rbcr = self.rbcr - width if self.rbcr > width else 0
+        else:
+            value = 0
+            for i in range(width):
+                index = self._mem_index(self.rsar)
+                byte = self.mem[index] if index is not None else 0
+                value |= byte << (8 * i)
+                self.rsar = (self.rsar + 1) & 0xFFFF
+                if self.rbcr:
+                    self.rbcr -= 1
         if self.rbcr == 0:
             self.isr |= ISR_RDC
             self._update_irq()
         return value
 
     def _remote_write(self, value, width):
-        for i in range(width):
-            index = self._mem_index(self.rsar)
-            if index is not None:
-                self.mem[index] = (value >> (8 * i)) & 0xFF
-            self.rsar = (self.rsar + 1) & 0xFFFF
-            if self.rbcr:
-                self.rbcr -= 1
+        index = self.rsar - MEM_BASE
+        if 0 <= index and self.rsar + width <= MEM_LIMIT:
+            self.mem[index:index + width] = \
+                (value & ((1 << 8 * width) - 1)).to_bytes(width, "little")
+            self.rsar += width
+            self.rbcr = self.rbcr - width if self.rbcr > width else 0
+        else:
+            for i in range(width):
+                index = self._mem_index(self.rsar)
+                if index is not None:
+                    self.mem[index] = (value >> (8 * i)) & 0xFF
+                self.rsar = (self.rsar + 1) & 0xFFFF
+                if self.rbcr:
+                    self.rbcr -= 1
         if self.rbcr == 0:
             self.isr |= ISR_RDC
             self._update_irq()
@@ -308,6 +340,23 @@ class Ne2000Device(NicDevice):
         return pages_needed >= free
 
     def _ring_write(self, address, data):
+        """Store ``data`` from ``address`` on, wrapping from PSTOP back
+        to PSTART.  A ring inside packet memory takes one slice per
+        wrap-free run; other ring bounds walk byte by byte."""
+        limit = self.pstop * PAGE_SIZE
+        ring_base = self.pstart * PAGE_SIZE
+        if MEM_BASE <= ring_base < limit <= MEM_LIMIT \
+                and MEM_BASE <= address < limit:
+            view = memoryview(data)
+            while view:
+                run = min(len(view), limit - address)
+                index = address - MEM_BASE
+                self.mem[index:index + run] = view[:run]
+                view = view[run:]
+                address += run
+                if address == limit:
+                    address = ring_base
+            return
         for byte in data:
             index = self._mem_index(address)
             if index is not None:

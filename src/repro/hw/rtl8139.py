@@ -41,6 +41,13 @@ RX_RING_SIZE = 8192 + 16
 #: rule, so both sides stay in lockstep deterministically.
 RX_WRAP_THRESHOLD = RX_RING_SIZE - 2048
 
+#: Plain registers by offset: the attribute each one reads back.
+_REG_NAMES = {
+    0x30: "rbstart", 0x37: "cr", 0x38: "capr", 0x3A: "cbr", 0x3C: "imr",
+    0x3E: "isr", 0x40: "tcr", 0x44: "rcr", 0x50: "cfg9346",
+    0x52: "config1", 0x59: "config3", 0x64: "bmcr",
+}
+
 # CR bits
 CR_BUFE = 0x01
 CR_TE = 0x04
@@ -124,21 +131,10 @@ class Rtl8139Device(NicDevice):
             return self.tsd[(offset - 0x10) // 4]
         if 0x20 <= offset < 0x30 and width == 4:
             return self.tsad[(offset - 0x20) // 4]
-        value = {
-            0x30: self.rbstart,
-            0x37: self.cr,
-            0x38: self.capr,
-            0x3A: self.cbr,
-            0x3C: self.imr,
-            0x3E: self.isr,
-            0x44: self.rcr,
-            0x40: self.tcr,
-            0x50: self.cfg9346,
-            0x52: self.config1,
-            0x59: self.config3,
-            0x64: self.bmcr,
-        }.get(offset, 0)
-        return mask_width(value, width)
+        name = _REG_NAMES.get(offset)
+        if name is None:
+            return 0
+        return getattr(self, name) & ((1 << 8 * width) - 1)
 
     def io_write(self, offset, width, value):
         value = mask_width(value, width)

@@ -32,7 +32,8 @@ Packet format in packet memory (same as the real chip): u16 status,
 u16 byte count, payload, u16 control word at the end.
 """
 
-from repro.hw.base import NicDevice, PciDescriptor, mask_width
+from repro.errors import BusError
+from repro.hw.base import NicDevice, PciDescriptor
 
 NUM_PACKETS = 16
 PACKET_SIZE = 2048
@@ -110,29 +111,42 @@ class Smc91c111Device(NicDevice):
     # ------------------------------------------------------------------
     # MMIO access
 
+    # Register accesses dispatch through the per-bank handler tuples
+    # ``_READS``/``_WRITES``, defined after the handlers.
+
     def mmio_read(self, offset, width):
         if offset == REG_BANK_SELECT:
-            return mask_width(0x3300 | self.bank, width)
-        handler = getattr(self, "_read_bank%d" % self.bank)
-        return mask_width(handler(offset, width), width)
+            value = 0x3300 | self.bank
+        else:
+            value = self._READS[self.bank](self, offset, width)
+        return value & ((1 << 8 * width) - 1)
 
     def mmio_write(self, offset, width, value):
-        value = mask_width(value, width)
+        value &= (1 << 8 * width) - 1
         if offset == REG_BANK_SELECT:
             self.bank = value & 0x7
             return
-        handler = getattr(self, "_write_bank%d" % self.bank)
-        handler(offset, width, value)
+        self._WRITES[self.bank](self, offset, width, value)
+
+    def _no_bank(self, offset, width, value=None):
+        # The bank select field is three bits wide; the chip has four.
+        raise BusError("smc91c111: %s of offset 0x%02x in bank %d, which "
+                       "does not exist (banks 0-3)"
+                       % ("read" if value is None else "write", offset,
+                          self.bank))
 
     # Bank 0 ------------------------------------------------------------
 
     def _read_bank0(self, offset, width):
-        return {
-            0x00: self.tcr,
-            0x04: self.rcr,
-            0x08: len(self.free_packets) * (PACKET_SIZE // 256),
-            0x0A: self.rpcr,
-        }.get(offset, 0)
+        if offset == 0x00:
+            return self.tcr
+        if offset == 0x04:
+            return self.rcr
+        if offset == 0x08:
+            return len(self.free_packets) * (PACKET_SIZE // 256)
+        if offset == 0x0A:
+            return self.rpcr
+        return 0
 
     def _write_bank0(self, offset, width, value):
         if offset == 0x00:
@@ -233,6 +247,11 @@ class Smc91c111Device(NicDevice):
                 if offset + i < 8:
                     self.multicast_hash[offset + i] = (value >> (8 * i)) & 0xFF
 
+    _READS = (_read_bank0, _read_bank1, _read_bank2, _read_bank3) \
+        + (_no_bank,) * 4
+    _WRITES = (_write_bank0, _write_bank1, _write_bank2, _write_bank3) \
+        + (_no_bank,) * 4
+
     # ------------------------------------------------------------------
     # Packet memory access through the POINTER/DATA window
 
@@ -245,10 +264,17 @@ class Smc91c111Device(NicDevice):
         packet = self._target_packet()
         if packet is None:
             return 0
+        cursor = self._ptr_cursor
         base = packet * PACKET_SIZE
-        value = 0
-        for i in range(width):
-            value |= self.packet_mem[base + (self._ptr_cursor + i) % PACKET_SIZE] << (8 * i)
+        if cursor + width <= PACKET_SIZE:
+            start = base + cursor
+            value = int.from_bytes(self.packet_mem[start:start + width],
+                                   "little")
+        else:
+            value = 0
+            for i in range(width):
+                value |= self.packet_mem[
+                    base + (cursor + i) % PACKET_SIZE] << (8 * i)
         if self.pointer & PTR_AUTO_INCR:
             self._ptr_cursor = (self._ptr_cursor + width) % PACKET_SIZE
         return value
@@ -257,10 +283,16 @@ class Smc91c111Device(NicDevice):
         packet = self._target_packet()
         if packet is None:
             return
+        cursor = self._ptr_cursor
         base = packet * PACKET_SIZE
-        for i in range(width):
-            self.packet_mem[base + (self._ptr_cursor + i) % PACKET_SIZE] = \
-                (value >> (8 * i)) & 0xFF
+        if cursor + width <= PACKET_SIZE:
+            start = base + cursor
+            self.packet_mem[start:start + width] = value.to_bytes(
+                width, "little")
+        else:
+            for i in range(width):
+                self.packet_mem[base + (cursor + i) % PACKET_SIZE] = \
+                    (value >> (8 * i)) & 0xFF
         if self.pointer & PTR_AUTO_INCR:
             self._ptr_cursor = (self._ptr_cursor + width) % PACKET_SIZE
 

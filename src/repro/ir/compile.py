@@ -26,13 +26,27 @@ Guest RAM is accessed inline.  A load or store whose bytes lie wholly
 inside ``env.ram.hit`` -- the last region the guest
 :class:`~repro.vm.memory.Memory` hit -- reads or writes that region's
 ``mmap`` directly and counts one ``mem_ops``; a store must also miss the
-memory's watched code span, whose writes bump ``write_epoch``.  Every
-other access (a miss, the MMIO window, a fault, a watched-span store)
-calls ``env.mem_read``/``env.mem_write`` and classifies the address with
-``env.is_device_address``, as the interpreter does for all of them.
-Environments whose callables are not a memory's own bus accessors bind
-``ram`` to :data:`~repro.vm.memory.NEVER_HIT`, so the shared generated
-code always calls them.
+memory's watched code span, whose writes bump ``write_epoch``.
+
+Devices are called directly.  ``env.devices`` is the
+:class:`~repro.vm.bus.Bus`, whose ``port_hit`` and ``mmio_hit`` tuples
+``(base, limit, read, write)`` hold the bound register methods of its one
+claimed port range and MMIO range.  An ``IN``/``OUT`` whose port lies in
+``port_hit``, and a load or store that misses RAM but lies in
+``mmio_hit``, makes one call into the device with the range offset and
+counts one ``io_ops`` -- what the bus would do, without the bus.  The
+tuples are read on every access, never cached in the block: the bus
+swaps in :data:`~repro.vm.bus.NO_DEVICE` whenever an observer is set, so
+an observer attached at any point sees every later access.
+
+Every other access (a RAM miss outside the bound MMIO range, the rest of
+the MMIO window, an unbound port, a fault, a watched-span store) calls
+the environment's ``mem_read``/``mem_write``/``io_read``/``io_write``
+and classifies loads and stores with ``env.is_device_address``, as the
+interpreter does for all of them.  Environments whose callables are not
+a bus's own accessors bind ``ram`` to :data:`~repro.vm.memory.NEVER_HIT`
+and ``devices`` to :data:`~repro.vm.bus.NO_DEVICES`, so the shared
+generated code -- a pure function of the block -- always calls them.
 
 The op lowering in :func:`_emit_op` is shared with the superblock
 code generator (:mod:`repro.ir.superblock`), which subclasses
@@ -177,7 +191,7 @@ def _emit_op(w, op):
             a, b = _signed(a), _signed(b)
         w.line(t % op.dst + " = 1 if %s %s %s else 0" % (a, sign, b))
     elif isinstance(op, N.IrLoad):
-        w.used.update(("ram", "mem_read", "is_dev"))
+        w.used.update(("ram", "devices", "mem_read", "is_dev"))
         w.flush(including=1)
         dst, address, width = t % op.dst, t % op.addr, op.width
         if width == 1:
@@ -185,10 +199,11 @@ def _emit_op(w, op):
         else:
             hit = "%s = _ld%d(_rm, %s - _rb)[0]" % (dst, width, address)
         _emit_ram_access(w, address, width, hit,
+                         "%s = _dr(%s - _db, %d)" % (dst, address, width),
                          "%s = mem_read(%s, %d)" % (dst, address, width))
         return False
     elif isinstance(op, N.IrStore):
-        w.used.update(("ram", "mem_write", "is_dev"))
+        w.used.update(("ram", "devices", "mem_write", "is_dev"))
         w.flush(including=1)
         address, width, value = t % op.addr, op.width, t % op.src
         masked = "%s & %d" % (value, (1 << 8 * width) - 1)
@@ -197,21 +212,26 @@ def _emit_op(w, op):
         else:
             hit = "_st%d(_rm, %s - _rb, %s)" % (width, address, masked)
         _emit_ram_access(w, address, width, hit,
+                         "_dw(%s - _db, %d, %s)" % (address, width, value),
                          "mem_write(%s, %d, %s)" % (address, width, value),
                          store=True)
         w.after_store(address)
         return False
     elif isinstance(op, N.IrIn):
-        w.used.add("io_read")
+        w.used.update(("devices", "io_read"))
         w.flush(including=1)
-        w.line(t % op.dst + " = io_read(%s, %d)" % (t % op.port, op.width))
-        w.line("%s += 1" % w.io_target)
+        dst, port, width = t % op.dst, t % op.port, op.width
+        _emit_port_access(w, port,
+                          "%s = _dr(%s - _db, %d)" % (dst, port, width),
+                          "%s = io_read(%s, %d)" % (dst, port, width))
         return False
     elif isinstance(op, N.IrOut):
-        w.used.add("io_write")
+        w.used.update(("devices", "io_write"))
         w.flush(including=1)
-        w.line("io_write(%s, %d, %s)" % (t % op.port, op.width, t % op.src))
-        w.line("%s += 1" % w.io_target)
+        port, width, value = t % op.port, op.width, t % op.src
+        _emit_port_access(w, port,
+                          "_dw(%s - _db, %d, %s)" % (port, width, value),
+                          "io_write(%s, %d, %s)" % (port, width, value))
         return False
     elif isinstance(op, N.IrJump):
         w.flush(including=1)
@@ -253,12 +273,27 @@ def _emit_op(w, op):
     return False
 
 
-def _emit_ram_access(w, address_ref, width, hit, miss, store=False):
+def _emit_port_access(w, port_ref, device, miss):
+    """Emit one ``IN``/``OUT``: ``device``, the direct call into the
+    device bound by ``env.devices.port_hit``, when the port lies in its
+    range; otherwise ``miss``, the environment's callable (which raises
+    for an unclaimed port).  Either counts one ``io_ops``."""
+    w.line("_db, _dl, _dr, _dw = dev.port_hit")
+    w.line("if _db <= %s < _dl:" % port_ref)
+    w.line("    " + device)
+    w.line("else:")
+    w.line("    " + miss)
+    w.line("%s += 1" % w.io_target)
+
+
+def _emit_ram_access(w, address_ref, width, hit, device, miss, store=False):
     """Emit one guest load or store: ``hit`` when the access lies wholly
     in ``env.ram``'s last-hit region (never an MMIO address) and, for a
     store, misses the watched code span whose writes must bump
-    ``write_epoch``; otherwise ``miss``, the environment's callable,
-    classified by ``is_dev`` like the interpreter does."""
+    ``write_epoch``; else ``device``, the direct device call, when the
+    address lies in ``env.devices.mmio_hit``; otherwise ``miss``, the
+    environment's callable, classified by ``is_dev`` like the
+    interpreter does."""
     w.line("_rb, _rl, _rm = ram.hit")
     if width == 1:
         test = "_rb <= %s < _rl" % address_ref
@@ -272,14 +307,20 @@ def _emit_ram_access(w, address_ref, width, hit, miss, store=False):
     w.line("    " + hit)
     w.line("    %s += 1" % w.mem_target)
     w.line("else:")
-    w.line("    " + miss)
-    w.line("    if is_dev(%s):" % address_ref)
+    w.line("    _db, _dl, _dr, _dw = dev.mmio_hit")
+    w.line("    if _db <= %s < _dl:" % address_ref)
+    w.line("        " + device)
     w.line("        %s += 1" % w.io_target)
     w.line("    else:")
-    w.line("        %s += 1" % w.mem_target)
+    w.line("        " + miss)
+    w.line("        if is_dev(%s):" % address_ref)
+    w.line("            %s += 1" % w.io_target)
+    w.line("        else:")
+    w.line("            %s += 1" % w.mem_target)
 
 
 _BINDINGS = {
+    "devices": "    dev = env.devices",
     "ram": "    ram = env.ram",
     "regs": "    regs = env.regs",
     "mem_read": "    mem_read = env.mem_read",

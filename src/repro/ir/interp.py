@@ -10,6 +10,7 @@ are differentially checked against) this tree-walker.
 
 from repro.errors import VmFault
 from repro.ir import nodes as N
+from repro.vm.bus import NO_DEVICES
 from repro.vm.memory import NEVER_HIT
 
 _MASK32 = 0xFFFFFFFF
@@ -49,19 +50,23 @@ class IrEnv:
 
     ``ram`` is the :class:`~repro.vm.memory.Memory` behind ``mem_read``
     and ``mem_write``, which compiled blocks access inline on a hit in
-    its last-hit region.  Only pass it when those callables are that
-    memory's own bus accessors; the default never hits, so every access
-    goes through the callables.
+    its last-hit region; ``devices`` is the :class:`~repro.vm.bus.Bus`
+    behind all four callables, whose bound device ranges compiled blocks
+    call directly.  Only pass them when those callables are that bus's
+    (and its memory's) own accessors; the defaults never hit, so every
+    access goes through the callables.
     """
 
     def __init__(self, regs, mem_read, mem_write, io_read, io_write,
-                 is_device_address=None, ram=NEVER_HIT):
+                 is_device_address=None, ram=NEVER_HIT,
+                 devices=NO_DEVICES):
         self.regs = regs
         self.mem_read = mem_read
         self.mem_write = mem_write
         self.io_read = io_read
         self.io_write = io_write
         self.ram = ram
+        self.devices = devices
         #: predicate classifying load/store addresses as device (MMIO)
         #: accesses for the io_ops counter
         self.is_device_address = is_device_address or (lambda addr: False)
@@ -84,7 +89,7 @@ class IrEnv:
         return cls(machine.cpu.regs, bus.mem_read, bus.mem_write,
                    bus.io_read, bus.io_write,
                    is_device_address=bus.is_device_address,
-                   ram=bus.memory)
+                   ram=bus.memory, devices=bus)
 
 
 class BlockResult:

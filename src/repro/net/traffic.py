@@ -24,6 +24,21 @@ from repro.net.packet import IP_HEADER_LEN, UDP_HEADER_LEN, build_udp_packet
 DEFAULT_SIZES = (64, 128, 256, 400, 512, 700, 800, 1000, 1100, 1200, 1400,
                  1472)
 
+#: ``_RAMP[i] == i & 0xFF``: every generated payload is a slice of it.
+_RAMP = bytes(range(256)) * 64
+
+
+def _ramp(start, length, step=1):
+    """``bytes((start + i * step) & 0xFF for i in range(length))``, as
+    one slice of :data:`_RAMP` (``step`` below 64)."""
+    start &= 0xFF
+    stop = start + length * step
+    if stop <= len(_RAMP):
+        return _RAMP[start:stop:step]
+    # Longer than the ramp: the bytes repeat every 256 positions.
+    period = _RAMP[start:start + 256 * step:step]
+    return (period * (length // 256 + 1))[:length]
+
 
 def packet_size_sweep(max_payload=None):
     """Return the UDP payload sizes used on the x axis of Figures 2-7.
@@ -61,8 +76,7 @@ class UdpWorkload:
 
     def next_frame(self):
         """Build the next frame in the stream."""
-        payload = bytes((self._ident + i) & 0xFF
-                        for i in range(self.payload_size))
+        payload = _ramp(self._ident, self.payload_size)
         packet = build_udp_packet(self.src_ip, self.dst_ip, self.src_port,
                                   self.dst_port, payload, ident=self._ident)
         self._ident = (self._ident + 1) & 0xFFFF
@@ -81,8 +95,8 @@ class UdpWorkload:
 # Adversarial generators (the validation-matrix workload catalog)
 
 def _pattern(length, seed=0):
-    """Deterministic filler bytes."""
-    return bytes((seed + i * 7 + 3) & 0xFF for i in range(length))
+    """Deterministic filler bytes: ``(seed + 3 + 7 * i) & 0xFF``."""
+    return _ramp(seed + 3, length, 7)
 
 
 def runt_frame(dst, src, total_length=32, seed=0):

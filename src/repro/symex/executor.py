@@ -35,6 +35,7 @@ from repro.layout import RETURN_TO_OS, import_index, is_mmio
 from repro.symex import expr as E
 from repro.symex.solver import UNSAT
 from repro.symex.state import PathStatus
+from repro.vm.bus import NO_DEVICES
 from repro.vm.memory import NEVER_HIT
 
 
@@ -128,8 +129,9 @@ class _FastEnv:
                  "ops_retired", "instrs_retired", "io_ops", "mem_ops")
 
     #: Compiled blocks must reach the buffered callables below, never a
-    #: memory region directly.
+    #: memory region or a device directly.
     ram = NEVER_HIT
+    devices = NO_DEVICES
 
     def __init__(self, state, is_dma):
         self.regs = list(state.regs)

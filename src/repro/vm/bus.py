@@ -12,6 +12,10 @@ from dataclasses import dataclass
 from repro.errors import BusError
 from repro.layout import MMIO_BASE, MMIO_LIMIT, is_mmio
 
+#: A ``port_hit``/``mmio_hit`` binding no access can match (base >
+#: limit): every access takes the bus's own dispatch.
+NO_DEVICE = (1, 0, None, None)
+
 
 @dataclass(frozen=True)
 class PortRange:
@@ -32,15 +36,59 @@ class MmioRange:
 
 
 class Bus:
-    """Port + MMIO router in front of :class:`~repro.vm.memory.Memory`."""
+    """Port + MMIO router in front of :class:`~repro.vm.memory.Memory`.
+
+    ``port_hit`` and ``mmio_hit`` are public for the same reason as
+    ``Memory.hit``: compiled IR blocks (:mod:`repro.ir.compile`) reach
+    the device through them without a call into the bus.  Each is a
+    ``(base, limit, read, write)`` tuple holding the device's bound
+    ``io_read``/``io_write`` (``mmio_read``/``mmio_write``) when exactly
+    one range of its space is claimed; an access with ``base <= address
+    < limit`` calls ``read(address - base, width)`` or ``write(address -
+    base, width, value)``, which is exactly what :meth:`io_read` /
+    :meth:`mem_read` (and the writes) would do.  Otherwise -- no range,
+    several ranges, or an :attr:`observer` set -- the tuple is
+    :data:`NO_DEVICE`, so every access comes through the bus.
+
+    The observer contract: setting or clearing :attr:`observer` rebinds
+    both tuples, and compiled code reads them on every access, so an
+    observer attached at any time -- also after an execution environment
+    was built over this bus -- sees every later device access, and
+    clearing it restores the direct path.
+    """
 
     def __init__(self, memory):
         self.memory = memory
         self._ports = []
         self._mmio = []
-        #: Optional observer called as ``(kind, address, width, value,
-        #: is_write)`` for every device access; RevNIC's wiretap hooks this.
-        self.observer = None
+        self._observer = None
+        self.port_hit = NO_DEVICE
+        self.mmio_hit = NO_DEVICE
+
+    @property
+    def observer(self):
+        """Optional callable invoked as ``(kind, address, width, value,
+        is_write)`` for every device access; RevNIC's wiretap hooks this."""
+        return self._observer
+
+    @observer.setter
+    def observer(self, callback):
+        self._observer = callback
+        self._bind()
+
+    def _bind(self):
+        """Publish the direct-dispatch tuples (see the class docstring)."""
+        self.port_hit = self.mmio_hit = NO_DEVICE
+        if self._observer is not None:
+            return
+        if len(self._ports) == 1:
+            entry = self._ports[0]
+            self.port_hit = (entry.base, entry.base + entry.size,
+                             entry.device.io_read, entry.device.io_write)
+        if len(self._mmio) == 1:
+            entry = self._mmio[0]
+            self.mmio_hit = (entry.base, entry.base + entry.size,
+                             entry.device.mmio_read, entry.device.mmio_write)
 
     # ------------------------------------------------------------------
     # Device registration
@@ -51,6 +99,7 @@ class Bus:
             if base < existing.base + existing.size and existing.base < base + size:
                 raise ValueError("port range overlap at 0x%x" % base)
         self._ports.append(PortRange(base, size, device))
+        self._bind()
 
     def attach_mmio(self, base, size, device):
         """Claim ``[base, base+size)`` in the MMIO window for ``device``."""
@@ -60,6 +109,7 @@ class Bus:
             if base < existing.base + existing.size and existing.base < base + size:
                 raise ValueError("MMIO range overlap at 0x%x" % base)
         self._mmio.append(MmioRange(base, size, device))
+        self._bind()
 
     def _find_port(self, port):
         for entry in self._ports:
@@ -82,7 +132,8 @@ class Bus:
         if entry is None:
             raise BusError("IN from unclaimed port 0x%x" % port)
         value = entry.device.io_read(port - entry.base, width)
-        self._observe("port", port, width, value, False)
+        if self._observer is not None:
+            self._observer("port", port, width, value, False)
         return value
 
     def io_write(self, port, width, value):
@@ -90,7 +141,8 @@ class Bus:
         entry = self._find_port(port)
         if entry is None:
             raise BusError("OUT to unclaimed port 0x%x" % port)
-        self._observe("port", port, width, value, True)
+        if self._observer is not None:
+            self._observer("port", port, width, value, True)
         entry.device.io_write(port - entry.base, width, value)
 
     # ------------------------------------------------------------------
@@ -104,7 +156,8 @@ class Bus:
             if entry is None:
                 raise BusError("MMIO read from unclaimed 0x%08x" % address)
             value = entry.device.mmio_read(address - entry.base, width)
-            self._observe("mmio", address, width, value, False)
+            if self._observer is not None:
+                self._observer("mmio", address, width, value, False)
             return value
         return self.memory.read(address, width)
 
@@ -114,7 +167,8 @@ class Bus:
             entry = self._find_mmio(address)
             if entry is None:
                 raise BusError("MMIO write to unclaimed 0x%08x" % address)
-            self._observe("mmio", address, width, value, True)
+            if self._observer is not None:
+                self._observer("mmio", address, width, value, True)
             entry.device.mmio_write(address - entry.base, width, value)
             return
         self.memory.write(address, width, value)
@@ -134,6 +188,15 @@ class Bus:
         """Device-initiated write to guest RAM (received frame, status)."""
         self.memory.write_bytes(address, data)
 
-    def _observe(self, kind, address, width, value, is_write):
-        if self.observer is not None:
-            self.observer(kind, address, width, value, is_write)
+
+class _NoDevices:
+    """The ``devices`` of an environment whose port and MMIO accesses
+    must all go through its callables: every compiled access misses."""
+
+    __slots__ = ()
+    port_hit = NO_DEVICE
+    mmio_hit = NO_DEVICE
+
+
+#: Shared stand-in for :class:`Bus` in custom execution environments.
+NO_DEVICES = _NoDevices()

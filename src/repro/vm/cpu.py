@@ -396,14 +396,15 @@ class _CpuEnv:
     like PUSH/POP/CALL/RET accounting).
     """
 
-    __slots__ = ("cpu", "regs", "ram", "mem_read", "mem_write", "io_read",
-                 "io_write", "is_device_address", "ops_retired")
+    __slots__ = ("cpu", "regs", "ram", "devices", "mem_read", "mem_write",
+                 "io_read", "io_write", "is_device_address", "ops_retired")
 
     def __init__(self, cpu):
         self.cpu = cpu
         self.regs = cpu.regs
         bus = cpu.bus
         self.ram = bus.memory
+        self.devices = bus
         self.mem_read = bus.mem_read
         self.mem_write = bus.mem_write
         self.io_read = bus.io_read

@@ -4,7 +4,9 @@ hardware directly, no driver involved)."""
 import struct
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.errors import BusError
 from repro.hw import (
     Ne2000Device,
     PcnetDevice,
@@ -15,6 +17,8 @@ from repro.hw import ne2000 as NE
 from repro.hw import pcnet as PC
 from repro.hw import rtl8139 as RT
 from repro.hw import smc91c111 as SMC
+from repro.isa import Instruction, Op, encode
+from repro.layout import TEXT_BASE, page_align
 from repro.net.medium import Medium
 from repro.vm import Machine
 
@@ -94,6 +98,129 @@ class TestNe2000:
         assert total == len(frame) + 4
 
 
+def _ring_write_by_bytes(dev, address, data):
+    """The per-byte RX ring copy the sliced ``_ring_write`` replaces."""
+    for byte in data:
+        index = dev._mem_index(address)
+        if index is not None:
+            dev.mem[index] = byte
+        address += 1
+        if address // NE.PAGE_SIZE >= dev.pstop:
+            address = dev.pstart * NE.PAGE_SIZE
+
+
+def _remote_by_bytes(dev, width, value=None):
+    """The per-byte remote DMA the sliced ``_remote_read``/``_remote_write``
+    replace; reads when ``value`` is None."""
+    result = 0
+    for i in range(width):
+        index = dev._mem_index(dev.rsar)
+        if value is None:
+            byte = dev.mem[index] if index is not None else 0
+            result |= byte << (8 * i)
+        elif index is not None:
+            dev.mem[index] = (value >> (8 * i)) & 0xFF
+        dev.rsar = (dev.rsar + 1) & 0xFFFF
+        if dev.rbcr:
+            dev.rbcr -= 1
+    if dev.rbcr == 0:
+        dev.isr |= NE.ISR_RDC
+    return result
+
+
+def _ne_state(dev):
+    return (bytes(dev.mem), dev.rsar, dev.rbcr, dev.isr)
+
+
+# Pages on both sides of packet memory (0x40..0x7F) and its edges.
+_ne_page = st.integers(min_value=0x3C, max_value=0x84)
+# (PSTART, PSTOP): small rings inside packet memory, so copies wrap, or
+# any pair, including empty, inverted and out-of-memory rings.
+_ne_ring = st.one_of(
+    st.tuples(st.integers(min_value=NE.MEM_START_PAGE,
+                          max_value=NE.MEM_STOP_PAGE - 1),
+              st.integers(min_value=1, max_value=6)).map(
+        lambda ring: (ring[0], min(ring[0] + ring[1], NE.MEM_STOP_PAGE))),
+    st.tuples(_ne_page, _ne_page))
+_ne_rsar = st.one_of(
+    st.integers(min_value=NE.MEM_BASE - 6, max_value=NE.MEM_BASE + 6),
+    st.integers(min_value=NE.MEM_LIMIT - 6, max_value=NE.MEM_LIMIT + 6),
+    st.integers(min_value=0xFFFA, max_value=0xFFFF),
+    st.integers(min_value=0, max_value=0xFFFF))
+
+
+class TestNe2000Slices:
+    """The sliced packet-memory copies store and load exactly the bytes
+    the per-byte loops did, for any ring bounds and DMA address."""
+
+    @staticmethod
+    def _pair(pstart=NE.MEM_START_PAGE, pstop=NE.MEM_STOP_PAGE):
+        pair = []
+        for _ in range(2):
+            dev = Ne2000Device(MAC)
+            dev.mem[:] = bytes(range(256)) * (len(dev.mem) // 256)
+            dev.pstart, dev.pstop = pstart, pstop
+            pair.append(dev)
+        return pair
+
+    @settings(max_examples=200, deadline=None)
+    @given(bounds=_ne_ring, page=_ne_page,
+           offset=st.integers(min_value=0, max_value=255),
+           near_pstop=st.booleans(),
+           length=st.integers(min_value=0, max_value=1600),
+           seed=st.integers(min_value=0, max_value=255))
+    def test_ring_write_matches_byte_loop(self, bounds, page, offset,
+                                          near_pstop, length, seed):
+        pstart, pstop = bounds
+        data = bytes((seed + 31 * i) & 0xFF for i in range(length))
+        sliced, looped = self._pair(pstart, pstop)
+        address = page * NE.PAGE_SIZE + offset
+        if near_pstop:
+            # Start just below PSTOP so the copy wraps.
+            address = pstop * NE.PAGE_SIZE - 1 - offset
+        sliced._ring_write(address, data)
+        _ring_write_by_bytes(looped, address, data)
+        assert sliced.mem == looped.mem
+
+    def test_ring_write_wraps_at_pstop(self):
+        dev = Ne2000Device(MAC)
+        dev.pstart, dev.pstop = 0x41, 0x43      # ring 0x4100..0x42FF
+        data = bytes(range(1, 256)) * 4
+        data = data[:0x300]
+        dev._ring_write(0x4280, data)
+        ring = bytes(dev.mem[0x100:0x300])
+        # 0x80 bytes up to PSTOP, a whole lap of 0x200, then 0x80 more.
+        assert ring == data[0x280:0x300] + data[0x100:0x280]
+        assert not any(dev.mem[:0x100]) and not any(dev.mem[0x300:])
+
+    @settings(max_examples=200, deadline=None)
+    @given(rsar=_ne_rsar, rbcr=st.integers(min_value=0, max_value=9),
+           width=st.sampled_from([1, 2, 4]), write=st.booleans(),
+           value=st.integers(min_value=0, max_value=0xFFFFFFFF))
+    def test_remote_dma_matches_byte_loop(self, rsar, rbcr, width, write,
+                                          value):
+        sliced, looped = self._pair()
+        for dev in (sliced, looped):
+            dev.rsar, dev.rbcr = rsar, rbcr
+        if write:
+            sliced._remote_write(value, width)
+            _remote_by_bytes(looped, width, value)
+        else:
+            assert sliced._remote_read(width) == \
+                _remote_by_bytes(looped, width)
+        assert _ne_state(sliced) == _ne_state(looped)
+
+    def test_page0_reads(self):
+        dev = Ne2000Device(MAC)
+        dev.pstart, dev.pstop, dev.bnry = 0x46, 0x7E, 0x50
+        dev.isr, dev.rcr, dev.tcr, dev.dcr, dev.imr = 1, 2, 3, 4, 5
+        expected = {0x01: 0x46, 0x02: 0x7E, 0x03: 0x50, 0x04: 0x01,
+                    0x07: 1, 0x0C: 2, 0x0D: 3, 0x0E: 4, 0x0F: 5}
+        for offset in range(1, 0x1F):
+            if offset != NE.REG_DATA:
+                assert dev.io_read(offset, 1) == expected.get(offset, 0)
+
+
 class TestRtl8139:
     def test_mac_readable_writable(self):
         _m, _med, dev, _irqs = make(Rtl8139Device)
@@ -139,6 +266,21 @@ class TestRtl8139:
         dev.io_write(0x50, 1, RT.CFG9346_UNLOCK)
         dev.io_write(0x59, 1, RT.CONFIG3_MAGIC)
         assert dev.wol_enabled
+
+    def test_plain_register_reads(self):
+        _m, _med, dev, _irqs = make(Rtl8139Device)
+        names = {0x30: "rbstart", 0x37: "cr", 0x38: "capr", 0x3A: "cbr",
+                 0x3C: "imr", 0x3E: "isr", 0x40: "tcr", 0x44: "rcr",
+                 0x50: "cfg9346", 0x52: "config1", 0x59: "config3",
+                 0x64: "bmcr"}
+        for number, name in enumerate(sorted(names.values())):
+            setattr(dev, name, 0x8070605 * (number + 1))
+        for offset in range(0x30, 0x80):
+            name = names.get(offset)
+            value = getattr(dev, name) if name else 0
+            for width in (1, 2, 4):
+                assert dev.io_read(offset, width) == \
+                    value & ((1 << 8 * width) - 1)
 
 
 class TestPcnet:
@@ -262,6 +404,68 @@ class TestSmc91c111:
             assert not dev.mmio_read(0x03, 1) & SMC.ARR_FAILED
         dev.mmio_write(0x00, 2, SMC.MMU_ALLOC)
         assert dev.mmio_read(0x03, 1) & SMC.ARR_FAILED
+
+
+def _run_r32(machine, program, exec_backend):
+    code = b"".join(encode(instr) for instr in program)
+    machine.memory.map_region(TEXT_BASE, page_align(len(code)), "text")
+    machine.memory.write_bytes(TEXT_BASE, code)
+    machine.cpu.exec_backend = exec_backend
+    machine.cpu.pc = TEXT_BASE
+    return machine.cpu.run(max_steps=100)
+
+
+class TestSmc91c111MissingBanks:
+    """The bank-select field is three bits wide but the chip has four
+    banks: a register access in banks 4-7 is a bus error naming the bank,
+    whichever tier issues it."""
+
+    @pytest.mark.parametrize("exec_backend", ["interp", "compiled"])
+    @pytest.mark.parametrize("write", [False, True])
+    @pytest.mark.parametrize("bank", [4, 5, 6, 7])
+    def test_register_access_raises_bus_error(self, exec_backend, write,
+                                              bank):
+        machine = Machine()
+        dev = Smc91c111Device(MAC, bus=machine.bus)
+        pci = Smc91c111Device.PCI
+        machine.bus.attach_mmio(pci.mmio_base, pci.mmio_size, dev)
+        access = Instruction(Op.ST16, 1, 2, imm=0x0C) if write \
+            else Instruction(Op.LD16, 3, 1, imm=0x0C)
+        program = [Instruction(Op.MOVI, 1, imm=pci.mmio_base),
+                   Instruction(Op.MOVI, 2, imm=0xFF00 | bank),
+                   Instruction(Op.ST16, 1, 2, imm=SMC.REG_BANK_SELECT),
+                   access,
+                   Instruction(Op.HALT)]
+        with pytest.raises(BusError, match="bank %d" % bank):
+            _run_r32(machine, program, exec_backend)
+        assert dev.bank == bank
+        # The bank select register itself still answers.
+        assert dev.mmio_read(SMC.REG_BANK_SELECT, 2) == 0x3300 | bank
+
+    @settings(max_examples=100, deadline=None)
+    @given(cursor=st.integers(min_value=SMC.PACKET_SIZE - 6,
+                              max_value=SMC.PACKET_SIZE - 1) | st.integers(
+               min_value=0, max_value=SMC.PACKET_SIZE - 1),
+           width=st.sampled_from([1, 2, 4]),
+           value=st.integers(min_value=0, max_value=0xFFFFFFFF))
+    def test_data_window_matches_byte_loop(self, cursor, width, value):
+        dev = Smc91c111Device(MAC)
+        dev.packet_mem[:] = bytes(range(256)) * (len(dev.packet_mem) // 256)
+        dev.pnr = 3
+        dev.pointer = SMC.PTR_AUTO_INCR
+        base = dev.pnr * SMC.PACKET_SIZE
+        positions = [base + (cursor + i) % SMC.PACKET_SIZE
+                     for i in range(width)]
+        dev._ptr_cursor = cursor
+        expected = sum(dev.packet_mem[p] << (8 * i)
+                       for i, p in enumerate(positions))
+        assert dev._data_read(width) == expected
+        dev._ptr_cursor = cursor
+        value &= (1 << 8 * width) - 1
+        dev._data_write(width, value)
+        assert [dev.packet_mem[p] for p in positions] == \
+            [(value >> (8 * i)) & 0xFF for i in range(width)]
+        assert dev._ptr_cursor == (cursor + width) % SMC.PACKET_SIZE
 
 
 class TestSharedFilter:

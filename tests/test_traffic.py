@@ -3,9 +3,10 @@
 import pytest
 
 from repro.net.crc import crc32_ethernet
-from repro.net.ethernet import HEADER_LEN, MAX_PAYLOAD, MIN_PAYLOAD
+from repro.net.ethernet import (HEADER_LEN, MAX_PAYLOAD, MIN_PAYLOAD,
+                                EthernetFrame, EtherType)
 from repro.net.medium import Medium
-from repro.net.packet import IP_HEADER_LEN, UDP_HEADER_LEN
+from repro.net.packet import IP_HEADER_LEN, UDP_HEADER_LEN, build_udp_packet
 from repro.net.traffic import (DEFAULT_SIZES, BidirectionalBurst,
                                UdpWorkload, addressed_frame, frame_with_fcs,
                                overflow_burst, oversize_frame,
@@ -172,3 +173,48 @@ class TestScenarioProgramLayer:
                                   steps=(ScenarioStep("service", {}),))
         program.run(Dut())
         assert calls == ["boot", "service"]
+
+
+class TestPayloadRamp:
+    """Payloads are slices of one precomputed ramp; the bytes must be the
+    ones the per-byte generator expressions produced."""
+
+    SIZES = (0, 1, 2, 45, 46, 64, 255, 256, 257, 1000, 1472, 1900, 5000)
+
+    @staticmethod
+    def _frame_by_bytes(workload, ident):
+        payload = bytes((ident + i) & 0xFF
+                        for i in range(workload.payload_size))
+        packet = build_udp_packet(workload.src_ip, workload.dst_ip,
+                                  workload.src_port, workload.dst_port,
+                                  payload, ident=ident)
+        if len(packet) < 46:
+            packet += b"\0" * (46 - len(packet))
+        return EthernetFrame(dst=workload.dst_mac, src=workload.src_mac,
+                             ethertype=EtherType.IPV4,
+                             payload=packet).to_bytes()
+
+    @pytest.mark.parametrize("size", [s for s in SIZES if s <= UDP_LIMIT])
+    def test_udp_frames_match_per_byte_payloads(self, size):
+        for ident in (0, 1, 7, 200, 255, 256, 4097, 0xFFFE, 0xFFFF):
+            workload = UdpWorkload(MAC, PEER, size)
+            workload._ident = ident
+            assert workload.next_frame().to_bytes() == \
+                self._frame_by_bytes(workload, ident)
+
+    def test_udp_stream_wraps_its_ident(self):
+        workload = UdpWorkload(MAC, PEER, 300)
+        workload._ident = 0xFFFE
+        frames = [frame.to_bytes() for frame in workload.frames(3)]
+        expected = [self._frame_by_bytes(workload, ident)
+                    for ident in (0xFFFE, 0xFFFF, 0)]
+        assert frames == expected
+
+    @pytest.mark.parametrize("size", SIZES)
+    def test_filler_matches_per_byte_pattern(self, size):
+        from repro.net.traffic import _pattern
+
+        for seed in (-300, -1, 0, 3, 7, 128, 252, 253, 255, 256, 1000,
+                     0x12345):
+            assert _pattern(size, seed) == \
+                bytes((seed + i * 7 + 3) & 0xFF for i in range(size))
