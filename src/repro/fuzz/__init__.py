@@ -10,9 +10,10 @@ scenario space*:
   vocabulary (bursts, runts, oversize/bad-FCS frames, link flaps, OID
   queries, resets, interleaved bidirectional traffic);
 * :mod:`repro.fuzz.differential` -- runs each program through the
-  :class:`~repro.validate.observe.DriverUnderTest` facade on both the
-  original binary and every synthesized target-OS driver, classified by
-  the shared :mod:`repro.validate.differ` semantics;
+  validation matrix's one column runner,
+  :func:`repro.validate.matrix.run_column` (the original binary once,
+  then every synthesized target-OS driver, classified by the shared
+  :mod:`repro.validate.differ` semantics), as :class:`ProgramRun` records;
 * :mod:`repro.fuzz.engine` -- the loop-until-dry campaign driver:
   rounds of programs run one driver column at a time, stopping
   after N consecutive rounds with zero new coverage and zero new
@@ -21,9 +22,10 @@ scenario space*:
   serialization (same seed + config + code ==> byte-identical JSON),
   shared with the pipeline's content-addressed store;
 * :mod:`repro.fuzz.soak` -- sustained saturation workloads per driver x
-  execution backend, counting packets moved and divergence-free steps;
-* :mod:`repro.fuzz.strategies` -- hypothesis strategies over the same
-  vocabulary (test-only; import requires hypothesis).
+  execution backend, counting packets moved and divergence-free steps.
+
+Hypothesis strategies over the same vocabulary are test-only and live in
+``tests/fuzz_strategies.py``.
 
 See the "Fuzzing & soak" section of ``docs/validation.md``.
 """

@@ -1,22 +1,20 @@
 """Differential execution of scenario programs.
 
-One generated program runs exactly like a catalog scenario: once against
+One generated program runs exactly like a catalog scenario, through the
+one column runner :func:`repro.validate.matrix.run_column`: once against
 the original binary on the source-OS harness (the baseline, shared across
-target OSes) and once per synthesized target-OS driver, with the two
-observations classified by the same
-:func:`repro.validate.differ.classify_observations` rule the validation
-matrix uses.  The matrix samples a fixed 11-scenario slice of the input
-space; this module runs arbitrary sampled points of the full program
-space through identical machinery.
+target OSes) and once per synthesized target-OS driver, classified by
+:func:`repro.validate.differ.classify_observations`.  The matrix samples
+a fixed 11-scenario slice of the input space; this module records
+arbitrary sampled points of the full program space as
+:class:`ProgramRun`\\ s.
 """
 
 from dataclasses import dataclass, field
 
 from repro.net.traffic import ScenarioProgram
-from repro.validate.differ import Divergence, classify_observations
-from repro.validate.matrix import expected_status
-from repro.validate.observe import OriginalDut, SynthesizedDut
-from repro.validate.scenarios import run_scenario
+from repro.validate.differ import Divergence, is_unexplained
+from repro.validate.matrix import expected_status, run_column
 
 
 @dataclass
@@ -39,12 +37,8 @@ class ProgramRun:
     @property
     def unexplained(self):
         """True when this run is a finding the matrix semantics cannot
-        account for: behavioral divergence anywhere, or an unsupported
-        result where equivalence was expected."""
-        if self.verdict == "divergent":
-            return True
-        return self.verdict == "unsupported" \
-            and self.expected == "equivalent"
+        account for (:func:`~repro.validate.differ.is_unexplained`)."""
+        return is_unexplained(self.verdict, self.expected)
 
     def to_dict(self):
         return {"driver": self.driver, "target_os": self.target_os,
@@ -69,48 +63,32 @@ class ProgramRun:
 
 def run_program_column(artifact, os_names, programs,
                        exec_backend="compiled"):
-    """All (program x target OS) runs for one driver's artifact.
+    """All (program x target OS) runs for one driver's artifact, from
+    :func:`repro.validate.matrix.run_column`.
 
-    Mirrors :func:`repro.validate.matrix.compute_column`: one baseline
-    per program (the original binary), shared by every target OS; pure
-    function of the artifact and programs; ``exec_backend`` names the
-    execution tier on both sides.  Returns ``(runs, baselines)`` where
-    ``baselines`` maps program name -> baseline :class:`Observation`
-    (the fuzz engine mines them for behavior coverage).
+    Returns ``(runs, baselines)``: the :class:`ProgramRun` list in
+    program-outer, OS-inner order, and a map of program name -> baseline
+    :class:`Observation` for every program that ran (the fuzz engine
+    mines them for behavior coverage).
     """
     driver = artifact.name
-    supported = set(artifact.synthesized.entry_points)
     runs = []
     baselines = {}
-    for program in programs:
-        if not supported.issuperset(program.requires):
-            for os_name in os_names:
-                runs.append(ProgramRun(
-                    driver=driver, target_os=os_name,
-                    program_name=program.name, seed=program.seed,
-                    verdict="skipped",
-                    expected=expected_status(driver, os_name),
-                    steps=len(program.steps)))
-            continue
-        baseline = run_scenario(
-            OriginalDut(driver, exec_backend=exec_backend), program)
-        baselines[program.name] = baseline
-        for os_name in os_names:
-            candidate = run_scenario(
-                SynthesizedDut(artifact, os_name,
-                               exec_backend=exec_backend), program)
-            outcome = classify_observations(baseline, candidate)
-            run = ProgramRun(
-                driver=driver, target_os=os_name,
-                program_name=program.name, seed=program.seed,
-                verdict=outcome.verdict,
-                expected=expected_status(driver, os_name),
-                steps=len(program.steps),
-                divergences=outcome.divergences,
-                candidate_error=outcome.candidate_error)
+    for program, os_name, baseline, outcome in run_column(
+            artifact, os_names, programs, exec_backend=exec_backend):
+        run = ProgramRun(driver=driver, target_os=os_name,
+                         program_name=program.name, seed=program.seed,
+                         verdict="skipped",
+                         expected=expected_status(driver, os_name),
+                         steps=len(program.steps))
+        if outcome is not None:
+            baselines[program.name] = baseline
+            run.verdict = outcome.verdict
+            run.divergences = outcome.divergences
+            run.candidate_error = outcome.candidate_error
             if not outcome.matched:
                 run.program = program.to_dict()
-            runs.append(run)
+        runs.append(run)
     return runs, baselines
 
 

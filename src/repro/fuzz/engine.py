@@ -130,17 +130,6 @@ class FuzzResult:
         }
 
 
-def _program_column(artifact, os_names, programs, exec_backend):
-    """One driver's runs of ``programs`` plus the behavioral coverage
-    features of its baselines."""
-    runs, baselines = run_program_column(artifact, os_names, programs,
-                                         exec_backend=exec_backend)
-    features = set()
-    for observation in baselines.values():
-        features |= observation_features(artifact.name, observation)
-    return runs, features
-
-
 class FuzzEngine:
     """Runs a differential fuzz campaign over the driver corpus."""
 
@@ -202,11 +191,13 @@ class FuzzEngine:
         for driver in drivers:
             artifact = self.orchestrator.run(driver, config.strategy,
                                              config.script)
-            column, column_features = _program_column(
+            column, baselines = run_program_column(
                 artifact, config.os_names, programs,
-                config.exec_backend or "compiled")
+                exec_backend=config.exec_backend or "compiled")
             runs.extend(column)
-            features.update(column_features)
+            for observation in baselines.values():
+                features |= observation_features(artifact.name,
+                                                 observation)
         return runs, features
 
 

@@ -11,8 +11,8 @@ belong to ``perfbench/``.
 
 from dataclasses import dataclass
 
-from repro.fuzz.differential import run_program_column
 from repro.net.traffic import ScenarioProgram, ScenarioStep
+from repro.validate.matrix import run_column
 
 #: Frames injected/sent per burst step of the saturation program.
 BURST_FRAMES = 4
@@ -63,18 +63,15 @@ def soak_cell(artifact, os_name, backend, rounds=10):
     the matrix.
     """
     program = saturation_program(rounds=rounds)
-    runs, baselines = run_program_column(artifact, (os_name,), [program],
-                                         exec_backend=backend)
-    (run,) = runs
-    baseline = baselines.get(program.name)
-    packets = 0
-    if baseline is not None:
-        packets = len(baseline.wire_frames) + len(baseline.delivered)
-    divergence_free = run.steps if run.verdict == "match" else 0
+    # the program requires no optional entry point, so it is never skipped
+    ((_, _, baseline, outcome),) = run_column(
+        artifact, (os_name,), [program], exec_backend=backend)
+    steps = len(program.steps)
     return SoakRecord(
         driver=artifact.name, target_os=os_name, backend=backend,
-        steps=run.steps, divergence_free_steps=divergence_free,
-        divergences=len(run.divergences), packets=packets)
+        steps=steps, divergence_free_steps=steps if outcome.matched else 0,
+        divergences=len(outcome.divergences),
+        packets=len(baseline.wire_frames) + len(baseline.delivered))
 
 
 def run_fabric_soak(orchestrator=None, endpoints=16, seed=0xFAB1C,

@@ -334,9 +334,10 @@ class Ne2000Device(NicDevice):
         self._update_irq()
 
     def _ring_full(self, pages_needed):
-        free = (self.bnry - self.curr) % (self.pstop - self.pstart)
-        if free == 0:
-            free = self.pstop - self.pstart
+        size = self.pstop - self.pstart
+        if size <= 0:  # PSTOP <= PSTART: a ring with no room at all
+            return True
+        free = (self.bnry - self.curr) % size or size
         return pages_needed >= free
 
     def _ring_write(self, address, data):

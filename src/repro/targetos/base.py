@@ -66,6 +66,8 @@ class TargetOs:
         self.timers = {}
         #: counts of OS API calls made by the (synthesized) driver
         self.api_call_count = 0
+        #: the adaptation table, built once; its handlers late-bind ``self``
+        self._adaptations = self.adaptation_table()
 
     # ------------------------------------------------------------------
     # Kernel services
@@ -150,7 +152,7 @@ class TargetOs:
 
     def call(self, name, arg_reader):
         """The os_interface protocol used by SynthesizedDriver."""
-        entry = self.adaptation_table().get(name)
+        entry = self._adaptations.get(name)
         if entry is None:
             raise TemplateError(
                 "template for %s has no adaptation for OS API %r"

@@ -18,7 +18,8 @@ layers:
 * :mod:`repro.validate.matrix` -- the matrix runner: driver columns one
   after another, artifacts served from the on-disk store, cells
   classified equivalent / unsupported / divergent against per-cell
-  expectations.
+  expectations; its ``run_column`` is the one differential column
+  runner, shared with the scenario fuzzer and the soak.
 
 See ``docs/validation.md`` for the catalog, the divergence semantics and
 how to extend either.

@@ -104,18 +104,6 @@ class DifferentialVerdict:
     def matched(self):
         return self.verdict == "match"
 
-    def to_dict(self):
-        return {"verdict": self.verdict,
-                "divergences": [d.to_dict() for d in self.divergences],
-                "candidate_error": self.candidate_error}
-
-    @classmethod
-    def from_dict(cls, data):
-        return cls(verdict=data["verdict"],
-                   divergences=[Divergence.from_dict(d)
-                                for d in data["divergences"]],
-                   candidate_error=data["candidate_error"])
-
 
 def classify_observations(baseline, candidate, ignore=()):
     """Compare and classify one observation pair.
@@ -133,3 +121,11 @@ def classify_observations(baseline, candidate, ignore=()):
         verdict = "divergent"
     return DifferentialVerdict(verdict=verdict, divergences=divergences,
                                candidate_error=candidate.error)
+
+
+def is_unexplained(verdict, expected):
+    """True when a verdict is a finding the expectation cannot account
+    for: a behavioral divergence anywhere, or an unsupported result where
+    equivalence (``expected == "equivalent"``) was expected."""
+    return verdict == "divergent" or (verdict == "unsupported"
+                                      and expected == "equivalent")

@@ -2,10 +2,13 @@
 
 For every synthesized driver (loaded from cached pipeline
 :class:`~repro.pipeline.artifact.RunArtifact`\\ s -- nothing is
-re-reverse-engineered) and every target OS, each catalog scenario runs
-twice: once as the baseline (the original binary on the source-OS harness)
-and once as the candidate (the synthesized driver in the target-OS
-template), and the two observations are compared field by field.
+re-reverse-engineered), each catalog scenario runs once as the baseline
+(the original binary on the source-OS harness, shared by every target
+OS) and once per target OS as the candidate (the synthesized driver in
+the target-OS template), and each pair of observations is compared field
+by field.  :func:`run_column` is that loop; it is the one differential
+column runner, which the scenario fuzzer (:mod:`repro.fuzz.differential`)
+and the soak (:mod:`repro.fuzz.soak`) drive too.
 
 Cell semantics:
 
@@ -30,7 +33,7 @@ import time
 from dataclasses import dataclass, field
 
 from repro.drivers import DRIVERS
-from repro.validate.differ import classify_observations
+from repro.validate.differ import classify_observations, is_unexplained
 from repro.validate.observe import OriginalDut, SynthesizedDut
 from repro.validate.scenarios import CATALOG, SCENARIOS, run_scenario
 
@@ -98,17 +101,10 @@ class CellResult:
         return "divergent"
 
     def unexplained(self):
-        """Scenario results this cell cannot account for: behavioral
-        divergences anywhere, and unsupported results where equivalence
-        was expected."""
-        out = []
-        for result in self.scenarios:
-            if result.verdict == "divergent":
-                out.append(result)
-            elif result.verdict == "unsupported" \
-                    and self.expected == "equivalent":
-                out.append(result)
-        return out
+        """Scenario results this cell cannot account for
+        (:func:`~repro.validate.differ.is_unexplained`)."""
+        return [result for result in self.scenarios
+                if is_unexplained(result.verdict, self.expected)]
 
     def to_dict(self):
         return {"driver": self.driver, "target_os": self.target_os,
@@ -154,41 +150,56 @@ class MatrixResult:
         }
 
 
-def compute_column(artifact, os_names, scenario_names,
-                   exec_backend="compiled"):
-    """All cells for one driver, sharing one baseline per scenario.
+def run_column(artifact, os_names, workloads, exec_backend="compiled"):
+    """The differential column runner: every workload x target OS for one
+    driver's artifact, yielding ``(workload, os_name, baseline, outcome)``
+    workload-outer, OS-inner.
 
-    Pure function of the artifact and catalog.
+    A workload whose ``requires`` is not a subset of the artifact's entry
+    points builds no DUT and yields ``baseline`` and ``outcome`` as
+    ``None`` for every OS.  Otherwise the original binary runs it once
+    (the baseline, shared by every OS), then one synthesized candidate
+    per OS, classified by :func:`classify_observations`.  Catalog
+    :class:`~repro.validate.scenarios.Scenario`\\ s and
+    :class:`~repro.net.traffic.ScenarioProgram`\\ s both pass through;
     ``exec_backend`` names the execution tier on *both* sides.
     """
     driver = artifact.name
+    supported = set(artifact.synthesized.entry_points)
+    for workload in workloads:
+        if not supported.issuperset(workload.requires):
+            for os_name in os_names:
+                yield workload, os_name, None, None
+            continue
+        baseline = run_scenario(
+            OriginalDut(driver, exec_backend=exec_backend), workload)
+        for os_name in os_names:
+            candidate = run_scenario(
+                SynthesizedDut(artifact, os_name, exec_backend=exec_backend),
+                workload)
+            yield (workload, os_name, baseline,
+                   classify_observations(baseline, candidate))
+
+
+def compute_column(artifact, os_names, scenario_names,
+                   exec_backend="compiled"):
+    """All cells for one driver: :func:`run_column` over the named
+    catalog scenarios, one :class:`CellResult` per OS."""
+    driver = artifact.name
+    cells = {os_name: CellResult(driver, os_name,
+                                 expected_status(driver, os_name))
+             for os_name in os_names}
     scenarios = [CATALOG[name] for name in scenario_names]
-    supported_roles = set(artifact.synthesized.entry_points)
-    baselines = {}
-    cells = []
-    for os_name in os_names:
-        results = []
-        for scenario in scenarios:
-            if not supported_roles.issuperset(scenario.requires):
-                results.append(ScenarioResult(scenario.name, "skipped"))
-                continue
-            candidate_dut = SynthesizedDut(artifact, os_name,
-                                           exec_backend=exec_backend)
-            baseline = baselines.get(scenario.name)
-            if baseline is None:
-                baseline = run_scenario(
-                    OriginalDut(driver, exec_backend=exec_backend),
-                    scenario)
-                baselines[scenario.name] = baseline
-            candidate = run_scenario(candidate_dut, scenario)
-            outcome = classify_observations(baseline, candidate)
-            results.append(ScenarioResult(scenario.name, outcome.verdict,
-                                          outcome.divergences,
-                                          outcome.candidate_error))
-        cells.append(CellResult(driver=driver, target_os=os_name,
-                                expected=expected_status(driver, os_name),
-                                scenarios=results))
-    return cells
+    for scenario, os_name, _baseline, outcome in run_column(
+            artifact, os_names, scenarios, exec_backend=exec_backend):
+        if outcome is None:
+            result = ScenarioResult(scenario.name, "skipped")
+        else:
+            result = ScenarioResult(scenario.name, outcome.verdict,
+                                    outcome.divergences,
+                                    outcome.candidate_error)
+        cells[os_name].scenarios.append(result)
+    return list(cells.values())
 
 
 class ValidationMatrix:

@@ -7,8 +7,8 @@ testing -- shrinking a failing program to a minimal step list is exactly
 what hypothesis is good at, and a shrunk example serializes straight into
 ``tests/fuzz_corpus/``.
 
-Hypothesis is a test-only dependency: importing this module without it
-raises ImportError, and nothing else in :mod:`repro.fuzz` touches it.
+Hypothesis is a test-only dependency, so these strategies live with the
+tests rather than in :mod:`repro.fuzz`.
 """
 
 from hypothesis import strategies as st

@@ -9,9 +9,9 @@ and no harness -- the semantics stand on their own.
 import pytest
 
 from repro.validate import Observation
-from repro.validate.differ import (COMPARED_FIELDS, DifferentialVerdict,
-                                   Divergence, classify_observations,
-                                   compare_observations)
+from repro.validate.differ import (COMPARED_FIELDS, Divergence,
+                                   classify_observations,
+                                   compare_observations, is_unexplained)
 
 
 def _observation(**overrides):
@@ -110,12 +110,17 @@ class TestClassify:
         candidate = _observation(ok=False, error="ValueError")
         assert classify_observations(baseline, candidate).verdict == "match"
 
-    def test_verdict_round_trips_through_dict(self):
-        candidate = _observation(ok=False, error="TemplateError")
-        outcome = classify_observations(_observation(), candidate)
-        again = DifferentialVerdict.from_dict(outcome.to_dict())
-        assert again.verdict == outcome.verdict
-        assert again.candidate_error == outcome.candidate_error
-        assert [d.to_dict() for d in again.divergences] \
-            == [d.to_dict() for d in outcome.divergences]
+    @pytest.mark.parametrize("verdict,expected,unexplained", [
+        ("match", "equivalent", False),
+        ("match", "unsupported", False),
+        ("skipped", "equivalent", False),
+        ("unsupported", "unsupported", False),
+        ("unsupported", "equivalent", True),
+        ("divergent", "equivalent", True),
+        ("divergent", "unsupported", True),
+    ])
+    def test_unexplained_rule(self, verdict, expected, unexplained):
+        """One rule for matrix cells and fuzz runs alike: divergence
+        anywhere, or unsupported where equivalence was expected."""
+        assert is_unexplained(verdict, expected) is unexplained
 

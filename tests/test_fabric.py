@@ -383,7 +383,7 @@ class TestMirrorDifferential:
         verdict, dedicated, mirrored = mirror_verdict(make_dut,
                                                       MIRROR_PROGRAM)
         assert dedicated.ok and mirrored.ok
-        assert verdict.verdict == "match", verdict.mismatched_fields
+        assert verdict.verdict == "match", verdict.divergences
 
     def test_mirror_reports_driver_errors_like_run_scenario(self, cache):
         artifact = cache.run("rtl8029")

@@ -16,10 +16,12 @@ from repro.fuzz import (FuzzConfig, FuzzEngine, ProgramGenerator,
                         fuzz_key, fuzz_to_json, load_fuzz_result,
                         program_features, run_program_column,
                         save_fuzz_result)
-from repro.fuzz.strategies import scenario_programs
 from repro.net.traffic import (STEP_VOCABULARY, ScenarioProgram,
                                ScenarioStep)
 from repro.pipeline import ArtifactStore
+from repro.validate import OriginalDut, matrix
+
+from fuzz_strategies import scenario_programs
 
 #: Roles the synthesized corpus can actually carry (matrix discipline).
 KNOWN_ROLES = {"initialize", "send", "isr", "halt", "reset", "timer",
@@ -190,11 +192,29 @@ class TestEngine:
             assert not run.unexplained
             assert run.program is not None   # replayable from the record
 
-    def test_role_gated_programs_are_skipped(self):
+    def test_role_gated_programs_are_skipped(self, monkeypatch):
         """Reduced-script artifacts carry no set/query_information entry
-        points; programs needing them skip instead of diverging."""
+        points; programs needing them skip instead of diverging, build no
+        DUT and get no baseline.  A program that runs builds one
+        original-binary baseline, shared by both OSes."""
+        baselines_built = []
+
+        def original_dut(*args, **kwargs):
+            baselines_built.append(args)
+            return OriginalDut(*args, **kwargs)
+
+        monkeypatch.setattr(matrix, "OriginalDut", original_dut)
         artifact = get_cache().run("rtl8029", script="quick")
-        program = ScenarioProgram(name="gated", steps=(
+        gated = ScenarioProgram(name="gated", steps=(
             ScenarioStep("query_mac"),))
-        runs, _ = run_program_column(artifact, ("winsim",), [program])
-        assert [run.verdict for run in runs] == ["skipped"]
+        plain = ScenarioProgram(name="plain", steps=(
+            ScenarioStep("send_burst", {"size": 64, "count": 1}),))
+        runs, baselines = run_program_column(
+            artifact, ("winsim", "kitos"), [gated, plain])
+        assert [(run.program_name, run.target_os, run.verdict)
+                for run in runs] == [
+            ("gated", "winsim", "skipped"), ("gated", "kitos", "skipped"),
+            ("plain", "winsim", "match"), ("plain", "kitos", "match")]
+        assert all(run.program is None for run in runs)
+        assert list(baselines) == ["plain"]
+        assert len(baselines_built) == 1

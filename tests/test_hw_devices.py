@@ -97,6 +97,23 @@ class TestNe2000:
         total = header[2] | (header[3] << 8)
         assert total == len(frame) + 4
 
+    @pytest.mark.parametrize("pstart,pstop", [(0x50, 0x50), (0x60, 0x50)])
+    def test_ring_without_room_drops_as_overflow(self, pstart, pstop):
+        """PSTOP <= PSTART leaves no ring: every accepted frame is an
+        overflow drop, never an exception out of ``receive_frame``."""
+        _m, _medium, dev, _irqs = make(Ne2000Device)
+        dev.io_write(NE.REG_CR, 1, NE.CR_STA)
+        dev.io_write(0x0C, 1, NE.RCR_AB)  # accept broadcast
+        dev.pstart, dev.pstop = pstart, pstop
+        dev.curr = dev.bnry = pstart
+        frame = b"\xff" * 6 + MAC + b"\x08\x00" + b"q" * 50
+        dev.receive_frame(frame)
+        assert dev.isr & NE.ISR_OVW
+        assert not dev.isr & NE.ISR_PRX
+        assert dev.stats["rx_dropped"] == 1
+        assert dev.stats["rx_frames"] == 0
+        assert dev.curr == pstart
+
 
 def _ring_write_by_bytes(dev, address, data):
     """The per-byte RX ring copy the sliced ``_ring_write`` replaces."""

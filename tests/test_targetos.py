@@ -5,6 +5,7 @@ import pytest
 from repro.drivers import device_class
 from repro.errors import TemplateError
 from repro.targetos import KitOs, LinSim, TARGET_OSES, UcSim, WinSim
+from repro.targetos.base import TargetOs
 
 
 def make(os_cls, device="rtl8029"):
@@ -51,6 +52,30 @@ class TestAdaptationTables:
         target = make(LinSim)
         target.call("NdisWriteErrorLogEntry", lambda i: 0xE0000042)
         assert target.printk_log == [0xE0000042]
+
+    def test_table_built_once_and_overrides_win_through_call(
+            self, monkeypatch):
+        """Construction builds the table once; every call after that
+        reads it, and linsim's and ucsim's overrides still answer."""
+        linsim = make(LinSim)
+        ucsim = make(UcSim, device="smc91c111")
+        for os_cls in (TargetOs, LinSim, UcSim):
+            monkeypatch.setattr(os_cls, "adaptation_table", lambda self:
+                                pytest.fail("adaptation table rebuilt"))
+        seen = []
+        linsim.netif_rx = lambda buffer, length: \
+            seen.append(("netif_rx", buffer, length)) or 0
+        linsim.pci_alloc_consistent = lambda size, out: \
+            seen.append(("pci", size, out)) or 0x1000
+        args = {0: 0x40, 1: 0x80}.get
+        assert linsim.call("NdisMIndicateReceivePacket", args) == (0, 2)
+        assert linsim.call("NdisMAllocateSharedMemory", args) == (0x1000, 2)
+        assert linsim.call("NdisWriteErrorLogEntry", args) == (0, 1)
+        assert seen == [("netif_rx", 0x40, 0x80), ("pci", 0x40, 0x80)]
+        assert linsim.printk_log == [0x40]
+        assert linsim.api_call_count == 3
+        with pytest.raises(TemplateError, match="no DMA"):
+            ucsim.call("NdisMAllocateSharedMemory", args)
 
     def test_ucsim_has_no_dma_api(self):
         target = make(UcSim, device="smc91c111")

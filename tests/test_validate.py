@@ -8,11 +8,26 @@ from repro.validate import (CATALOG, SCENARIOS, MatrixResult, OriginalDut,
                             SynthesizedDut, ValidationMatrix,
                             compare_observations, compute_column,
                             expected_status, run_scenario)
+from repro.validate import matrix
 
 
 @pytest.fixture(scope="module")
 def rtl8029_artifact():
     return get_cache().run("rtl8029")
+
+
+def _count_duts(monkeypatch):
+    """Record, in order, every DUT class the column runner builds."""
+    built = []
+    for name in ("OriginalDut", "SynthesizedDut"):
+        dut_cls = getattr(matrix, name)
+
+        def build(*args, _cls=dut_cls, **kwargs):
+            built.append(_cls.__name__)
+            return _cls(*args, **kwargs)
+
+        monkeypatch.setattr(matrix, name, build)
+    return built
 
 
 # ==========================================================================
@@ -102,17 +117,28 @@ class TestMatrix:
         assert expected_status("rtl8029", "ucsim") == "equivalent"
         assert expected_status("rtl8139", "linsim") == "equivalent"
 
-    def test_quick_script_artifacts_skip_gated_scenarios(self):
+    def test_quick_script_artifacts_skip_gated_scenarios(self,
+                                                          monkeypatch):
         """Reduced-script artifacts carry no set/query_information entry
-        points; scenarios requiring them are skipped, the rest run."""
+        points; scenarios requiring them are skipped in every cell and
+        build no DUT, the rest run one original-binary baseline each,
+        shared by both OSes."""
+        built = _count_duts(monkeypatch)
         artifact = get_cache().run("rtl8029", script="quick")
-        (cell,) = compute_column(artifact, ("winsim",),
-                                 [s.name for s in SCENARIOS])
-        verdicts = {s.name: s.verdict for s in cell.scenarios}
-        assert verdicts["control_plane"] == "skipped"
-        assert verdicts["filter_mix"] == "skipped"
-        assert verdicts["udp_stream"] == "match"
-        assert cell.status in ("equivalent", "divergent")
+        cells = compute_column(artifact, ("winsim", "kitos"),
+                               [s.name for s in SCENARIOS])
+        ran = [s for s in SCENARIOS
+               if set(s.requires) <= set(artifact.synthesized.entry_points)]
+        assert built == ["OriginalDut", "SynthesizedDut",
+                         "SynthesizedDut"] * len(ran)
+        for cell in cells:
+            verdicts = {s.name: s.verdict for s in cell.scenarios}
+            assert list(verdicts) == [s.name for s in SCENARIOS]
+            assert verdicts["control_plane"] == "skipped"
+            assert verdicts["filter_mix"] == "skipped"
+            assert verdicts["udp_stream"] == "match"
+            assert len(cell.ran) == len(ran)
+            assert cell.status in ("equivalent", "divergent")
 
     def test_small_matrix_run_and_render(self, rtl8029_artifact):
         matrix = ValidationMatrix(orchestrator=get_cache(),
