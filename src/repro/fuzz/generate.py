@@ -17,25 +17,20 @@ fuzzing is a *behavioral* finding, never a harness artifact.
 
 import random
 
+from repro.guestos.structures import PacketFilter
 from repro.net.traffic import (MULTICAST_GROUPS, ScenarioProgram,
                                ScenarioStep)
 
-#: OID_GEN_CURRENT_PACKET_FILTER bit palette (raw ints so programs stay
-#: JSON-pure; values mirror repro.guestos.structures.PacketFilter).
-FILTER_DIRECTED = 0x01
-FILTER_MULTICAST = 0x02
-FILTER_BROADCAST = 0x04
-FILTER_PROMISCUOUS = 0x20
-
 #: Packet-filter mixes the generator draws from -- always DIRECTED plus
-#: a mix, matching how every NDIS OS actually programs the filter.
-FILTER_CHOICES = (
-    FILTER_DIRECTED,
-    FILTER_DIRECTED | FILTER_MULTICAST,
-    FILTER_DIRECTED | FILTER_BROADCAST,
-    FILTER_DIRECTED | FILTER_MULTICAST | FILTER_BROADCAST,
-    FILTER_DIRECTED | FILTER_PROMISCUOUS,
-)
+#: a mix, matching how every NDIS OS actually programs the filter (raw
+#: ints, so programs stay JSON-pure).
+FILTER_CHOICES = tuple(int(PacketFilter.DIRECTED | extra) for extra in (
+    0,
+    PacketFilter.MULTICAST,
+    PacketFilter.BROADCAST,
+    PacketFilter.MULTICAST | PacketFilter.BROADCAST,
+    PacketFilter.PROMISCUOUS,
+))
 
 #: UDP payload sizes the traffic steps draw from (a discrete palette
 #: keeps generated programs minimizable and human-readable).

@@ -59,12 +59,14 @@ class UdpWorkload:
     """Deterministic UDP traffic generator.
 
     Produces Ethernet frames carrying UDP packets of a fixed payload size,
-    mirroring the benchmark of paper section 5.3.
+    mirroring the benchmark of paper section 5.3.  ``first`` is the ident
+    the stream starts from, so a stream can continue where another left
+    off.
     """
 
     def __init__(self, src_mac, dst_mac, payload_size,
                  src_ip=b"\x0a\x00\x00\x01", dst_ip=b"\x0a\x00\x00\x02",
-                 src_port=9000, dst_port=9001):
+                 src_port=9000, dst_port=9001, first=0):
         self.src_mac = src_mac
         self.dst_mac = dst_mac
         self.payload_size = payload_size
@@ -72,7 +74,8 @@ class UdpWorkload:
         self.dst_ip = dst_ip
         self.src_port = src_port
         self.dst_port = dst_port
-        self._ident = 0
+        #: IP ident (and payload ramp start) of the next frame
+        self._ident = first & 0xFFFF
 
     def next_frame(self):
         """Build the next frame in the stream."""
@@ -194,21 +197,20 @@ class BidirectionalBurst:
 
 
 # ==========================================================================
-# Scenario programs (the fuzzer's replayable workload formalization)
+# Scenario programs: the one workload form
 #
-# A ScenarioProgram lifts the ad-hoc scenario functions of
-# repro.validate.scenarios into *data*: an ordered list of ScenarioSteps,
-# each a (op, params) pair over the DriverUnderTest facade vocabulary.
-# Programs serialize to canonical JSON, so any fuzzer-generated workload
-# replays bit-for-bit from its serialized form alone -- no generator, no
-# seed, no library version required.  A program duck-types the Scenario
-# contract (name / requires / run), so everything that can drive a
-# catalog scenario (run_scenario, the matrix, the differential fuzzer)
-# can drive a program unchanged.
+# A ScenarioProgram is *data*: an ordered list of ScenarioSteps, each an
+# (op, params) pair over the DriverUnderTest facade vocabulary.  The
+# validation catalog, the fuzzer's generated programs, the soak and the
+# fabric workloads are all programs.  Programs serialize to canonical
+# JSON, so any workload replays bit-for-bit from its serialized form
+# alone -- no generator, no seed, no library version required.
 
-#: Destination-address palette for injected frames.  ``station`` resolves
-#: to the DUT's programmed MAC at run time; everything else is a fixed
-#: address so serialized programs stay self-contained.
+#: Address palette for injected frames and programmed addresses.
+#: ``station`` resolves to the DUT's programmed MAC at run time;
+#: everything else is a fixed address so serialized programs stay
+#: self-contained.  ``relocated`` is a second station address, for
+#: ``set_mac`` steps and the traffic that follows them.
 DST_KINDS = {
     "station": None,
     "stranger": b"\x02\x99\x02\x99\x02\x99",
@@ -216,6 +218,7 @@ DST_KINDS = {
     "multicast_a": b"\x01\x00\x5e\x00\x00\x01",
     "multicast_b": b"\x01\x00\x5e\x00\x00\x17",
     "multicast_out": b"\x01\x00\x5e\x7f\x00\x42",
+    "relocated": b"\x52\x54\x00\x01\x02\x03",
 }
 
 #: Multicast groups a ``set_multicast`` step may program, by palette key.
@@ -223,7 +226,7 @@ MULTICAST_GROUPS = ("multicast_a", "multicast_b", "multicast_out")
 
 
 def resolve_dst(kind, dut):
-    """The destination MAC a palette ``kind`` names for this DUT."""
+    """The MAC a palette ``kind`` names for this DUT."""
     if kind not in DST_KINDS:
         raise ValueError("unknown dst kind %r" % (kind,))
     resolved = DST_KINDS[kind]
@@ -233,7 +236,8 @@ def resolve_dst(kind, dut):
 # -- step executors: one per vocabulary op ---------------------------------
 
 def _step_send_burst(dut, p):
-    workload = UdpWorkload(dut.mac, dut.peer, p["size"])
+    workload = UdpWorkload(resolve_dst(p.get("src", "station"), dut),
+                           dut.peer, p["size"], first=p.get("first", 0))
     for frame in workload.frames(p["count"]):
         dut.send(frame.to_bytes())
 
@@ -335,39 +339,76 @@ def _step_query_link_speed(dut, p):
     dut.query_link_speed()
 
 
+def _step_shutdown(dut, p):
+    dut.shutdown()
+
+
+def _step_set_mac(dut, p):
+    dut.set_mac(resolve_dst(p["mac"], dut))
+
+
+def _step_set_full_duplex(dut, p):
+    dut.set_full_duplex(bool(p["enabled"]))
+
+
+def _step_enable_wol(dut, p):
+    dut.enable_wake_on_lan()
+
+
+def _step_set_led(dut, p):
+    dut.set_led(p["mode"])
+
+
 @dataclass(frozen=True)
 class StepSpec:
-    """One vocabulary op: its executor and the entry-point roles (beyond
-    initialize/send/isr) a driver must carry to run it."""
+    """One vocabulary op: its executor, the entry-point roles (beyond
+    initialize/send/isr) a driver must carry to run it, the parameter
+    ``keys`` every step of the op must carry, and the ``palette`` keys
+    whose values name :data:`DST_KINDS` entries (a list of them for
+    ``groups``)."""
 
     execute: callable
     requires: tuple = ()
+    keys: tuple = ()
+    palette: tuple = ()
+
+
+_SET_INFO = ("set_information",)
+_QUERY_INFO = ("query_information",)
 
 
 #: The step vocabulary.  Adding an op here is all the formal machinery a
 #: new fuzz strategy needs: generators emit (op, params), replay runs it.
 STEP_VOCABULARY = {
-    "send_burst": StepSpec(_step_send_burst),
-    "send_to": StepSpec(_step_send_to),
-    "inject_burst": StepSpec(_step_inject_burst),
-    "quiet_burst": StepSpec(_step_quiet_burst),
+    "send_burst": StepSpec(_step_send_burst, keys=("size", "count"),
+                           palette=("src",)),
+    "send_to": StepSpec(_step_send_to, keys=("dst", "size", "count")),
+    "inject_burst": StepSpec(_step_inject_burst, keys=("size", "count")),
+    "quiet_burst": StepSpec(_step_quiet_burst, keys=("size", "count")),
     "service": StepSpec(_step_service),
-    "inject_tagged": StepSpec(_step_inject_tagged),
-    "inject_runt": StepSpec(_step_inject_runt),
-    "inject_oversize": StepSpec(_step_inject_oversize),
-    "inject_fcs": StepSpec(_step_inject_fcs),
-    "bidirectional": StepSpec(_step_bidirectional),
-    "set_link": StepSpec(_step_set_link),
-    "link_flap": StepSpec(_step_link_flap, requires=("reset",)),
-    "reset": StepSpec(_step_reset, requires=("reset",)),
-    "set_filter": StepSpec(_step_set_filter,
-                           requires=("set_information",)),
-    "set_multicast": StepSpec(_step_set_multicast,
-                              requires=("set_information",)),
-    "query_mac": StepSpec(_step_query_mac,
-                          requires=("query_information",)),
-    "query_link_speed": StepSpec(_step_query_link_speed,
-                                 requires=("query_information",)),
+    "inject_tagged": StepSpec(_step_inject_tagged, keys=("dst", "tag"),
+                              palette=("dst",)),
+    "inject_runt": StepSpec(_step_inject_runt, keys=("length",)),
+    "inject_oversize": StepSpec(_step_inject_oversize, keys=("length",)),
+    "inject_fcs": StepSpec(_step_inject_fcs, keys=("tag", "corrupt")),
+    "bidirectional": StepSpec(_step_bidirectional,
+                              keys=("size", "rounds", "pattern")),
+    "set_link": StepSpec(_step_set_link, keys=("up",)),
+    "link_flap": StepSpec(_step_link_flap, ("reset",),
+                          keys=("size", "frames_down")),
+    "reset": StepSpec(_step_reset, ("reset",)),
+    "set_filter": StepSpec(_step_set_filter, _SET_INFO, keys=("flags",)),
+    "set_multicast": StepSpec(_step_set_multicast, _SET_INFO, keys=("groups",),
+                              palette=("groups",)),
+    "query_mac": StepSpec(_step_query_mac, _QUERY_INFO),
+    "query_link_speed": StepSpec(_step_query_link_speed, _QUERY_INFO),
+    "shutdown": StepSpec(_step_shutdown, ("halt",)),
+    "set_mac": StepSpec(_step_set_mac, _SET_INFO, keys=("mac",),
+                        palette=("mac",)),
+    "set_full_duplex": StepSpec(_step_set_full_duplex, _SET_INFO,
+                                keys=("enabled",)),
+    "enable_wol": StepSpec(_step_enable_wol, _SET_INFO),
+    "set_led": StepSpec(_step_set_led, _SET_INFO, keys=("mode",)),
 }
 
 
@@ -379,10 +420,23 @@ class ScenarioStep:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.op not in STEP_VOCABULARY:
+        spec = STEP_VOCABULARY.get(self.op)
+        if spec is None:
             raise ValueError("unknown step op %r" % (self.op,))
         # a step is a value: detach from the caller's mutable dict
         object.__setattr__(self, "params", dict(self.params))
+        # a typo would raise identically on both sides at run time and
+        # classify as a match, testing nothing: reject it here
+        missing = [key for key in spec.keys if key not in self.params]
+        if missing:
+            raise ValueError("step %r lacks params %s"
+                             % (self.op, ", ".join(missing)))
+        for key in spec.palette:
+            value = self.params.get(key, "station")
+            for kind in value if key == "groups" else (value,):
+                if kind not in DST_KINDS:
+                    raise ValueError("step %r: unknown %s kind %r"
+                                     % (self.op, key, kind))
 
     @property
     def requires(self):
@@ -405,12 +459,9 @@ class ScenarioStep:
 class ScenarioProgram:
     """A replayable workload: boot, then a fixed step list.
 
-    Duck-types the :class:`repro.validate.scenarios.Scenario` contract
-    (``name`` / ``description`` / ``requires`` / ``run``), so programs
-    flow through ``run_scenario`` and the differential machinery exactly
-    like catalog scenarios.  ``seed`` records how the program was
-    generated; replay never uses it -- the step list alone is the
-    program.
+    ``requires`` is derived from the steps' ops, never declared.
+    ``seed`` records how the program was generated; replay never uses
+    it -- the step list alone is the program.
     """
 
     name: str

@@ -9,7 +9,8 @@ layers:
 * :mod:`repro.validate.observe` -- the :class:`DriverUnderTest` facade
   that gives both sides one operation vocabulary, and the
   :class:`Observation` snapshot of externally visible behavior;
-* :mod:`repro.validate.scenarios` -- the workload catalog (UDP streams,
+* :mod:`repro.validate.scenarios` -- the workload catalog, one
+  :class:`~repro.net.traffic.ScenarioProgram` per scenario (UDP streams,
   bidirectional bursts, runt/oversize/bad-FCS frames, RX-ring overflow,
   filter mixes, link flaps, control plane);
 * :mod:`repro.validate.differ` -- field-by-field divergence semantics
@@ -35,8 +36,7 @@ from repro.validate.matrix import (EXPECTED_UNSUPPORTED, OS_ORDER,
 from repro.validate.observe import (PEER_MAC, VALIDATION_MAC,
                                     DriverUnderTest, Observation,
                                     OriginalDut, SynthesizedDut)
-from repro.validate.scenarios import CATALOG, SCENARIOS, Scenario, \
-    run_scenario
+from repro.validate.scenarios import CATALOG, SCENARIOS, run_scenario
 
 __all__ = [
     "COMPARED_FIELDS",
@@ -61,6 +61,5 @@ __all__ = [
     "SynthesizedDut",
     "CATALOG",
     "SCENARIOS",
-    "Scenario",
     "run_scenario",
 ]

@@ -159,10 +159,9 @@ def run_column(artifact, os_names, workloads, exec_backend="compiled"):
     points builds no DUT and yields ``baseline`` and ``outcome`` as
     ``None`` for every OS.  Otherwise the original binary runs it once
     (the baseline, shared by every OS), then one synthesized candidate
-    per OS, classified by :func:`classify_observations`.  Catalog
-    :class:`~repro.validate.scenarios.Scenario`\\ s and
-    :class:`~repro.net.traffic.ScenarioProgram`\\ s both pass through;
-    ``exec_backend`` names the execution tier on *both* sides.
+    per OS, classified by :func:`classify_observations`.  Workloads are
+    :class:`~repro.net.traffic.ScenarioProgram`\\ s; ``exec_backend``
+    names the execution tier on *both* sides.
     """
     driver = artifact.name
     supported = set(artifact.synthesized.entry_points)

@@ -1,227 +1,109 @@
 """The validation workload catalog.
 
-Each scenario is one deterministic driver workout: a fixed sequence of
-operations and wire traffic driven identically against the original binary
-(source OS) and the synthesized driver (each target OS).  The catalog goes
-deliberately beyond the paper's fixed-size UDP sweep -- adversarial RX
-(runts, oversize, corrupted FCS), bidirectional bursts, RX-ring overflow
-pressure, filter mixes and link flaps -- because functional equivalence is
-only as strong as the traffic it is checked under.
+Each scenario is one deterministic driver workout: a
+:class:`~repro.net.traffic.ScenarioProgram` driven identically against the
+original binary (source OS) and the synthesized driver (each target OS).
+The catalog goes deliberately beyond the paper's fixed-size UDP sweep --
+adversarial RX (runts, oversize, corrupted FCS), bidirectional bursts,
+RX-ring overflow pressure, filter mixes and link flaps -- because
+functional equivalence is only as strong as the traffic it is checked
+under.
 
-A scenario must be *deterministic*: no randomness, no timing dependence.
-``requires`` lists the entry-point roles beyond ``initialize``/``send``/
-``isr`` the scenario needs; the matrix skips scenarios the synthesized
-driver cannot host (e.g. artifacts produced by the reduced ``quick``
-exercise script carry no ``set_information`` entry point).
+A scenario's ``requires`` (the entry-point roles beyond ``initialize``/
+``send``/``isr`` it needs) is derived from its steps; the matrix skips
+scenarios the synthesized driver cannot host (e.g. artifacts produced by
+the reduced ``quick`` exercise script carry no ``set_information`` entry
+point).
 """
 
-from dataclasses import dataclass
-
 from repro.guestos.structures import PacketFilter
-from repro.net.traffic import (BidirectionalBurst, UdpWorkload,
-                               addressed_frame, frame_with_fcs,
-                               overflow_burst, oversize_frame,
-                               packet_size_sweep, runt_frame)
+from repro.net.traffic import ScenarioProgram, ScenarioStep
 
-#: A second multicast group outside the programmed list.
-_GROUP_IN = b"\x01\x00\x5e\x00\x00\x01"
-_GROUP_IN2 = b"\x01\x00\x5e\x00\x00\x17"
-_GROUP_OUT = b"\x01\x00\x5e\x7f\x00\x42"
-_BROADCAST = b"\xff" * 6
-_OTHER_UNICAST = b"\x02\x99\x02\x99\x02\x99"
+_DIRECTED = PacketFilter.DIRECTED
 
 
-@dataclass(frozen=True)
-class Scenario:
-    """One catalog entry."""
-
-    name: str
-    description: str
-    run: callable
-    #: entry-point roles needed beyond initialize/send/isr
-    requires: tuple = ()
+def _program(name, description, *steps):
+    return ScenarioProgram(name=name, description=description,
+                           steps=tuple(ScenarioStep(op, params)
+                                       for op, params in steps))
 
 
-# -- data path -------------------------------------------------------------
-
-def _boot_probe(dut):
-    """Init, control-plane queries, clean shutdown."""
-    dut.boot()
-    dut.query_mac()
-    dut.query_link_speed()
-    dut.shutdown()
+def _tagged(dst, tag):
+    return ("inject_tagged", {"dst": dst, "tag": tag})
 
 
-def _udp_stream(dut):
-    """The paper's workload: unidirectional UDP at several sizes."""
-    dut.boot()
-    for size in (64, 256, 1000):
-        workload = UdpWorkload(dut.mac, dut.peer, size)
-        for frame in workload.frames(2):
-            dut.send(frame.to_bytes())
+def _filter(flags):
+    return ("set_filter", {"flags": int(flags)})
 
 
-def _udp_extremes(dut):
-    """Smallest and largest legal UDP payloads from the sweep."""
-    dut.boot()
-    sizes = packet_size_sweep()
-    for size in (sizes[0], sizes[-1], 18):
-        workload = UdpWorkload(dut.mac, dut.peer, size)
-        dut.send(workload.next_frame().to_bytes())
-
-
-def _bidirectional_burst(dut):
-    """Interleaved TX/RX bursts (full-duplex traffic mix)."""
-    dut.boot()
-    for kind, frame in BidirectionalBurst(dut.mac, dut.peer).events():
-        if kind == "tx":
-            dut.send(frame)
-        else:
-            dut.inject(frame)
-
-
-# -- adversarial RX --------------------------------------------------------
-
-def _runt_oversize_rx(dut):
-    """Runt and oversize wire frames, then a normal one to prove the
-    driver survived."""
-    dut.boot()
-    dut.inject(runt_frame(dut.mac, dut.peer, total_length=24))
-    dut.inject(runt_frame(dut.mac, dut.peer, total_length=59, seed=9))
-    dut.inject(oversize_frame(dut.mac, dut.peer, payload_length=1600))
-    dut.inject(addressed_frame(dut.mac, dut.peer, tag=1))
-
-
-def _bad_crc_rx(dut):
-    """Frames carrying a trailing FCS -- one valid, one corrupted."""
-    dut.boot()
-    base = addressed_frame(dut.mac, dut.peer, tag=2)
-    dut.inject(frame_with_fcs(base))
-    dut.inject(frame_with_fcs(addressed_frame(dut.mac, dut.peer, tag=3),
-                              corrupt=True))
-    dut.inject(addressed_frame(dut.mac, dut.peer, tag=4))
-
-
-def _rx_overflow(dut):
-    """Back-to-back RX pressure without interrupt service: overruns any
-    bounded RX ring, then drains and resumes."""
-    dut.boot()
-    for frame in overflow_burst(dut.peer, dut.mac, count=40,
-                                payload_size=300):
-        dut.inject_quiet(frame)
-    dut.service()
-    dut.inject(addressed_frame(dut.mac, dut.peer, tag=5))
-    dut.inject(addressed_frame(dut.mac, dut.peer, tag=6))
-
-
-# -- filtering -------------------------------------------------------------
-
-def _filter_mix(dut):
-    """Multicast list plus packet-filter mixes, including promiscuous."""
-    dut.boot()
-    probes = [
-        addressed_frame(dut.mac, dut.peer, tag=10),
-        addressed_frame(_OTHER_UNICAST, dut.peer, tag=11),
-        addressed_frame(_GROUP_IN, dut.peer, tag=12),
-        addressed_frame(_GROUP_IN2, dut.peer, tag=13),
-        addressed_frame(_GROUP_OUT, dut.peer, tag=14),
-        addressed_frame(_BROADCAST, dut.peer, tag=15),
-    ]
-    dut.set_multicast_list([_GROUP_IN, _GROUP_IN2])
-    dut.set_packet_filter(PacketFilter.DIRECTED | PacketFilter.MULTICAST)
-    for frame in probes:
-        dut.inject(frame)
-    dut.set_packet_filter(PacketFilter.DIRECTED | PacketFilter.BROADCAST)
-    for frame in probes:
-        dut.inject(frame)
-    dut.set_packet_filter(PacketFilter.DIRECTED | PacketFilter.PROMISCUOUS)
-    for frame in probes:
-        dut.inject(frame)
-
-
-def _promiscuous_churn(dut):
-    """Toggle promiscuous mode around traffic (filter state machine)."""
-    dut.boot()
-    stranger = addressed_frame(_OTHER_UNICAST, dut.peer, tag=20)
-    dut.inject(stranger)
-    dut.set_packet_filter(PacketFilter.DIRECTED | PacketFilter.PROMISCUOUS)
-    dut.inject(stranger)
-    dut.set_packet_filter(PacketFilter.DIRECTED)
-    dut.inject(stranger)
-    dut.inject(addressed_frame(dut.mac, dut.peer, tag=21))
-
-
-# -- lifecycle under traffic ----------------------------------------------
-
-def _link_flap(dut):
-    """Cable pull mid-burst: traffic into a downed link vanishes, the
-    driver is reset, traffic resumes."""
-    dut.boot()
-    workload = UdpWorkload(dut.mac, dut.peer, 200)
-    for frame in workload.frames(2):
-        dut.send(frame.to_bytes())
-    dut.set_link(False)
-    for frame in workload.frames(2):
-        dut.send(frame.to_bytes())
-    dut.inject(addressed_frame(dut.mac, dut.peer, tag=30))
-    dut.set_link(True)
-    dut.reset()
-    for frame in workload.frames(2):
-        dut.send(frame.to_bytes())
-    dut.inject(addressed_frame(dut.mac, dut.peer, tag=31))
-
-
-def _control_plane(dut):
-    """MAC rewrite, duplex, Wake-on-LAN, LED: the Table 2 control
-    surface under differential comparison."""
-    dut.boot()
-    new_mac = b"\x52\x54\x00\x01\x02\x03"
-    dut.set_mac(new_mac)
-    dut.query_mac()
-    dut.inject(addressed_frame(new_mac, dut.peer, tag=40))
-    dut.inject(addressed_frame(dut.mac, dut.peer, tag=41))
-    dut.set_full_duplex(True)
-    dut.enable_wake_on_lan()
-    dut.set_led(2)
-    dut.send(UdpWorkload(new_mac, dut.peer, 128).next_frame().to_bytes())
+#: One frame to each palette address: what every filter setting decides.
+_FILTER_PROBES = tuple(_tagged(dst, tag) for tag, dst in enumerate(
+    ("station", "stranger", "multicast_a", "multicast_b", "multicast_out",
+     "broadcast"), start=10))
 
 
 #: The catalog, in deterministic execution order.
 SCENARIOS = (
-    Scenario("boot_probe",
+    _program("boot_probe",
              "init, MAC + link-speed queries, clean shutdown",
-             _boot_probe, requires=("query_information", "halt")),
-    Scenario("udp_stream",
+             ("query_mac", {}), ("query_link_speed", {}), ("shutdown", {})),
+    _program("udp_stream",
              "unidirectional UDP at 64/256/1000-byte payloads",
-             _udp_stream),
-    Scenario("udp_extremes",
+             *(("send_burst", {"size": size, "count": 2})
+               for size in (64, 256, 1000))),
+    _program("udp_extremes",
              "smallest and largest legal UDP payloads",
-             _udp_extremes),
-    Scenario("bidirectional_burst",
+             *(("send_burst", {"size": size, "count": 1})
+               for size in (64, 1472, 18))),
+    _program("bidirectional_burst",
              "interleaved TX/RX bursts (full-duplex mix)",
-             _bidirectional_burst),
-    Scenario("runt_oversize_rx",
+             ("bidirectional", {"size": 128, "rounds": 4,
+                                "pattern": [1, 3, 2]})),
+    _program("runt_oversize_rx",
              "runt and oversize wire frames, then recovery",
-             _runt_oversize_rx),
-    Scenario("bad_crc_rx",
+             ("inject_runt", {"length": 24}),
+             ("inject_runt", {"length": 59, "seed": 9}),
+             ("inject_oversize", {"length": 1600}),
+             _tagged("station", 1)),
+    _program("bad_crc_rx",
              "frames with valid and corrupted trailing FCS",
-             _bad_crc_rx),
-    Scenario("rx_overflow",
+             ("inject_fcs", {"tag": 2, "corrupt": False}),
+             ("inject_fcs", {"tag": 3, "corrupt": True}),
+             _tagged("station", 4)),
+    _program("rx_overflow",
              "40-frame quiet burst overruns the RX ring, then drains",
-             _rx_overflow),
-    Scenario("filter_mix",
+             ("quiet_burst", {"size": 300, "count": 40}), ("service", {}),
+             _tagged("station", 5), _tagged("station", 6)),
+    _program("filter_mix",
              "multicast list x packet-filter combinations",
-             _filter_mix, requires=("set_information",)),
-    Scenario("promiscuous_churn",
+             ("set_multicast", {"groups": ["multicast_a", "multicast_b"]}),
+             _filter(_DIRECTED | PacketFilter.MULTICAST), *_FILTER_PROBES,
+             _filter(_DIRECTED | PacketFilter.BROADCAST), *_FILTER_PROBES,
+             _filter(_DIRECTED | PacketFilter.PROMISCUOUS),
+             *_FILTER_PROBES),
+    _program("promiscuous_churn",
              "promiscuous toggled around a stranger's traffic",
-             _promiscuous_churn, requires=("set_information",)),
-    Scenario("link_flap",
+             _tagged("stranger", 20),
+             _filter(_DIRECTED | PacketFilter.PROMISCUOUS),
+             _tagged("stranger", 20), _filter(_DIRECTED),
+             _tagged("stranger", 20), _tagged("station", 21)),
+    _program("link_flap",
              "cable pull mid-burst, reset, resume",
-             _link_flap, requires=("reset",)),
-    Scenario("control_plane",
+             # one UDP stream, continued across the three bursts
+             ("send_burst", {"size": 200, "count": 2}),
+             ("set_link", {"up": False}),
+             ("send_burst", {"size": 200, "count": 2, "first": 2}),
+             _tagged("station", 30), ("set_link", {"up": True}),
+             ("reset", {}),
+             ("send_burst", {"size": 200, "count": 2, "first": 4}),
+             _tagged("station", 31)),
+    _program("control_plane",
              "MAC rewrite, duplex, WoL, LED control",
-             _control_plane,
-             requires=("set_information", "query_information")),
+             ("set_mac", {"mac": "relocated"}), ("query_mac", {}),
+             _tagged("relocated", 40), _tagged("station", 41),
+             ("set_full_duplex", {"enabled": True}), ("enable_wol", {}),
+             ("set_led", {"mode": 2}),
+             ("send_burst", {"size": 128, "count": 1, "src": "relocated"})),
 )
 
 CATALOG = {scenario.name: scenario for scenario in SCENARIOS}

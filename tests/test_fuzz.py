@@ -33,6 +33,25 @@ class TestStepFormalization:
         with pytest.raises(ValueError, match="unknown step op"):
             ScenarioStep(op="warp_core_breach")
 
+    @pytest.mark.parametrize("op,params,message", [
+        ("inject_tagged", {"dst": "statoin", "tag": 1}, "unknown dst"),
+        ("send_burst", {"size": 64, "count": 1, "src": "relocate"},
+         "unknown src"),
+        ("set_mac", {"mac": "strangers"}, "unknown mac"),
+        ("set_multicast", {"groups": ["multicast_a", "multicast_c"]},
+         "unknown groups"),
+        ("send_burst", {"size": 64}, "lacks params count"),
+        ("inject_fcs", {"tag": 1}, "lacks params corrupt"),
+    ])
+    def test_malformed_params_rejected_at_construction(self, op, params,
+                                                       message):
+        """A typo would raise on both sides at run time and classify as
+        a match; it is rejected when the step is built instead."""
+        with pytest.raises(ValueError, match=message):
+            ScenarioStep(op, params)
+        with pytest.raises(ValueError, match=message):
+            ScenarioStep.from_list([op, params])
+
     def test_step_round_trips(self):
         step = ScenarioStep(op="send_burst", params={"size": 64, "count": 2})
         assert ScenarioStep.from_list(step.to_list()) == step

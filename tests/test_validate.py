@@ -1,9 +1,13 @@
 """Unit and integration tests for the differential validation matrix."""
 
+import json
+
 import pytest
 
 from repro.eval.runner import get_cache
 from repro.eval.tables import validation_matrix_render
+from repro.fuzz.differential import replay_program
+from repro.net.traffic import ScenarioProgram, ScenarioStep
 from repro.validate import (CATALOG, SCENARIOS, MatrixResult, OriginalDut,
                             SynthesizedDut, ValidationMatrix,
                             compare_observations, compute_column,
@@ -53,6 +57,34 @@ class TestCatalog:
         for scenario in SCENARIOS:
             assert set(scenario.requires) <= roles, scenario.name
 
+    def test_derived_requires_match_the_former_declarations(self):
+        """Each entry's roles, derived from its steps, equal the table
+        the catalog used to declare by hand (in the catalog's order)."""
+        declared = {
+            "boot_probe": {"query_information", "halt"},
+            "udp_stream": set(),
+            "udp_extremes": set(),
+            "bidirectional_burst": set(),
+            "runt_oversize_rx": set(),
+            "bad_crc_rx": set(),
+            "rx_overflow": set(),
+            "filter_mix": {"set_information"},
+            "promiscuous_churn": {"set_information"},
+            "link_flap": {"reset"},
+            "control_plane": {"set_information", "query_information"},
+        }
+        assert [s.name for s in SCENARIOS] == list(declared)
+        for scenario in SCENARIOS:
+            assert set(scenario.requires) == declared[scenario.name]
+
+    def test_entries_round_trip_through_json(self):
+        for scenario in SCENARIOS:
+            assert isinstance(scenario, ScenarioProgram)
+            text = scenario.to_json()
+            again = ScenarioProgram.from_json(text)
+            assert again == scenario, scenario.name
+            assert again.to_json() == text
+
 
 # ==========================================================================
 # Observations and comparison
@@ -78,16 +110,24 @@ class TestObservations:
 
     def test_scenario_exception_is_an_observation(self, rtl8029_artifact):
         """ucsim refuses DMA drivers via TemplateError -- captured, not
-        raised (rtl8029 itself works there, so synthesize a failure)."""
+        raised (rtl8029 itself works there, so synthesize a failure: a
+        100-byte frame is no runt, and building it raises)."""
         dut = SynthesizedDut(rtl8029_artifact, "ucsim")
-
-        def boom(_dut):
-            raise ValueError("boom")
-
-        scenario = type(SCENARIOS[0])(name="boom", description="x",
-                                      run=boom)
-        obs = run_scenario(dut, scenario)
+        program = ScenarioProgram(name="boom", steps=(
+            ScenarioStep("inject_runt", {"length": 100}),))
+        obs = run_scenario(dut, program)
         assert not obs.ok and obs.error == "ValueError"
+        assert obs.statuses[0][0] == "boot"
+
+    def test_catalog_scenario_replays_from_json(self, rtl8029_artifact):
+        """A matrix scenario is a fuzz-replayable program: its JSON alone
+        replays it differentially."""
+        data = json.loads(CATALOG["udp_stream"].to_json())
+        runs = replay_program(data, "rtl8029", ("winsim", "linsim"),
+                              rtl8029_artifact)
+        assert [(r.target_os, r.verdict) for r in runs] == [
+            ("winsim", "match"), ("linsim", "match")]
+        assert all(r.program_name == "udp_stream" for r in runs)
 
 
 # ==========================================================================

@@ -27,21 +27,30 @@ cold store is filled once)::
                                seed 7),
               "fuzz": sha256(canonical_fuzz_json of a two-round
                              campaign from the CI fuzz job's seed,
-                             base_seed 12648430, 3 programs a round)}}
+                             base_seed 12648430, 3 programs a round),
+              "observations": sha256(canonical JSON of the list of every
+                                     original-binary baseline
+                                     Observation.to_dict() that run_column
+                                     yields over the catalog, drivers in
+                                     sorted order)}}
 
 The artifact, fabric and fuzz digests hash each document's canonical
 form, which drops its top-level ``volatile`` section (wall clock,
 throughput, scheduler mode); the matrix has no document of its own, so
 its summary's one timing, ``wall_seconds``, is left out here.
 
-The matrix document covers what every cell saw -- each scenario's
-verdict, divergences and candidate error -- so a change that moves a
-cell's observations without flipping a verdict moves the digest (the
-benchmark's ``matrix_warm`` pass digests only the summary).  The fabric
-document is the one the benchmark's ``fabric_saturation`` pass
-digests, so a change to the guest VM can show its matrix observations
-and fabric reports are byte-identical; the fuzz digest covers the
-differential fuzzer's campaign bytes the same way.
+The matrix document covers every cell's verdicts -- each scenario's
+verdict, divergences and candidate error -- but not the observations
+themselves: a matched scenario records neither side's.  The
+``observations`` section covers them: a matched candidate saw what its
+baseline saw, so together with the cells it pins what every side of the
+matrix saw (the benchmark's ``matrix_warm`` pass digests only the
+summary).  The baseline is shared by every target OS, so the section
+runs the column on the first OS alone and each baseline counts once.
+The fabric document is the one the benchmark's ``fabric_saturation``
+pass digests, so a change to the guest VM can show its matrix
+observations and fabric reports are byte-identical; the fuzz digest
+covers the differential fuzzer's campaign bytes the same way.
 
 Usage:
     PYTHONPATH=src python tools/artifact_digests.py [--warm] [--out FILE]
@@ -60,7 +69,7 @@ import os
 import subprocess
 import sys
 
-WARM_SECTIONS = ("fabric", "fuzz", "matrix")
+WARM_SECTIONS = ("fabric", "fuzz", "matrix", "observations")
 FABRIC_ENDPOINTS = 64
 FABRIC_SEED = 7
 #: The CI fuzz job's campaign, cut to two rounds.
@@ -86,8 +95,8 @@ def driver_digests(name):
 
 
 def warm_digest(section):
-    """Digest of one warm ``section`` (``matrix``, ``fabric`` or
-    ``fuzz``), computed in-process over the default artifact store."""
+    """Digest of one warm ``section`` (one of :data:`WARM_SECTIONS`),
+    computed in-process over the default artifact store."""
     from repro.pipeline.artifact import canonical_dumps
     from repro.pipeline.orchestrator import PipelineOrchestrator
 
@@ -103,6 +112,18 @@ def warm_digest(section):
                  for _key, cell in sorted(result.cells.items())]
         return _sha256(canonical_dumps({"cells": cells,
                                         "summary": summary}))
+    if section == "observations":
+        from repro.drivers import DRIVERS
+        from repro.validate.matrix import OS_ORDER, run_column
+        from repro.validate.scenarios import SCENARIOS
+
+        observations = [
+            baseline.to_dict()
+            for driver in sorted(DRIVERS)
+            for _workload, _os, baseline, _outcome in run_column(
+                orchestrator.run(driver), OS_ORDER[:1], SCENARIOS)
+            if baseline is not None]
+        return _sha256(canonical_dumps(observations))
     if section == "fuzz":
         from repro.fuzz.artifact import canonical_fuzz_json
         from repro.fuzz.engine import run_fuzz
@@ -166,9 +187,9 @@ def main(argv=None):
     parser.add_argument("--check", metavar="FILE",
                         help="compare against digests written earlier")
     parser.add_argument("--warm", action="store_true",
-                        help="digest the warm validation matrix, fabric "
-                             "and fuzz campaign instead of the driver "
-                             "artifacts")
+                        help="digest the warm validation matrix, its "
+                             "baseline observations, the fabric and a fuzz "
+                             "campaign instead of the driver artifacts")
     parser.add_argument("--driver", help=argparse.SUPPRESS)
     parser.add_argument("--warm-section", choices=WARM_SECTIONS,
                         help=argparse.SUPPRESS)
