@@ -9,14 +9,16 @@ replayable cross-traffic (:mod:`~repro.net.fabric.workloads`) under a
 batched event-driven scheduler (:mod:`~repro.net.fabric.fleet`), with
 every run recorded as a canonical content-addressed report
 (:mod:`~repro.net.fabric.report`) and the switch's transparency to any
-single driver checked differentially (:mod:`~repro.net.fabric.mirror`).
+single driver checked differentially (:mod:`~repro.net.fabric.mirror`:
+any scenario program runs unchanged on a DUT whose wire crosses a
+2-port switch, and must observe what it observes on a dedicated
+medium).
 """
 
-from repro.net.fabric.endpoint import (FabricEndpoint, HostEndpoint,
-                                       fabric_mac)
+from repro.net.fabric.endpoint import FabricEndpoint, fabric_mac
 from repro.net.fabric.fleet import (EndpointSpec, FabricRun, build_fleet,
                                     fleet_specs, run_fleet)
-from repro.net.fabric.mirror import (REMOTE_OPS, mirror_verdict,
+from repro.net.fabric.mirror import (SwitchedDut, mirror_verdict,
                                      run_mirrored_program)
 from repro.net.fabric.report import (FABRIC_SCHEMA_VERSION, build_report,
                                      canonical_fabric_json, fabric_key,
@@ -28,9 +30,9 @@ from repro.net.fabric.workloads import (WORKLOADS, EndpointProgram,
                                         FleetWorkload, build_workload)
 
 __all__ = [
-    "FabricEndpoint", "HostEndpoint", "fabric_mac",
+    "FabricEndpoint", "fabric_mac",
     "EndpointSpec", "FabricRun", "build_fleet", "fleet_specs", "run_fleet",
-    "REMOTE_OPS", "mirror_verdict", "run_mirrored_program",
+    "SwitchedDut", "mirror_verdict", "run_mirrored_program",
     "FABRIC_SCHEMA_VERSION", "build_report", "canonical_fabric_json",
     "fabric_key", "fabric_to_json", "load_fabric_report",
     "save_fabric_report",

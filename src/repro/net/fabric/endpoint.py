@@ -1,4 +1,4 @@
-"""Fabric endpoints: synthesized drivers (and host stand-ins) as ports.
+"""Fabric endpoints: synthesized drivers as switch ports.
 
 A :class:`FabricEndpoint` wraps a :class:`~repro.validate.observe`
 ``DriverUnderTest`` -- in the fleet, always a synthesized driver in a
@@ -15,8 +15,8 @@ target-OS template -- and adapts it to the switch's port contract:
   check asserts;
 * **run_due** executes the endpoint's scheduled traffic-program steps.
 
-:class:`HostEndpoint` is the driverless counterpart -- a pure frame
-source/sink used by the mirror harness and the switch tests.
+The mirror (:mod:`~repro.net.fabric.mirror`) reuses harvest, deliver and
+the observation outside the fleet, with no program of its own.
 """
 
 import hashlib
@@ -158,46 +158,3 @@ class FabricEndpoint:
             record["instrs_retired"] = runtime.env.instrs_retired
             record["calls"] = dict(sorted(runtime.call_counts.items()))
         return record
-
-
-class HostEndpoint:
-    """A driverless frame source/sink port (mirror harness and tests)."""
-
-    def __init__(self, index, mac):
-        self.index = index
-        self.mac = bytes(mac)
-        self._outbox = []
-        self.received = []
-        self.rx_frames = 0
-        self.tx_frames = 0
-        self.steps_run = 0
-
-    def boot(self):
-        pass
-
-    def due_tick(self):
-        return None
-
-    def last_tick(self):
-        return None
-
-    def run_due(self, tick):
-        return 0
-
-    def queue(self, frame_bytes):
-        """Stage a frame for transmission at the next harvest."""
-        self._outbox.append(bytes(frame_bytes))
-
-    def harvest(self):
-        frames, self._outbox = self._outbox, []
-        self.tx_frames += len(frames)
-        return frames
-
-    def deliver(self, frames, quiet=False):
-        self.received.extend(frames)
-        self.rx_frames += len(frames)
-
-    def counters(self):
-        return {"index": self.index, "mac": self.mac.hex(), "host": True,
-                "steps": self.steps_run, "tx_frames": self.tx_frames,
-                "rx_frames": self.rx_frames}

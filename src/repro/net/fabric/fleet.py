@@ -23,8 +23,7 @@ import time
 from dataclasses import dataclass
 
 from repro.net.fabric.endpoint import FabricEndpoint, fabric_mac
-from repro.net.fabric.switch import (DEFAULT_MAC_AGE, DEFAULT_QUEUE_DEPTH,
-                                     SwitchNode)
+from repro.net.fabric.switch import DEFAULT_QUEUE_DEPTH, SwitchNode
 
 _MODES = ("batched", "lockstep")
 
@@ -109,17 +108,12 @@ class FabricRun:
     reads them); everything driver-visible is mode-invariant.
     """
 
-    def __init__(self, endpoints, switch=None, mode=None,
-                 queue_depth=None, mac_age=DEFAULT_MAC_AGE):
+    def __init__(self, endpoints, mode=None, queue_depth=None):
         self.endpoints = list(endpoints)
         if queue_depth is None:
             queue_depth = DEFAULT_QUEUE_DEPTH
-        self.switch = switch or SwitchNode(
-            len(self.endpoints), queue_depth=queue_depth, mac_age=mac_age)
-        if len(self.switch.ports) != len(self.endpoints):
-            raise ValueError("switch has %d ports for %d endpoints"
-                             % (len(self.switch.ports),
-                                len(self.endpoints)))
+        self.switch = SwitchNode(len(self.endpoints),
+                                 queue_depth=queue_depth)
         mode = mode or "batched"
         if mode not in _MODES:
             raise ValueError("unknown fabric mode %r (have: %s)"
@@ -240,14 +234,13 @@ class FabricRun:
 
 def run_fleet(workload, orchestrator=None, specs=None, drivers=None,
               os_names=None, backends=("compiled",), mode=None,
-              queue_depth=None, mac_age=DEFAULT_MAC_AGE):
+              queue_depth=None):
     """Build the fleet for ``workload``, run it, and return the report."""
     from repro.net.fabric.report import build_report
 
     endpoints = build_fleet(workload, orchestrator=orchestrator,
                             specs=specs, drivers=drivers,
                             os_names=os_names, backends=backends)
-    run = FabricRun(endpoints, mode=mode, queue_depth=queue_depth,
-                    mac_age=mac_age)
+    run = FabricRun(endpoints, mode=mode, queue_depth=queue_depth)
     run.run()
     return build_report(workload, endpoints, run)

@@ -4,140 +4,79 @@ The fabric's correctness claim is that sitting behind a switch is
 invisible to a driver: the same scenario program produces the same
 observation whether the endpoint owns a point-to-point
 :class:`~repro.net.medium.Medium` or shares a switched segment.
-:func:`run_mirrored_program` makes that checkable -- it replays a
-program against a DUT on a 2-port fabric, carrying every wire-side
-arrival across the switch from a host port (byte-identical frames to
-what the step executor would inject) and harvesting every DUT transmit
-through the switch to the host.  Driver-local steps run unchanged.
+:func:`run_mirrored_program` makes that checkable -- it runs a program
+with :func:`~repro.validate.scenarios.run_scenario` against a
+:class:`SwitchedDut`, a DUT whose wire crosses a 2-port switch: every
+wire-side arrival enters at the host port and reaches the driver through
+the switch, and every transmit is harvested through the switch to the
+host.  The step executors are the vocabulary's own, so every op --
+current or future -- crosses the switch with no mirror-side code.
 
 :func:`mirror_verdict` then classifies the fabric observation against
 the dedicated-medium run of the same program with the shared divergence
 semantics -- the acceptance gate asserts ``match`` (equivalent).
 """
 
-from repro.net.fabric.endpoint import FabricEndpoint, HostEndpoint
+from repro.net.fabric.endpoint import FabricEndpoint
 from repro.net.fabric.switch import SwitchNode
-from repro.net.traffic import (BidirectionalBurst, UdpWorkload,
-                               addressed_frame, frame_with_fcs,
-                               overflow_burst, oversize_frame, resolve_dst,
-                               runt_frame)
 
-#: Vocabulary ops whose traffic arrives *from the wire*: in the mirror
-#: these frames originate at the host port and cross the switch.  Every
-#: other op is driver-local and executes unchanged.
-REMOTE_OPS = frozenset({"inject_burst", "quiet_burst", "inject_tagged",
-                        "inject_runt", "inject_oversize", "inject_fcs",
-                        "bidirectional"})
+#: Egress queue depth of the mirror's switch: each arrival is drained
+#: at once, so no program comes near it.
+MIRROR_QUEUE_DEPTH = 4096
+#: Effectively infinite: the mirror has no logical clock, and a
+#: dedicated medium never forgets its peer either.
+MIRROR_MAC_AGE = 1 << 30
+
+_DUT_PORT, _HOST_PORT = 0, 1
 
 
-def _remote_events(step, dut):
-    """The step's wire-side schedule as ``(kind, frame)`` events.
+class SwitchedDut:
+    """``dut`` on port 0 of a 2-port switch whose port 1 is the host.
 
-    ``kind`` is ``"rx"`` (normal arrival: inject + service), ``"rx-quiet"``
-    (no service) or ``"tx"`` (driver-local send, only from
-    ``bidirectional``).  Frame bytes are generated exactly as the
-    :mod:`repro.net.traffic` executors generate them, so the fabric
-    delivery is byte-identical to the dedicated-medium injection.
+    Only the wire is re-routed: :meth:`inject` and :meth:`inject_quiet`
+    carry the frame from the host port across the switch, :meth:`send`
+    harvests the transmit across it to the host (a pure sink), and
+    :meth:`observation` restores the harvested wire history.  Every
+    other attribute is the wrapped DUT's.
     """
-    op, p = step.op, step.params
-    if op == "inject_burst":
-        workload = UdpWorkload(dut.peer, dut.mac, p["size"],
-                               src_ip=b"\x0a\x00\x00\x02",
-                               dst_ip=b"\x0a\x00\x00\x01",
-                               src_port=9001, dst_port=9000)
-        return [("rx", frame.to_bytes())
-                for frame in workload.frames(p["count"])]
-    if op == "quiet_burst":
-        return [("rx-quiet", frame)
-                for frame in overflow_burst(dut.peer, dut.mac,
-                                            count=p["count"],
-                                            payload_size=p["size"])]
-    if op == "inject_tagged":
-        return [("rx", addressed_frame(resolve_dst(p["dst"], dut),
-                                       dut.peer, tag=p["tag"]))]
-    if op == "inject_runt":
-        return [("rx", runt_frame(dut.mac, dut.peer,
-                                  total_length=p["length"],
-                                  seed=p.get("seed", 0)))]
-    if op == "inject_oversize":
-        return [("rx", oversize_frame(dut.mac, dut.peer,
-                                      payload_length=p["length"],
-                                      seed=p.get("seed", 0)))]
-    if op == "inject_fcs":
-        base = addressed_frame(dut.mac, dut.peer, tag=p["tag"])
-        return [("rx", frame_with_fcs(base, corrupt=bool(p["corrupt"])))]
-    if op == "bidirectional":
-        burst = BidirectionalBurst(dut.mac, dut.peer,
-                                   payload_size=p["size"],
-                                   rounds=p["rounds"],
-                                   pattern=tuple(p["pattern"]))
-        return [("tx" if kind == "tx" else "rx", frame)
-                for kind, frame in burst.events()]
-    raise ValueError("op %r has no wire-side schedule" % (op,))
+
+    def __init__(self, dut):
+        self.switch = SwitchNode(2, queue_depth=MIRROR_QUEUE_DEPTH,
+                                 mac_age=MIRROR_MAC_AGE)
+        self.endpoint = FabricEndpoint(_DUT_PORT, dut)
+
+    def __getattr__(self, name):
+        return getattr(self.endpoint.dut, name)
+
+    def _arrive(self, frame, quiet):
+        self.switch.switch_batch(_HOST_PORT, [frame])
+        self.endpoint.deliver(self.switch.drain(_DUT_PORT), quiet=quiet)
+
+    def inject(self, frame_bytes):
+        self._arrive(frame_bytes, quiet=False)
+
+    def inject_quiet(self, frame_bytes):
+        self._arrive(frame_bytes, quiet=True)
+
+    def send(self, frame_bytes):
+        status = self.endpoint.dut.send(frame_bytes)
+        self.switch.switch_batch(_DUT_PORT, self.endpoint.harvest())
+        self.switch.drain(_HOST_PORT)
+        return status
+
+    def observation(self, scenario, ok=True, error=""):
+        return self.endpoint.observation(scenario, ok=ok, error=error)
 
 
-class MirrorRun:
-    """A 2-port fabric hosting one DUT endpoint and one host port."""
-
-    def __init__(self, dut, queue_depth=4096):
-        # mac_age effectively infinite: the mirror has no logical clock,
-        # and a dedicated medium never forgets its peer either.
-        self.switch = SwitchNode(2, queue_depth=queue_depth,
-                                 mac_age=1 << 30)
-        self.endpoint = FabricEndpoint(0, dut)
-        self.host = HostEndpoint(1, dut.peer)
-        self.dut = dut
-
-    def _pump_tx(self):
-        """Carry freshly transmitted DUT frames across the switch."""
-        frames = self.endpoint.harvest()
-        if frames:
-            self.switch.switch_batch(0, frames)
-            self.host.deliver(self.switch.drain(1))
-            # A DUT transmit can only reach the host port; anything the
-            # switch reflected to port 0 would break the mirror.
-            assert not self.switch.drain(0)
-
-    def _carry_rx(self, frame, quiet):
-        """One wire-side arrival: host port -> switch -> DUT port."""
-        self.host.queue(frame)
-        self.switch.switch_batch(1, self.host.harvest())
-        self.endpoint.deliver(self.switch.drain(0), quiet=quiet)
-
-    def run(self, program):
-        """Replay ``program``; returns the fabric-side observation.
-
-        Same exception discipline as
-        :func:`repro.validate.scenarios.run_scenario`: a raising driver
-        call is recorded in the observation, not propagated.
-        """
-        try:
-            self.dut.boot()
-            for step in program.steps:
-                if step.op in REMOTE_OPS:
-                    for kind, frame in _remote_events(step, self.dut):
-                        if kind == "tx":
-                            self.dut.send(frame)
-                            self._pump_tx()
-                        else:
-                            self._carry_rx(frame, quiet=(kind == "rx-quiet"))
-                else:
-                    step.execute(self.dut)
-                self._pump_tx()
-        except Exception as exc:  # noqa: BLE001 -- behavior, not plumbing
-            self._pump_tx()
-            return self.endpoint.observation(program.name, ok=False,
-                                             error=type(exc).__name__)
-        return self.endpoint.observation(program.name)
-
-
-def run_mirrored_program(dut, program, queue_depth=4096):
+def run_mirrored_program(dut, program):
     """Run ``program`` with ``dut`` behind a 2-port switch; returns the
     fabric-side :class:`~repro.validate.observe.Observation`."""
-    return MirrorRun(dut, queue_depth=queue_depth).run(program)
+    from repro.validate.scenarios import run_scenario
+
+    return run_scenario(SwitchedDut(dut), program)
 
 
-def mirror_verdict(make_dut, program, queue_depth=4096):
+def mirror_verdict(make_dut, program):
     """Classify fabric vs dedicated-medium observations for one DUT.
 
     ``make_dut`` is a zero-argument factory (each side needs a fresh
@@ -149,7 +88,6 @@ def mirror_verdict(make_dut, program, queue_depth=4096):
     from repro.validate.scenarios import run_scenario
 
     dedicated = run_scenario(make_dut(), program)
-    mirrored = run_mirrored_program(make_dut(), program,
-                                    queue_depth=queue_depth)
+    mirrored = run_mirrored_program(make_dut(), program)
     return (classify_observations(dedicated, mirrored), dedicated,
             mirrored)

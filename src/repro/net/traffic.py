@@ -363,13 +363,14 @@ def _step_set_led(dut, p):
 class StepSpec:
     """One vocabulary op: its executor, the entry-point roles (beyond
     initialize/send/isr) a driver must carry to run it, the parameter
-    ``keys`` every step of the op must carry, and the ``palette`` keys
-    whose values name :data:`DST_KINDS` entries (a list of them for
-    ``groups``)."""
+    ``keys`` every step of the op must carry, the ``optional`` keys it
+    may carry, and the ``palette`` keys whose values name
+    :data:`DST_KINDS` entries (a list of them for ``groups``)."""
 
     execute: callable
     requires: tuple = ()
     keys: tuple = ()
+    optional: tuple = ()
     palette: tuple = ()
 
 
@@ -381,15 +382,17 @@ _QUERY_INFO = ("query_information",)
 #: new fuzz strategy needs: generators emit (op, params), replay runs it.
 STEP_VOCABULARY = {
     "send_burst": StepSpec(_step_send_burst, keys=("size", "count"),
-                           palette=("src",)),
+                           optional=("first", "src"), palette=("src",)),
     "send_to": StepSpec(_step_send_to, keys=("dst", "size", "count")),
     "inject_burst": StepSpec(_step_inject_burst, keys=("size", "count")),
     "quiet_burst": StepSpec(_step_quiet_burst, keys=("size", "count")),
     "service": StepSpec(_step_service),
     "inject_tagged": StepSpec(_step_inject_tagged, keys=("dst", "tag"),
                               palette=("dst",)),
-    "inject_runt": StepSpec(_step_inject_runt, keys=("length",)),
-    "inject_oversize": StepSpec(_step_inject_oversize, keys=("length",)),
+    "inject_runt": StepSpec(_step_inject_runt, keys=("length",),
+                            optional=("seed",)),
+    "inject_oversize": StepSpec(_step_inject_oversize, keys=("length",),
+                                optional=("seed",)),
     "inject_fcs": StepSpec(_step_inject_fcs, keys=("tag", "corrupt")),
     "bidirectional": StepSpec(_step_bidirectional,
                               keys=("size", "rounds", "pattern")),
@@ -425,12 +428,18 @@ class ScenarioStep:
             raise ValueError("unknown step op %r" % (self.op,))
         # a step is a value: detach from the caller's mutable dict
         object.__setattr__(self, "params", dict(self.params))
-        # a typo would raise identically on both sides at run time and
-        # classify as a match, testing nothing: reject it here
+        # a typo would raise identically on both sides at run time, or
+        # silently fall back to a default, and classify as a match,
+        # testing nothing: reject it here
         missing = [key for key in spec.keys if key not in self.params]
         if missing:
             raise ValueError("step %r lacks params %s"
                              % (self.op, ", ".join(missing)))
+        unknown = sorted(set(self.params) - set(spec.keys)
+                         - set(spec.optional))
+        if unknown:
+            raise ValueError("step %r has unknown params %s"
+                             % (self.op, ", ".join(unknown)))
         for key in spec.palette:
             value = self.params.get(key, "station")
             for kind in value if key == "groups" else (value,):

@@ -24,8 +24,8 @@ from repro.net.fabric import (
     EndpointProgram,
     FabricRun,
     FleetWorkload,
-    HostEndpoint,
     SwitchNode,
+    SwitchedDut,
     WORKLOADS,
     build_workload,
     canonical_fabric_json,
@@ -35,11 +35,13 @@ from repro.net.fabric import (
     load_fabric_report,
     mirror_verdict,
     run_fleet,
+    run_mirrored_program,
     save_fabric_report,
 )
 from repro.net.traffic import ScenarioProgram, ScenarioStep
 from repro.pipeline import ArtifactStore
 from repro.validate.observe import OriginalDut, SynthesizedDut
+from repro.validate.scenarios import SCENARIOS, run_scenario
 
 A, B, C, D = fabric_mac(0), fabric_mac(1), fabric_mac(2), fabric_mac(3)
 
@@ -371,19 +373,48 @@ MIRROR_PROGRAM = ScenarioProgram(
     ), description="fabric transparency check")
 
 
+#: Every driver (winsim) x the mixed-op program and every catalog
+#: program.  The mixed-op program keeps the bare driver id.
+MIRROR_CASES = [
+    pytest.param(driver, program,
+                 id=driver if program is MIRROR_PROGRAM
+                 else "%s-%s" % (driver, program.name))
+    for driver in ("pcnet", "rtl8029", "rtl8139", "smc91c111")
+    for program in (MIRROR_PROGRAM,) + tuple(SCENARIOS)]
+
+
+def _count_arrivals(dut):
+    """Record every wire-side arrival ``dut`` is handed (both RX paths)."""
+    arrivals = []
+    for name in ("inject", "inject_quiet"):
+        def counted(frame, receive=getattr(dut, name)):
+            arrivals.append(frame)
+            return receive(frame)
+        setattr(dut, name, counted)
+    return arrivals
+
+
 class TestMirrorDifferential:
-    @pytest.mark.parametrize("driver", ["rtl8029", "rtl8139"])
-    def test_fabric_is_invisible_to_the_driver(self, cache, driver):
-        # rtl8029 is the PIO representative, rtl8139 the DMA one.
+    @pytest.mark.parametrize("driver,program", MIRROR_CASES)
+    def test_fabric_is_invisible_to_the_driver(self, cache, driver,
+                                               program):
         artifact = cache.run(driver)
 
         def make_dut():
             return SynthesizedDut(artifact, "winsim",
                                   exec_backend="compiled")
-        verdict, dedicated, mirrored = mirror_verdict(make_dut,
-                                                      MIRROR_PROGRAM)
+        verdict, dedicated, mirrored = mirror_verdict(make_dut, program)
         assert dedicated.ok and mirrored.ok
         assert verdict.verdict == "match", verdict.divergences
+
+        # Every arrival crossed the switch: a wrapper that handed frames
+        # straight to the driver would match too, with nothing delivered.
+        direct = make_dut()
+        arrivals = _count_arrivals(direct)
+        run_scenario(direct, program)
+        switched = SwitchedDut(make_dut())
+        assert run_scenario(switched, program) == mirrored
+        assert switched.switch.ports[0].delivered == len(arrivals)
 
     def test_mirror_reports_driver_errors_like_run_scenario(self, cache):
         artifact = cache.run("rtl8029")
@@ -394,23 +425,8 @@ class TestMirrorDifferential:
 
             def boot(self):
                 raise RuntimeError("boom")
-        from repro.net.fabric import run_mirrored_program
         dut = SynthesizedDut(artifact, "winsim", exec_backend="compiled")
         dut.boot = Exploding().boot
         obs = run_mirrored_program(dut, MIRROR_PROGRAM)
         assert not obs.ok
         assert obs.error == "RuntimeError"
-
-
-class TestHostEndpoint:
-    def test_source_sink_contract(self):
-        host = HostEndpoint(1, B)
-        assert host.due_tick() is None and host.last_tick() is None
-        host.queue(bytearray(_frame(A, B)))
-        burst = host.harvest()
-        assert burst == [_frame(A, B)]
-        assert type(burst[0]) is bytes
-        host.deliver([_frame(B, A)])
-        assert host.received == [_frame(B, A)]
-        counters = host.counters()
-        assert counters["host"] and counters["tx_frames"] == 1

@@ -42,11 +42,14 @@ class TestStepFormalization:
          "unknown groups"),
         ("send_burst", {"size": 64}, "lacks params count"),
         ("inject_fcs", {"tag": 1}, "lacks params corrupt"),
+        ("send_burst", {"size": 200, "count": 2, "frist": 2},
+         "unknown params frist"),
     ])
     def test_malformed_params_rejected_at_construction(self, op, params,
                                                        message):
-        """A typo would raise on both sides at run time and classify as
-        a match; it is rejected when the step is built instead."""
+        """A typo would raise on both sides at run time (or fall back to
+        an optional key's default) and classify as a match; it is
+        rejected when the step is built instead."""
         with pytest.raises(ValueError, match=message):
             ScenarioStep(op, params)
         with pytest.raises(ValueError, match=message):

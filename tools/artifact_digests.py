@@ -32,7 +32,12 @@ cold store is filled once)::
                                      original-binary baseline
                                      Observation.to_dict() that run_column
                                      yields over the catalog, drivers in
-                                     sorted order)}}
+                                     sorted order),
+              "mirror": sha256(canonical JSON of the list of every
+                               run_mirrored_program(...).to_dict() of
+                               a compiled synthesized driver behind the
+                               2-port switch, catalog program x OS_ORDER
+                               OS, drivers in sorted order)}}
 
 The artifact, fabric and fuzz digests hash each document's canonical
 form, which drops its top-level ``volatile`` section (wall clock,
@@ -47,6 +52,9 @@ baseline saw, so together with the cells it pins what every side of the
 matrix saw (the benchmark's ``matrix_warm`` pass digests only the
 summary).  The baseline is shared by every target OS, so the section
 runs the column on the first OS alone and each baseline counts once.
+The ``mirror`` section pins the fabric-side observations of the
+switch-transparency differential the same way, one per catalog program,
+target OS and driver.
 The fabric document is the one the benchmark's ``fabric_saturation``
 pass digests, so a change to the guest VM can show its matrix
 observations and fabric reports are byte-identical; the fuzz digest
@@ -69,7 +77,7 @@ import os
 import subprocess
 import sys
 
-WARM_SECTIONS = ("fabric", "fuzz", "matrix", "observations")
+WARM_SECTIONS = ("fabric", "fuzz", "matrix", "mirror", "observations")
 FABRIC_ENDPOINTS = 64
 FABRIC_SEED = 7
 #: The CI fuzz job's campaign, cut to two rounds.
@@ -123,6 +131,22 @@ def warm_digest(section):
             for _workload, _os, baseline, _outcome in run_column(
                 orchestrator.run(driver), OS_ORDER[:1], SCENARIOS)
             if baseline is not None]
+        return _sha256(canonical_dumps(observations))
+    if section == "mirror":
+        from repro.drivers import DRIVERS
+        from repro.net.fabric import run_mirrored_program
+        from repro.validate.matrix import OS_ORDER
+        from repro.validate.observe import SynthesizedDut
+        from repro.validate.scenarios import SCENARIOS
+
+        observations = [
+            run_mirrored_program(
+                SynthesizedDut(orchestrator.run(driver), os_name,
+                               exec_backend="compiled"),
+                program).to_dict()
+            for driver in sorted(DRIVERS)
+            for program in SCENARIOS
+            for os_name in OS_ORDER]
         return _sha256(canonical_dumps(observations))
     if section == "fuzz":
         from repro.fuzz.artifact import canonical_fuzz_json
@@ -188,8 +212,9 @@ def main(argv=None):
                         help="compare against digests written earlier")
     parser.add_argument("--warm", action="store_true",
                         help="digest the warm validation matrix, its "
-                             "baseline observations, the fabric and a fuzz "
-                             "campaign instead of the driver artifacts")
+                             "baseline observations, the fabric mirror, the "
+                             "fabric and a fuzz campaign instead of the "
+                             "driver artifacts")
     parser.add_argument("--driver", help=argparse.SUPPRESS)
     parser.add_argument("--warm-section", choices=WARM_SECTIONS,
                         help=argparse.SUPPRESS)
