@@ -7,14 +7,13 @@ Two experiments:
   acceptance bar: the campaign completes with **zero unexplained
   divergences** (the only non-matching cells are the verified-unsupported
   DMA-on-ucsim ones, plus role-gated skips), and the canonical serialized
-  campaign is byte-deterministic -- the persisted store key replays it;
+  campaign is byte-deterministic, so its seed and config replay it;
 * **soak** -- sustained saturation traffic per driver on both execution
   backends; every soaked step must be divergence-free and every cell
   must move packets.
 """
 
-from repro.fuzz import (FuzzConfig, FuzzEngine, canonical_fuzz_json,
-                        fuzz_key, run_soak, save_fuzz_result)
+from repro.fuzz import FuzzConfig, FuzzEngine, canonical_fuzz_json, run_soak
 
 #: The bounded default campaign: every driver, every target OS, a fixed
 #: seed and a round budget sized for CI (~30s serial on one core).
@@ -24,7 +23,7 @@ BOUNDED = dict(base_seed=0xC0FFEE, programs_per_round=3, max_rounds=5,
 
 def test_bounded_fuzz_campaign(cache):
     """4 drivers x 4 OSes under the fixed default seed: zero unexplained
-    divergences, persisted for replay."""
+    divergences, byte-identical on replay."""
     config = FuzzConfig(**BOUNDED)
     result = FuzzEngine(orchestrator=cache, config=config).run()
 
@@ -43,10 +42,6 @@ def test_bounded_fuzz_campaign(cache):
             assert run.expected == "unsupported", \
                 "%s/%s unsupported but equivalence expected" \
                 % (run.driver, run.target_os)
-
-    store = cache.store
-    if store:
-        assert save_fuzz_result(store, result) == fuzz_key(config)
 
     # the determinism bar: re-running the identical campaign serializes
     # byte-identically (the canonical form drops the wall clock)

@@ -31,8 +31,8 @@ import argparse
 import hashlib
 import sys
 
-from repro.fuzz import run_fabric_soak
-from repro.net.fabric import canonical_fabric_json, fabric_to_json
+from repro.net.fabric import (build_workload, canonical_fabric_json,
+                              fabric_to_json, run_fleet)
 from repro.pipeline import PipelineOrchestrator
 
 
@@ -47,11 +47,10 @@ def main(argv=None):
     parser.add_argument("--out", default="")
     args = parser.parse_args(argv)
 
-    report = run_fabric_soak(orchestrator=PipelineOrchestrator(),
-                             endpoints=args.endpoints, seed=args.seed,
-                             workload=args.workload,
-                             backends=(args.backend,), mode=args.mode,
-                             queue_depth=args.queue_depth)
+    plan = build_workload(args.workload, args.endpoints, args.seed)
+    report = run_fleet(plan, orchestrator=PipelineOrchestrator(),
+                       backends=(args.backend,), mode=args.mode,
+                       queue_depth=args.queue_depth)
 
     switch = report["switch"]
     totals = report["totals"]

@@ -2,7 +2,7 @@
 
 Every pipeline warm-up, and so every chaos schedule, carries a
 :class:`ResilienceReport`: each job's attempts and outcome, and what the
-store quarantined, recovered or evicted along the way.
+store quarantined or recovered along the way.
 
 A :class:`FaultRecord` is the loud half of the chaos invariant: when the
 pipeline cannot heal a fault it must fail with a *classified, replayable*
@@ -33,7 +33,6 @@ class ResilienceReport:
 
     quarantined: int = 0
     recovered_tmp: int = 0
-    evicted: int = 0
     #: per-job provenance: label -> {"attempts", "outcome", "events"}
     jobs: dict = field(default_factory=dict)
     #: classified, replayable faults that survived every healing layer
@@ -65,7 +64,6 @@ class ResilienceReport:
         return {
             "quarantined": self.quarantined,
             "recovered_tmp": self.recovered_tmp,
-            "evicted": self.evicted,
             "jobs": {label: {"attempts": entry["attempts"],
                              "outcome": entry["outcome"],
                              "events": list(entry["events"])}

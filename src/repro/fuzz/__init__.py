@@ -19,8 +19,7 @@ scenario space*:
   after N consecutive rounds with zero new coverage and zero new
   divergences;
 * :mod:`repro.fuzz.artifact` -- canonical, versioned campaign
-  serialization (same seed + config + code ==> byte-identical JSON),
-  shared with the pipeline's content-addressed store;
+  serialization (same seed + config + code ==> byte-identical JSON);
 * :mod:`repro.fuzz.soak` -- sustained saturation workloads per driver x
   execution backend, counting packets moved and divergence-free steps.
 
@@ -31,28 +30,21 @@ See the "Fuzzing & soak" section of ``docs/validation.md``.
 """
 
 from repro.fuzz.artifact import (FUZZ_SCHEMA_VERSION, canonical_fuzz_json,
-                                 fuzz_from_dict, fuzz_from_json, fuzz_key,
-                                 fuzz_to_dict, fuzz_to_json,
-                                 load_fuzz_result, save_fuzz_result)
+                                 fuzz_to_dict, fuzz_to_json)
 from repro.fuzz.differential import (ProgramRun, replay_program,
                                      run_program_column)
 from repro.fuzz.engine import (FuzzConfig, FuzzEngine, FuzzResult,
                                observation_features, program_features,
                                run_fuzz)
 from repro.fuzz.generate import ProgramGenerator
-from repro.fuzz.soak import (SoakRecord, run_fabric_soak, run_soak,
-                             saturation_program, soak_cell)
+from repro.fuzz.soak import (SoakRecord, run_soak, saturation_program,
+                             soak_cell)
 
 __all__ = [
     "FUZZ_SCHEMA_VERSION",
     "canonical_fuzz_json",
-    "fuzz_from_dict",
-    "fuzz_from_json",
-    "fuzz_key",
     "fuzz_to_dict",
     "fuzz_to_json",
-    "load_fuzz_result",
-    "save_fuzz_result",
     "ProgramRun",
     "replay_program",
     "run_program_column",
@@ -64,7 +56,6 @@ __all__ = [
     "run_fuzz",
     "ProgramGenerator",
     "SoakRecord",
-    "run_fabric_soak",
     "run_soak",
     "saturation_program",
     "soak_cell",

@@ -13,7 +13,7 @@ arbitrary sampled points of the full program space as
 from dataclasses import dataclass, field
 
 from repro.net.traffic import ScenarioProgram
-from repro.validate.differ import Divergence, is_unexplained
+from repro.validate.differ import is_unexplained
 from repro.validate.matrix import expected_status, run_column
 
 
@@ -48,17 +48,6 @@ class ProgramRun:
                 "divergences": [d.to_dict() for d in self.divergences],
                 "candidate_error": self.candidate_error,
                 "program": self.program}
-
-    @classmethod
-    def from_dict(cls, data):
-        return cls(driver=data["driver"], target_os=data["target_os"],
-                   program_name=data["program_name"], seed=data["seed"],
-                   verdict=data["verdict"], expected=data["expected"],
-                   steps=data["steps"],
-                   divergences=[Divergence.from_dict(d)
-                                for d in data["divergences"]],
-                   candidate_error=data["candidate_error"],
-                   program=data["program"])
 
 
 def run_program_column(artifact, os_names, programs,

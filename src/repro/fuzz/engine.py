@@ -99,7 +99,8 @@ class FuzzConfig:
 
 @dataclass
 class FuzzResult:
-    """Everything one campaign produced, serializable for the store."""
+    """Everything one campaign produced, serialized by
+    :mod:`repro.fuzz.artifact`."""
 
     config: dict
     programs: list = field(default_factory=list)   # program dicts, in order

@@ -74,31 +74,6 @@ def soak_cell(artifact, os_name, backend, rounds=10):
         packets=len(baseline.wire_frames) + len(baseline.delivered))
 
 
-def run_fabric_soak(orchestrator=None, endpoints=16, seed=0xFAB1C,
-                    workload="saturation", backends=("compiled",),
-                    mode=None, queue_depth=None, store=None):
-    """Fleet-scale soak: ``endpoints`` synthesized drivers on one switch.
-
-    Builds the seeded workload, runs the fleet (batched event-driven by
-    default), and returns the fabric report -- persisted under its
-    content-addressed ``fabric-`` key when a ``store`` is given.  Same
-    replayability contract as the program fuzzer: the (workload, count,
-    seed) triple plus the topology fully determines the canonical report
-    bytes.
-    """
-    from repro.net.fabric import (build_workload, run_fleet,
-                                  save_fabric_report)
-    from repro.pipeline.orchestrator import PipelineOrchestrator
-
-    orchestrator = orchestrator or PipelineOrchestrator()
-    plan = build_workload(workload, endpoints, seed)
-    report = run_fleet(plan, orchestrator=orchestrator, backends=backends,
-                       mode=mode, queue_depth=queue_depth)
-    if store is not None:
-        save_fabric_report(store, plan, report)
-    return report
-
-
 def run_soak(orchestrator=None, drivers=None, os_name="winsim",
              backends=("compiled", "interp"), rounds=10,
              strategy="coverage", script="default"):

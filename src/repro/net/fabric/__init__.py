@@ -7,7 +7,7 @@ switch (:mod:`~repro.net.fabric.switch`) connects N synthesized-driver
 endpoints (:mod:`~repro.net.fabric.endpoint`) exchanging seeded,
 replayable cross-traffic (:mod:`~repro.net.fabric.workloads`) under a
 batched event-driven scheduler (:mod:`~repro.net.fabric.fleet`), with
-every run recorded as a canonical content-addressed report
+every run recorded as a canonical report
 (:mod:`~repro.net.fabric.report`) and the switch's transparency to any
 single driver checked differentially (:mod:`~repro.net.fabric.mirror`:
 any scenario program runs unchanged on a DUT whose wire crosses a
@@ -21,9 +21,7 @@ from repro.net.fabric.fleet import (EndpointSpec, FabricRun, build_fleet,
 from repro.net.fabric.mirror import (SwitchedDut, mirror_verdict,
                                      run_mirrored_program)
 from repro.net.fabric.report import (FABRIC_SCHEMA_VERSION, build_report,
-                                     canonical_fabric_json, fabric_key,
-                                     fabric_to_json, load_fabric_report,
-                                     save_fabric_report)
+                                     canonical_fabric_json, fabric_to_json)
 from repro.net.fabric.switch import (DEFAULT_MAC_AGE, DEFAULT_QUEUE_DEPTH,
                                      SwitchNode, SwitchPort)
 from repro.net.fabric.workloads import (WORKLOADS, EndpointProgram,
@@ -34,8 +32,7 @@ __all__ = [
     "EndpointSpec", "FabricRun", "build_fleet", "fleet_specs", "run_fleet",
     "SwitchedDut", "mirror_verdict", "run_mirrored_program",
     "FABRIC_SCHEMA_VERSION", "build_report", "canonical_fabric_json",
-    "fabric_key", "fabric_to_json", "load_fabric_report",
-    "save_fabric_report",
+    "fabric_to_json",
     "DEFAULT_MAC_AGE", "DEFAULT_QUEUE_DEPTH", "SwitchNode", "SwitchPort",
     "WORKLOADS", "EndpointProgram", "FleetWorkload", "build_workload",
 ]

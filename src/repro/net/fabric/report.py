@@ -1,4 +1,4 @@
-"""The fabric report: canonical, content-addressed fleet run records.
+"""The fabric report: canonical fleet run records.
 
 A fabric report is the complete deterministic record of one fleet run:
 topology, workload identity (name + seed + content digest), switch
@@ -8,15 +8,9 @@ along for benchmarks under the report's top-level ``volatile`` section,
 which :func:`canonical_fabric_json` drops -- byte-equality of the
 canonical form is the fabric determinism relation: same seed + same
 topology must produce identical bytes across runs and across scheduler
-modes.
-
-Reports persist in the shared :class:`~repro.pipeline.store.
-ArtifactStore` under ``fabric-`` keys, content-addressed by workload +
-topology + schema + code fingerprint -- the PR 3/PR 7 store discipline.
+modes.  Reports are written (``examples/fabric_soak.py --out``) and
+digested, never read back: a run replays from its workload and topology.
 """
-
-import hashlib
-import json
 
 from repro.pipeline.artifact import VOLATILE, canonical_dumps, stable_dumps
 
@@ -90,41 +84,3 @@ def canonical_fabric_json(report):
     batched and lockstep schedulers can be byte-compared.
     """
     return stable_dumps(report)
-
-
-def fabric_key(workload, topology):
-    """Store key for one fleet configuration.
-
-    Content-addressed like pipeline and fuzz keys: workload plan +
-    topology + schema + code fingerprint, so reports recorded by
-    different code never collide with current ones.
-    """
-    from repro.pipeline.store import code_fingerprint
-
-    digest = hashlib.sha256()
-    digest.update(b"fabric-schema:%d|" % FABRIC_SCHEMA_VERSION)
-    digest.update(workload.to_json().encode())
-    digest.update(b"|")
-    digest.update(canonical_dumps(topology).encode())
-    digest.update(b"|")
-    digest.update(code_fingerprint().encode())
-    return "fabric-%s" % digest.hexdigest()
-
-
-def save_fabric_report(store, workload, report):
-    """Persist ``report`` in ``store``; returns the store key."""
-    key = fabric_key(workload, report["topology"])
-    store.save_json(key, fabric_to_json(report))
-    return key
-
-
-def load_fabric_report(store, workload, topology):
-    """The stored report for this configuration, or ``None``."""
-    text = store.load_json(fabric_key(workload, topology))
-    if text is None:
-        return None
-    try:
-        report = json.loads(text)
-    except json.JSONDecodeError:
-        return None
-    return report if isinstance(report, dict) else None

@@ -11,7 +11,7 @@ synthesis per driver -- hands a compact, serializable
   tables; canonical byte-deterministic encoding);
 * :mod:`repro.pipeline.store` -- the content-addressed on-disk cache
   (keyed by driver image, config, schema and a source-tree fingerprint;
-  checksummed entries, quarantine, crash-consistent publish, GC);
+  checksummed entries, quarantine, crash-consistent publish);
 * :mod:`repro.pipeline.orchestrator` -- the orchestration layer that
   computes each missing artifact at most once, in process, one driver
   after another.

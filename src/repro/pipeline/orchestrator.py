@@ -122,14 +122,13 @@ class PipelineOrchestrator:
             self._warm_missing(names, strategy, script, report, faults)
         finally:
             # Folded even when a job fails: what the store quarantined,
-            # recovered or evicted before the failure still happened.
+            # or recovered before the failure still happened.
             if store_before is not None:
                 after = self.store.counters()
                 report.quarantined += after["quarantined"] \
                     - store_before["quarantined"]
                 report.recovered_tmp += after["recovered"] \
                     - store_before["recovered"]
-                report.evicted += after["evicted"] - store_before["evicted"]
         return {name: self._artifacts[(name, strategy, script)]
                 for name in names}
 

@@ -7,8 +7,10 @@ code change invalidates every cached run -- the same discipline as a
 compiler cache).  Repeated pytest or benchmark sessions and CI reruns
 load artifacts in milliseconds instead of re-running symbolic execution.
 
-The store is plain files under one root, hardened for concurrent and
-hostile conditions:
+The store holds one kind of document, each driver's reverse-engineering
+run: :meth:`ArtifactStore.save` publishes it and :meth:`ArtifactStore.load`
+reads it back.  It is plain files under one root, hardened for concurrent
+and hostile conditions:
 
 * **checksummed entries** -- every file carries a digest footer
   (payload SHA-256 plus the writing schema/code fingerprint); loads
@@ -19,10 +21,7 @@ hostile conditions:
   so a bad entry costs one recompute and leaves evidence;
 * **crash-consistent publish** -- temp file + atomic ``os.replace``;
   a writer that dies mid-publish leaves only an orphaned ``*.tmp``,
-  which :meth:`ArtifactStore.recover` sweeps;
-* **GC** -- :meth:`ArtifactStore.gc` evicts entries written by a
-  different schema or code fingerprint (unreachable by construction),
-  then least-recently-used entries down to a byte budget.
+  which :meth:`ArtifactStore.recover` sweeps.
 """
 
 import hashlib
@@ -138,8 +137,8 @@ class ArtifactStore:
     Outcome counters partition every load: ``hits`` (verified and
     decoded), ``misses`` (absent, or present under a different schema),
     ``corrupt`` (failed verification or decoding -- quarantined).
-    ``quarantined``/``recovered``/``evicted`` count the corresponding
-    maintenance actions.
+    ``quarantined``/``recovered`` count the corresponding maintenance
+    actions.
     """
 
     def __init__(self, root):
@@ -149,7 +148,6 @@ class ArtifactStore:
         self.corrupt = 0
         self.quarantined = 0
         self.recovered = 0
-        self.evicted = 0
 
     def path_for(self, key):
         return os.path.join(self.root, "%s.json" % key)
@@ -160,86 +158,40 @@ class ArtifactStore:
 
     # -- reads ---------------------------------------------------------
 
-    def _read_verified(self, key):
-        """``(payload, status)``: status is 'hit', 'miss' or 'corrupt'.
-
-        Does not touch the counters -- :meth:`load` and :meth:`load_json`
-        classify the final outcome (a verified payload can still fail to
-        decode).  Corrupt files are quarantined here.
-        """
-        path = self.path_for(key)
-        try:
-            with open(path, "r") as handle:
-                raw = handle.read()
-        except OSError:
-            return None, "miss"
-        try:
-            payload, _meta = unframe_entry(raw)
-        except ValueError:
-            self._quarantine(path)
-            return None, "corrupt"
-        # Touch for LRU: recently used entries survive gc() longest.
-        try:
-            os.utime(path)
-        except OSError:
-            pass
-        return payload, "hit"
-
     def load(self, key):
         """The cached :class:`RunArtifact` for ``key``, or ``None``.
 
-        Error contract (shared with :meth:`load_json`): a missing entry
-        or one written under a different artifact schema is a **miss**; a
-        file that fails digest verification or decoding is **corrupt** --
-        quarantined and counted, never raised and never silently served.
+        Error contract: a missing entry or one written under a different
+        artifact schema is a **miss**; a file that cannot be read or
+        fails UTF-8 decoding, digest verification or artifact decoding
+        is **corrupt** -- quarantined and counted, never raised and never
+        silently served.
         """
-        payload, status = self._read_verified(key)
-        if status == "miss":
+        path = self.path_for(key)
+        try:
+            handle = open(path, "rb")
+        except OSError:
             self.misses += 1
             return None
-        if status == "corrupt":
-            self.corrupt += 1
-            return None
         try:
+            # The entry's bytes and text are temporaries: only the payload
+            # stays alive while the (much larger) artifact is decoded.
+            with handle:
+                payload, _meta = unframe_entry(handle.read().decode("utf-8"))
             data = json.loads(payload)
             if isinstance(data, dict) and data.get("schema") \
                     != SCHEMA_VERSION:
                 # A well-formed entry from another schema era: a plain
-                # miss (gc() reclaims these), not corruption.
+                # miss, not corruption.
                 self.misses += 1
                 return None
             artifact = artifact_from_dict(data, source="disk-cache")
         except Exception:
             self.corrupt += 1
-            self._quarantine(self.path_for(key))
+            self._quarantine(path)
             return None
         self.hits += 1
         return artifact
-
-    def load_json(self, key):
-        """Raw JSON text stored under ``key``, or ``None``.
-
-        The generic counterpart of :meth:`save_json` for non-RunArtifact
-        entries (the fuzzer's corpus and campaign records share the
-        store).  Same error contract as :meth:`load`: corrupt or
-        undecodable entries are quarantined, counted and reported as
-        ``None`` -- they never propagate into consumers.
-        """
-        payload, status = self._read_verified(key)
-        if status == "miss":
-            self.misses += 1
-            return None
-        if status == "corrupt":
-            self.corrupt += 1
-            return None
-        try:
-            json.loads(payload)
-        except json.JSONDecodeError:
-            self.corrupt += 1
-            self._quarantine(self.path_for(key))
-            return None
-        self.hits += 1
-        return payload
 
     # -- writes --------------------------------------------------------
 
@@ -316,67 +268,14 @@ class ArtifactStore:
         self.recovered += len(swept)
         return swept
 
-    def gc(self, max_bytes=None):
-        """Evict unreachable and least-recently-used entries.
-
-        Entries whose footer records a different schema version or code
-        fingerprint can never be hit again (keys hash both) and are
-        always evicted; then, if ``max_bytes`` is given, oldest-used
-        entries go until the store fits.  Returns the evicted keys.
-        """
-        current = code_fingerprint()
-        survivors = []
-        evicted = []
-        for key in self.keys():
-            path = self.path_for(key)
-            try:
-                with open(path, "r") as handle:
-                    raw = handle.read()
-                stat = os.stat(path)
-            except OSError:
-                continue
-            try:
-                _payload, meta = unframe_entry(raw)
-            except ValueError:
-                self._quarantine(path)
-                self.corrupt += 1
-                continue
-            if meta.get("schema") != SCHEMA_VERSION \
-                    or meta.get("fingerprint") != current:
-                evicted.append(key)
-                continue
-            survivors.append((stat.st_mtime, stat.st_size, key))
-        if max_bytes is not None:
-            total = sum(size for _mtime, size, _key in survivors)
-            for _mtime, size, key in sorted(survivors):
-                if total <= max_bytes:
-                    break
-                evicted.append(key)
-                total -= size
-        for key in evicted:
-            try:
-                os.unlink(self.path_for(key))
-            except OSError:
-                pass
-        self.evicted += len(evicted)
-        return evicted
-
     # -- listing -------------------------------------------------------
 
-    def contains(self, key):
-        return os.path.exists(self.path_for(key))
-
-    def keys(self, prefix=None):
-        """Stored keys in sorted order; ``prefix`` filters by namespace
-        (``"fabric-"``, ``"fuzz-"``, ...) -- the store is shared, so
-        consumers enumerate only their own entries."""
+    def keys(self):
+        """Stored keys in sorted order."""
         if not os.path.isdir(self.root):
             return []
-        names = sorted(name[:-5] for name in os.listdir(self.root)
-                       if name.endswith(".json"))
-        if prefix:
-            names = [name for name in names if name.startswith(prefix)]
-        return names
+        return sorted(name[:-5] for name in os.listdir(self.root)
+                      if name.endswith(".json"))
 
     def clear(self):
         for key in self.keys():
@@ -389,7 +288,7 @@ class ArtifactStore:
         """The outcome/maintenance counters as a dict (for reports)."""
         return {"hits": self.hits, "misses": self.misses,
                 "corrupt": self.corrupt, "quarantined": self.quarantined,
-                "recovered": self.recovered, "evicted": self.evicted}
+                "recovered": self.recovered}
 
 
 def default_store():

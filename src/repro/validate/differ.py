@@ -47,10 +47,6 @@ class Divergence:
     def to_dict(self):
         return asdict(self)
 
-    @classmethod
-    def from_dict(cls, data):
-        return cls(**data)
-
 
 def _frame_list_detail(name, baseline, candidate):
     if len(baseline) != len(candidate):

@@ -73,7 +73,7 @@ class TestCompare:
 
     def test_divergence_round_trips_through_dict(self):
         div = Divergence(field="irq_count", detail="2 vs 7")
-        assert Divergence.from_dict(div.to_dict()) == div
+        assert Divergence(**div.to_dict()) == div
 
 
 class TestClassify:

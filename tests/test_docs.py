@@ -1,7 +1,7 @@
 """The documentation set stays healthy: links resolve, referenced paths
-exist, the environment-variable table matches the code, fenced doctest
-examples execute (same checks as the CI docs job, via
-tools/check_docs.py)."""
+and ``repro`` names exist, the environment-variable table matches the
+code, fenced doctest examples execute (same checks as the CI docs job,
+via tools/check_docs.py)."""
 
 import importlib.util
 import os
@@ -48,6 +48,22 @@ def test_checker_catches_breakage(tmp_path):
     assert any("src/nope.py" in p for p in link_problems)
     doc_problems = check_docs.run_doctests(str(tmp_path))
     assert len(doc_problems) == 1 and "doctest failure" in doc_problems[0]
+
+
+def test_repro_names_resolve():
+    assert check_docs.check_names(_REPO_ROOT) == []
+
+
+def test_checker_catches_stale_names(tmp_path):
+    """Modules, attributes and called names resolve; a name the code no
+    longer has is reported, and fenced blocks are not checked."""
+    (tmp_path / "README.md").write_text(
+        "`repro.pipeline.store` keeps `repro.pipeline.store.ArtifactStore`"
+        " and `repro.eval.runner.get_cache()`; `repro.fuzz.gone_name(seed)`"
+        " was deleted.\n\n```\n`repro.fuzz.fenced_name`\n```\n")
+    problems = check_docs.check_names(str(tmp_path))
+    assert problems == ["README.md: name does not resolve -> "
+                        "repro.fuzz.gone_name"]
 
 
 def test_env_table_matches_code():

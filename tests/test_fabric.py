@@ -29,17 +29,13 @@ from repro.net.fabric import (
     WORKLOADS,
     build_workload,
     canonical_fabric_json,
-    fabric_key,
     fabric_mac,
     fleet_specs,
-    load_fabric_report,
     mirror_verdict,
     run_fleet,
     run_mirrored_program,
-    save_fabric_report,
 )
 from repro.net.traffic import ScenarioProgram, ScenarioStep
-from repro.pipeline import ArtifactStore
 from repro.validate.observe import OriginalDut, SynthesizedDut
 from repro.validate.scenarios import SCENARIOS, run_scenario
 
@@ -337,27 +333,6 @@ class TestFleetRuns:
             assert "instrs_retired" in record
             assert "calls" in record
         assert report["volatile"]["packets_per_second"] >= 0.0
-
-    def test_store_round_trip_under_fabric_prefix(self, cache, tmp_path):
-        store = ArtifactStore(tmp_path / "store")
-        plan = build_workload("saturation", 4, 21)
-        report = self._report(cache, plan)
-        key = save_fabric_report(store, plan, report)
-        assert key.startswith("fabric-")
-        assert key == fabric_key(plan, report["topology"])
-        loaded = load_fabric_report(store, plan, report["topology"])
-        assert loaded is not None
-        assert canonical_fabric_json(loaded) == canonical_fabric_json(report)
-        assert key in store.keys(prefix="fabric-")
-        assert store.keys(prefix="fuzz-") == []
-
-    def test_fabric_soak_entry_point(self, cache, tmp_path):
-        from repro.fuzz import run_fabric_soak
-        store = ArtifactStore(tmp_path / "store")
-        report = run_fabric_soak(orchestrator=cache, endpoints=4, seed=3,
-                                 store=store)
-        assert report["switch"]["frames_switched"] > 0
-        assert len(store.keys(prefix="fabric-")) == 1
 
 
 MIRROR_PROGRAM = ScenarioProgram(

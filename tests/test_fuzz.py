@@ -9,16 +9,12 @@ artifact: same seed ==> byte-identical serialized campaign.
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from repro.errors import ArtifactError
 from repro.eval.runner import get_cache
 from repro.fuzz import (FuzzConfig, FuzzEngine, ProgramGenerator,
-                        canonical_fuzz_json, fuzz_from_dict, fuzz_from_json,
-                        fuzz_key, fuzz_to_json, load_fuzz_result,
-                        program_features, run_program_column,
-                        save_fuzz_result)
+                        canonical_fuzz_json, program_features,
+                        run_program_column)
 from repro.net.traffic import (STEP_VOCABULARY, ScenarioProgram,
                                ScenarioStep)
-from repro.pipeline import ArtifactStore
 from repro.validate import OriginalDut, matrix
 
 from fuzz_strategies import scenario_programs
@@ -174,32 +170,6 @@ class TestEngine:
         config, result = bounded_campaign
         again = FuzzEngine(orchestrator=get_cache(), config=config).run()
         assert canonical_fuzz_json(again) == canonical_fuzz_json(result)
-
-    def test_campaign_round_trips_through_json(self, bounded_campaign):
-        _config, result = bounded_campaign
-        again = fuzz_from_json(fuzz_to_json(result))
-        assert canonical_fuzz_json(again) == canonical_fuzz_json(result)
-
-    def test_campaign_store_round_trip(self, bounded_campaign, tmp_path):
-        config, result = bounded_campaign
-        store = ArtifactStore(str(tmp_path / "fuzz-store"))
-        key = save_fuzz_result(store, result)
-        assert key == fuzz_key(config)
-        loaded = load_fuzz_result(store, config)
-        assert canonical_fuzz_json(loaded) == canonical_fuzz_json(result)
-
-    def test_missing_campaign_reads_as_none(self, tmp_path):
-        store = ArtifactStore(str(tmp_path / "empty-store"))
-        assert load_fuzz_result(store, FuzzConfig()) is None
-
-    def test_schema_mismatch_rejected(self, bounded_campaign):
-        _config, result = bounded_campaign
-        import json
-
-        data = json.loads(fuzz_to_json(result))
-        data["schema"] = 999
-        with pytest.raises(ArtifactError, match="schema"):
-            fuzz_from_dict(data)
 
     def test_unsupported_cells_are_explained(self):
         """DMA driver x ucsim: every fuzz run lands unsupported, and none

@@ -1,8 +1,9 @@
 #!/usr/bin/env python
-"""Documentation checker: links resolve, referenced paths exist, the
-environment-variable table matches the code, fenced doctest examples run.
+"""Documentation checker: links resolve, referenced paths and ``repro``
+names exist, the environment-variable table matches the code, fenced
+doctest examples run.
 
-Checked files: ``README.md``, ``DESIGN.md`` and ``docs/*.md``.  Four
+Checked files: ``README.md``, ``DESIGN.md`` and ``docs/*.md``.  Five
 passes:
 
 * **markdown links** -- every relative ``[text](target)`` must point at
@@ -12,12 +13,20 @@ passes:
   repo path (contains ``/``, starts with a known top-level directory, no
   globs or placeholders) must exist, so prose like ``src/repro/foo.py``
   cannot go stale silently;
+* **``repro`` names** -- every single-backtick span that is a dotted
+  ``repro.…`` name, optionally followed by a call's ``(...)``, must
+  resolve: the longest importable module prefix, then ``getattr`` for
+  the rest (so ``repro.pipeline.store.ArtifactStore.load`` and
+  ``repro.eval.runner.get_cache()`` are checked against the code);
 * **environment table** -- the ``REVNIC_*`` table in
   ``docs/robustness.md`` matches the code both ways: every string
   literal under ``src/repro`` that is exactly a ``REVNIC_*`` name has a
   row, and every row names a variable some module reads;
 * **doctests** -- every fenced ``python`` block containing ``>>>`` runs
-  under :mod:`doctest` (the CI job provides ``PYTHONPATH=src``).
+  under :mod:`doctest`.
+
+The name and doctest passes import ``repro``; the CI job provides
+``PYTHONPATH=src``.
 
 Exit status 0 when clean; 1 with one line per problem otherwise.
 Run locally:  PYTHONPATH=src python tools/check_docs.py
@@ -26,6 +35,7 @@ Run locally:  PYTHONPATH=src python tools/check_docs.py
 import ast
 import doctest
 import glob
+import importlib
 import os
 import re
 import sys
@@ -40,6 +50,7 @@ _LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 _INLINE_CODE_RE = re.compile(r"(?<!`)`([^`\n]+)`(?!`)")
 _FENCE_RE = re.compile(r"^```")
 _PYTHON_FENCE_RE = re.compile(r"^```python\s*$")
+_REPRO_NAME_RE = re.compile(r"(repro(?:\.[A-Za-z_]\w*)+)(?:\(.*\))?")
 _ENV_NAME_RE = re.compile(r"REVNIC_[A-Z0-9_]+")
 _ENV_ROW_RE = re.compile(r"^\|\s*`(REVNIC_[A-Z0-9_]+)`\s*\|", re.MULTILINE)
 
@@ -100,6 +111,38 @@ def check_links(root=REPO_ROOT):
             if not os.path.exists(resolved):
                 problems.append("%s: referenced path missing -> %s"
                                 % (relname, token))
+    return problems
+
+
+def resolves(name):
+    """True when dotted ``name`` names a module or an attribute path
+    below its longest importable module prefix."""
+    parts = name.split(".")
+    for split in range(len(parts), 0, -1):
+        try:
+            target = importlib.import_module(".".join(parts[:split]))
+        except ImportError:
+            continue
+        for attr in parts[split:]:
+            if not hasattr(target, attr):
+                return False
+            target = getattr(target, attr)
+        return True
+    return False
+
+
+def check_names(root=REPO_ROOT):
+    """Problems with inline-code ``repro.…`` names that do not resolve."""
+    problems = []
+    for path in doc_files(root):
+        relname = os.path.relpath(path, root)
+        with open(path) as handle:
+            prose = _strip_fenced_blocks(handle.read())
+        for token in _INLINE_CODE_RE.findall(prose):
+            match = _REPRO_NAME_RE.fullmatch(token.strip())
+            if match and not resolves(match.group(1)):
+                problems.append("%s: name does not resolve -> %s"
+                                % (relname, match.group(1)))
     return problems
 
 
@@ -179,7 +222,8 @@ def run_doctests(root=REPO_ROOT):
 
 
 def main():
-    problems = check_links() + check_env_table() + run_doctests()
+    problems = (check_links() + check_names() + check_env_table()
+                + run_doctests())
     for problem in problems:
         print(problem)
     files = len(doc_files())
@@ -187,8 +231,8 @@ def main():
         print("FAIL: %d problem(s) across %d documentation files"
               % (len(problems), files))
         return 1
-    print("OK: %d documentation files, links resolve, environment table "
-          "matches the code, doctests pass" % files)
+    print("OK: %d documentation files, links and names resolve, "
+          "environment table matches the code, doctests pass" % files)
     return 0
 
 
