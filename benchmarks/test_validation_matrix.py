@@ -46,7 +46,8 @@ def _store_entries(root):
     gets a new inode and modification time; a load reads the file and
     leaves both alone."""
     return {entry.name: (entry.inode(), entry.stat().st_mtime_ns)
-            for entry in os.scandir(root) if entry.is_file()}
+            for entry in os.scandir(ArtifactStore(root).directory)
+            if entry.is_file()}
 
 
 def test_cold_vs_warm_matrix(tmp_path):

@@ -85,7 +85,7 @@ def corrupt_store_entry(store, fault):
         # A writer that died after writing its temp file but before
         # os.replace: the entry itself is intact, the orphan must be
         # swept by ArtifactStore.recover().
-        tmp_path = os.path.join(store.root, "crash-%08x.tmp" % (salt,))
+        tmp_path = os.path.join(store.directory, "crash-%08x.tmp" % salt)
         with open(tmp_path, "wb") as handle:
             handle.write(original[:max(1, len(original) // 2)])
         record["orphan"] = os.path.basename(tmp_path)
@@ -94,7 +94,7 @@ def corrupt_store_entry(store, fault):
         # payload but the rename never landed, and the destination is
         # gone (first publish of this key).  Load must miss cleanly and
         # recovery must sweep the orphan.
-        tmp_path = os.path.join(store.root, "crash-%08x.tmp" % (salt,))
+        tmp_path = os.path.join(store.directory, "crash-%08x.tmp" % salt)
         os.replace(path, tmp_path)
         record["orphan"] = os.path.basename(tmp_path)
     else:

@@ -10,8 +10,10 @@ synthesis per driver -- hands a compact, serializable
   artifacts (shared translation blocks and expression DAGs interned into
   tables; canonical byte-deterministic encoding);
 * :mod:`repro.pipeline.store` -- the content-addressed on-disk cache
-  (keyed by driver image, config, schema and a source-tree fingerprint;
-  checksummed entries, quarantine, crash-consistent publish);
+  (keyed by driver image, config, schema and a source-tree fingerprint,
+  one directory per fingerprint; checksummed trace and head sections,
+  the trace read only when walked, quarantine, crash-consistent
+  publish);
 * :mod:`repro.pipeline.orchestrator` -- the orchestration layer that
   computes each missing artifact at most once, in process, one driver
   after another.

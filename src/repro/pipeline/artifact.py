@@ -62,9 +62,10 @@ class RunArtifact:
 
     ``trace`` may be constructed lazily (deserialized artifacts defer
     decoding the activity trace -- by far the codec's largest section --
-    until a consumer actually walks it; tables, figures and the
-    functional tests mostly need only ``synthesized``, ``coverage`` and
-    ``stats``, which keeps a warm cache load fast).
+    until a consumer actually walks it, and store loads defer even
+    reading it; tables, figures, porting and validation need only
+    ``synthesized``, ``coverage`` and ``stats``, which keeps a warm
+    cache load fast and small).
     """
 
     def __init__(self, driver, strategy, script, config, trace, coverage,
@@ -582,18 +583,28 @@ def _encode_config(config_dict):
     return out
 
 
-def artifact_from_dict(data, source="disk-cache"):
-    """Decode a dict produced by :func:`artifact_to_dict`."""
+def artifact_from_dict(data, source="disk-cache", read_trace=None):
+    """Decode a dict produced by :func:`artifact_to_dict`.
+
+    ``read_trace``, when given, is a callable returning the encoded trace
+    section, and ``data`` need not hold one: the artifact store passes a
+    reader of its entry's trace section.  Either way the trace is decoded
+    only when something walks ``artifact.trace``.
+    """
     try:
         schema = data["schema"]
         if schema != SCHEMA_VERSION:
             raise ArtifactError("artifact schema %r, expected %r"
                                 % (schema, SCHEMA_VERSION))
         dec = _Decoder(data["exprs"], data["blocks"])
-        # Bind only the trace section: closing over `data` itself would
-        # pin the whole parsed JSON (code hex, tables, synthesis) in
-        # memory for artifacts whose trace is never walked.
-        trace_data = data["trace"]
+        if read_trace is None:
+            # A whole document (from_json): the thunk keeps its trace
+            # section alive, never `data` with the code hex, tables and
+            # synthesis the artifact has already decoded.
+            encoded_trace = data["trace"]
+
+            def read_trace():
+                return encoded_trace
         volatile = data[VOLATILE]
         coverage = CoverageTracker(
             leaders=list(data["coverage"]["leaders"]),
@@ -607,7 +618,7 @@ def artifact_from_dict(data, source="disk-cache"):
             strategy=data["strategy"],
             script=data["script"],
             config=data["config"],
-            trace=lambda: _decode_trace(trace_data, dec),
+            trace=lambda: _decode_trace(read_trace(), dec),
             coverage=coverage,
             entry_points=dict(data["entry_points"]),
             stats=dict(data["stats"],

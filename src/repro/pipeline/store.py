@@ -2,23 +2,40 @@
 
 Artifacts are keyed by everything that determines their bytes: the
 assembled driver image, the canonical :class:`RevNicConfig`, the artifact
-schema version, and a fingerprint of the pipeline's own source tree (any
-code change invalidates every cached run -- the same discipline as a
-compiler cache).  Repeated pytest or benchmark sessions and CI reruns
-load artifacts in milliseconds instead of re-running symbolic execution.
+schema version, the entry format (:data:`STORE_FORMAT`) and a
+fingerprint of the pipeline's own source tree (any code change
+invalidates every cached run -- the same discipline as a compiler
+cache).  Repeated pytest or benchmark sessions and CI reruns load
+artifacts in milliseconds instead of re-running symbolic execution.
 
 The store holds one kind of document, each driver's reverse-engineering
 run: :meth:`ArtifactStore.save` publishes it and :meth:`ArtifactStore.load`
-reads it back.  It is plain files under one root, hardened for concurrent
-and hostile conditions:
+reads it back.  It is plain files, hardened for concurrent and hostile
+conditions:
 
-* **checksummed entries** -- every file carries a digest footer
-  (payload SHA-256 plus the writing schema/code fingerprint); loads
-  verify it, so truncation and bit rot are *detected*, never silently
-  decoded;
-* **quarantine** -- corrupt files are moved to ``<root>/quarantine/``
-  and counted (``corrupt``/``quarantined`` beside ``hits``/``misses``),
-  so a bad entry costs one recompute and leaves evidence;
+* **per-fingerprint directory** -- entries live in
+  ``<root>/<code fingerprint>/<key>.json``.  The first save under a new
+  fingerprint removes the sibling directories named by other
+  fingerprints, whose entries no code in this tree can reach, so a
+  checkout keeps one generation of entries, not one per source edit;
+* **two sections, two digests** -- an entry is three lines: the activity
+  trace, the head (every other part of the artifact) and a footer
+  holding the SHA-256 of each section plus the writing schema and code
+  fingerprint.  The trace comes first, so its offset never moves;
+* **verify everything, parse the head** -- a load hashes every byte of
+  both sections, so truncation and bit rot are *detected* at load,
+  never silently decoded or found later.  It parses only the head and
+  drops the trace text: the trace is the synthesizer's input, and a
+  warm process (porting, validation, the fabric) never walks it;
+* **trace on demand** -- walking ``artifact.trace`` re-reads the trace
+  section and checks it against the digest verified at load.  A section
+  that changed or vanished since then raises an
+  :class:`~repro.errors.ArtifactError` naming the key and quarantines
+  the entry: a wrong trace is never served;
+* **quarantine** -- corrupt files are moved to ``quarantine/`` beside
+  the entries and counted (``corrupt``/``quarantined`` beside
+  ``hits``/``misses``), so a bad entry costs one recompute and leaves
+  evidence;
 * **crash-consistent publish** -- temp file + atomic ``os.replace``;
   a writer that dies mid-publish leaves only an orphaned ``*.tmp``,
   which :meth:`ArtifactStore.recover` sweeps.
@@ -27,9 +44,13 @@ and hostile conditions:
 import hashlib
 import json
 import os
+import re
+import shutil
 import tempfile
 
-from repro.pipeline.artifact import SCHEMA_VERSION, artifact_from_dict, to_json
+from repro.errors import ArtifactError
+from repro.pipeline.artifact import (SCHEMA_VERSION, artifact_from_dict,
+                                     artifact_to_dict, canonical_dumps)
 
 #: Environment variable overriding the cache directory; the value
 #: ``off`` disables on-disk caching entirely.
@@ -38,7 +59,14 @@ CACHE_ENV = "REVNIC_ARTIFACT_CACHE"
 _FINGERPRINT_SUFFIXES = (".py", ".s")
 
 #: Last line of every store file: ``#revnic-store:{...meta json...}``.
-FOOTER_PREFIX = "#revnic-store:"
+FOOTER_PREFIX = b"#revnic-store:"
+
+#: The entry format, part of every key: entries written in another
+#: format (a single-section document, say) are never looked up.
+STORE_FORMAT = 2
+
+#: Names of per-fingerprint directories under a store root.
+_FINGERPRINT_DIR = re.compile(r"[0-9a-f]{64}")
 
 
 def _repo_root():
@@ -94,41 +122,68 @@ def artifact_key(image, config):
 
     config_json = json.dumps(_encode_config(asdict(config)), sort_keys=True)
     digest = hashlib.sha256()
-    digest.update(b"schema:%d|" % SCHEMA_VERSION)
+    digest.update(b"schema:%d|store:%d|" % (SCHEMA_VERSION, STORE_FORMAT))
     digest.update(hashlib.sha256(image.to_bytes()).digest())
     digest.update(config_json.encode())
     digest.update(code_fingerprint().encode())
     return digest.hexdigest()
 
 
-def frame_entry(payload):
-    """``payload`` plus the digest footer: the on-disk byte format."""
-    meta = {"sha256": hashlib.sha256(payload.encode()).hexdigest(),
+def _sha256(data):
+    return hashlib.sha256(data).hexdigest()
+
+
+def _footer(meta):
+    return FOOTER_PREFIX + json.dumps(
+        meta, sort_keys=True, separators=(",", ":")).encode()
+
+
+def frame_entry(head, trace="null"):
+    """The on-disk bytes of an entry: the ``trace`` section, the ``head``
+    section and the digest footer, one line each."""
+    head = head.encode()
+    trace = trace.encode()
+    meta = {"head_sha256": _sha256(head),
+            "trace_bytes": len(trace),
+            "trace_sha256": _sha256(trace),
             "schema": SCHEMA_VERSION,
             "fingerprint": code_fingerprint()}
-    return "%s\n%s%s\n" % (payload, FOOTER_PREFIX,
-                           json.dumps(meta, sort_keys=True,
-                                      separators=(",", ":")))
+    return b"%s\n%s\n%s\n" % (trace, head, _footer(meta))
 
 
 def unframe_entry(raw):
-    """``(payload, meta)`` for on-disk bytes ``raw``.
+    """``(head, meta)`` for on-disk bytes ``raw``, every byte verified.
 
-    Raises ``ValueError`` on any corruption: missing or malformed footer,
-    or a payload whose digest does not match the recorded one.
+    ``head`` is the head section's text; the trace section is checked
+    against ``meta["trace_sha256"]`` and left unparsed.  Raises
+    ``ValueError`` on any corruption: a missing, malformed or foreign
+    footer (one this code would not have written), separators out of
+    place, or a section whose digest does not match the recorded one.
     """
-    body, _newline, last = raw.rstrip("\n").rpartition("\n")
-    if not last.startswith(FOOTER_PREFIX):
+    footer_start = raw.rfind(b"\n", 0, len(raw) - 1) + 1
+    footer = raw[footer_start:-1]
+    if not raw.endswith(b"\n") or not footer.startswith(FOOTER_PREFIX):
         raise ValueError("missing digest footer")
     try:
-        meta = json.loads(last[len(FOOTER_PREFIX):])
-        recorded = meta["sha256"]
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        meta = json.loads(footer[len(FOOTER_PREFIX):])
+        trace_end = meta["trace_bytes"]
+        recorded = (meta["trace_sha256"], meta["head_sha256"])
+        ours = (_footer(meta) == footer
+                and meta["schema"] == SCHEMA_VERSION
+                and meta["fingerprint"] == code_fingerprint())
+    except (ValueError, KeyError, TypeError) as exc:
         raise ValueError("malformed digest footer: %s" % (exc,)) from exc
-    actual = hashlib.sha256(body.encode()).hexdigest()
-    if actual != recorded:
+    if not ours:
+        raise ValueError("foreign digest footer")
+    head_end = footer_start - 1
+    if not (type(trace_end) is int and 0 <= trace_end < head_end
+            and raw[trace_end] == ord("\n")):
+        raise ValueError("sections do not match the footer")
+    view = memoryview(raw)
+    if (_sha256(view[:trace_end]),
+            _sha256(view[trace_end + 1:head_end])) != recorded:
         raise ValueError("digest mismatch: entry is corrupt")
-    return body, meta
+    return raw[trace_end + 1:head_end].decode("utf-8"), meta
 
 
 class ArtifactStore:
@@ -138,7 +193,8 @@ class ArtifactStore:
     decoded), ``misses`` (absent, or present under a different schema),
     ``corrupt`` (failed verification or decoding -- quarantined).
     ``quarantined``/``recovered`` count the corresponding maintenance
-    actions.
+    actions; ``quarantined`` also counts an entry whose trace section
+    changed between its load and the first walk of its trace.
     """
 
     def __init__(self, root):
@@ -149,12 +205,17 @@ class ArtifactStore:
         self.quarantined = 0
         self.recovered = 0
 
+    @property
+    def directory(self):
+        """Where this code's entries live: ``<root>/<code fingerprint>``."""
+        return os.path.join(self.root, code_fingerprint())
+
     def path_for(self, key):
-        return os.path.join(self.root, "%s.json" % key)
+        return os.path.join(self.directory, "%s.json" % key)
 
     @property
     def quarantine_dir(self):
-        return os.path.join(self.root, "quarantine")
+        return os.path.join(self.directory, "quarantine")
 
     # -- reads ---------------------------------------------------------
 
@@ -163,9 +224,11 @@ class ArtifactStore:
 
         Error contract: a missing entry or one written under a different
         artifact schema is a **miss**; a file that cannot be read or
-        fails UTF-8 decoding, digest verification or artifact decoding
+        fails digest verification, UTF-8 decoding or artifact decoding
         is **corrupt** -- quarantined and counted, never raised and never
-        silently served.
+        silently served.  Every byte is verified here, but only the head
+        is parsed: the artifact's trace is read again, and checked, when
+        something walks it (see :meth:`_trace_reader`).
         """
         path = self.path_for(key)
         try:
@@ -174,18 +237,21 @@ class ArtifactStore:
             self.misses += 1
             return None
         try:
-            # The entry's bytes and text are temporaries: only the payload
-            # stays alive while the (much larger) artifact is decoded.
+            # The entry's bytes are a temporary: only the head's text
+            # stays alive while the artifact is decoded.
             with handle:
-                payload, _meta = unframe_entry(handle.read().decode("utf-8"))
-            data = json.loads(payload)
+                head, meta = unframe_entry(handle.read())
+            data = json.loads(head)
             if isinstance(data, dict) and data.get("schema") \
                     != SCHEMA_VERSION:
                 # A well-formed entry from another schema era: a plain
                 # miss, not corruption.
                 self.misses += 1
                 return None
-            artifact = artifact_from_dict(data, source="disk-cache")
+            artifact = artifact_from_dict(
+                data, source="disk-cache",
+                read_trace=self._trace_reader(key, meta["trace_bytes"],
+                                         meta["trace_sha256"]))
         except Exception:
             self.corrupt += 1
             self._quarantine(path)
@@ -193,14 +259,47 @@ class ArtifactStore:
         self.hits += 1
         return artifact
 
+    def _trace_reader(self, key, size, digest):
+        """A callable returning the parsed trace section of ``key``'s
+        entry, which load verified as ``size`` bytes hashing to
+        ``digest``.
+
+        The section is read again when called.  If it is gone, or no
+        longer hashes to ``digest``, the entry is quarantined and the
+        call raises :class:`ArtifactError` naming ``key``.
+        """
+        def read():
+            path = self.path_for(key)
+            try:
+                with open(path, "rb") as handle:
+                    section = handle.read(size)
+            except OSError as exc:
+                raise ArtifactError(
+                    "store entry %s: trace section unreadable: %s"
+                    % (key, exc)) from exc
+            try:
+                if _sha256(section) != digest:
+                    raise ValueError("digest mismatch")
+                return json.loads(section)
+            except ValueError as exc:
+                self._quarantine(path)
+                raise ArtifactError(
+                    "store entry %s: trace section changed since load "
+                    "(%s); entry quarantined" % (key, exc)) from exc
+        return read
+
     # -- writes --------------------------------------------------------
 
     def save(self, key, artifact):
         """Serialize and store ``artifact``; returns the file path."""
-        return self.save_json(key, to_json(artifact))
+        document = artifact_to_dict(artifact)
+        trace = document.pop("trace")
+        return self.save_json(key, canonical_dumps(document),
+                              canonical_dumps(trace))
 
-    def save_json(self, key, text):
-        """Atomically publish ``text`` (plus digest footer) under ``key``.
+    def save_json(self, key, head, trace="null"):
+        """Atomically publish ``head`` and ``trace`` (plus digest footer)
+        under ``key``.
 
         Crash-consistent: a writer that dies leaves only an orphaned
         ``*.tmp`` for :meth:`recover` to sweep, never a partial entry
@@ -209,13 +308,14 @@ class ArtifactStore:
         atomic either way).  If a recovery sweep races this publish and
         steals the temp file, the write is retried once.
         """
-        framed = frame_entry(text)
+        framed = frame_entry(head, trace)
         path = self.path_for(key)
         for attempt in (1, 2):
-            os.makedirs(self.root, exist_ok=True)
-            fd, tmp_path = tempfile.mkstemp(dir=self.root, suffix=".tmp")
+            self._make_directory()
+            fd, tmp_path = tempfile.mkstemp(dir=self.directory,
+                                            suffix=".tmp")
             try:
-                with os.fdopen(fd, "w") as handle:
+                with os.fdopen(fd, "wb") as handle:
                     handle.write(framed)
                 os.replace(tmp_path, path)
                 return path
@@ -232,6 +332,20 @@ class ArtifactStore:
         return path
 
     # -- maintenance ---------------------------------------------------
+
+    def _make_directory(self):
+        """Create this fingerprint's directory.  The call that creates it
+        also removes the directories of other fingerprints, and nothing
+        else under the root."""
+        try:
+            os.makedirs(self.directory)
+        except FileExistsError:
+            return
+        current = os.path.basename(self.directory)
+        for name in os.listdir(self.root):
+            if name != current and _FINGERPRINT_DIR.fullmatch(name):
+                shutil.rmtree(os.path.join(self.root, name),
+                              ignore_errors=True)
 
     def _quarantine(self, path):
         """Move a corrupt file aside (best-effort) and count it."""
@@ -254,14 +368,12 @@ class ArtifactStore:
         temp file is stolen retries its publish, but the window is better
         avoided.
         """
-        if not os.path.isdir(self.root):
-            return []
         swept = []
-        for name in sorted(os.listdir(self.root)):
+        for name in self._names():
             if not name.endswith(".tmp"):
                 continue
             try:
-                os.unlink(os.path.join(self.root, name))
+                os.unlink(os.path.join(self.directory, name))
             except OSError:
                 continue
             swept.append(name)
@@ -270,12 +382,16 @@ class ArtifactStore:
 
     # -- listing -------------------------------------------------------
 
-    def keys(self):
-        """Stored keys in sorted order."""
-        if not os.path.isdir(self.root):
+    def _names(self):
+        try:
+            return sorted(os.listdir(self.directory))
+        except FileNotFoundError:
             return []
-        return sorted(name[:-5] for name in os.listdir(self.root)
-                      if name.endswith(".json"))
+
+    def keys(self):
+        """Stored keys (this code fingerprint's) in sorted order."""
+        return [name[:-5] for name in self._names()
+                if name.endswith(".json")]
 
     def clear(self):
         for key in self.keys():

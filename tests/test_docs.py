@@ -66,6 +66,30 @@ def test_checker_catches_stale_names(tmp_path):
                         "repro.fuzz.gone_name"]
 
 
+def test_class_attributes_resolve(tmp_path):
+    """``Class.attr`` spans of exported classes resolve through class
+    attributes, dataclass fields and attributes assigned on ``self``;
+    a class no package exports is not checked."""
+    (tmp_path / "README.md").write_text(
+        "`ArtifactStore.load`, `ArtifactStore.quarantine_dir`,"
+        " `ArtifactStore.save_json(key, head)`,"
+        " `PipelineOrchestrator.last_resilience`, `FaultSpec.layer`,"
+        " `RunArtifact.trace`, `NotExported.anything` and"
+        " `os.replace`.\n")
+    assert check_docs.check_names(str(tmp_path)) == []
+
+
+def test_checker_catches_stale_class_attributes(tmp_path):
+    """A deleted method of an exported class is reported, also with its
+    call's arguments; fenced blocks are not checked."""
+    (tmp_path / "README.md").write_text(
+        "`ArtifactStore.gc(max_bytes)` and `ArtifactStore.load.nothing`"
+        " are gone.\n\n```\n`ArtifactStore.load_json`\n```\n")
+    assert check_docs.check_names(str(tmp_path)) == [
+        "README.md: name does not resolve -> ArtifactStore.gc",
+        "README.md: name does not resolve -> ArtifactStore.load.nothing"]
+
+
 def test_env_table_matches_code():
     assert check_docs.check_env_table(_REPO_ROOT) == []
 

@@ -18,6 +18,7 @@ from repro.faults import (FaultPlan, FaultPlanGenerator, FaultRecord,
 from repro.faults.campaign import ChaosCampaign, ChaosReport
 from repro.faults.inject import maybe_raise_run_fault
 from repro.pipeline import ArtifactStore, PipelineOrchestrator
+from repro.pipeline.store import unframe_entry
 
 
 class TestFaultPlans:
@@ -124,6 +125,24 @@ class TestOrchestratorUnderFault:
         assert outcome.verdict == "identical"
         assert outcome.resilience["quarantined"] >= 1
         assert outcome.resilience["recovered_tmp"] >= 1
+
+    def test_trace_section_bitflip_heals_byte_identical(self, campaign):
+        # The trace leads every entry, so a small offset lands in it: the
+        # section load verifies but never parses.  The flip is found at
+        # load, never when the campaign walks the trace.
+        campaign.baseline()
+        pristine = ArtifactStore(campaign._pristine_root)
+        first = pristine.keys()[0]
+        with open(pristine.path_for(first), "rb") as handle:
+            _head, meta = unframe_entry(handle.read())
+        outcome = campaign.run_schedule(FaultPlan(seed=19, faults=(
+            FaultSpec(layer="store", kind="bitflip", target=0,
+                      params={"salt": 1234}),)))
+        [applied] = outcome.store_faults
+        assert applied["key"] == first
+        assert applied["offset"] < meta["trace_bytes"]
+        assert outcome.verdict == "identical"
+        assert outcome.resilience["quarantined"] == 1
 
     def test_persistent_run_fault_fails_loudly(self, campaign):
         outcome = campaign.run_schedule(FaultPlan(seed=3, faults=(

@@ -21,11 +21,13 @@ import os
 import pytest
 
 from repro.drivers import DRIVERS, device_class
+from repro.errors import ArtifactError
 from repro.eval.runner import get_cache
 from repro.net import EthernetFrame, EtherType
 from repro.pipeline import (ArtifactStore, PipelineOrchestrator,
                             artifact_key, build_config, canonical_json,
                             execute_run, from_json, to_json)
+from repro.pipeline.store import unframe_entry
 from repro.targetos import WinSim
 from repro.templates import NicTemplate
 
@@ -277,6 +279,95 @@ class TestStore:
                                                  script="quick"))
         other = artifacts["pcnet"].image
         assert base != artifact_key(other, build_config("pcnet"))
+
+    def test_trace_bitflip_quarantined_at_load(self, tmp_path, artifacts):
+        # Load verifies the trace section though it does not parse it: a
+        # flipped trace byte is corruption found at load, and the
+        # recompute is byte-identical.
+        store = ArtifactStore(str(tmp_path))
+        orchestrator = PipelineOrchestrator(store=store)
+        orchestrator._store_artifact(("rtl8029", "coverage", "default"),
+                                     artifacts["rtl8029"])
+        [key] = store.keys()
+        path = store.path_for(key)
+        with open(path, "rb") as handle:
+            raw = bytearray(handle.read())
+        _head, meta = unframe_entry(bytes(raw))
+        raw[meta["trace_bytes"] // 2] ^= 0x04
+        with open(path, "wb") as handle:
+            handle.write(raw)
+        assert store.load(key) is None
+        assert store.corrupt == 1 and store.quarantined == 1
+        assert os.path.exists(os.path.join(store.quarantine_dir,
+                                           "%s.json" % key))
+        recomputed = orchestrator.run("rtl8029")
+        assert recomputed.source == "computed"
+        assert canonical_json(recomputed) \
+            == canonical_json(artifacts["rtl8029"])
+
+    def test_trace_changed_after_load_is_loud(self, tmp_path, artifacts):
+        # An entry rewritten after load: walking the trace re-reads the
+        # section, refuses it by digest and quarantines the entry.
+        store = ArtifactStore(str(tmp_path))
+        artifact = artifacts["rtl8029"]
+        key = artifact_key(artifact.image, build_config("rtl8029"))
+        store.save(key, artifact)
+        loaded = store.load(key)
+        path = store.path_for(key)
+        with open(path, "r+b") as handle:
+            handle.seek(100)
+            byte = handle.read(1)
+            handle.seek(100)
+            handle.write(bytes([byte[0] ^ 0x01]))
+        with pytest.raises(ArtifactError, match=key):
+            loaded.trace
+        assert store.quarantined == 1
+        assert not os.path.exists(path)
+        assert os.path.exists(os.path.join(store.quarantine_dir,
+                                           "%s.json" % key))
+        # still loud on the next walk, never a wrong trace
+        with pytest.raises(ArtifactError, match=key):
+            loaded.trace
+
+    def test_trace_deleted_after_load_is_loud(self, tmp_path, artifacts):
+        store = ArtifactStore(str(tmp_path))
+        artifact = artifacts["rtl8029"]
+        key = artifact_key(artifact.image, build_config("rtl8029"))
+        store.save(key, artifact)
+        loaded = store.load(key)
+        os.unlink(store.path_for(key))
+        with pytest.raises(ArtifactError, match=key):
+            loaded.trace
+
+    def test_warm_matrix_column_decodes_no_trace(self, tmp_path, artifacts,
+                                                 monkeypatch):
+        # The trace is the synthesizer's input: a warm-up from the store
+        # and a validation column never decode one, and a loaded
+        # artifact's trace, once walked, is the computed one.
+        from repro.pipeline import artifact as artifact_module
+        from repro.validate import SCENARIOS, compute_column
+
+        store = ArtifactStore(str(tmp_path))
+        first = PipelineOrchestrator(store=store)
+        for name, artifact in artifacts.items():
+            first._store_artifact((name, "coverage", "default"), artifact)
+        decoded = []
+        decode = artifact_module._decode_trace
+
+        def counting(*args):
+            decoded.append(args)
+            return decode(*args)
+
+        monkeypatch.setattr(artifact_module, "_decode_trace", counting)
+        warmed = PipelineOrchestrator(store=store).warm()
+        assert all(a.source == "disk-cache" for a in warmed.values())
+        compute_column(warmed["rtl8029"], ("winsim", "kitos"),
+                       [s.name for s in SCENARIOS])
+        assert decoded == []
+        for name in ALL:
+            assert canonical_json(warmed[name]) \
+                == canonical_json(artifacts[name]), name
+        assert len(decoded) == len(ALL)
 
     def test_warm_session_loads_not_runs(self, tmp_path, artifacts):
         """Second-session behaviour: with a populated store, warm-up is

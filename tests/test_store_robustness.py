@@ -1,9 +1,11 @@
 """Crash-consistency and hostile-disk behavior of the artifact store.
 
 The store's hardening contract, exercised directly: checksummed entries
-reject truncation and bit flips (quarantined, counted, never served or
-raised), orphaned temp files from crashed publishes are swept by the
-recovery pass, and concurrent writers and maintenance races stay safe.
+reject truncation and bit flips in either section (quarantined, counted,
+never served or raised), orphaned temp files from crashed publishes are
+swept by the recovery pass, concurrent writers and maintenance races stay
+safe, and a new code fingerprint's first save drops the entries of the
+old one.
 """
 
 import json
@@ -25,10 +27,10 @@ DOC = json.dumps({"schema": SCHEMA_VERSION, "x": 1})
 @pytest.fixture()
 def store(tmp_path, monkeypatch):
     # The entries here are small dicts, not run artifacts: decoding a
-    # verified payload yields the dict itself, so ``load`` exercises the
+    # verified head yields the dict itself, so ``load`` exercises the
     # frame, the schema check and the counters on its own.
     monkeypatch.setattr(store_module, "artifact_from_dict",
-                        lambda data, source: data)
+                        lambda data, source, read_trace: data)
     return ArtifactStore(str(tmp_path / "store"))
 
 
@@ -47,28 +49,46 @@ def _flip(raw, index, mask):
 
 class TestFraming:
     def test_round_trip(self):
-        payload = '{"x": 1}'
-        body, meta = unframe_entry(frame_entry(payload))
-        assert body == payload
+        framed = frame_entry('{"x": 1}', '{"t": 2}')
+        assert framed.startswith(b'{"t": 2}\n{"x": 1}\n')
+        head, meta = unframe_entry(framed)
+        assert head == '{"x": 1}'
         assert meta["fingerprint"] == code_fingerprint()
+        assert meta["trace_bytes"] == len('{"t": 2}')
 
     def test_missing_footer_rejected(self):
         with pytest.raises(ValueError):
-            unframe_entry('{"x": 1}\n')
+            unframe_entry(b'null\n{"x": 1}\n')
 
     def test_digest_mismatch_rejected(self):
-        framed = frame_entry('{"x": 1}')
-        tampered = framed.replace('"x": 1', '"x": 2')
-        with pytest.raises(ValueError):
-            unframe_entry(tampered)
+        framed = frame_entry('{"x": 1}', '{"t": 2}')
+        for old, new in ((b'"x": 1', b'"x": 2'), (b'"t": 2', b'"t": 3')):
+            with pytest.raises(ValueError):
+                unframe_entry(framed.replace(old, new))
 
     def test_malformed_footer_rejected(self):
         with pytest.raises(ValueError):
-            unframe_entry("body\n%s{not json\n" % FOOTER_PREFIX)
+            unframe_entry(b"null\nbody\n%s{not json\n" % FOOTER_PREFIX)
 
     def test_empty_payload(self):
-        body, _meta = unframe_entry(frame_entry(""))
-        assert body == ""
+        head, _meta = unframe_entry(frame_entry("", ""))
+        assert head == ""
+
+    def test_every_byte_is_verified(self):
+        # separators and footer included: no single flipped bit anywhere
+        # in an entry survives unframing
+        framed = frame_entry('{"x": 1}', '{"t": 2}')
+        for index in range(len(framed)):
+            for bit in range(8):
+                with pytest.raises(ValueError):
+                    unframe_entry(_flip(framed, index, 1 << bit))
+
+    def test_foreign_footer_rejected(self, monkeypatch):
+        framed = frame_entry('{"x": 1}')
+        monkeypatch.setattr(store_module, "code_fingerprint",
+                            lambda: "f" * 64)
+        with pytest.raises(ValueError):
+            unframe_entry(framed)
 
 
 class TestCorruptionDetection:
@@ -132,7 +152,7 @@ class TestCorruptionDetection:
 class TestCrashRecovery:
     def test_orphaned_tmp_swept(self, store):
         store.save_json("k", DOC)
-        orphan = os.path.join(store.root, "dead-writer.tmp")
+        orphan = os.path.join(store.directory, "dead-writer.tmp")
         with open(orphan, "w") as handle:
             handle.write("partial garbage")
         assert store.recover() == ["dead-writer.tmp"]
@@ -146,7 +166,8 @@ class TestCrashRecovery:
 
     def test_tmp_never_visible_as_entry(self, store):
         store.save_json("k", DOC)
-        with open(os.path.join(store.root, "crash.tmp"), "w") as handle:
+        with open(os.path.join(store.directory, "crash.tmp"),
+                  "w") as handle:
             handle.write("junk")
         assert store.keys() == ["k"]
 
@@ -220,3 +241,34 @@ class TestRaces:
         monkeypatch.setattr(os, "replace", flaky_replace)
         store.save_json("k", DOC)
         assert store.load("k") == json.loads(DOC)
+
+
+class TestFingerprintDirectories:
+    def test_entries_live_under_the_code_fingerprint(self, store):
+        store.save_json("k", DOC)
+        assert store.path_for("k") == os.path.join(
+            store.root, code_fingerprint(), "k.json")
+        assert os.path.dirname(store.quarantine_dir) == store.directory
+
+    def test_new_fingerprint_drops_old_entries(self, store, monkeypatch):
+        store.save_json("old", DOC)
+        old_directory = store.directory
+        # neither a fingerprint directory nor this store's: left alone
+        bystanders = [os.path.join(store.root, "notes"),
+                      os.path.join(store.root, "a" * 63)]
+        for path in bystanders:
+            os.makedirs(path)
+        with open(os.path.join(store.root, "flat.json"), "w") as handle:
+            handle.write(DOC)
+
+        monkeypatch.setattr(store_module, "code_fingerprint",
+                            lambda: "e" * 64)
+        assert store.keys() == []
+        store.save_json("new", DOC)
+        assert not os.path.exists(old_directory)
+        assert store.keys() == ["new"]
+        assert store.load("new") == json.loads(DOC)
+        assert all(os.path.isdir(path) for path in bystanders)
+        assert os.path.exists(os.path.join(store.root, "flat.json"))
+        assert sorted(os.listdir(store.root)) \
+            == sorted(["a" * 63, "e" * 64, "flat.json", "notes"])

@@ -17,7 +17,12 @@ passes:
   ``repro.…`` name, optionally followed by a call's ``(...)``, must
   resolve: the longest importable module prefix, then ``getattr`` for
   the rest (so ``repro.pipeline.store.ArtifactStore.load`` and
-  ``repro.eval.runner.get_cache()`` are checked against the code);
+  ``repro.eval.runner.get_cache()`` are checked against the code).  A
+  ``Class.attr`` span whose class some ``repro`` package exports (lists
+  in its ``__all__``) must name an attribute of that class: a class
+  attribute, a dataclass field, or one its methods assign on ``self``
+  (so ``ArtifactStore.load`` and ``PipelineOrchestrator.last_resilience``
+  resolve, and a deleted ``ArtifactStore.gc(max_bytes)`` does not);
 * **environment table** -- the ``REVNIC_*`` table in
   ``docs/robustness.md`` matches the code both ways: every string
   literal under ``src/repro`` that is exactly a ``REVNIC_*`` name has a
@@ -33,12 +38,16 @@ Run locally:  PYTHONPATH=src python tools/check_docs.py
 """
 
 import ast
+import dataclasses
 import doctest
 import glob
 import importlib
+import inspect
 import os
+import pkgutil
 import re
 import sys
+import textwrap
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -51,6 +60,7 @@ _INLINE_CODE_RE = re.compile(r"(?<!`)`([^`\n]+)`(?!`)")
 _FENCE_RE = re.compile(r"^```")
 _PYTHON_FENCE_RE = re.compile(r"^```python\s*$")
 _REPRO_NAME_RE = re.compile(r"(repro(?:\.[A-Za-z_]\w*)+)(?:\(.*\))?")
+_CLASS_ATTR_RE = re.compile(r"(([A-Z]\w*)(?:\.[A-Za-z_]\w*)+)(?:\(.*\))?")
 _ENV_NAME_RE = re.compile(r"REVNIC_[A-Z0-9_]+")
 _ENV_ROW_RE = re.compile(r"^\|\s*`(REVNIC_[A-Z0-9_]+)`\s*\|", re.MULTILINE)
 
@@ -131,18 +141,86 @@ def resolves(name):
     return False
 
 
+def exported_classes():
+    """``{name: [class, ...]}`` for every class a ``repro`` package lists
+    in its ``__all__``."""
+    import repro
+
+    classes = {}
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        if not info.ispkg:
+            continue
+        package = importlib.import_module(info.name)
+        for name in getattr(package, "__all__", ()):
+            value = getattr(package, name, None)
+            if inspect.isclass(value) \
+                    and value not in classes.get(name, ()):
+                classes.setdefault(name, []).append(value)
+    return classes
+
+
+def _instance_attributes(cls):
+    """The dataclass fields of ``cls`` and the names its methods (or its
+    bases') assign on ``self``."""
+    names = {field.name for field in dataclasses.fields(cls)} \
+        if dataclasses.is_dataclass(cls) else set()
+    for klass in cls.__mro__:
+        try:
+            source = textwrap.dedent(inspect.getsource(klass))
+        except (OSError, TypeError):
+            continue
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Attribute) \
+                    and isinstance(node.ctx, ast.Store) \
+                    and isinstance(node.value, ast.Name) \
+                    and node.value.id == "self":
+                names.add(node.attr)
+    return names
+
+
+def class_attr_resolves(cls, attrs):
+    """True when the dotted ``attrs`` name an attribute path of ``cls``;
+    the first may be an instance attribute."""
+    if not hasattr(cls, attrs[0]):
+        # An instance attribute: nothing below it can be checked.
+        return attrs[0] in _instance_attributes(cls)
+    target = cls
+    for attr in attrs:
+        if not hasattr(target, attr):
+            return False
+        target = getattr(target, attr)
+    return True
+
+
 def check_names(root=REPO_ROOT):
-    """Problems with inline-code ``repro.…`` names that do not resolve."""
+    """Problems with inline-code ``repro.…`` names, and ``Class.attr``
+    names of exported classes, that do not resolve."""
     problems = []
+    classes = None
     for path in doc_files(root):
         relname = os.path.relpath(path, root)
         with open(path) as handle:
             prose = _strip_fenced_blocks(handle.read())
         for token in _INLINE_CODE_RE.findall(prose):
-            match = _REPRO_NAME_RE.fullmatch(token.strip())
-            if match and not resolves(match.group(1)):
+            token = token.strip()
+            match = _REPRO_NAME_RE.fullmatch(token)
+            if match:
+                if not resolves(match.group(1)):
+                    problems.append("%s: name does not resolve -> %s"
+                                    % (relname, match.group(1)))
+                continue
+            match = _CLASS_ATTR_RE.fullmatch(token)
+            if not match:
+                continue
+            if classes is None:
+                classes = exported_classes()
+            name, class_name = match.groups()
+            candidates = classes.get(class_name, ())
+            attrs = name.split(".")[1:]
+            if candidates and not any(class_attr_resolves(cls, attrs)
+                                      for cls in candidates):
                 problems.append("%s: name does not resolve -> %s"
-                                % (relname, match.group(1)))
+                                % (relname, name))
     return problems
 
 
