@@ -21,9 +21,7 @@ from repro.guestos.harness import DriverHarness
 from repro.net import UdpWorkload
 from repro.targetos import TARGET_OSES
 from repro.templates import NicTemplate
-
-MAC = b"\x52\x54\x00\xAA\xBB\xCC"
-PEER = b"\x02\x00\x00\x00\x00\x01"
+from repro.validate.observe import PEER_MAC, VALIDATION_MAC
 
 
 @dataclass(frozen=True)
@@ -66,51 +64,47 @@ class DriverCost:
     uses_dma: bool
 
 
-def _frame_for(size, workload):
-    return workload.next_frame().to_bytes()
+def _measure(boot_front, driver_name, sizes, packets):
+    """Per-packet send cost of the driver on a freshly booted front
+    (``boot_front()``) per UDP payload size: {size: DriverCost}."""
+    out = {}
+    for size in sizes:
+        front = boot_front()
+        workload = UdpWorkload(VALIDATION_MAC, PEER_MAC, size)
+        start_instr, start_io = front.instrs_retired, front.io_ops
+        for _ in range(packets):
+            front.send(workload.next_frame().to_bytes())
+        out[size] = DriverCost(
+            instructions=(front.instrs_retired - start_instr) / packets,
+            io_accesses=(front.io_ops - start_io) / packets,
+            uses_dma=DRIVERS[driver_name].uses_dma)
+    return out
 
 
 def measure_original(driver_name, sizes, packets=6):
     """Measure the original binary driver's per-packet send cost on the
     source OS, per UDP payload size.  Returns {size: DriverCost}."""
-    info = DRIVERS[driver_name]
-    out = {}
-    for size in sizes:
+    def boot_front():
         harness = DriverHarness(build_driver(driver_name),
-                                device_class(driver_name), mac=MAC)
+                                device_class(driver_name), mac=VALIDATION_MAC)
         harness.boot()
-        workload = UdpWorkload(MAC, PEER, size)
-        cpu = harness.machine.cpu
-        start_instr, start_io = cpu.instret, cpu.io_ops
-        for _ in range(packets):
-            harness.send(_frame_for(size, workload))
-        out[size] = DriverCost(
-            instructions=(cpu.instret - start_instr) / packets,
-            io_accesses=(cpu.io_ops - start_io) / packets,
-            uses_dma=info.uses_dma)
-    return out
+        return harness
+
+    return _measure(boot_front, driver_name, sizes, packets)
 
 
 def measure_synthesized(run, target_os_name, sizes, packets=6):
     """Measure the synthesized driver's per-packet send cost on a target
     OS.  ``run`` is a :class:`~repro.pipeline.artifact.RunArtifact`."""
-    info = DRIVERS[run.name]
-    out = {}
-    for size in sizes:
-        target = TARGET_OSES[target_os_name](device_class(run.name), mac=MAC)
+    def boot_front():
+        target = TARGET_OSES[target_os_name](device_class(run.name),
+                                             mac=VALIDATION_MAC)
         template = NicTemplate(run.synthesized, target,
                                original_image=run.image)
         template.initialize()
-        workload = UdpWorkload(MAC, PEER, size)
-        env = template.runtime.env
-        start_instr, start_io = env.instrs_retired, env.io_ops
-        for _ in range(packets):
-            template.send(_frame_for(size, workload))
-        out[size] = DriverCost(
-            instructions=(env.instrs_retired - start_instr) / packets,
-            io_accesses=(env.io_ops - start_io) / packets,
-            uses_dma=info.uses_dma)
-    return out
+        return template
+
+    return _measure(boot_front, run.name, sizes, packets)
 
 
 #: Hand-optimization factor applied to derive the native target-OS driver's

@@ -14,12 +14,10 @@ and the functional tests all read artifacts.
 from repro.pipeline.orchestrator import (PipelineOrchestrator,
                                          get_orchestrator)
 
-MAC = b"\x52\x54\x00\xAA\xBB\xCC"
-
 
 def get_cache():
     """The process-wide pipeline orchestrator."""
     return get_orchestrator()
 
 
-__all__ = ["MAC", "PipelineOrchestrator", "get_cache"]
+__all__ = ["PipelineOrchestrator", "get_cache"]

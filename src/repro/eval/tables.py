@@ -11,6 +11,7 @@ from repro.asm.disasm import static_call_targets
 from repro.drivers import DRIVERS, build_driver
 from repro.guestos.structures import NdisStatus, PacketFilter
 from repro.net import EthernetFrame, EtherType
+from repro.validate.observe import PEER_MAC, VALIDATION_MAC
 
 
 # ==========================================================================
@@ -93,12 +94,9 @@ TABLE2_FEATURES = {
                    "smc91c111": "check", "rtl8029": "NT"},
 }
 
-MAC = b"\x52\x54\x00\xAA\xBB\xCC"
-PEER = b"\x02\x00\x00\x00\x00\x01"
-
 
 def _frame(dst, payload=b"x" * 64):
-    return EthernetFrame(dst=dst, src=PEER, ethertype=EtherType.IPV4,
+    return EthernetFrame(dst=dst, src=PEER_MAC, ethertype=EtherType.IPV4,
                          payload=payload).to_bytes()
 
 
@@ -109,8 +107,8 @@ def _feature_checks(template, device):
     results["init_shutdown"] = device.rx_enabled
     frame = _frame(b"\xff" * 6)
     sent = template.send(frame) == NdisStatus.SUCCESS \
-        and template.os.medium.transmitted[-1] == frame
-    rx = _frame(MAC, b"y" * 77)
+        and template.medium.transmitted[-1] == frame
+    rx = _frame(VALIDATION_MAC, b"y" * 77)
     received = template.inject_rx(rx) == [rx]
     results["send_receive"] = sent and received
 
@@ -165,7 +163,7 @@ def table2_compute(cache=None):
     matrix = {feature: {} for feature in TABLE2_FEATURES}
     for name in sorted(DRIVERS):
         run = cache.run(name)
-        target = WinSim(device_class(name), mac=MAC)
+        target = WinSim(device_class(name), mac=VALIDATION_MAC)
         template = NicTemplate(run.synthesized, target,
                                original_image=run.image)
         template.initialize()

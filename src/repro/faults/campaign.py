@@ -35,7 +35,7 @@ from repro.errors import ReproError
 from repro.faults.inject import corrupt_store_entry
 from repro.faults.plan import FaultPlan, FaultPlanGenerator
 from repro.pipeline.artifact import canonical_json
-from repro.pipeline.orchestrator import PipelineOrchestrator
+from repro.pipeline.orchestrator import PipelineOrchestrator, store_key
 from repro.pipeline.store import ArtifactStore
 
 
@@ -157,6 +157,17 @@ class ChaosCampaign:
     def _target(self, spec):
         return self.drivers[spec.target % len(self.drivers)]
 
+    def _vandalize(self, store, faults):
+        """Apply store-layer ``faults`` to ``store``, each to its target
+        driver's entry; returns the records of the ones that landed."""
+        applied = []
+        for spec in faults:
+            key = store_key(self._target(spec), self.strategy, self.script)
+            record = corrupt_store_entry(store, spec, key)
+            if record is not None:
+                applied.append(record)
+        return applied
+
     def run_schedule(self, plan_or_seed):
         """Run one fault schedule; returns a :class:`ChaosOutcome`.
 
@@ -178,7 +189,7 @@ class ChaosCampaign:
             # pristine fault-free store, then vandalize per the plan.
             shutil.copytree(self._pristine_root, store_root)
         store = ArtifactStore(store_root)
-        applied = _vandalize(store, store_faults)
+        applied = self._vandalize(store, store_faults)
 
         orchestrator = PipelineOrchestrator(store=store)
         outcome = ChaosOutcome(seed=plan.seed, plan=plan.to_dict(),
@@ -219,7 +230,7 @@ class ChaosCampaign:
             # A fault fires only as its driver's installed fault, and
             # only when that driver computed.
             fired = {driver: spec for driver, spec in faults.items()
-                     if driver in report.jobs}
+                     if driver in report.computed}
             outcome.skipped_run_faults = [
                 spec.to_dict() for spec in plan.layer("run")
                 if fired.get(self._target(spec)) is not spec]
@@ -274,7 +285,7 @@ class ChaosCampaign:
                                      dir=self.workdir())
         shutil.copytree(store_root, twin_root, dirs_exist_ok=True)
         twin_store = ArtifactStore(twin_root)
-        applied = _vandalize(twin_store, plan.layer("store"))
+        applied = self._vandalize(twin_store, plan.layer("store"))
         if not applied:
             raise ChaosInvariantError(
                 "vacuous fuzz composition: fault plan %s vandalized no "
@@ -290,14 +301,3 @@ class ChaosCampaign:
                 "store_faults": applied,
                 "quarantined": twin_store.counters()["quarantined"],
                 "summary": chaos.summary()}
-
-
-def _vandalize(store, faults):
-    """Apply store-layer ``faults`` to ``store``; returns the records of
-    the ones that landed."""
-    applied = []
-    for spec in faults:
-        record = corrupt_store_entry(store, spec)
-        if record is not None:
-            applied.append(record)
-    return applied

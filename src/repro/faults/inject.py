@@ -6,7 +6,7 @@ Two entry points, one per layer:
   :func:`repro.pipeline.orchestrator.execute_run` between pipeline
   stages: it raises the induced, classified exception
   (:class:`GuestOsError` / :class:`SolverError`) the schedule asks for;
-* :func:`corrupt_store_entry` vandalizes an on-disk
+* :func:`corrupt_store_entry` vandalizes one entry of an on-disk
   :class:`~repro.pipeline.store.ArtifactStore` deterministically --
   truncation, a single flipped bit, an orphaned temp file, or a publish
   crashed mid-``os.replace``.
@@ -45,24 +45,20 @@ def maybe_raise_run_fault(fault, stage):
     raise ValueError("unknown run fault kind %r" % (kind,))
 
 
-def corrupt_store_entry(store, fault):
-    """Apply a store-layer fault to one entry of ``store``.
+def corrupt_store_entry(store, fault, key):
+    """Apply a store-layer fault to the entry of ``store`` under ``key``.
 
-    The target entry is ``sorted(keys)[target % len(keys)]`` -- stable
-    for a given store state.  Returns a record dict describing what was
-    done (``None`` when the store is empty and there is nothing to
-    corrupt).
+    Returns a record dict describing what was done (``None`` when the
+    store holds no such entry and there is nothing to corrupt).
     """
     fault = _spec_dict(fault)
     if fault is None or fault.get("layer") != "store":
         return None
-    keys = store.keys()
     kind = fault["kind"]
     params = fault.get("params", {})
     salt = params.get("salt", 0)
-    if not keys:
+    if key not in store.keys():
         return None
-    key = keys[fault.get("target", 0) % len(keys)]
     path = store.path_for(key)
     with open(path, "rb") as handle:
         original = handle.read()

@@ -1,8 +1,8 @@
 """Resilience accounting: what the pipeline did to survive.
 
 Every pipeline warm-up, and so every chaos schedule, carries a
-:class:`ResilienceReport`: each job's attempts and outcome, and what the
-store quarantined or recovered along the way.
+:class:`ResilienceReport`: which drivers it computed, and what the store
+quarantined or recovered along the way.
 
 A :class:`FaultRecord` is the loud half of the chaos invariant: when the
 pipeline cannot heal a fault it must fail with a *classified, replayable*
@@ -29,44 +29,23 @@ class FaultRecord:
 
 @dataclass
 class ResilienceReport:
-    """How one campaign survived: counters and events."""
+    """How one warm-up survived: counters and fault records."""
 
     quarantined: int = 0
     recovered_tmp: int = 0
-    #: per-job provenance: label -> {"attempts", "outcome", "events"}
-    jobs: dict = field(default_factory=dict)
+    #: drivers whose pipeline ran, in the order they ran (a failing one
+    #: last); drivers loaded from the store are absent
+    computed: list = field(default_factory=list)
     #: classified, replayable faults that survived every healing layer
     fault_records: list = field(default_factory=list)
 
-    # ------------------------------------------------------------------
-
-    def job_entry(self, label):
-        return self.jobs.setdefault(label, {"attempts": 0,
-                                            "outcome": "pending",
-                                            "events": []})
-
-    def record_attempt(self, label, event=None):
-        """Count one run of job ``label`` (one per warm-up it is in)."""
-        entry = self.job_entry(label)
-        entry["attempts"] += 1
-        if event:
-            entry["events"].append(event)
-
-    def record_outcome(self, label, outcome):
-        self.job_entry(label)["outcome"] = outcome
-
     def record_fault(self, record):
         self.fault_records.append(record)
-
-    # ------------------------------------------------------------------
 
     def to_dict(self):
         return {
             "quarantined": self.quarantined,
             "recovered_tmp": self.recovered_tmp,
-            "jobs": {label: {"attempts": entry["attempts"],
-                             "outcome": entry["outcome"],
-                             "events": list(entry["events"])}
-                     for label, entry in sorted(self.jobs.items())},
+            "computed": list(self.computed),
             "fault_records": [r.to_dict() for r in self.fault_records],
         }

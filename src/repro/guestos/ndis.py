@@ -64,6 +64,8 @@ class NdisEnv:
         self.device = device
         self.loaded = None
         self.entry_points = {}          # name -> virtual address
+        #: entry-point invocations by role
+        self.call_counts = {}
         self.adapter_context = 0
         self.dma_regions = []
         self.timers = {}                # timer_struct addr -> TimerRegistration
@@ -147,6 +149,7 @@ class NdisEnv:
     def call_entry(self, name, extra_args=(), max_steps=5_000_000):
         """Invoke a registered entry point with the adapter context plus
         ``extra_args``."""
+        self.call_counts[name] = self.call_counts.get(name, 0) + 1
         address = self.entry_points.get(name)
         if address is None:
             raise GuestOsError("entry point %r not registered" % name)

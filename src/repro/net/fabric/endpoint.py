@@ -153,8 +153,7 @@ class FabricEndpoint:
         }
         if self.spec is not None:
             record.update(self.spec.to_dict())
-        runtime = getattr(self.dut._front, "runtime", None)
-        if runtime is not None:
-            record["instrs_retired"] = runtime.env.instrs_retired
-            record["calls"] = dict(sorted(runtime.call_counts.items()))
+        front = self.dut.front
+        record["instrs_retired"] = front.instrs_retired
+        record["calls"] = dict(sorted(front.call_counts.items()))
         return record

@@ -138,10 +138,10 @@ class PipelineOrchestrator:
         and :attr:`last_warm_mode`.
 
         ``faults`` maps a driver name to the run-layer spec injected into
-        its run.  A job that raises a :class:`ReproError` records
-        outcome ``"failed"`` and a classified, replayable
-        :class:`FaultRecord`, then re-raises: the jobs before it are done
-        and persisted, the jobs after it never start.
+        its run.  A job that raises a :class:`ReproError` records a
+        classified, replayable :class:`FaultRecord`, then re-raises: the
+        jobs before it are done and persisted, the jobs after it never
+        start.
         """
         from repro.faults.report import FaultRecord
 
@@ -163,20 +163,16 @@ class PipelineOrchestrator:
                 missing[name] = key
         for name, key in missing.items():
             fault = faults.get(name)
+            report.computed.append(name)
             try:
                 artifact = execute_run(*key, fault=fault)
                 self._store_artifact(key, artifact)
             except ReproError as exc:
-                report.record_attempt(name, event="%s: %s"
-                                      % (type(exc).__name__, exc))
-                report.record_outcome(name, "failed")
                 report.record_fault(FaultRecord(
                     layer="run" if fault is not None else "job",
                     kind=type(exc).__name__, job=name, error=str(exc)))
                 raise
             self._artifacts[key] = artifact
-            report.record_attempt(name)
-            report.record_outcome(name, "serial")
         self.last_warm_seconds = time.monotonic() - started
         self.last_warm_mode = "serial" if missing else "cached"
 
@@ -189,18 +185,20 @@ class PipelineOrchestrator:
     def _load_cached(self, name, strategy, script):
         if self.store is None:
             return None
-        return self.store.load(self._disk_key(name, strategy, script))
+        return self.store.load(store_key(name, strategy, script))
 
     def _store_artifact(self, key, artifact):
         if self.store is None:
             return
-        self.store.save(self._disk_key(*key), artifact)
+        self.store.save(store_key(*key), artifact)
 
-    def _disk_key(self, name, strategy, script):
-        from repro.drivers import build_driver
 
-        return artifact_key(build_driver(name),
-                            build_config(name, strategy, script))
+def store_key(name, strategy, script):
+    """The artifact-store key of one driver configuration."""
+    from repro.drivers import build_driver
+
+    return artifact_key(build_driver(name),
+                        build_config(name, strategy, script))
 
 
 _GLOBAL_ORCHESTRATOR = None

@@ -6,15 +6,17 @@ allocation, registration, interrupt hookup, data-structure adaptation) with
 placeholders filled by RevNIC-synthesized entry points.
 :class:`DmaNicTemplate` derives from it and adds the DMA-capable flow.
 
-The instantiated template exposes the same high-level operations as the
-source-OS harness (:class:`~repro.guestos.harness.DriverHarness`), which is
+Both templates are a :class:`~repro.guestos.front.MiniportFront`, the
+same operation encoder the source-OS harness
+(:class:`~repro.guestos.harness.DriverHarness`) is built on, which is
 what makes the Table 2 functional-equivalence comparison symmetric.
 """
 
 from dataclasses import dataclass
 
 from repro.errors import TemplateError
-from repro.guestos.structures import ADAPTER_CONTEXT_SIZE, NdisStatus, Oid
+from repro.guestos.front import MiniportFront
+from repro.guestos.structures import ADAPTER_CONTEXT_SIZE, NdisStatus
 from repro.templates.runtime import SyntheticDriverRuntime
 
 
@@ -43,15 +45,23 @@ TEMPLATE_INFO = {
 }
 
 
-class NicTemplate:
+class NicTemplate(MiniportFront):
     """Generic wired-NIC template (no DMA assumptions)."""
+
+    query_error = TemplateError
 
     def __init__(self, synthesized_driver, target_os, original_image=None,
                  exec_backend="compiled"):
         self.driver = synthesized_driver
         self.os = target_os
+        self.memory = target_os.machine.memory
+        self.medium = target_os.medium
+        self.device = target_os.device
+        self.delivered = target_os.received_frames
+        self.error_log = target_os.error_log
         self.runtime = SyntheticDriverRuntime(
             synthesized_driver, target_os, exec_backend=exec_backend)
+        self.call_counts = self.runtime.call_counts
         if original_image is not None:
             self.runtime.seed_data_image(original_image)
         self.context = 0
@@ -68,7 +78,7 @@ class NicTemplate:
         self.context = self.os.alloc(ADAPTER_CONTEXT_SIZE, align=64)
         # -- "Developers paste calls to RevNIC-synthesized hardware-related
         #    functions here."
-        status = self.runtime.call("initialize", [self.context])
+        status = self._call("initialize")
         if status != NdisStatus.SUCCESS:
             # -- "Error recovery provided by the template (e.g., unload)"
             self.shutdown()
@@ -82,33 +92,9 @@ class NicTemplate:
         """Template unload path; returns the halt entry point's status."""
         status = NdisStatus.SUCCESS
         if "halt" in self.driver.entry_points:
-            status = self.runtime.call("halt", [self.context])
+            status = self._call("halt")
         self.initialized = False
         return status
-
-    def reset(self):
-        return self.runtime.call("reset", [self.context])
-
-    # ------------------------------------------------------------------
-    # Data path
-
-    def send(self, frame_bytes):
-        """OS hands a packet down; the template adapts the OS packet
-        structure to the (buffer, length) the synthesized send expects --
-        the NDIS_PACKET -> sk_buff adaptation of section 4.2."""
-        buffer = self.os.alloc(len(frame_bytes))
-        self.os.machine.memory.write_bytes(buffer, frame_bytes)
-        status = self.runtime.call("send",
-                                   [self.context, buffer, len(frame_bytes)])
-        self.service_interrupts()
-        return status
-
-    def inject_rx(self, frame_bytes):
-        """Wire-side frame arrival; returns newly indicated frames."""
-        before = len(self.os.received_frames)
-        self.os.medium.inject(frame_bytes)
-        self.service_interrupts()
-        return self.os.received_frames[before:]
 
     def service_interrupts(self, max_rounds=8):
         """Template ISR dispatch: "an interrupt handler ... first calls a
@@ -118,7 +104,7 @@ class NicTemplate:
         while self.os.irq_pending and rounds < max_rounds:
             self.os.irq_pending = False
             if "isr" in self.driver.entry_points:
-                self.runtime.call("isr", [self.context])
+                self._call("isr")
             rounds += 1
         return rounds
 
@@ -132,56 +118,27 @@ class NicTemplate:
         return fired
 
     # ------------------------------------------------------------------
-    # Control operations (IOCTL adaptation)
+    # Front primitives: the OS packet and IOCTL structures adapt to the
+    # (context, args...) the synthesized entry points take -- the
+    # NDIS_PACKET -> sk_buff adaptation of section 4.2.
 
-    def _set_info(self, oid, payload):
-        buffer = self.os.alloc(max(len(payload), 4))
-        self.os.machine.memory.write_bytes(buffer, payload)
-        return self.runtime.call(
-            "set_information",
-            [self.context, int(oid), buffer, len(payload)])
+    def _call(self, role, args=()):
+        return self.runtime.call(role, [self.context, *args])
 
-    def _query_info(self, oid, length):
-        buffer = self.os.alloc(max(length, 4))
-        status = self.runtime.call(
-            "query_information", [self.context, int(oid), buffer, length])
-        return status, self.os.machine.memory.read_bytes(buffer, length)
+    def _alloc(self, size):
+        return self.os.alloc(size)
 
-    def set_packet_filter(self, flags):
-        return self._set_info(Oid.GEN_CURRENT_PACKET_FILTER,
-                              int(flags).to_bytes(4, "little"))
+    @property
+    def irq_count(self):
+        return self.os.irq_count
 
-    def query_mac(self):
-        status, data = self._query_info(Oid.E802_3_CURRENT_ADDRESS, 6)
-        if status != NdisStatus.SUCCESS:
-            raise TemplateError("MAC query failed: 0x%08x" % status)
-        return data
+    @property
+    def instrs_retired(self):
+        return self.runtime.env.instrs_retired
 
-    def set_mac(self, mac):
-        return self._set_info(Oid.E802_3_STATION_ADDRESS, bytes(mac))
-
-    def set_multicast_list(self, macs):
-        return self._set_info(Oid.E802_3_MULTICAST_LIST,
-                              b"".join(bytes(m) for m in macs))
-
-    def set_full_duplex(self, enabled):
-        return self._set_info(Oid.GEN_FULL_DUPLEX,
-                              (1 if enabled else 0).to_bytes(4, "little"))
-
-    def enable_wake_on_lan(self):
-        return self._set_info(Oid.PNP_ENABLE_WAKE_UP,
-                              (1).to_bytes(4, "little"))
-
-    def set_led(self, mode):
-        return self._set_info(Oid.VENDOR_LED_CONTROL,
-                              int(mode).to_bytes(4, "little"))
-
-    def query_link_speed(self):
-        """Query the link speed OID -- mirrors
-        :meth:`repro.guestos.harness.DriverHarness.query_link_speed` so the
-        validation matrix can compare the control plane symmetrically."""
-        status, data = self._query_info(Oid.GEN_LINK_SPEED, 4)
-        return status, int.from_bytes(data, "little")
+    @property
+    def io_ops(self):
+        return self.runtime.env.io_ops
 
 
 class DmaNicTemplate(NicTemplate):

@@ -4,9 +4,11 @@ The matrix compares two executions of "the same driver": the original
 binary running under the source-OS harness
 (:class:`~repro.guestos.harness.DriverHarness`) and the RevNIC-synthesized
 driver pasted into a target-OS template
-(:class:`~repro.templates.base.NicTemplate`).  Both are wrapped in a
-:class:`DriverUnderTest` facade exposing one operation vocabulary, so a
-workload scenario is a single function driven against either side.
+(:class:`~repro.templates.base.NicTemplate`).  Both are a
+:class:`~repro.guestos.front.MiniportFront`, so every request reaches
+either driver encoded by the same code; the :class:`DriverUnderTest`
+facade records each operation's status over the front, so a workload
+scenario is a single function driven against either side.
 
 An :class:`Observation` is the flattened, JSON-serializable record of
 everything externally observable about one scenario run: frames that hit
@@ -23,7 +25,6 @@ from dataclasses import asdict, dataclass, field
 
 from repro.drivers import DRIVERS, build_driver, device_class
 from repro.guestos.harness import DriverHarness
-from repro.guestos.structures import Oid
 from repro.targetos import TARGET_OSES
 from repro.templates import DmaNicTemplate, NicTemplate
 
@@ -59,59 +60,46 @@ class Observation:
         return asdict(self)
 
 
+def _recorded(label, operation):
+    """A facade method running the front's ``operation`` and recording
+    its status code under ``label``."""
+    def method(self, *args):
+        return self._record(label, getattr(self.front, operation)(*args))
+    method.__name__ = operation
+    return method
+
+
 class DriverUnderTest:
     """Uniform operation vocabulary over both sides of the comparison.
 
-    Subclasses provide the wiring (``medium``, ``device``, ``delivered``,
-    ``irq_count``, ``error_log``, ``_front``) plus the lifecycle verbs; the
-    shared methods record every operation's status code so the *order and
-    outcome* of driver calls is itself compared.
+    ``front`` is the side's :class:`~repro.guestos.front.MiniportFront`,
+    which encodes every operation and supplies the wiring; subclasses
+    build it and map the lifecycle verbs ``boot`` and ``shutdown``.  The
+    shared methods record every operation's status code so the *order
+    and outcome* of driver calls is itself compared.
     """
 
     side = "base"
 
-    def __init__(self, driver_name, mac=VALIDATION_MAC):
+    def __init__(self, driver_name, front, mac=VALIDATION_MAC):
         self.driver = driver_name
+        self.front = front
+        self.medium = front.medium
+        self.device = front.device
+        self.delivered = front.delivered
+        self.error_log = front.error_log
         self.mac = bytes(mac)
         self.peer = PEER_MAC
         self.statuses = []
         self.oids = {}
 
-    # -- wiring supplied by subclasses ---------------------------------
-
-    @property
-    def medium(self):
-        raise NotImplementedError
-
-    @property
-    def device(self):
-        raise NotImplementedError
-
-    @property
-    def delivered(self):
-        raise NotImplementedError
-
     @property
     def irq_count(self):
-        raise NotImplementedError
-
-    @property
-    def error_log(self):
-        raise NotImplementedError
-
-    def supports(self, role):
-        """Whether the driver has entry point ``role`` to exercise."""
-        raise NotImplementedError
-
-    def boot(self):
-        raise NotImplementedError
-
-    def shutdown(self):
-        raise NotImplementedError
+        return self.front.irq_count
 
     def service(self):
         """Drain pending interrupts (used after quiet injections)."""
-        raise NotImplementedError
+        self.front.service_interrupts()
 
     # -- shared operations ---------------------------------------------
 
@@ -119,55 +107,37 @@ class DriverUnderTest:
         self.statuses.append([label, int(status) & 0xFFFFFFFF])
         return status
 
-    def send(self, frame_bytes):
-        return self._record("send", self._front.send(frame_bytes))
+    send = _recorded("send", "send")
+    reset = _recorded("reset", "reset")
+    set_packet_filter = _recorded("set_filter", "set_packet_filter")
+    set_multicast_list = _recorded("set_multicast", "set_multicast_list")
+    set_mac = _recorded("set_mac", "set_mac")
+    set_full_duplex = _recorded("set_full_duplex", "set_full_duplex")
+    enable_wake_on_lan = _recorded("enable_wol", "enable_wake_on_lan")
+    set_led = _recorded("set_led", "set_led")
 
     def inject(self, frame_bytes):
         """Wire-side arrival with interrupt service (the normal RX path)."""
-        return self._front.inject_rx(frame_bytes)
+        return self.front.inject_rx(frame_bytes)
 
     def inject_quiet(self, frame_bytes):
         """Wire-side arrival *without* servicing interrupts -- back-to-back
         pressure for the overflow scenarios."""
         self.medium.inject(frame_bytes)
 
-    def reset(self):
-        return self._record("reset", self._front.reset())
-
     def set_link(self, up):
         self.medium.set_link(up)
-
-    def set_packet_filter(self, flags):
-        return self._record("set_filter",
-                            self._front.set_packet_filter(flags))
-
-    def set_multicast_list(self, macs):
-        return self._record("set_multicast",
-                            self._front.set_multicast_list(macs))
-
-    def set_mac(self, mac):
-        return self._record("set_mac", self._front.set_mac(mac))
-
-    def set_full_duplex(self, enabled):
-        return self._record("set_full_duplex",
-                            self._front.set_full_duplex(enabled))
-
-    def enable_wake_on_lan(self):
-        return self._record("enable_wol", self._front.enable_wake_on_lan())
-
-    def set_led(self, mode):
-        return self._record("set_led", self._front.set_led(mode))
 
     def query_mac(self):
         """MAC query through the driver, recorded without raising (a
         failing query is an observation, not a harness error)."""
-        status, data = self._front._query_info(Oid.E802_3_CURRENT_ADDRESS, 6)
+        status, data = self.front.query_current_address()
         self._record("query_mac", status)
         self.oids["mac"] = [int(status) & 0xFFFFFFFF, data.hex()]
         return data
 
     def query_link_speed(self):
-        status, speed = self._front.query_link_speed()
+        status, speed = self.front.query_link_speed()
         self._record("query_link_speed", status)
         self.oids["link_speed"] = [int(status) & 0xFFFFFFFF, int(speed)]
         return speed
@@ -206,56 +176,24 @@ class OriginalDut(DriverUnderTest):
     """The baseline: the original binary on the source-OS harness.
 
     ``exec_backend`` names the CPU tier (see
-    :class:`~repro.guestos.harness.DriverHarness`): ``"compiled"`` by
-    default, ``"blocks"`` without superblocks, ``"interp"`` for the DBT
-    tree-walker, ``"step"`` for the per-instruction interpreter.
-    Observations are identical across tiers; only wall-clock differs.
+    :class:`~repro.guestos.harness.DriverHarness`), ``"compiled"`` by
+    default.  Observations are identical across tiers; only wall-clock
+    differs.
     """
 
     side = "original"
 
     def __init__(self, driver_name, mac=VALIDATION_MAC,
                  exec_backend="compiled"):
-        super().__init__(driver_name, mac)
-        self._front = DriverHarness(build_driver(driver_name),
-                                    device_class(driver_name), mac=mac,
-                                    exec_backend=exec_backend)
-
-    @property
-    def medium(self):
-        return self._front.medium
-
-    @property
-    def device(self):
-        return self._front.device
-
-    @property
-    def delivered(self):
-        return self._front.env.indicated_frames
-
-    @property
-    def irq_count(self):
-        return self._front.env.irq_count
-
-    @property
-    def error_log(self):
-        return self._front.env.error_log
-
-    def supports(self, role):
-        # Entry points are registered during DriverEntry; before boot the
-        # static corpus answer is "everything the script exercises".
-        if self._front.env.entry_points:
-            return role in self._front.env.entry_points
-        return True
+        super().__init__(driver_name, DriverHarness(
+            build_driver(driver_name), device_class(driver_name), mac=mac,
+            exec_backend=exec_backend), mac)
 
     def boot(self):
-        return self._record("boot", self._front.boot())
+        return self._record("boot", self.front.boot())
 
     def shutdown(self):
-        return self._record("shutdown", self._front.halt())
-
-    def service(self):
-        self._front.env.service_interrupts()
+        return self._record("shutdown", self.front.halt())
 
 
 class SynthesizedDut(DriverUnderTest):
@@ -271,45 +209,17 @@ class SynthesizedDut(DriverUnderTest):
 
     def __init__(self, artifact, os_name, mac=VALIDATION_MAC,
                  exec_backend="compiled"):
-        super().__init__(artifact.name, mac)
-        self.target_os = os_name
-        self.side = "synthesized/%s" % os_name
         target = TARGET_OSES[os_name](device_class(artifact.name), mac=mac)
         template_cls = DmaNicTemplate if DRIVERS[artifact.name].uses_dma \
             else NicTemplate
-        self._front = template_cls(artifact.synthesized, target,
-                                   original_image=artifact.image,
-                                   exec_backend=exec_backend)
-        self._os = target
-
-    @property
-    def medium(self):
-        return self._os.medium
-
-    @property
-    def device(self):
-        return self._os.device
-
-    @property
-    def delivered(self):
-        return self._os.received_frames
-
-    @property
-    def irq_count(self):
-        return self._os.irq_count
-
-    @property
-    def error_log(self):
-        return self._os.error_log
-
-    def supports(self, role):
-        return role in self._front.driver.entry_points
+        super().__init__(artifact.name, template_cls(
+            artifact.synthesized, target, original_image=artifact.image,
+            exec_backend=exec_backend), mac)
+        self.target_os = os_name
+        self.side = "synthesized/%s" % os_name
 
     def boot(self):
-        return self._record("boot", self._front.initialize())
+        return self._record("boot", self.front.initialize())
 
     def shutdown(self):
-        return self._record("shutdown", self._front.shutdown())
-
-    def service(self):
-        self._front.service_interrupts()
+        return self._record("shutdown", self.front.shutdown())

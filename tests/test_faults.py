@@ -12,13 +12,22 @@ import json
 
 import pytest
 
+from repro.drivers import build_driver
 from repro.errors import GuestOsError, ReproError, SolverError
 from repro.faults import (FaultPlan, FaultPlanGenerator, FaultRecord,
                           FaultSpec, ResilienceReport)
 from repro.faults.campaign import ChaosCampaign, ChaosReport
 from repro.faults.inject import maybe_raise_run_fault
 from repro.pipeline import ArtifactStore, PipelineOrchestrator
-from repro.pipeline.store import unframe_entry
+from repro.pipeline import store as store_module
+from repro.pipeline.orchestrator import build_config
+from repro.pipeline.store import artifact_key, unframe_entry
+
+
+def _key(driver):
+    """The store key of ``driver``'s quick-script run."""
+    return artifact_key(build_driver(driver),
+                        build_config(driver, "coverage", "quick"))
 
 
 class TestFaultPlans:
@@ -86,19 +95,19 @@ class TestRunFaultInjection:
 
 
 class TestResilienceReport:
-    def test_attempt_accounting(self):
-        # one attempt per warm-up a job runs in; events are kept in order
-        report = ResilienceReport()
-        report.record_attempt("job")
-        report.record_attempt("job", event="GuestOsError: boom")
-        report.record_outcome("job", "failed")
-        assert report.jobs["job"] == {"attempts": 2, "outcome": "failed",
-                                      "events": ["GuestOsError: boom"]}
+    def test_computed_lists_the_drivers_that_ran(self, tmp_path):
+        store = ArtifactStore(str(tmp_path))
+        orchestrator = PipelineOrchestrator(store=store)
+        orchestrator.warm(["rtl8029"], script="quick")
+        assert orchestrator.last_resilience.computed == ["rtl8029"]
+        # a fresh orchestrator loads it from the store: nothing computed
+        reloaded = PipelineOrchestrator(store=ArtifactStore(str(tmp_path)))
+        reloaded.warm(["rtl8029"], script="quick")
+        assert reloaded.last_resilience.computed == []
 
     def test_to_dict_round_trips_through_json(self):
-        # the fuzz artifact embeds the report's dict
-        report = ResilienceReport(quarantined=1)
-        report.record_attempt("job", event="crash")
+        # chaos outcomes embed the report's dict
+        report = ResilienceReport(quarantined=1, computed=["job"])
         report.record_fault(FaultRecord(layer="run", kind="GuestOsError",
                                         job="job"))
         assert json.loads(json.dumps(report.to_dict())) == report.to_dict()
@@ -132,17 +141,42 @@ class TestOrchestratorUnderFault:
         # load, never when the campaign walks the trace.
         campaign.baseline()
         pristine = ArtifactStore(campaign._pristine_root)
-        first = pristine.keys()[0]
-        with open(pristine.path_for(first), "rb") as handle:
+        target = _key("rtl8029")
+        with open(pristine.path_for(target), "rb") as handle:
             _head, meta = unframe_entry(handle.read())
         outcome = campaign.run_schedule(FaultPlan(seed=19, faults=(
             FaultSpec(layer="store", kind="bitflip", target=0,
                       params={"salt": 1234}),)))
         [applied] = outcome.store_faults
-        assert applied["key"] == first
+        assert applied["key"] == target
         assert applied["offset"] < meta["trace_bytes"]
         assert outcome.verdict == "identical"
         assert outcome.resilience["quarantined"] == 1
+
+    def test_store_faults_target_drivers_under_any_fingerprint(
+            self, tmp_path, monkeypatch):
+        # Keys hash the code fingerprint, so their sorted order moves with
+        # any source edit; a pinned plan must hit the same driver anyway.
+        # Pick one fingerprint per order of the two drivers' keys.
+        fingerprints = {}
+        for index in range(64):
+            fingerprint = "fingerprint-%d" % index
+            monkeypatch.setattr(store_module, "_code_fingerprint",
+                                fingerprint)
+            fingerprints.setdefault(_key("rtl8029") < _key("smc91c111"),
+                                    fingerprint)
+        assert len(fingerprints) == 2
+        plan = FaultPlan(seed=23, faults=(
+            FaultSpec(layer="store", kind="truncate", target=0),))
+        for fingerprint in fingerprints.values():
+            monkeypatch.setattr(store_module, "_code_fingerprint",
+                                fingerprint)
+            campaign = ChaosCampaign(drivers=self.DRIVERS, script="quick",
+                                     workdir=str(tmp_path / fingerprint))
+            outcome = campaign.run_schedule(plan)
+            [applied] = outcome.store_faults
+            assert applied["key"] == _key("rtl8029")
+            assert outcome.verdict == "identical"
 
     def test_persistent_run_fault_fails_loudly(self, campaign):
         outcome = campaign.run_schedule(FaultPlan(seed=3, faults=(
@@ -152,10 +186,8 @@ class TestOrchestratorUnderFault:
         [record] = [r for r in outcome.fault_records
                     if r["layer"] == "run"]
         assert record["job"] == "smc91c111"
-        # the healthy driver before it still completed
-        assert outcome.resilience["jobs"]["rtl8029"]["outcome"] == "serial"
-        assert outcome.resilience["jobs"]["smc91c111"]["outcome"] \
-            == "failed"
+        # both ran; the healthy driver before it completed
+        assert outcome.resilience["computed"] == ["rtl8029", "smc91c111"]
 
     def test_run_fault_records_carry_the_plan_seed(self, campaign):
         # the second fault on the same driver is shadowed by the first

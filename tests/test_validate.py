@@ -1,13 +1,17 @@
 """Unit and integration tests for the differential validation matrix."""
 
 import json
+from types import FunctionType
 
 import pytest
 
 from repro.eval.runner import get_cache
 from repro.eval.tables import validation_matrix_render
 from repro.fuzz.differential import replay_program
+from repro.guestos.front import MiniportFront
+from repro.guestos.harness import DriverHarness
 from repro.net.traffic import ScenarioProgram, ScenarioStep
+from repro.templates import DmaNicTemplate, NicTemplate
 from repro.validate import (CATALOG, SCENARIOS, MatrixResult, OriginalDut,
                             SynthesizedDut, ValidationMatrix,
                             compare_observations, compute_column,
@@ -118,6 +122,15 @@ class TestObservations:
         obs = run_scenario(dut, program)
         assert not obs.ok and obs.error == "ValueError"
         assert obs.statuses[0][0] == "boot"
+
+    def test_both_sides_share_every_operation_encoding(self):
+        """The harness and the templates supply primitives only: a side
+        that overrode a shared operation could send its driver different
+        requests than the other side's."""
+        shared = {name: value for name, value in vars(MiniportFront).items()
+                  if isinstance(value, FunctionType)}
+        for side in (DriverHarness, NicTemplate, DmaNicTemplate):
+            assert {name: getattr(side, name) for name in shared} == shared
 
     def test_catalog_scenario_replays_from_json(self, rtl8029_artifact):
         """A matrix scenario is a fuzz-replayable program: its JSON alone

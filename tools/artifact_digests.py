@@ -37,7 +37,11 @@ cold store is filled once)::
                                run_mirrored_program(...).to_dict() of
                                a compiled synthesized driver behind the
                                2-port switch, catalog program x OS_ORDER
-                               OS, drivers in sorted order)}}
+                               OS, drivers in sorted order),
+              "eval": sha256(canonical JSON of {"table2": table2_compute(),
+                                                "fig2".."fig7":
+                                                figN_compute()}, every
+                             dataclass point through asdict)}}
 
 The artifact, fabric and fuzz digests hash each document's canonical
 form, which drops its top-level ``volatile`` section (wall clock,
@@ -55,6 +59,9 @@ runs the column on the first OS alone and each baseline counts once.
 The ``mirror`` section pins the fabric-side observations of the
 switch-transparency differential the same way, one per catalog program,
 target OS and driver.
+The ``eval`` section pins the paper's Table 2 feature checks and the
+measured performance curves of Figures 2-7, both driven through the
+miniport fronts of the two sides (about 1 s of CPU on a warm store).
 The fabric document is the one the benchmark's ``fabric_saturation``
 pass digests, so a change to the guest VM can show its matrix
 observations and fabric reports are byte-identical; the fuzz digest
@@ -77,7 +84,8 @@ import os
 import subprocess
 import sys
 
-WARM_SECTIONS = ("fabric", "fuzz", "matrix", "mirror", "observations")
+WARM_SECTIONS = ("eval", "fabric", "fuzz", "matrix", "mirror",
+                 "observations")
 FABRIC_ENDPOINTS = 64
 FABRIC_SEED = 7
 #: The CI fuzz job's campaign, cut to two rounds.
@@ -148,6 +156,21 @@ def warm_digest(section):
             for program in SCENARIOS
             for os_name in OS_ORDER]
         return _sha256(canonical_dumps(observations))
+    if section == "eval":
+        from dataclasses import asdict, is_dataclass
+
+        from repro.eval import figures
+        from repro.eval.tables import table2_compute
+
+        document = {"table2": table2_compute(orchestrator)}
+        for number in range(2, 8):
+            series = getattr(figures, "fig%d_compute" % number)(
+                cache=orchestrator)
+            document["fig%d" % number] = {
+                name: [asdict(point) if is_dataclass(point) else point
+                       for point in points]
+                for name, points in series.items()}
+        return _sha256(canonical_dumps(document))
     if section == "fuzz":
         from repro.fuzz.artifact import canonical_fuzz_json
         from repro.fuzz.engine import run_fuzz
@@ -213,7 +236,8 @@ def main(argv=None):
     parser.add_argument("--warm", action="store_true",
                         help="digest the warm validation matrix, its "
                              "baseline observations, the fabric mirror, the "
-                             "fabric and a fuzz campaign instead of the "
+                             "fabric, a fuzz campaign and the paper's "
+                             "Table 2 and Figures 2-7 instead of the "
                              "driver artifacts")
     parser.add_argument("--driver", help=argparse.SUPPRESS)
     parser.add_argument("--warm-section", choices=WARM_SECTIONS,
