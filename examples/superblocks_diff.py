@@ -20,8 +20,10 @@ Any divergence prints the first differing canonical path and exits 1;
 a run where the on-side never dispatched a chain is vacuous and also
 fails, and so does one that never iterated a loop chain (every
 driver's quick script makes at least one loop hot; rtl8029's remote-DMA
-byte loop is the hottest).  CI runs this with a fixed configuration per
-driver and uploads both documents on mismatch.
+byte loop is the hottest), and, for the drivers that copy packets
+through a data register (:data:`STREAMING_DRIVERS`), one that moved no
+element by a stream transfer.  CI runs this with a fixed configuration
+per driver and uploads both documents on mismatch.
 
 Usage:
     PYTHONPATH=src python examples/superblocks_diff.py [options]
@@ -51,6 +53,11 @@ from repro.validate.scenarios import SCENARIOS, run_scenario
 
 MAC = b"\x52\x54\x00\xAA\xBB\xCC"
 PEER = b"\x02\x00\x00\x00\x00\x01"
+
+#: Drivers whose copy loops move packets through a device data register
+#: (NE2000 remote DMA over ports, the SMC 91C111 DATA window over MMIO):
+#: their on-side runs must stream.
+STREAMING_DRIVERS = ("rtl8029", "smc91c111")
 
 
 def run_matrix_column(name, exec_backend):
@@ -155,16 +162,18 @@ def main(argv=None):
     chain_runs = after["superblock_runs"] - before["superblock_runs"]
     loop_iterations = (after["superblock_loop_iterations"]
                        - before["superblock_loop_iterations"])
+    streamed = (after["superblock_stream_elements"]
+                - before["superblock_stream_elements"])
     print("driver=%s script=%s" % (args.driver, args.script))
     print("superblocks off  %.3fs" % off_seconds)
     print("superblocks on   %.3fs  chains formed=%d runs=%d blocks=%d "
-          "deopts=%d loop iterations=%d" %
+          "deopts=%d loop iterations=%d streamed elements=%d" %
           (on_seconds,
            after["superblocks_formed"] - before["superblocks_formed"],
            chain_runs,
            after["superblock_blocks"] - before["superblock_blocks"],
            after["superblock_deopts"] - before["superblock_deopts"],
-           loop_iterations))
+           loop_iterations, streamed))
     if chain_runs == 0:
         print("VACUOUS: the on-side run never dispatched a superblock",
               file=sys.stderr)
@@ -172,6 +181,10 @@ def main(argv=None):
     if loop_iterations == 0:
         print("VACUOUS: the on-side run never iterated a loop chain",
               file=sys.stderr)
+        return 1
+    if streamed == 0 and args.driver in STREAMING_DRIVERS:
+        print("VACUOUS: the on-side run moved no element by a stream "
+              "transfer", file=sys.stderr)
         return 1
     if on_text == off_text:
         print("documents byte-identical (%d bytes)" % len(off_text))

@@ -289,6 +289,57 @@ class Ne2000Device(NicDevice):
             self.isr |= ISR_RDC
             self._update_irq()
 
+    # Stream transfers (see repro.vm.bus.Bus): a run wholly inside packet
+    # memory is one slice plus the byte-count bookkeeping of its
+    # accesses; any other run makes the single accesses.
+
+    def read_stream(self, offset, width, n):
+        """The bytes of ``n`` ``io_read(offset, width)`` calls, leaving
+        what they would; ``None`` for a register other than the data
+        port."""
+        if offset != REG_DATA:
+            return None
+        total = width * n
+        index = self.rsar - MEM_BASE
+        if 0 <= index and self.rsar + total <= MEM_LIMIT:
+            data = bytes(self.mem[index:index + total])
+            self.rsar += total
+            self._count_stream(width, n)
+            return data
+        return b"".join(self._remote_read(width).to_bytes(width, "little")
+                        for _ in range(n))
+
+    def write_stream(self, offset, width, data):
+        """Make the ``io_write(offset, width, element)`` calls of
+        ``data``'s elements; ``None`` (nothing written) for a register
+        other than the data port."""
+        if offset != REG_DATA:
+            return None
+        total = len(data)
+        index = self.rsar - MEM_BASE
+        if 0 <= index and self.rsar + total <= MEM_LIMIT:
+            self.mem[index:index + total] = data
+            self.rsar += total
+            self._count_stream(width, total // width)
+        else:
+            for start in range(0, total, width):
+                self._remote_write(
+                    int.from_bytes(data[start:start + width], "little"),
+                    width)
+        return True
+
+    def _count_stream(self, width, n):
+        """RBCR after ``n`` in-memory accesses of ``width`` bytes, and the
+        ``ISR_RDC`` update each access that leaves it 0 makes."""
+        rbcr = self.rbcr
+        self.rbcr = max(rbcr - n * width, 0)
+        # Access k leaves max(rbcr - k * width, 0).
+        zeroed = n - max(1, -(-rbcr // width)) + 1
+        if zeroed > 0:
+            self.isr |= ISR_RDC
+            for _ in range(zeroed):
+                self._update_irq()
+
     # ------------------------------------------------------------------
     # TX / RX
 

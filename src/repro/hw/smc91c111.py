@@ -65,6 +65,8 @@ INT_ALLOC = 0x08
 
 REG_BANK_SELECT = 0x0E
 
+_DECLINE = object()
+
 
 class Smc91c111Device(NicDevice):
     """Behavioural SMSC 91C111 model (FIFO + on-chip packet memory)."""
@@ -295,6 +297,71 @@ class Smc91c111Device(NicDevice):
                     (value >> (8 * i)) & 0xFF
         if self.pointer & PTR_AUTO_INCR:
             self._ptr_cursor = (self._ptr_cursor + width) % PACKET_SIZE
+
+    # Stream transfers (see repro.vm.bus.Bus) through the DATA window:
+    # ``n`` accesses walk the packet cyclically from the cursor, or all
+    # land on the cursor without auto-increment.
+
+    def read_stream(self, offset, width, n):
+        """The bytes of ``n`` ``mmio_read(offset, width)`` calls, leaving
+        what they would; ``None`` unless ``offset`` is DATA in bank 2."""
+        packet = self._stream_packet(offset)
+        if packet is _DECLINE:
+            return None
+        if packet is None:
+            return bytes(width * n)
+        cursor = self._ptr_cursor
+        if not self.pointer & PTR_AUTO_INCR:
+            return self._packet_run(packet, cursor, width) * n
+        self._ptr_cursor = (cursor + width * n) % PACKET_SIZE
+        return self._packet_run(packet, cursor, width * n)
+
+    def write_stream(self, offset, width, data):
+        """Make the ``mmio_write(offset, width, element)`` calls of
+        ``data``'s elements; ``None`` (nothing written) unless
+        ``offset`` is DATA in bank 2."""
+        packet = self._stream_packet(offset)
+        if packet is _DECLINE:
+            return None
+        if packet is None:
+            return True
+        cursor = self._ptr_cursor
+        if not self.pointer & PTR_AUTO_INCR:
+            # Every element lands on the cursor: the last one stays.
+            data = data[-width:]
+        else:
+            self._ptr_cursor = (cursor + len(data)) % PACKET_SIZE
+        base = packet * PACKET_SIZE
+        view = memoryview(data)
+        while view:
+            run = min(len(view), PACKET_SIZE - cursor)
+            self.packet_mem[base + cursor:base + cursor + run] = view[:run]
+            view = view[run:]
+            cursor = 0
+        return True
+
+    def _stream_packet(self, offset):
+        """The packet a DATA stream at ``offset`` walks (``None``: the
+        accesses read 0 and drop writes), or ``_DECLINE`` for any other
+        register and for a packet number past packet memory."""
+        if self.bank != 2 or offset not in (0x08, 0x0A):
+            return _DECLINE
+        packet = self._target_packet()
+        if packet is not None and packet >= NUM_PACKETS:
+            return _DECLINE
+        return packet
+
+    def _packet_run(self, packet, cursor, size):
+        """``size`` bytes of ``packet`` from ``cursor`` on, wrapping at
+        the packet's end."""
+        base = packet * PACKET_SIZE
+        out = bytearray()
+        while size:
+            run = min(size, PACKET_SIZE - cursor)
+            out += self.packet_mem[base + cursor:base + cursor + run]
+            size -= run
+            cursor = 0
+        return bytes(out)
 
     # ------------------------------------------------------------------
     # MMU commands

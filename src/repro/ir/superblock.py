@@ -54,6 +54,26 @@ iterations (the terminating member is ``blocks[(members - 1) %
 len(blocks)]``), and back-edges taken are counted in
 ``superblock_loop_iterations``.
 
+**Stream transfers.**  A loop chain whose iteration is a copy loop --
+:func:`copy_idiom` evaluates its ops abstractly: one element moved per
+iteration from a fixed device register to RAM, from RAM to the
+register, or from RAM to RAM, pointers stepping by the element width,
+a counter stepping down by it and tested ``== 0`` or ``<u width`` --
+moves all its remaining elements at once.  At each head entry the
+chain computes the trip count from the counter, clamps it to the
+iterations both budgets allow, calls the device once
+(``read_stream``/``write_stream`` through the bus's
+``port_stream``/``mmio_stream`` binding, see
+:class:`~repro.vm.bus.Bus`) and copies one slice of the RAM region's
+``mmap``, then sets the registers and the counters to exactly what
+those iterations leave (they end at the head, where the pc already
+is).  A missing stream binding (no stream methods, or an observer on
+the bus), a RAM range outside ``ram.hit``, a store range touching the
+watched code span, overlapping RAM-to-RAM ranges, a device that
+declines, or a trip count of 0 leaves everything untouched: the
+ordinary iteration runs and the next head entry tries again.  Elements
+moved this way are counted in ``superblock_stream_elements``.
+
 **Gate.**  Chains form only in the ``"compiled"`` execution tier
 (:func:`repro.ir.backend.resolve_tier`); ``"blocks"`` runs the same
 compiled blocks without them and is the per-block reference the
@@ -61,8 +81,11 @@ equivalence tests compare against.  Formation follows the module
 constants :data:`HOT_THRESHOLD` and :data:`MAX_MEMBERS`.
 """
 
+from dataclasses import dataclass
+
 from repro.ir import nodes as N
-from repro.ir.compile import _BINDINGS, _Writer, _emit_op, compile_source
+from repro.ir.compile import (_BINDINGS, _MASK32, _Writer, _emit_op,
+                              compile_source)
 
 #: Formation thresholds: how many per-block dispatches a head needs
 #: before its chain forms, and how many members one chain may fuse.
@@ -72,9 +95,10 @@ MAX_MEMBERS = 16
 
 #: Mutable cells shared with every generated superblock: [chains formed,
 #: chain runs, member blocks executed inside chains, dirty-deopt exits,
-#: loop-chain back-edges taken].  Deterministic -- tests assert the tier
-#: actually ran (or deopted, or looped).
-_SB_CELLS = [0, 0, 0, 0, 0]
+#: loop-chain back-edges taken, elements moved by stream transfers].
+#: Deterministic -- tests assert the tier actually ran (or deopted, or
+#: looped, or streamed).
+_SB_CELLS = [0, 0, 0, 0, 0, 0]
 
 
 def superblock_counters():
@@ -83,7 +107,8 @@ def superblock_counters():
             "superblock_runs": _SB_CELLS[1],
             "superblock_blocks": _SB_CELLS[2],
             "superblock_deopts": _SB_CELLS[3],
-            "superblock_loop_iterations": _SB_CELLS[4]}
+            "superblock_loop_iterations": _SB_CELLS[4],
+            "superblock_stream_elements": _SB_CELLS[5]}
 
 
 class _ChainWriter(_Writer):
@@ -127,9 +152,12 @@ def superblock_source(blocks, guard_code_writes, loop=False):
     span = (min(b.pc for b in blocks), max(b.end_pc for b in blocks))
     w = _ChainWriter(span if guard_code_writes else None)
     last = len(blocks) - 1
+    idiom = copy_idiom(blocks) if loop else None
     for index, block in enumerate(blocks):
         if index:
             _emit_boundary(w, block.pc, guard_code_writes)
+        elif idiom is not None:
+            _emit_stream(w, idiom)
         w.line("_n += 1")
         w.line("_i += %d" % len(block.instr_addrs))
         terminator = block.terminator
@@ -240,6 +268,262 @@ def _emit_chain_link(w, terminator, next_pc):
         return
     raise ValueError(  # pragma: no cover - formation never fuses these
         "cannot fuse terminator %r" % (terminator,))
+
+
+# -- stream transfers ----------------------------------------------------
+
+
+@dataclass(frozen=True)
+class CopyIdiom:
+    """One loop-chain iteration that moves one element from a load (or
+    ``IN``) to a store (or ``OUT``), as :func:`copy_idiom` finds it.
+
+    ``load`` and ``store`` are the accesses' addresses as ``(reg,
+    offset)`` -- the register's value at the head entry plus ``offset``
+    -- or ``(None, constant)``.  ``kind`` is ``"read"`` (device to RAM),
+    ``"write"`` (RAM to device) or ``"ram"`` (RAM to RAM); ``space`` is
+    ``"port"`` or ``"mmio"`` for the device kinds.  ``counter`` is the
+    ``(reg, offset)`` the exit test compares, ``exit_ult`` tells
+    ``counter <u width`` from ``counter == 0``.  ``steps``, ``consts``
+    and ``elements`` say what one iteration leaves in each register it
+    writes (``reg + step``, a constant, the moved element), and
+    ``members``, ``instrs`` and ``ops`` what it counts."""
+
+    width: int
+    kind: str
+    space: str
+    load: tuple
+    store: tuple
+    counter: tuple
+    exit_ult: bool
+    steps: dict
+    consts: dict
+    elements: list
+    members: int
+    instrs: int
+    ops: int
+
+
+def copy_idiom(blocks):
+    """The :class:`CopyIdiom` one iteration of the loop chain ``blocks``
+    implements, or ``None``.
+
+    The iteration is evaluated abstractly -- every temp and register as
+    a constant, a head-entry register plus a constant, or the moved
+    element -- so any op order and any scratch registers the copy loop's
+    blocks use are recognized alike.  The idiom: each written register
+    ends unchanged, ``reg + const``, a constant or the element; exactly
+    one load (or ``IN``) produces the element and one store (or
+    ``OUT``) of the same width consumes it unchanged; RAM pointers step
+    by +width, device addresses stay fixed, one counter steps by
+    -width; and the chain's one exit is ``counter == 0`` or ``counter <u
+    width``."""
+    regs = {}
+    accesses = []       # (op, address value)
+    exit_test = None
+    for index, block in enumerate(blocks):
+        temps = {}
+        next_pc = blocks[(index + 1) % len(blocks)].pc
+        for op in block.ops:
+            if isinstance(op, N.IrConst):
+                temps[op.dst] = ("c", op.value & _MASK32)
+            elif isinstance(op, N.IrGetReg):
+                temps[op.dst] = regs.get(op.reg, ("r", op.reg, 0))
+            elif isinstance(op, N.IrSetReg):
+                regs[op.reg] = temps.get(op.src)
+            elif isinstance(op, N.IrBin):
+                if op.kind in (N.BinKind.DIVU, N.BinKind.REMU):
+                    return None     # may fault
+                temps[op.dst] = _affine(op.kind, temps.get(op.a),
+                                        temps.get(op.b))
+            elif isinstance(op, N.IrCmp):
+                temps[op.dst] = ("cmp", op.kind, temps.get(op.a),
+                                 temps.get(op.b))
+            elif isinstance(op, (N.IrLoad, N.IrIn)):
+                address = op.addr if isinstance(op, N.IrLoad) else op.port
+                accesses.append((op, temps.get(address)))
+                temps[op.dst] = ("e",)
+            elif isinstance(op, (N.IrStore, N.IrOut)):
+                if temps.get(op.src) != ("e",):
+                    return None
+                address = op.addr if isinstance(op, N.IrStore) else op.port
+                accesses.append((op, temps.get(address)))
+            elif isinstance(op, N.IrCondJump):
+                if op.target == op.fallthrough:
+                    continue
+                if exit_test is not None:
+                    return None
+                exit_test = (temps.get(op.cond), next_pc == op.fallthrough)
+            elif isinstance(op, (N.IrNot, N.IrNeg)):
+                temps[op.dst] = None
+            elif not isinstance(op, N.IrJump) or op.indirect:
+                return None
+    if exit_test is None or len(accesses) != 2:
+        return None
+    (source, source_at), (sink, sink_at) = accesses
+    width = source.width
+    if not isinstance(sink, (N.IrStore, N.IrOut)) or sink.width != width:
+        return None
+    steps, consts, elements = {}, {}, []
+    for reg, value in sorted(regs.items()):
+        if value is None:
+            return None
+        if value[0] == "c":
+            consts[reg] = value[1]
+        elif value[0] == "e":
+            elements.append(reg)
+        elif value[0] != "r" or value[1] != reg:
+            return None
+        elif value[2]:
+            steps[reg] = value[2]
+    # The exit: ``counter == 0`` taken, ``counter != 0`` not taken, or
+    # the same with ``counter <u width`` / ``counter >=u width``.
+    test, exit_on_true = exit_test
+    if test is None or test[0] != "cmp" or test[2] is None \
+            or test[2][0] != "r" or test[3] is None or test[3][0] != "c":
+        return None
+    kind, (_r, counter, offset), (_c, bound) = test[1], test[2], test[3]
+    if (kind, exit_on_true) in ((N.CmpKind.EQ, True),
+                                (N.CmpKind.NE, False)) and bound == 0:
+        exit_ult = False
+    elif (kind, exit_on_true) in ((N.CmpKind.ULT, True),
+                                  (N.CmpKind.UGE, False)) \
+            and bound == width:
+        exit_ult = True
+    else:
+        return None
+    if steps.get(counter) != -width & _MASK32:
+        return None
+
+    def place(value):
+        """``("ram", (reg, offset))`` for a pointer stepping by +width,
+        ``("fixed", (reg or None, offset))`` for an invariant address."""
+        if value is None or value[0] == "e" or value[0] == "cmp":
+            return None
+        if value[0] == "c":
+            return "fixed", (None, value[1])
+        reg = value[1]
+        if steps.get(reg) == width:
+            return "ram", (reg, value[2])
+        if reg not in steps and reg not in consts and reg not in elements:
+            return "fixed", (reg, value[2])
+        return None
+
+    load, store = place(source_at), place(sink_at)
+    if load is None or store is None:
+        return None
+    if load[0] == "ram" and store[0] == "ram":
+        if isinstance(source, N.IrIn) or isinstance(sink, N.IrOut):
+            return None
+        kind, space = "ram", None
+    elif load[0] == "fixed" and store[0] == "ram" \
+            and not isinstance(sink, N.IrOut):
+        kind = "read"
+        space = "port" if isinstance(source, N.IrIn) else "mmio"
+    elif load[0] == "ram" and store[0] == "fixed" \
+            and not isinstance(source, N.IrIn):
+        kind = "write"
+        space = "port" if isinstance(sink, N.IrOut) else "mmio"
+    else:
+        return None
+    return CopyIdiom(
+        width=width, kind=kind, space=space, load=load[1], store=store[1],
+        counter=(counter, offset), exit_ult=exit_ult, steps=steps,
+        consts=consts, elements=elements, members=len(blocks),
+        instrs=sum(len(b.instr_addrs) for b in blocks),
+        ops=sum(len(b.ops) for b in blocks))
+
+
+def _affine(kind, a, b):
+    """``a <kind> b`` in the abstract domain of :func:`copy_idiom`:
+    adding or subtracting a constant keeps a constant or ``reg +
+    const``; anything else is unknown (``None``)."""
+    if a is None or b is None or kind not in (N.BinKind.ADD, N.BinKind.SUB):
+        return None
+    sign = 1 if kind == N.BinKind.ADD else -1
+    if b[0] == "c" and a[0] in ("c", "r"):
+        return a[:-1] + ((a[-1] + sign * b[1]) & _MASK32,)
+    if kind == N.BinKind.ADD and a[0] == "c" and b[0] == "r":
+        return b[:-1] + ((b[-1] + a[1]) & _MASK32,)
+    return None
+
+
+def _address(ref):
+    reg, offset = ref
+    if reg is None:
+        return "%d" % offset
+    if not offset:
+        return "regs[%d]" % reg
+    return "(regs[%d] + %d) & 4294967295" % (reg, offset)
+
+
+def _emit_stream(w, idiom):
+    """The stream transfer at the loop head (see the module docstring):
+    the trip count ``_bk`` of complete iterations, clamped so every
+    boundary guard those iterations pass still passes; then, when every
+    condition holds and the device accepts, one device call and one
+    slice copy, and the registers and counters ``_bk`` iterations leave.
+    Otherwise nothing changes and the ordinary iteration runs."""
+    w.used.update(("regs", "ram", "devices"))
+    width = idiom.width
+    w.line("_bk = %s" % _address(idiom.counter))
+    if idiom.exit_ult:
+        w.line("_bk //= %d" % width)
+    elif width > 1:
+        # ``== 0`` never holds for a counter off the width's multiples.
+        w.line("_bk = 0 if _bk %% %d else _bk // %d" % (width, width))
+    w.line("_bk = min(_bk, (instr_budget - _i - 1) // %d, "
+           "(block_budget - _n - 1) // %d)" % (idiom.instrs, idiom.members))
+    w.line("if _bk > 0:")
+    w.line("    _rb, _rl, _rm = ram.hit")
+    w.line("    _bl = _bk * %d" % width)
+    w.line("    _bs = %s" % _address(idiom.load))
+    w.line("    _bd = %s" % _address(idiom.store))
+    conditions = []
+    if idiom.kind != "read":    # the load reads RAM
+        conditions += ["_rb <= _bs", "_bs + _bl <= _rl"]
+    if idiom.kind != "write":   # the store writes RAM
+        conditions += ["_rb <= _bd", "_bd + _bl <= _rl",
+                       "(_bd >= ram.watch_hi or _bd + _bl <= ram.watch_lo)"]
+    if idiom.kind == "ram":
+        conditions.append("(_bd + _bl <= _bs or _bs + _bl <= _bd)")
+    else:
+        w.line("    _db, _dl, _bsr, _bsw = dev.%s_stream" % idiom.space)
+        conditions.append("_db <= %s < _dl"
+                          % ("_bs" if idiom.kind == "read" else "_bd"))
+    w.line("    if %s:" % " and ".join(conditions))
+    indent = "            "
+    if idiom.kind == "read":
+        w.line("        _bv = _bsr(_bs - _db, %d, _bk)" % width)
+        w.line("        if _bv is not None:")
+        w.line("            _rm[_bd - _rb:_bd - _rb + _bl] = _bv")
+    elif idiom.kind == "write":
+        w.line("        _bv = _rm[_bs - _rb:_bs - _rb + _bl]")
+        w.line("        if _bsw(_bd - _db, %d, _bv) is not None:" % width)
+    else:
+        w.line("        _bv = _rm[_bs - _rb:_bs - _rb + _bl]")
+        w.line("        _rm[_bd - _rb:_bd - _rb + _bl] = _bv")
+        indent = "        "
+    # What ``_bk`` iterations leave: registers and counters.  The pc
+    # needs nothing: at a head entry it already holds the head, where
+    # the iterations end (the dynamic flavour's back-edge sets it).
+    commit = ["regs[%d] = (regs[%d] + _bk * %d) & 4294967295"
+              % (reg, reg, step) for reg, step in sorted(idiom.steps.items())]
+    commit += ["regs[%d] = %d" % (reg, value)
+               for reg, value in sorted(idiom.consts.items())]
+    element = "_bv[-1]" if width == 1 else \
+        "int.from_bytes(_bv[-%d:], \"little\")" % width
+    commit += ["regs[%d] = %s" % (reg, element) for reg in idiom.elements]
+    commit += ["_n += _bk * %d" % idiom.members,
+               "_i += _bk * %d" % idiom.instrs,
+               "_o += _bk * %d" % idiom.ops]
+    if idiom.kind == "ram":
+        commit.append("_mem += _bk * 2")
+    else:
+        commit += ["_io += _bk", "_mem += _bk"]
+    commit.append("_s[5] += _bk")
+    for text in commit:
+        w.line(indent + text)
 
 
 class Superblock:

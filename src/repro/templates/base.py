@@ -22,26 +22,20 @@ from repro.templates.runtime import SyntheticDriverRuntime
 
 @dataclass(frozen=True)
 class TemplateInfo:
-    """Metadata for Table 3's proxies."""
+    """Table 3's reference input for one target OS."""
 
     target_os: str
     person_days_paper: int     # the paper's reported effort
-    boilerplate_loc: int       # proxy: lines of boilerplate in this repo
-    api_surface: int           # proxy: adapted OS API entries
 
 
-#: Table 3 inputs: the paper's person-day numbers plus this repo's proxies
-#: (filled by repro.eval.table3 from live introspection; the paper values
-#: are carried as reference constants).
+#: Table 3's paper column: the person-days the paper reports per
+#: template.  The repo's own proxies (boilerplate lines, adapted API
+#: entries) are measured live by ``repro.eval.tables.table3_compute``.
 TEMPLATE_INFO = {
-    "winsim": TemplateInfo("winsim", person_days_paper=5, boilerplate_loc=0,
-                           api_surface=0),
-    "linsim": TemplateInfo("linsim", person_days_paper=3, boilerplate_loc=0,
-                           api_surface=0),
-    "ucsim": TemplateInfo("ucsim", person_days_paper=1, boilerplate_loc=0,
-                          api_surface=0),
-    "kitos": TemplateInfo("kitos", person_days_paper=0, boilerplate_loc=0,
-                          api_surface=0),
+    "winsim": TemplateInfo("winsim", person_days_paper=5),
+    "linsim": TemplateInfo("linsim", person_days_paper=3),
+    "ucsim": TemplateInfo("ucsim", person_days_paper=1),
+    "kitos": TemplateInfo("kitos", person_days_paper=0),
 }
 
 

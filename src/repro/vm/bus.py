@@ -50,8 +50,22 @@ class Bus:
     several ranges, or an :attr:`observer` set -- the tuple is
     :data:`NO_DEVICE`, so every access comes through the bus.
 
+    ``port_stream`` and ``mmio_stream`` are the same tuples with the
+    device's stream methods, ``(base, limit, read_stream,
+    write_stream)``: ``read_stream(offset, width, n)`` returns the bytes
+    of ``n`` reads of one register (each element ``width`` bytes, little
+    endian) and ``write_stream(offset, width, data)`` makes the writes of
+    ``data``'s elements, each leaving exactly the device state and
+    interrupts of the ``n`` single accesses, or returns ``None`` without
+    touching the device to decline.  A loop chain's copy idiom
+    (:mod:`repro.ir.superblock`) moves a whole transfer through them.
+    They follow the hit tuples' rule, and are also :data:`NO_DEVICE`
+    when the bound device has no stream methods.  A device's stream
+    methods take the register offsets of the one space it is claimed
+    in.
+
     The observer contract: setting or clearing :attr:`observer` rebinds
-    both tuples, and compiled code reads them on every access, so an
+    all four tuples, and compiled code reads them on every access, so an
     observer attached at any time -- also after an execution environment
     was built over this bus -- sees every later device access, and
     clearing it restores the direct path.
@@ -62,8 +76,8 @@ class Bus:
         self._ports = []
         self._mmio = []
         self._observer = None
-        self.port_hit = NO_DEVICE
-        self.mmio_hit = NO_DEVICE
+        self.port_hit = self.mmio_hit = NO_DEVICE
+        self.port_stream = self.mmio_stream = NO_DEVICE
 
     @property
     def observer(self):
@@ -79,16 +93,27 @@ class Bus:
     def _bind(self):
         """Publish the direct-dispatch tuples (see the class docstring)."""
         self.port_hit = self.mmio_hit = NO_DEVICE
+        self.port_stream = self.mmio_stream = NO_DEVICE
         if self._observer is not None:
             return
         if len(self._ports) == 1:
             entry = self._ports[0]
             self.port_hit = (entry.base, entry.base + entry.size,
                              entry.device.io_read, entry.device.io_write)
+            self.port_stream = self._stream(entry)
         if len(self._mmio) == 1:
             entry = self._mmio[0]
             self.mmio_hit = (entry.base, entry.base + entry.size,
                              entry.device.mmio_read, entry.device.mmio_write)
+            self.mmio_stream = self._stream(entry)
+
+    @staticmethod
+    def _stream(entry):
+        read = getattr(entry.device, "read_stream", None)
+        if read is None:
+            return NO_DEVICE
+        return (entry.base, entry.base + entry.size, read,
+                entry.device.write_stream)
 
     # ------------------------------------------------------------------
     # Device registration
@@ -194,8 +219,8 @@ class _NoDevices:
     must all go through its callables: every compiled access misses."""
 
     __slots__ = ()
-    port_hit = NO_DEVICE
-    mmio_hit = NO_DEVICE
+    port_hit = mmio_hit = NO_DEVICE
+    port_stream = mmio_stream = NO_DEVICE
 
 
 #: Shared stand-in for :class:`Bus` in custom execution environments.

@@ -238,6 +238,136 @@ class TestNe2000Slices:
                 assert dev.io_read(offset, 1) == expected.get(offset, 0)
 
 
+def _irq_counted(device):
+    """``device`` with a callback that counts every interrupt raise."""
+    device.irq_count = 0
+
+    def raised():
+        device.irq_count += 1
+    device.irq_callback = raised
+    return device
+
+
+def _full_state(device):
+    """Every attribute of ``device`` but its interrupt callback (the
+    raise count stays in as ``irq_count``)."""
+    return {key: value for key, value in vars(device).items()
+            if key != "irq_callback"}
+
+
+def _stream_pair(make_device):
+    """Two identically prepared devices: one streams, one takes the
+    single accesses the stream stands for."""
+    return _irq_counted(make_device()), _irq_counted(make_device())
+
+
+def _single_accesses(device, read, write, offset, width, n, data):
+    """``n`` single register accesses: the bytes read, or ``data``'s
+    elements written."""
+    if data is None:
+        return b"".join(read(offset, width).to_bytes(width, "little")
+                        for _ in range(n))
+    for start in range(0, len(data), width):
+        write(offset, width,
+              int.from_bytes(data[start:start + width], "little"))
+    return True
+
+
+def _check_stream(streamed, single, space, offset, width, n, data):
+    """The stream call and the single accesses leave the same bytes,
+    device state and interrupt count; a declined stream (``None``)
+    leaves the device untouched."""
+    before = _full_state(streamed)
+    if data is None:
+        got = streamed.read_stream(offset, width, n)
+    else:
+        got = streamed.write_stream(offset, width, data)
+    if got is None:
+        assert _full_state(streamed) == before
+        return False
+    read, write = ((single.io_read, single.io_write) if space == "port"
+                   else (single.mmio_read, single.mmio_write))
+    assert got == _single_accesses(single, read, write, offset, width, n,
+                                   data)
+    assert _full_state(streamed) == _full_state(single)
+    return True
+
+
+_stream_n = st.one_of(st.integers(min_value=0, max_value=40),
+                      st.integers(min_value=500, max_value=1100))
+
+
+class TestStreamTransfers:
+    """``read_stream``/``write_stream`` stand for ``n`` single data
+    register accesses: from random device states they return the same
+    bytes and leave the same full state and interrupt count, or decline
+    untouched."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(rsar=_ne_rsar,
+           rbcr=st.one_of(st.integers(min_value=0, max_value=64),
+                          st.integers(min_value=0, max_value=0xFFFF)),
+           isr=st.integers(min_value=0, max_value=0xFF),
+           imr=st.sampled_from([0, NE.ISR_RDC, NE.ISR_PRX, 0xFF]),
+           width=st.sampled_from([1, 2, 4]), n=_stream_n,
+           write=st.booleans(), seed=st.integers(min_value=0, max_value=255))
+    def test_ne2000_data_port(self, rsar, rbcr, isr, imr, width, n, write,
+                              seed):
+        def make_device():
+            dev = Ne2000Device(MAC)
+            dev.mem[:] = bytes((seed + 7 * i) & 0xFF
+                               for i in range(len(dev.mem)))
+            dev.rsar, dev.rbcr, dev.isr, dev.imr = rsar, rbcr, isr, imr
+            return dev
+
+        data = bytes((seed * 3 + i) & 0xFF for i in range(width * n)) \
+            if write else None
+        streamed, single = _stream_pair(make_device)
+        assert _check_stream(streamed, single, "port", NE.REG_DATA, width,
+                             n, data)
+
+    @pytest.mark.parametrize("offset", [0x00, 0x07, 0x0F, 0x1F])
+    @pytest.mark.parametrize("write", [False, True])
+    def test_ne2000_declines_other_registers(self, offset, write):
+        streamed, single = _stream_pair(lambda: Ne2000Device(MAC))
+        data = b"\x01\x02" if write else None
+        assert not _check_stream(streamed, single, "port", offset, 1, 2,
+                                 data)
+
+    @settings(max_examples=200, deadline=None)
+    @given(bank=st.sampled_from([2, 2, 2, 0, 1, 3, 4, 7]),
+           offset=st.sampled_from([0x08, 0x08, 0x0A, 0x06, 0x0C]),
+           flags=st.sampled_from([0, SMC.PTR_AUTO_INCR, SMC.PTR_RCV,
+                                  SMC.PTR_AUTO_INCR | SMC.PTR_RCV]),
+           cursor=st.one_of(st.integers(min_value=0x7F0, max_value=0x7FF),
+                            st.integers(min_value=0, max_value=0x7FF)),
+           pnr=st.one_of(st.integers(min_value=0, max_value=15),
+                         st.integers(min_value=0, max_value=0x3F)),
+           rx_fifo=st.lists(st.integers(min_value=0, max_value=15),
+                            max_size=2),
+           width=st.sampled_from([1, 2, 4]), n=_stream_n,
+           write=st.booleans(), seed=st.integers(min_value=0, max_value=255))
+    def test_smc91c111_data_window(self, bank, offset, flags, cursor, pnr,
+                                   rx_fifo, width, n, write, seed):
+        def make_device():
+            dev = Smc91c111Device(MAC)
+            dev.packet_mem[:] = bytes((seed + 5 * i) & 0xFF
+                                      for i in range(len(dev.packet_mem)))
+            dev.bank, dev.pnr, dev.rx_fifo = bank, pnr, list(rx_fifo)
+            dev.pointer, dev._ptr_cursor = flags | cursor, cursor
+            return dev
+
+        data = bytes((seed * 3 + i) & 0xFF for i in range(width * n)) \
+            if write else None
+        streamed, single = _stream_pair(make_device)
+        packet = (rx_fifo[0] if rx_fifo else None) \
+            if flags & SMC.PTR_RCV else pnr
+        streams = bank == 2 and offset in (0x08, 0x0A) \
+            and (packet is None or packet < SMC.NUM_PACKETS)
+        assert _check_stream(streamed, single, "mmio", offset, width, n,
+                             data) == streams
+
+
 class TestRtl8139:
     def test_mac_readable_writable(self):
         _m, _med, dev, _irqs = make(Rtl8139Device)

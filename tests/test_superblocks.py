@@ -19,6 +19,8 @@ from repro.drivers import build_driver, device_class
 from repro.errors import SynthesisError, VmFault
 from repro.eval.runner import get_cache
 from repro.guestos.harness import DriverHarness
+from repro.hw import Ne2000Device
+from repro.hw import ne2000 as NE
 from repro.ir import (
     SuperblockManager,
     TranslationBlock,
@@ -33,6 +35,7 @@ from repro.isa.registers import REG_SP
 from repro.layout import (
     HEAP_BASE,
     HEAP_LIMIT,
+    STACK_LIMIT,
     STACK_TOP,
     TEXT_BASE,
     page_align,
@@ -530,3 +533,286 @@ class TestLoopDifferential:
         after = superblock_counters()
         assert after["superblock_loop_iterations"] > \
             before["superblock_loop_iterations"]
+
+
+# -- stream transfers ----------------------------------------------------
+
+#: The copy loop the stream tests run, with ``r1`` the NE2000's port
+#: base, ``r3`` the RAM pointer (the destination of a RAM-to-RAM copy,
+#: whose source is ``r2``) and ``r4`` the byte count set by the caller:
+#: a head testing ``r4 != 0`` (or ``r4 >=u width``), the exit, ``gap``
+#: unexecuted instruction slots, and the body moving one element between
+#: the data port and RAM, or within RAM.
+_NE_PORT = 0x300
+_COPY_BUF = HEAP_BASE + 0x200
+_COPY_BODY = 3      # index of the body when there is no gap
+
+
+_WIDTH_OPS = {1: (Op.LD8, Op.ST8, Op.IN8, Op.OUT8),
+              2: (Op.LD16, Op.ST16, Op.IN16, Op.OUT16),
+              4: (Op.LD32, Op.ST32, Op.IN32, Op.OUT32)}
+
+
+def _copy_program(end, direction="read", width=1, gap=0, until="zero"):
+    body = _at(_COPY_BODY + gap)
+    load_op, store_op, in_op, out_op = _WIDTH_OPS[width]
+    if direction == "write":
+        move = [Instruction(load_op, 5, 3),
+                Instruction(out_op, 1, 5, imm=NE.REG_DATA)]
+    elif direction == "ram":
+        move = [Instruction(load_op, 5, 2),
+                Instruction(store_op, 3, 5),
+                Instruction(Op.ADD, 2, 2, imm=width)]
+    else:
+        move = [Instruction(in_op, 5, 1, imm=NE.REG_DATA),
+                Instruction(store_op, 3, 5)]
+    if until == "zero":
+        head = [Instruction(Op.MOVI, 12, imm=0),
+                Instruction(Op.BNE, 4, 12, imm=body)]
+    else:
+        head = [Instruction(Op.MOVI, 12, imm=width),
+                Instruction(Op.BGEU, 4, 12, imm=body)]
+    return (head + [end]
+            + [Instruction(Op.NOP)] * gap
+            + move
+            + [Instruction(Op.ADD, 3, 3, imm=width),
+               Instruction(Op.SUB, 4, 4, imm=width),
+               Instruction(Op.JMP, imm=TEXT_BASE)])
+
+
+class _PlainPort:
+    """A data port without stream methods: reads count up."""
+
+    def __init__(self):
+        self.log = []
+
+    def io_read(self, offset, width):
+        self.log.append(("r", offset, width))
+        return len(self.log) & ((1 << 8 * width) - 1)
+
+    def io_write(self, offset, width, value):
+        self.log.append(("w", offset, width, value))
+
+
+def _ne_device():
+    """An NE2000 whose remote byte count runs out during the second
+    0x40-byte transfer, so every later access raises an interrupt."""
+    dev = Ne2000Device(b"\x52\x54\x00\x01\x02\x03")
+    dev.mem[:] = bytes((3 + 7 * i) & 0xFF for i in range(len(dev.mem)))
+    dev.rsar, dev.rbcr, dev.imr = NE.MEM_BASE, 0x50, NE.ISR_RDC
+    dev.irqs = 0
+
+    def raised():
+        dev.irqs += 1
+    dev.irq_callback = raised
+    return dev
+
+
+def _device_state(device):
+    if isinstance(device, _PlainPort):
+        return list(device.log)
+    return (bytes(device.mem), device.rsar, device.rbcr, device.isr,
+            device.irqs)
+
+
+def _copy_machine(program, device):
+    machine = Machine()
+    code = b"".join(encode(i) for i in program)
+    machine.memory.map_region(TEXT_BASE, page_align(len(code)), "text")
+    machine.memory.write_bytes(TEXT_BASE, code)
+    machine.memory.write_bytes(
+        _COPY_BUF, bytes((5 + 11 * i) & 0xFF for i in range(0x200)))
+    machine.bus.attach_ports(_NE_PORT, 0x20, device)
+    return machine
+
+
+def _streamed():
+    return superblock_counters()["superblock_stream_elements"]
+
+
+#: Hot at the second lookup, once the back-edge has been profiled.
+@mock.patch(_HOT_THRESHOLD, 2)
+class TestStreamDeopt:
+    """The copy loop runs as stream transfers in the ``"compiled"`` tier
+    and leaves exactly what per-block ``interp`` dispatch leaves --
+    registers, pc, counters, RAM, device state and interrupts -- also
+    in every case where the transfer must fall back to ordinary
+    iterations."""
+
+    def _cpu_calls(self, backend, calls, direction="read", width=1, gap=0,
+                   until="zero", device=_ne_device, budget=10_000,
+                   between=None, observer=False):
+        """Run the loop once per ``(pointer, count[, source])`` in
+        ``calls`` on one machine (the chain formed by one call serves the
+        next); returns what each call left and the elements each
+        streamed."""
+        device = device()
+        machine = _copy_machine(
+            _copy_program(Instruction(Op.HALT), direction, width, gap,
+                          until), device)
+        seen = []
+        if observer:
+            machine.bus.observer = lambda *event: seen.append(event)
+        cpu = machine.cpu
+        cpu.exec_backend = backend
+        results, streamed = [], []
+        for index, (pointer, count, *source) in enumerate(calls):
+            if between is not None:
+                between(index, machine, seen)
+            cpu.regs[1], cpu.regs[3], cpu.regs[4] = _NE_PORT, pointer, count
+            cpu.regs[2] = source[0] if source else 0
+            cpu.pc = TEXT_BASE
+            before = _streamed()
+            try:
+                outcome = cpu.run(max_steps=budget)
+            except VmFault as exc:
+                outcome = type(exc).__name__
+            streamed.append(_streamed() - before)
+            results.append((outcome, list(cpu.regs), cpu.pc, cpu.instret,
+                            cpu.io_ops, cpu.mem_ops,
+                            machine.memory.read_bytes(_COPY_BUF, 0x200),
+                            _device_state(device), len(seen)))
+        return results, streamed
+
+    def _agree(self, calls, **options):
+        """Both tiers leave the same; returns the compiled tier's
+        streamed elements per call."""
+        fused, streamed = self._cpu_calls("compiled", calls, **options)
+        reference, _ = self._cpu_calls("interp", calls, **options)
+        assert fused == reference
+        return fused, streamed
+
+    @pytest.mark.parametrize("direction", ["read", "write"])
+    @pytest.mark.parametrize("width", [1, 2, 4])
+    @pytest.mark.parametrize("until", ["zero", "below-width"])
+    def test_copy_streams(self, direction, width, until):
+        """With ``r4 >=u width`` as the loop test, the bytes past the
+        last whole element stay for the code after the loop."""
+        count = 0x40 if until == "zero" else 0x43
+        fused, streamed = self._agree(
+            [(_COPY_BUF, 0x40), (_COPY_BUF + 0x80, count)],
+            direction=direction, width=width, until=until)
+        assert fused[-1][0] is ExitReason.HALT
+        assert fused[-1][1][4] == count % width
+        # Formed in the first call.  The second call's first iteration
+        # runs ordinarily: fetching the exit block made the code region
+        # the last one hit.  Every other element streams.
+        assert streamed[0] > 0 and streamed[1] == count // width - 1
+
+    @pytest.mark.parametrize("width", [1, 4])
+    def test_ram_copy_streams_unless_the_ranges_overlap(self, width):
+        """A forward element copy onto an overlapping higher range
+        repeats the first elements; a slice copy would not.  Copying 4
+        bytes up, only the last 4 bytes' ranges are disjoint."""
+        fused, streamed = self._agree(
+            [(_COPY_BUF, 0x40, _COPY_BUF + 0x100),
+             (_COPY_BUF + 0x40, 0x40, _COPY_BUF + 0x140),
+             (_COPY_BUF + 0x84, 0x40, _COPY_BUF + 0x80)],
+            direction="ram", width=width)
+        assert streamed[1] == 0x40 // width - 1
+        assert streamed[2] == 4 // width
+        assert fused[-1][6][0x84:0x88] == fused[-1][6][0x80:0x84]
+
+    def test_observer_before_the_run(self):
+        fused, streamed = self._agree(
+            [(_COPY_BUF, 0x40), (_COPY_BUF + 0x80, 0x40)], observer=True)
+        assert streamed == [0, 0]
+        assert fused[-1][-1] == 0x80      # every access was observed
+
+    def test_observer_set_mid_run(self):
+        def attach(index, machine, seen):
+            if index == 1:
+                machine.bus.observer = lambda *event: seen.append(event)
+
+        fused, streamed = self._agree(
+            [(_COPY_BUF, 0x40), (_COPY_BUF + 0x80, 0x40)], between=attach)
+        assert streamed[0] > 0 and streamed[1] == 0
+        assert fused[-1][-1] == 0x40
+
+    def test_device_without_stream_methods(self):
+        _fused, streamed = self._agree(
+            [(_COPY_BUF, 0x40), (_COPY_BUF + 0x80, 0x40)],
+            device=_PlainPort)
+        assert streamed == [0, 0]
+
+    def test_pointer_outside_the_hit_region(self):
+        """The stack is not the region last hit: the first iteration
+        runs ordinarily (and makes it the hit), the rest stream."""
+        fused, streamed = self._agree(
+            [(_COPY_BUF, 0x40), (STACK_LIMIT + 0x100, 0x40)])
+        assert fused[-1][0] is ExitReason.HALT
+        assert streamed[1] == 0x40 - 1
+
+    def test_pointer_crossing_a_region_end(self):
+        fused, streamed = self._agree(
+            [(_COPY_BUF, 0x40), (HEAP_LIMIT - 0x10, 0x40)])
+        assert fused[-1][0] == "MemoryFault"
+        assert streamed[1] == 0
+
+    def test_store_into_the_watched_code_span(self):
+        """Stores into the unexecuted gap inside the chain's own code
+        span: every transfer falls back, and the self-patch guard
+        deopts the ordinary iterations."""
+        gap_start = _at(_COPY_BODY)
+        before = superblock_counters()["superblock_deopts"]
+        _fused, streamed = self._agree(
+            [(_COPY_BUF, 0x20), (gap_start, 0x20)], gap=8)
+        assert streamed[1] == 0
+        assert superblock_counters()["superblock_deopts"] > before
+
+    def test_instruction_budget_ends_mid_transfer(self):
+        """Every budget from 0 past the run's end: the transfer is
+        clamped to the iterations the budget allows."""
+        partial = 0
+        for budget in range(0, 2 + 7 * 0x18):
+            _fused, streamed = self._agree([(_COPY_BUF, 0x18)],
+                                           budget=budget)
+            partial += streamed[0] > 0
+        assert partial > 0
+
+    @pytest.mark.parametrize("width,count", [(1, 0), (4, 6)])
+    def test_no_complete_iteration(self, width, count):
+        """No trip count: a zero count exits at the head, and a count
+        off the width's multiples never reaches ``r4 == 0`` (it runs
+        ordinary iterations to the budget)."""
+        fused, streamed = self._agree(
+            [(_COPY_BUF, 0x40), (_COPY_BUF + 0x100, count)], width=width,
+            budget=600)
+        assert streamed[1] == 0
+        if count:
+            assert fused[-1][0] is ExitReason.STEP_LIMIT
+
+    def _static_run(self, max_blocks, backend):
+        device = _ne_device()
+        machine = _copy_machine(
+            _copy_program(Instruction(Op.RET, imm=0)), device)
+        translator = Translator(machine.memory.read_bytes)
+        block_map = {_at(index): translator.get(_at(index))
+                     for index in (0, 2, _COPY_BODY)}
+        driver = SynthesizedDriver(
+            name="copy", functions={}, entry_points={}, c_source="",
+            c_per_function={}, report=None, import_names={},
+            block_map=block_map)
+        env = IrEnv.for_machine(machine)
+        env.regs[REG_SP] = STACK_TOP
+        env.regs[1], env.regs[3], env.regs[4] = _NE_PORT, _COPY_BUF, 0x10
+        outcome = "returned"
+        before = _streamed()
+        try:
+            driver.run_function(TEXT_BASE, env, [], None,
+                                max_blocks=max_blocks, backend=backend)
+        except SynthesisError:
+            outcome = "budget"
+        return (outcome, list(env.regs), env.instrs_retired,
+                env.ops_retired, env.io_ops, env.mem_ops,
+                machine.memory.read_bytes(_COPY_BUF, 0x20),
+                _device_state(device)), _streamed() - before
+
+    def test_block_budget_ends_mid_transfer(self):
+        partial = 0
+        for max_blocks in range(2 * 0x10 + 3):
+            fused, streamed = self._static_run(max_blocks, "compiled")
+            assert fused == self._static_run(max_blocks, "interp")[0], \
+                "diverged at max_blocks=%d" % max_blocks
+            partial += fused[0] == "budget" and streamed > 0
+        assert fused[0] == "returned" and partial > 0
