@@ -258,9 +258,12 @@ class Smc91c111Device(NicDevice):
     # Packet memory access through the POINTER/DATA window
 
     def _target_packet(self):
+        """The packet the DATA window addresses, or ``None`` (reads 0,
+        writes dropped): an empty RX FIFO, or a packet number past
+        packet memory."""
         if self.pointer & PTR_RCV:
             return self.rx_fifo[0] if self.rx_fifo else None
-        return self.pnr
+        return self.pnr if self.pnr < NUM_PACKETS else None
 
     def _data_read(self, width):
         packet = self._target_packet()
@@ -343,13 +346,10 @@ class Smc91c111Device(NicDevice):
     def _stream_packet(self, offset):
         """The packet a DATA stream at ``offset`` walks (``None``: the
         accesses read 0 and drop writes), or ``_DECLINE`` for any other
-        register and for a packet number past packet memory."""
+        register."""
         if self.bank != 2 or offset not in (0x08, 0x0A):
             return _DECLINE
-        packet = self._target_packet()
-        if packet is not None and packet >= NUM_PACKETS:
-            return _DECLINE
-        return packet
+        return self._target_packet()
 
     def _packet_run(self, packet, cursor, size):
         """``size`` bytes of ``packet`` from ``cursor`` on, wrapping at
@@ -382,6 +382,9 @@ class Smc91c111Device(NicDevice):
                 self.free_packets.append(packet)
             if not self.rx_fifo:
                 self.int_status &= ~INT_RCV
+        elif self.pnr >= NUM_PACKETS:
+            # Release and enqueue name no packet past packet memory.
+            return
         elif command == MMU_RELEASE_PKT:
             if self.pnr not in self.free_packets:
                 self.free_packets.append(self.pnr)

@@ -48,8 +48,10 @@ from repro.synth.report import FunctionSummary, SynthesisReport
 #: exploration.  v6: the wall-clock values moved under the top-level
 #: ``volatile`` section (``wall_seconds`` out of ``stats``, the seconds
 #: out of each coverage-timeline sample, which became a
-#: ``[blocks, fraction]`` pair).
-SCHEMA_VERSION = 6
+#: ``[blocks, fraction]`` pair).  v7: run stats gained
+#: ``eval_nodes_lowered``, and conjunctions split into a shared fused
+#: prefix plus a delta, which moves the eval counters.
+SCHEMA_VERSION = 7
 
 #: The top-level key of every byte-compared document (run artifacts,
 #: fuzz campaigns, fabric reports) that holds its non-deterministic

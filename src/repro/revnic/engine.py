@@ -220,6 +220,7 @@ class RevNic:
     def run(self):
         """Execute the full exercise script; returns a RevNicResult."""
         self._start_time = time.monotonic()
+        E.reset_programs()
         eval_before = E.eval_counters()
         trace = Trace(driver_name=self.config.driver_name,
                       text_base=self.loaded.text_base,
@@ -253,6 +254,8 @@ class RevNic:
                                   - eval_before["program_runs"]),
             "eval_node_visits": (eval_after["node_visits"]
                                  - eval_before["node_visits"]),
+            "eval_nodes_lowered": (eval_after["nodes_lowered"]
+                                   - eval_before["nodes_lowered"]),
             "blocks_recorded": self.wiretap.blocks_recorded,
             "imports_recorded": self.wiretap.imports_recorded,
             "hw_reads": self.hardware.reads_total,

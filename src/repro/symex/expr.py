@@ -375,13 +375,14 @@ _SIGNED = "(%s - 4294967296 if %s & 2147483648 else %s)"
 def _shape(exprs):
     """One postorder walk over the distinct Expr nodes of ``exprs``.
 
-    Returns ``(key, names, consts)``.  ``key`` is the structural shape as
-    one flat tuple: per node, children before parents, its kind, width,
-    extract offset and operand count, then one slot per operand -- an
-    earlier node's position, or ``None`` for a constant; last come the
+    Returns ``(key, names, consts, count)``.  ``key`` is the structural
+    shape as one flat tuple: per node, children before parents, its kind,
+    width, extract offset and operand count, then one slot per operand --
+    an earlier node's position, or ``None`` for a constant; last come the
     slots of ``exprs`` themselves and their count.  ``names`` (one per
     ``sym`` node) and ``consts`` (one per ``None`` slot) are the values a
-    program of that shape binds, in slot order.
+    program of that shape binds, in slot order.  ``count`` is the number
+    of distinct nodes.
     """
     place = {}
     names = []
@@ -420,7 +421,7 @@ def _shape(exprs):
         else:
             emit(place[id(root)])
     emit(len(exprs))
-    return tuple(shape), names, consts
+    return tuple(shape), names, consts, len(place)
 
 
 def _program_source(key):
@@ -538,7 +539,8 @@ def _compile_program(expr, roots=None):
     binds its own names and constants into a fresh closure over the same
     code object.
     """
-    key, names, consts = _shape(roots if roots is not None else (expr,))
+    key, names, consts, count = _shape(roots if roots is not None
+                                       else (expr,))
     factory = _SHAPES.get(key)
     if factory is None:
         namespace = {"_c": _COUNTER_CELLS}
@@ -549,6 +551,7 @@ def _compile_program(expr, roots=None):
             _SHAPES.clear()
         _SHAPES[key] = factory
     _COUNTER_CELLS[2] += 1
+    _COUNTER_CELLS[3] += count
     return factory(*names, *consts)
 
 
@@ -565,16 +568,18 @@ _SHAPES_MAX = 4096
 
 
 #: Mutable cells shared with every compiled program:
-#: [program runs, node visits, programs compiled].  Deterministic -- the
-#: perf-regression budget tests assert against them via eval_counters().
-_COUNTER_CELLS = [0, 0, 0]
+#: [program runs, node visits, programs compiled, nodes lowered].
+#: Deterministic -- the perf-regression budget tests assert against them
+#: via eval_counters().
+_COUNTER_CELLS = [0, 0, 0, 0]
 
 
 def eval_counters():
     """Snapshot of the compiled-evaluation counters (deterministic)."""
     return {"program_runs": _COUNTER_CELLS[0],
             "node_visits": _COUNTER_CELLS[1],
-            "programs": _COUNTER_CELLS[2]}
+            "programs": _COUNTER_CELLS[2],
+            "nodes_lowered": _COUNTER_CELLS[3]}
 
 
 def compiled(expr):
@@ -590,22 +595,100 @@ def compiled(expr):
     return program
 
 
-_CONJUNCTION_CACHE = {}
+#: Conjunction table: a tuple of 1-bit roots maps to its parts
+#: ``(prefix, k, delta)`` (see :func:`conjunction_parts`).  An entry whose
+#: ``delta`` is ``None`` is *fused* -- one program over all its roots --
+#: and only fused entries serve as a longer conjunction's prefix.  Bounded
+#: like ``_SHAPES``: once full the table is cleared (semantics-safe --
+#: every entry is a pure function of its key, and callers keep the
+#: programs they already hold).
+_CONJUNCTIONS = {}
+_CONJUNCTIONS_MAX = 4096
+
+
+def _remember(roots, parts):
+    if len(_CONJUNCTIONS) >= _CONJUNCTIONS_MAX:
+        _CONJUNCTIONS.clear()
+    _CONJUNCTIONS[roots] = parts
+    return parts
+
+
+def _fuse(roots):
+    """Remember ``roots`` as fused: one program over all of them."""
+    return _remember(roots, (_compile_program(None, roots=roots),
+                             len(roots), None))
+
+
+def reset_programs():
+    """Forget every lowered program: the ones cached on nodes and the
+    conjunction table.
+
+    How a conjunction splits depends on which prefixes are already
+    fused, and what a run lowers on which programs it finds cached, so
+    a run calls this first: its eval counters then depend on the run
+    alone, and the Nth run in one interpreter counts what a fresh
+    interpreter does.  Compiled code objects (``_SHAPES``) are kept;
+    they change no counter.
+    """
+    _CONJUNCTIONS.clear()
+    for node in Expr._intern.values():
+        node._program = None
+
+
+def conjunction_parts(constraints):
+    """The program parts of a tuple of 1-bit constraints (cached).
+
+    Returns ``(prefix, k, delta)``: ``prefix(model)`` is the satisfied
+    mask of ``constraints[:k]`` and ``delta(model)`` that of
+    ``constraints[k:]``, so the conjunction's mask is
+    ``prefix(model) | delta(model) << k``.  A fused conjunction has
+    ``k == len(constraints)`` and ``delta`` ``None``.
+
+    A slice grows by appending constraints, so a new conjunction reuses
+    the longest fused prefix of at least half its roots and lowers only
+    the rest as its delta.  Without one, a conjunction of three or more
+    roots fuses all but its last root, which sibling branch probes (the
+    same slice plus another last constraint) then share; the last root's
+    own node-cached program is the delta.  A prefix is therefore
+    re-fused only once the slice has doubled past it.
+    """
+    parts = _CONJUNCTIONS.get(constraints)
+    if parts is not None:
+        return parts
+    count = len(constraints)
+    for k in range(count - 1, (count + 1) // 2 - 1, -1):
+        head = _CONJUNCTIONS.get(constraints[:k])
+        if head is not None and head[2] is None:
+            break
+    else:
+        if count < 3:
+            return _fuse(constraints)
+        k = count - 1
+        head = _fuse(constraints[:k])
+    return _remember(constraints, (head[0], k, _delta(constraints[k:])))
+
+
+def _delta(roots):
+    """The program of a delta: a lone root's own node-cached program (a
+    1-bit value is its own mask), else one program over all of them."""
+    if len(roots) == 1 and isinstance(roots[0], Expr):
+        return compiled(roots[0])
+    return _compile_program(None, roots=roots)
 
 
 def compiled_conjunction(constraints):
     """One program for a tuple of 1-bit constraints sharing subtrees.
 
     Returns ``program(model) -> mask`` where bit *i* is set iff
-    ``constraints[i]`` is satisfied.  Shared subexpressions across the
-    conjunction are evaluated once per call -- the property the old
-    per-batch memo dict provided, without its per-node dict traffic.
+    ``constraints[i]`` is satisfied.  Shared subexpressions within each
+    part (see :func:`conjunction_parts`) are evaluated once per call --
+    the property the old per-batch memo dict provided, without its
+    per-node dict traffic.
     """
-    program = _CONJUNCTION_CACHE.get(constraints)
-    if program is None:
-        program = _compile_program(None, roots=constraints)
-        _CONJUNCTION_CACHE[constraints] = program
-    return program
+    prefix, k, delta = conjunction_parts(constraints)
+    if delta is None:
+        return prefix
+    return lambda model: prefix(model) | delta(model) << k
 
 
 def evaluate(expr, model):

@@ -30,7 +30,7 @@ model cache keyed by the interned constraint set, so sibling forks and
 re-explorations of the same path prefix never re-search.
 """
 
-from repro.symex.expr import (Expr, bool_not, compiled, compiled_conjunction,
+from repro.symex.expr import (Expr, bool_not, compiled, conjunction_parts,
                               evaluate)
 
 _BOUNDARY_VALUES = (0, 1, 2, 3, 4, 5, 6, 7, 8, 0x10, 0x20, 0x40, 0x7F, 0x80,
@@ -320,8 +320,7 @@ class Solver:
         merged = dict(prefer)
         for comp in ctx.components():
             projection = {s: prefer.get(s, 0) for s in comp.symbols}
-            conjunction = compiled_conjunction(comp.constraints)
-            if conjunction(projection) == (1 << len(comp.constraints)) - 1:
+            if _all_hold(map(compiled, comp.constraints), projection):
                 merged.update(projection)
                 continue
             solved = self._component_model(comp.constraints, comp.symbols,
@@ -493,11 +492,12 @@ class Solver:
         satisfied = self._satisfied_mask(programs, model)
         full = (1 << len(constraints)) - 1
         # Changing one symbol can only flip constraints that mention it, so
-        # the hill climb scores candidates against a compiled conjunction
-        # of just that slice (subtrees shared across the slice are
-        # evaluated once per candidate).  Slice tuples only change when a
-        # new constraint mentions the symbol, so the conjunction cache
-        # absorbs component growth elsewhere.
+        # the hill climb scores candidates against the compiled conjunction
+        # of just that slice (subtrees shared within each of its parts are
+        # evaluated once per candidate).  A slice grows by appending, so
+        # its conjunction is a shared fused prefix plus a small delta (see
+        # expr.conjunction_parts); the delta is scored only when its bits
+        # could lift the candidate strictly past the best count so far.
         by_symbol = {}
         slice_masks = {name: 0 for name in symbols}
         indices = {name: [] for name in symbols}
@@ -509,17 +509,18 @@ class Solver:
                     indices[name].append(index)
         for name in symbols:
             if indices[name]:
-                by_symbol[name] = (compiled_conjunction(
-                    tuple(constraints[i] for i in indices[name])),
-                    indices[name])
+                by_symbol[name] = conjunction_parts(
+                    tuple(constraints[i] for i in indices[name]))
         for _ in range(self.greedy_passes):
             improved = False
             for name in symbols:
                 entry = by_symbol.get(name)
                 if entry is None:
                     continue
-                scorer, slice_indices = entry
+                prefix, split, delta = entry
+                slice_indices = indices[name]
                 slice_size = len(slice_indices)
+                delta_size = slice_size - split
                 original = model[name]
                 best_value = original
                 best_local = (satisfied & slice_masks[name]).bit_count()
@@ -531,7 +532,12 @@ class Solver:
                     if value == original:
                         continue
                     model[name] = value
-                    local = scorer(model).bit_count()
+                    local = prefix(model).bit_count()
+                    if local + delta_size <= best_local:
+                        # Not even every delta bit could win.
+                        continue
+                    if delta_size:
+                        local += delta(model).bit_count()
                     if local > best_local:
                         best_local = local
                         best_value = value
@@ -542,7 +548,9 @@ class Solver:
                     improved = True
                     # Only this symbol's slice can have flipped: patch its
                     # bits back into the global mask from the slice score.
-                    local = scorer(model)
+                    local = prefix(model)
+                    if delta_size:
+                        local |= delta(model) << split
                     patched = 0
                     for offset, index in enumerate(slice_indices):
                         if (local >> offset) & 1:

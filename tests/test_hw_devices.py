@@ -360,12 +360,11 @@ class TestStreamTransfers:
         data = bytes((seed * 3 + i) & 0xFF for i in range(width * n)) \
             if write else None
         streamed, single = _stream_pair(make_device)
-        packet = (rx_fifo[0] if rx_fifo else None) \
-            if flags & SMC.PTR_RCV else pnr
-        streams = bank == 2 and offset in (0x08, 0x0A) \
-            and (packet is None or packet < SMC.NUM_PACKETS)
+        streams = bank == 2 and offset in (0x08, 0x0A)
         assert _check_stream(streamed, single, "mmio", offset, width, n,
                              data) == streams
+        assert len(streamed.packet_mem) == len(single.packet_mem) \
+            == SMC.NUM_PACKETS * SMC.PACKET_SIZE
 
 
 class TestRtl8139:
@@ -551,6 +550,33 @@ class TestSmc91c111:
             assert not dev.mmio_read(0x03, 1) & SMC.ARR_FAILED
         dev.mmio_write(0x00, 2, SMC.MMU_ALLOC)
         assert dev.mmio_read(0x03, 1) & SMC.ARR_FAILED
+
+    @pytest.mark.parametrize("pnr", [SMC.NUM_PACKETS, 0x2A, 0x3F])
+    def test_packet_number_past_memory(self, pnr):
+        """A packet number the chip has no memory for reads 0, drops
+        writes, and is ignored by release and enqueue: packet memory and
+        the free list never grow."""
+        _m, medium, dev, _irqs = make(Smc91c111Device)
+        dev.mmio_write(SMC.REG_BANK_SELECT, 2, 0)
+        dev.mmio_write(0x00, 2, SMC.TCR_TXENA)
+        dev.mmio_write(SMC.REG_BANK_SELECT, 2, 2)
+        memory = bytes(dev.packet_mem)
+        free = list(dev.free_packets)
+        dev.mmio_write(0x02, 1, pnr)
+        assert dev.mmio_read(0x02, 1) == pnr
+        dev.mmio_write(0x06, 2, SMC.PTR_AUTO_INCR)
+        for _ in range(SMC.PACKET_SIZE):
+            dev.mmio_write(0x08, 4, 0x7FF007FF)
+        dev.mmio_write(0x06, 2, SMC.PTR_AUTO_INCR)
+        assert dev.mmio_read(0x08, 4) == 0
+        assert dev.write_stream(0x08, 2, b"\xAA" * 64) is True
+        assert dev.read_stream(0x08, 2, 32) == bytes(64)
+        dev.mmio_write(0x00, 2, SMC.MMU_RELEASE_PKT)
+        dev.mmio_write(0x00, 2, SMC.MMU_ENQUEUE_TX)
+        assert bytes(dev.packet_mem) == memory
+        assert dev.free_packets == free
+        assert medium.transmitted == []
+        assert not dev.tx_done_fifo
 
 
 def _run_r32(machine, program, exec_backend):

@@ -2,17 +2,21 @@
 
 Wall-clock assertions are flaky on shared CI machines, so the perf
 trajectory is guarded by *counter* budgets instead: solver queries, actual
-model searches (cache/fast-path misses), compiled-program runs and node
-visits, and blocks executed for the ``rtl8139`` run -- the heaviest
-driver, where the incremental-solving work concentrated -- plus program
-runs for ``smc91c111``, the driver whose solver searches ran the most
-programs.  The budgets carry ~50% headroom over the measured values, so
-they only trip on algorithmic blow-ups (per-query re-solving, or
-per-query random sampling of models, would exceed them by an order of
-magnitude), not on noise.
+model searches (cache/fast-path misses), compiled-program runs, node
+visits and nodes lowered into programs, and blocks executed for the
+``rtl8139`` run -- the heaviest driver, where the incremental-solving
+work concentrated -- plus program runs for ``smc91c111``, the driver
+whose solver searches ran the most programs.  The budgets carry ~50%
+headroom over the measured values, so they only trip on algorithmic
+blow-ups (per-query re-solving, or per-query random sampling of models,
+would exceed them by an order of magnitude), not on noise.  The
+``eval_nodes_lowered`` budget is tighter: re-lowering every grown slice
+conjunction whole, instead of as a shared prefix plus a delta, lowers
+130,499 nodes and trips it.
 
-Measured values: rtl8139 queries=950 solves=376 program_runs=114,770
-node_visits=10.44M blocks=2087 forks=261; smc91c111 program_runs=31,045.
+Measured values: rtl8139 queries=950 solves=376 program_runs=138,213
+node_visits=9.15M nodes_lowered=77,041 blocks=2087 forks=261; smc91c111
+program_runs=41,974.
 """
 
 from repro.eval.runner import get_cache
@@ -22,6 +26,7 @@ BUDGETS = {
     "solver_comp_solves": 700,
     "eval_program_runs": 172_000,
     "eval_node_visits": 32_000_000,
+    "eval_nodes_lowered": 115_000,
     "blocks_executed": 3500,
     "forks": 450,
 }

@@ -516,3 +516,19 @@ class TestSectionDigests:
             ("warm", "matrix", "m1", "m2")]
         assert [(d, s) for d, s, _, _ in tool.differences(before, {})] == [
             ("warm", "fabric"), ("warm", "matrix")]
+
+    def test_sections_limit_the_comparison(self):
+        tool = self._tool()
+        before = {"rtl8139": {"artifact": "a1", "c_source": "c1",
+                              "coverage": "v1"}}
+        counters_moved = {"rtl8139": {"artifact": "a2", "c_source": "c1",
+                                      "coverage": "v1"}}
+        behaviour_moved = {"rtl8139": {"artifact": "a2", "c_source": "c2",
+                                       "coverage": "v1"}}
+        sections = ["c_source", "coverage"]
+        assert tool.differences(before, counters_moved, sections) == []
+        assert tool.differences(before, behaviour_moved, sections) == [
+            ("rtl8139", "c_source", "c1", "c2")]
+        assert [(d, s) for d, s, _, _ in
+                tool.differences(before, {}, sections)] == [
+            ("rtl8139", "c_source"), ("rtl8139", "coverage")]

@@ -314,6 +314,161 @@ class TestShapeSharingProperties:
             assert shared == (_shape(dag_a) == _shape(dag_b))
 
 
+_constraint_specs = st.lists(
+    st.tuples(_templates, st.sampled_from(_CMPS),
+              st.one_of(st.integers(0, 40), _u32), _consts),
+    min_size=1, max_size=9)
+
+
+def _constraints(specs, names):
+    """1-bit comparisons over ``names``; ones that fold to a constant
+    are dropped."""
+    out = []
+    for template, kind, right, consts in specs:
+        constraint = E.bv_cmp(kind, _instantiate(template, names, consts),
+                              right)
+        if isinstance(constraint, E.Expr):
+            out.append(constraint)
+    return out
+
+
+def _fused_mask(roots, model):
+    """The satisfied mask of ``roots`` from one program over all of
+    them, bypassing the conjunction table."""
+    return E._compile_program(None, roots=tuple(roots))(model)
+
+
+def _greedy_reference(constraints, symbols, candidates, model, passes):
+    """The greedy climb of ``Solver._greedy_search`` without bound
+    pruning: every candidate is scored by one fused program over its
+    symbol's whole slice."""
+    model = dict(model)
+    slices = {name: [c for c in constraints if name in c.symbols()]
+              for name in symbols}
+    scorers = {name: E._compile_program(None, roots=tuple(roots))
+               for name, roots in slices.items() if roots}
+
+    def all_hold():
+        return all(E.evaluate(c, model) == 1 for c in constraints)
+
+    for _ in range(passes):
+        improved = False
+        for name in symbols:
+            if name not in scorers:
+                continue
+            size = len(slices[name])
+            original = model[name]
+            best_value = original
+            best = scorers[name](model).bit_count()
+            if best == size:
+                continue
+            for value in candidates:
+                if value == original:
+                    continue
+                model[name] = value
+                local = scorers[name](model).bit_count()
+                if local > best:
+                    best, best_value = local, value
+                    if best == size:
+                        break
+            model[name] = best_value
+            if best_value != original:
+                improved = True
+                if all_hold():
+                    return model
+        if not improved:
+            break
+    return model if all_hold() else None
+
+
+class TestSplitConjunctions:
+    """A conjunction is a fused prefix plus a delta (see
+    ``expr.conjunction_parts``); growing a slice root by root, and
+    probing siblings of it, must give the fused program's mask."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(specs=_constraint_specs, names=_names,
+           values=st.lists(_u32, min_size=3, max_size=3))
+    def test_split_mask_equals_fused_mask(self, specs, names, values):
+        constraints = _constraints(specs, names)
+        model = dict(zip(names, values))
+        sibling = E.bv_cmp("ult", E.bv_sym(names[0]), values[1])
+        for count in range(1, len(constraints) + 1):
+            for roots in (constraints[:count],
+                          constraints[:count - 1] + [sibling]):
+                prefix, k, delta = E.conjunction_parts(tuple(roots))
+                assert (delta is None) == (k == len(roots))
+                assert 2 * k >= len(roots)
+                mask = E.compiled_conjunction(tuple(roots))(model)
+                assert mask == _fused_mask(roots, model)
+                assert mask == sum(_reference(c, model) << i
+                                   for i, c in enumerate(roots))
+
+    @settings(max_examples=60, deadline=None)
+    @given(specs=_constraint_specs, names=_names,
+           values=st.lists(_u32, min_size=3, max_size=3),
+           extra=st.lists(st.one_of(st.integers(0, 64), _u32), max_size=8))
+    def test_pruned_greedy_search_matches_unpruned(self, specs, names,
+                                                   values, extra):
+        constraints = _constraints(specs, names)
+        solver = Solver()
+        # Grow the set root by root, so slice conjunctions split.
+        for count in range(1, len(constraints) + 1):
+            grown = constraints[:count]
+            symbols = sorted(set().union(*(c.symbols() for c in grown)))
+            model = {name: values[names.index(name)] for name in symbols}
+            candidates = sorted(set(solver._mine_candidates(grown))
+                                | set(extra))
+            programs = [E.compiled(c) for c in grown]
+            got = solver._greedy_search(grown, programs, symbols,
+                                        candidates, model)
+            assert got == _greedy_reference(grown, symbols, candidates,
+                                            model, solver.greedy_passes)
+
+    def test_reset_makes_counts_depend_on_the_run_alone(self):
+        checks = [c for base in (0x670000, 0x670004, 0x670008)
+                  for c in _descriptor_check(base, 0x80000000, 1514)]
+        model = {"hw_dma_670004_len": 9}
+
+        def run():
+            E.reset_programs()
+            before = E.eval_counters()
+            for count in range(1, len(checks) + 1):
+                E.compiled_conjunction(tuple(checks[:count]))(model)
+                E.compiled(checks[count - 1])(model)
+            after = E.eval_counters()
+            return {key: after[key] - before[key] for key in after}
+
+        first = run()
+        assert first["nodes_lowered"] > 0
+        # Other history: a fused prefix the run would not have made.
+        E._fuse(tuple(checks[:3]))
+        assert run() == first
+
+    @settings(max_examples=60, deadline=None)
+    @given(specs=_constraint_specs, names=_names,
+           values=st.lists(_u32, min_size=3, max_size=3),
+           bound=st.integers(1, 4))
+    def test_table_bound_clears_safely(self, specs, names, values, bound):
+        constraints = _constraints(specs, names)
+        model = dict(zip(names, values))
+        held = []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(E, "_CONJUNCTIONS", {})
+            patch.setattr(E, "_CONJUNCTIONS_MAX", bound)
+            for count in range(1, len(constraints) + 1):
+                roots = tuple(constraints[:count])
+                held.append((roots, E.compiled_conjunction(roots)))
+                assert len(E._CONJUNCTIONS) <= bound
+            # Programs handed out before a clear keep working, and a
+            # conjunction whose prefix was cleared is rebuilt.
+            for roots, program in held:
+                assert program(model) == _fused_mask(roots, model)
+                assert E.compiled_conjunction(roots)(model) \
+                    == _fused_mask(roots, model)
+                assert len(E._CONJUNCTIONS) <= bound
+
+
 class TestSolver:
     def setup_method(self):
         self.solver = Solver()

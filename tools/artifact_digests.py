@@ -70,11 +70,16 @@ covers the differential fuzzer's campaign bytes the same way.
 Usage:
     PYTHONPATH=src python tools/artifact_digests.py [--warm] [--out FILE]
     PYTHONPATH=src python tools/artifact_digests.py [--warm] --check FILE
+        [--sections c_source,coverage]
 
 ``--out FILE`` also writes the JSON to FILE.  ``--check FILE`` compares
 against digests written earlier and exits 1, naming every driver (or
 ``warm``) and section whose digest differs (or is missing on either
-side).
+side).  ``--sections`` limits the comparison to the named sections, so
+a change that only moves run counters can be checked against its
+parent's digests without hiding a change to the C source or coverage.
+To digest another commit, run this tool with ``PYTHONPATH`` pointing
+at that commit's ``src``.
 """
 
 import argparse
@@ -213,13 +218,16 @@ def all_warm_digests():
                      for section in WARM_SECTIONS}}
 
 
-def differences(expected, digests):
-    """``[(name, section, expected, got)]`` for every mismatch."""
+def differences(expected, digests, sections=None):
+    """``[(name, section, expected, got)]`` for every mismatch, over
+    ``sections`` only when given."""
     out = []
     for name in sorted(set(expected) | set(digests)):
         want = expected.get(name, {})
         got = digests.get(name, {})
         for section in sorted(set(want) | set(got)):
+            if sections is not None and section not in sections:
+                continue
             if want.get(section) != got.get(section):
                 out.append((name, section, want.get(section),
                             got.get(section)))
@@ -239,10 +247,15 @@ def main(argv=None):
                              "fabric, a fuzz campaign and the paper's "
                              "Table 2 and Figures 2-7 instead of the "
                              "driver artifacts")
+    parser.add_argument("--sections", metavar="A,B",
+                        help="with --check, compare only these "
+                             "comma-separated sections")
     parser.add_argument("--driver", help=argparse.SUPPRESS)
     parser.add_argument("--warm-section", choices=WARM_SECTIONS,
                         help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
+    if args.sections and not args.check:
+        parser.error("--sections needs --check")
     if args.driver:
         print(json.dumps(driver_digests(args.driver), sort_keys=True))
         return 0
@@ -259,7 +272,8 @@ def main(argv=None):
     if args.check:
         with open(args.check) as handle:
             expected = json.load(handle)
-        bad = differences(expected, digests)
+        sections = args.sections.split(",") if args.sections else None
+        bad = differences(expected, digests, sections)
         for name, section, want, got in bad:
             print("digest differs: %s %s (expected %s, got %s)"
                   % (name, section, want, got), file=sys.stderr)
