@@ -34,7 +34,7 @@ class DriverHarness(MiniportFront):
         self.device = device_cls(mac, medium=self.medium)
         self.medium.attach(self.device)
         self.env = NdisEnv(self.machine, device=self.device)
-        self.delivered = self.env.indicated_frames
+        self.delivered = self.env.received_frames
         self.error_log = self.env.error_log
         self.call_counts = self.env.call_counts
         self.image = image

@@ -1,48 +1,26 @@
 """NDIS-like kernel API environment for the source OS.
 
 Drivers import these functions by name; the loader binds each import to a
-thunk address and the VM dispatches thunk calls here.  The environment also
-performs the two pieces of OS-side bookkeeping RevNIC depends on:
-
-* **entry-point discovery** -- ``NdisMRegisterMiniport`` and
-  ``NdisInitializeTimer`` registrations are recorded, giving RevNIC the list
-  of functions to exercise (paper section 3.2);
-* **DMA-region tracking** -- ``NdisMAllocateSharedMemory`` return values are
-  recorded so the shell device can return symbolic data for reads from DMA
-  memory (paper section 3.4).
+thunk address and the VM dispatches thunk calls to the shared
+:class:`~repro.guestos.kernel.NdisKernel`.  On top of it the source OS
+does what RevNIC's entry-point discovery depends on: the
+``NdisMRegisterMiniport`` and ``NdisInitializeTimer`` registrations are
+recorded, giving RevNIC the list of functions to exercise (paper section
+3.2).  It also sets the adapter context, traces every API call, and loads
+and invokes the driver.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import GuestOsError
+from repro.guestos.kernel import SUCCESS, NdisKernel
 from repro.guestos.structures import (
     ADAPTER_CONTEXT_SIZE,
     MINIPORT_FIELDS,
     NdisStatus,
 )
-from repro.layout import HEAP_BASE, HEAP_LIMIT, RETURN_TO_OS, STACK_TOP
+from repro.layout import RETURN_TO_OS, STACK_TOP
 from repro.vm.cpu import ExitReason
-
-
-@dataclass
-class DmaRegion:
-    """A shared-memory region registered for DMA."""
-
-    virtual: int
-    physical: int
-    size: int
-
-    def contains(self, address):
-        return self.physical <= address < self.physical + self.size
-
-
-@dataclass
-class TimerRegistration:
-    """A timer entry point registered via ``NdisInitializeTimer``."""
-
-    timer_struct: int
-    handler: int
-    due: bool = False
 
 
 @dataclass
@@ -56,51 +34,20 @@ class ApiCallRecord:
     caller_pc: int
 
 
-class NdisEnv:
+class NdisEnv(NdisKernel):
     """The source-OS kernel services exposed to the driver."""
 
-    def __init__(self, machine, device=None, trace_api_calls=True):
-        self.machine = machine
-        self.device = device
+    kernel_error = GuestOsError
+
+    def __init__(self, machine, device=None):
+        super().__init__(machine, device)
         self.loaded = None
         self.entry_points = {}          # name -> virtual address
         #: entry-point invocations by role
         self.call_counts = {}
         self.adapter_context = 0
-        self.dma_regions = []
-        self.timers = {}                # timer_struct addr -> TimerRegistration
-        self.indicated_frames = []
-        self.send_completions = []
-        self.error_log = []
         self.api_calls = []
-        self.trace_api_calls = trace_api_calls
-        self.registry = {}
-        self.irq_pending = False
-        #: total device interrupts raised (validation-matrix observable)
-        self.irq_count = 0
-        self.stall_microseconds = 0
-        self._heap_next = HEAP_BASE
-        self._dispatch = _build_dispatch()
         machine.cpu.import_handler = self._import_call
-        if device is not None:
-            self._attach_device(device)
-
-    # ------------------------------------------------------------------
-    # Device plumbing
-
-    def _attach_device(self, device):
-        pci = device.PCI
-        if pci.io_size:
-            self.machine.bus.attach_ports(pci.io_base, pci.io_size, device)
-        if pci.mmio_size:
-            self.machine.bus.attach_mmio(pci.mmio_base, pci.mmio_size, device)
-        device.irq_callback = self._device_irq
-        if getattr(device, "bus", None) is None:
-            device.bus = self.machine.bus
-
-    def _device_irq(self):
-        self.irq_pending = True
-        self.irq_count += 1
 
     # ------------------------------------------------------------------
     # Driver loading and invocation
@@ -174,30 +121,15 @@ class NdisEnv:
     def fire_timers(self):
         """Run all due timer handlers."""
         fired = 0
-        for registration in list(self.timers.values()):
-            if registration.due:
-                registration.due = False
-                self.invoke(registration.handler, [self.adapter_context])
+        for timer in list(self.timers.values()):
+            if timer.due:
+                timer.due = False
+                self.invoke(timer.handler, [self.adapter_context])
                 fired += 1
         return fired
 
     # ------------------------------------------------------------------
-    # Kernel heap
-
-    def alloc(self, size, align=16):
-        """Bump-allocate from the kernel heap."""
-        base = (self._heap_next + align - 1) & ~(align - 1)
-        if base + size > HEAP_LIMIT:
-            raise GuestOsError("kernel heap exhausted")
-        self._heap_next = base + size
-        return base
-
-    def is_dma_address(self, address):
-        """True when ``address`` falls in a registered DMA region."""
-        return any(region.contains(address) for region in self.dma_regions)
-
-    # ------------------------------------------------------------------
-    # Import dispatch
+    # Import dispatch: the shared kernel answers, the source OS records
 
     def _import_call(self, cpu, slot):
         if self.loaded is None:
@@ -205,144 +137,25 @@ class NdisEnv:
         name = self.loaded.import_names.get(slot)
         if name is None:
             raise GuestOsError("call to unknown import slot %d" % slot)
-        entry = self._dispatch.get(name)
-        if entry is None:
-            raise GuestOsError("unimplemented OS API %r" % name)
-        handler, nargs = entry
-        args = tuple(cpu.read_stack_arg(i) for i in range(nargs))
-        if self.trace_api_calls:
-            self.api_calls.append(ApiCallRecord(name, args, cpu.pc))
-        result = handler(self, cpu, *args)
-        cpu.regs[0] = 0 if result is None else (result & 0xFFFFFFFF)
+        result, nargs = self.call(name, cpu.read_stack_arg)
+        args = tuple(map(cpu.read_stack_arg, range(nargs)))
+        self.api_calls.append(ApiCallRecord(name, args, cpu.pc))
+        cpu.regs[0] = result & 0xFFFFFFFF
         return nargs
 
+    def _register_miniport(self, a):
+        characteristics = a(0)
+        memory = self.machine.memory
+        for name, offset in MINIPORT_FIELDS.items():
+            pointer = memory.read(characteristics + offset, 4)
+            if pointer:
+                self.entry_points[name] = pointer
+        return SUCCESS
 
-# --------------------------------------------------------------------------
-# API handler implementations.  Each is (handler, number_of_stack_args).
+    def _set_attributes(self, a):
+        self.adapter_context = a(0)
+        return SUCCESS
 
-def _register_miniport(env, cpu, characteristics_ptr):
-    memory = env.machine.memory
-    for name, offset in MINIPORT_FIELDS.items():
-        pointer = memory.read(characteristics_ptr + offset, 4)
-        if pointer:
-            env.entry_points[name] = pointer
-    return NdisStatus.SUCCESS
-
-
-def _set_attributes(env, cpu, context):
-    env.adapter_context = context
-    return NdisStatus.SUCCESS
-
-
-def _allocate_memory(env, cpu, size):
-    return env.alloc(size)
-
-
-def _free_memory(env, cpu, pointer, size):
-    return NdisStatus.SUCCESS
-
-
-def _allocate_shared_memory(env, cpu, size, physical_out):
-    virtual = env.alloc(size, align=64)
-    physical = virtual  # identity-mapped guest
-    env.machine.memory.write(physical_out, 4, physical)
-    env.dma_regions.append(DmaRegion(virtual, physical, size))
-    return virtual
-
-
-def _free_shared_memory(env, cpu, virtual, size):
-    return NdisStatus.SUCCESS
-
-
-def _register_io_port_range(env, cpu, size):
-    if env.device is None:
-        raise GuestOsError("no device attached")
-    return env.device.PCI.io_base
-
-
-def _map_io_space(env, cpu, physical, size):
-    if env.device is None:
-        raise GuestOsError("no device attached")
-    return env.device.PCI.mmio_base
-
-
-def _register_interrupt(env, cpu, line):
-    return NdisStatus.SUCCESS
-
-
-def _initialize_timer(env, cpu, timer_struct, handler):
-    env.timers[timer_struct] = TimerRegistration(timer_struct, handler)
-    env.entry_points.setdefault("timer", handler)
-    return NdisStatus.SUCCESS
-
-
-def _set_timer(env, cpu, timer_struct, milliseconds):
-    registration = env.timers.get(timer_struct)
-    if registration is not None:
-        registration.due = True
-    return NdisStatus.SUCCESS
-
-
-def _cancel_timer(env, cpu, timer_struct):
-    registration = env.timers.get(timer_struct)
-    if registration is not None:
-        registration.due = False
-    return NdisStatus.SUCCESS
-
-
-def _write_error_log_entry(env, cpu, code):
-    env.error_log.append(code)
-    return NdisStatus.SUCCESS
-
-
-def _stall_execution(env, cpu, microseconds):
-    env.stall_microseconds += microseconds
-    return NdisStatus.SUCCESS
-
-
-def _indicate_receive(env, cpu, buffer, length):
-    frame = env.machine.memory.read_bytes(buffer, length)
-    env.indicated_frames.append(frame)
-    return NdisStatus.SUCCESS
-
-
-def _send_complete(env, cpu, status):
-    env.send_completions.append(status)
-    return NdisStatus.SUCCESS
-
-
-def _read_configuration(env, cpu, key):
-    return env.registry.get(key, 0)
-
-
-def _get_physical_address(env, cpu, virtual):
-    return virtual  # identity-mapped guest
-
-
-def _build_dispatch():
-    return {
-        "NdisMRegisterMiniport": (_register_miniport, 1),
-        "NdisMSetAttributes": (_set_attributes, 1),
-        "NdisAllocateMemory": (_allocate_memory, 1),
-        "NdisFreeMemory": (_free_memory, 2),
-        "NdisMAllocateSharedMemory": (_allocate_shared_memory, 2),
-        "NdisMFreeSharedMemory": (_free_shared_memory, 2),
-        "NdisMRegisterIoPortRange": (_register_io_port_range, 1),
-        "NdisMMapIoSpace": (_map_io_space, 2),
-        "NdisMRegisterInterrupt": (_register_interrupt, 1),
-        "NdisInitializeTimer": (_initialize_timer, 2),
-        "NdisSetTimer": (_set_timer, 2),
-        "NdisMCancelTimer": (_cancel_timer, 1),
-        "NdisWriteErrorLogEntry": (_write_error_log_entry, 1),
-        "NdisStallExecution": (_stall_execution, 1),
-        "NdisMIndicateReceivePacket": (_indicate_receive, 2),
-        "NdisMSendComplete": (_send_complete, 1),
-        "NdisReadConfiguration": (_read_configuration, 1),
-        "NdisGetPhysicalAddress": (_get_physical_address, 1),
-    }
-
-
-#: Names and stack-arg counts of every OS API (exported for RevNIC's
-#: OS-interface knowledge base and for the symbolic-boundary dispatcher).
-API_SIGNATURES = {name: nargs for name, (_h, nargs) in
-                  _build_dispatch().items()}
+    def _initialize_timer(self, a):
+        self.entry_points.setdefault("timer", a(1))
+        return super()._initialize_timer(a)

@@ -47,6 +47,41 @@ ENTRY_POINT_SIGNATURES = {
 }
 
 
+#: The NDIS ABI, written once: every OS API a driver may import, as
+#: ``(name, stack-argument count, kernel service)``.  Each side answers
+#: ``name`` with its method ``_<service>``: the concrete kernel
+#: (:class:`repro.guestos.kernel.NdisKernel`, under the source OS and
+#: every target OS) and the symbolic bridge
+#: (:class:`repro.revnic.osbridge.SymOsBridge`).
+NDIS_API = (
+    ("NdisMRegisterMiniport", 1, "register_miniport"),
+    ("NdisMSetAttributes", 1, "set_attributes"),
+    ("NdisAllocateMemory", 1, "allocate_memory"),
+    ("NdisFreeMemory", 2, "succeed"),
+    ("NdisMAllocateSharedMemory", 2, "allocate_shared_memory"),
+    ("NdisMFreeSharedMemory", 2, "succeed"),
+    ("NdisMRegisterIoPortRange", 1, "io_port_base"),
+    ("NdisMMapIoSpace", 2, "mmio_base"),
+    ("NdisMRegisterInterrupt", 1, "succeed"),
+    ("NdisInitializeTimer", 2, "initialize_timer"),
+    ("NdisSetTimer", 2, "set_timer"),
+    ("NdisMCancelTimer", 1, "cancel_timer"),
+    ("NdisWriteErrorLogEntry", 1, "log_error"),
+    ("NdisStallExecution", 1, "succeed"),
+    ("NdisMIndicateReceivePacket", 2, "indicate_receive"),
+    ("NdisMSendComplete", 1, "send_complete"),
+    ("NdisReadConfiguration", 1, "read_configuration"),
+    ("NdisGetPhysicalAddress", 1, "physical_address"),
+)
+
+
+def bind_api(side):
+    """``{name: (handler, nargs)}`` of every NDIS API, each handler
+    ``side``'s method for the API's kernel service."""
+    return {name: (getattr(side, "_" + service), nargs)
+            for name, nargs, service in NDIS_API}
+
+
 class NdisStatus(enum.IntEnum):
     """Status codes returned by driver entry points."""
 

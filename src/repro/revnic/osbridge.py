@@ -10,7 +10,7 @@ are read by the OS").
 """
 
 from repro.errors import SymexError
-from repro.guestos.structures import MINIPORT_FIELDS, NdisStatus
+from repro.guestos.structures import MINIPORT_FIELDS, NdisStatus, bind_api
 from repro.isa.registers import REG_SP
 from repro.layout import RETURN_TO_OS
 from repro.symex import expr as E
@@ -18,17 +18,18 @@ from repro.symex.state import PathStatus
 
 
 class SymOsBridge:
-    """Applies OS API semantics to symbolic states."""
+    """Applies OS API semantics to symbolic states; each handler is bound
+    to its API by :data:`~repro.guestos.structures.NDIS_API`, which also
+    gives the API's argument count."""
 
     def __init__(self, solver, shell, wiretap=None, import_names=None,
-                 on_entry_points=None, registry=None, skip_functions=None):
+                 on_entry_points=None, skip_functions=None):
         self.solver = solver
         self.shell = shell
         self.wiretap = wiretap
         self.import_names = import_names or {}
         #: callback(name -> address dict) invoked on registration calls
         self.on_entry_points = on_entry_points
-        self.registry = registry or {}
         #: OS functions configured away (paper: "OS functions like log
         #: writes can be configured away"): name -> forced return value,
         #: or name -> (return value, argument count) for APIs the bridge
@@ -37,26 +38,7 @@ class SymOsBridge:
         self.skip_functions = skip_functions or {}
         self.calls_handled = 0
         self.calls_skipped = 0
-        self._dispatch = {
-            "NdisMRegisterMiniport": (self._register_miniport, 1),
-            "NdisMSetAttributes": (self._success, 1),
-            "NdisAllocateMemory": (self._allocate, 1),
-            "NdisFreeMemory": (self._success, 2),
-            "NdisMAllocateSharedMemory": (self._allocate_shared, 2),
-            "NdisMFreeSharedMemory": (self._success, 2),
-            "NdisMRegisterIoPortRange": (self._io_port_range, 1),
-            "NdisMMapIoSpace": (self._map_io_space, 2),
-            "NdisMRegisterInterrupt": (self._success, 1),
-            "NdisInitializeTimer": (self._initialize_timer, 2),
-            "NdisSetTimer": (self._success, 2),
-            "NdisMCancelTimer": (self._success, 1),
-            "NdisWriteErrorLogEntry": (self._error_log, 1),
-            "NdisStallExecution": (self._success, 1),
-            "NdisMIndicateReceivePacket": (self._indicate, 2),
-            "NdisMSendComplete": (self._send_complete, 1),
-            "NdisReadConfiguration": (self._read_configuration, 1),
-            "NdisGetPhysicalAddress": (self._identity, 1),
-        }
+        self.api_table = bind_api(self)
 
     # ------------------------------------------------------------------
 
@@ -73,7 +55,7 @@ class SymOsBridge:
             if isinstance(spec, tuple):
                 forced_return, nargs = spec
             else:
-                entry = self._dispatch.get(name)
+                entry = self.api_table.get(name)
                 if entry is None:
                     # A bare return value gives no way to know how many
                     # stack arguments to pop; guessing would silently
@@ -85,11 +67,11 @@ class SymOsBridge:
                 forced_return = spec
                 nargs = entry[1]
             handler = None
-        elif name is None or name not in self._dispatch:
+        elif name is None or name not in self.api_table:
             state.status = PathStatus.ERROR
             return []
         else:
-            handler, nargs = self._dispatch[name]
+            handler, nargs = self.api_table[name]
         self.calls_handled += 1
 
         sp = self._concrete(state, state.regs[REG_SP])
@@ -140,10 +122,12 @@ class SymOsBridge:
     # ------------------------------------------------------------------
     # API semantics (applied to the state, not the shared machine)
 
-    def _success(self, state, *args):
+    def _succeed(self, state, *args):
         return NdisStatus.SUCCESS
 
-    def _identity(self, state, value):
+    _set_attributes = _set_timer = _cancel_timer = _succeed
+
+    def _physical_address(self, state, value):
         return value
 
     def _register_miniport(self, state, characteristics_ptr):
@@ -157,12 +141,12 @@ class SymOsBridge:
             self.on_entry_points(entries)
         return NdisStatus.SUCCESS
 
-    def _allocate(self, state, size):
+    def _allocate_memory(self, state, size):
         address = (state.os.heap_next + 15) & ~15
         state.os.heap_next = address + max(size, 4)
         return address
 
-    def _allocate_shared(self, state, size, physical_out):
+    def _allocate_shared_memory(self, state, size, physical_out):
         address = (state.os.heap_next + 63) & ~63
         state.os.heap_next = address + max(size, 4)
         state.memory.write(physical_out, 4, address)
@@ -171,10 +155,10 @@ class SymOsBridge:
             self.shell.register_dma_region(address, size)
         return address
 
-    def _io_port_range(self, state, size):
+    def _io_port_base(self, state, size):
         return self.shell.PCI.io_base if self.shell is not None else 0
 
-    def _map_io_space(self, state, physical, size):
+    def _mmio_base(self, state, physical, size):
         return self.shell.PCI.mmio_base if self.shell is not None else 0
 
     def _initialize_timer(self, state, timer_struct, handler):
@@ -183,11 +167,11 @@ class SymOsBridge:
             self.on_entry_points({"timer": handler})
         return NdisStatus.SUCCESS
 
-    def _error_log(self, state, code):
+    def _log_error(self, state, code):
         state.os.error_logs += 1
         return NdisStatus.SUCCESS
 
-    def _indicate(self, state, buffer, length):
+    def _indicate_receive(self, state, buffer, length):
         state.os.indicated += 1
         return NdisStatus.SUCCESS
 
@@ -196,4 +180,4 @@ class SymOsBridge:
         return NdisStatus.SUCCESS
 
     def _read_configuration(self, state, key):
-        return self.registry.get(key, 0)
+        return 0                        # no registry: every key reads 0

@@ -105,9 +105,9 @@ class NicTemplate(MiniportFront):
     def fire_timers(self):
         fired = 0
         for timer in self.os.timers.values():
-            if timer["due"]:
-                timer["due"] = False
-                self.runtime.call_address(timer["handler"], [self.context])
+            if timer.due:
+                timer.due = False
+                self.runtime.call_address(timer.handler, [self.context])
                 fired += 1
         return fired
 

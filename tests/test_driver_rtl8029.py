@@ -100,7 +100,7 @@ class TestReceive:
         for f in frames:
             harness.medium.inject(f)
         harness.env.service_interrupts()
-        assert harness.env.indicated_frames == frames
+        assert harness.env.received_frames == frames
 
 
 class TestControlOperations:

@@ -109,7 +109,7 @@ class TestDataPath:
         for frame in frames:
             harness.medium.inject(frame)
         harness.env.service_interrupts()
-        assert harness.env.indicated_frames == frames
+        assert harness.env.received_frames == frames
 
     def test_bidirectional_udp(self, booted):
         _name, harness = booted

@@ -1,11 +1,18 @@
-"""Unit tests for the target-OS simulators and template machinery."""
+"""Unit tests for the target-OS simulators, the NDIS kernel they share
+with the source OS, and template machinery."""
 
 import pytest
 
 from repro.drivers import device_class
-from repro.errors import TemplateError
+from repro.errors import GuestOsError, TemplateError
+from repro.guestos.ndis import NdisEnv
+from repro.guestos.structures import NDIS_API
+from repro.layout import HEAP_BASE, HEAP_LIMIT
+from repro.net.medium import Medium
+from repro.revnic.osbridge import SymOsBridge
 from repro.targetos import KitOs, LinSim, TARGET_OSES, UcSim, WinSim
 from repro.targetos.base import TargetOs
+from repro.vm.machine import Machine
 
 
 def make(os_cls, device="rtl8029"):
@@ -87,16 +94,63 @@ class TestAdaptationTables:
         assert not KitOs.TRAITS.has_network_stack
 
 
+def source_kernel(device="rtl8029"):
+    """The source OS's kernel over a device, wired as the harness does."""
+    return NdisEnv(Machine(), device=device_class(device)(
+        b"\x52\x54\x00\x12\x34\x56", medium=Medium()))
+
+
+#: Every side that answers the driver's OS-API calls, by name.
+SIDES = {
+    "source": lambda: source_kernel().api_table,
+    **{name: (lambda os_cls=os_cls: make(os_cls).api_table)
+       for name, os_cls in TARGET_OSES.items()},
+    "bridge": lambda: SymOsBridge(solver=None, shell=None).api_table,
+}
+
+
+class TestOneNdisAbi:
+    def test_names_are_unique(self):
+        names = [name for name, _nargs, _service in NDIS_API]
+        assert len(names) == len(set(names)) == 18
+
+    @pytest.mark.parametrize("side", list(SIDES))
+    def test_side_answers_the_shared_list(self, side):
+        """The source OS, every target OS (LinSim's and UcSim's
+        overrides included) and the symbolic bridge answer exactly the
+        names of NDIS_API, each with its argument count."""
+        table = SIDES[side]()
+        assert {name: nargs for name, (_handler, nargs) in table.items()} \
+            == {name: nargs for name, nargs, _service in NDIS_API}
+        assert all(callable(handler) for handler, _nargs in table.values())
+
+
 class TestKernelServices:
+    """The shared kernel's services on a target OS; the subclass below
+    runs every check on the source OS too."""
+
+    kernel_error = TemplateError
+
+    def kernel(self):
+        return make(WinSim)
+
     def test_alloc_is_monotonic_and_aligned(self):
-        target = make(WinSim)
+        target = self.kernel()
         first = target.alloc(100, align=64)
         second = target.alloc(10, align=64)
         assert second > first
         assert first % 64 == 0 and second % 64 == 0
 
+    def test_heap_exhaustion(self):
+        target = self.kernel()
+        first = target.alloc(64)
+        with pytest.raises(self.kernel_error, match="heap exhausted"):
+            target.alloc(HEAP_LIMIT - HEAP_BASE)
+        # the failed allocation took nothing from the heap
+        assert target.alloc(16) == first + 64
+
     def test_shared_alloc_writes_physical(self):
-        target = make(WinSim)
+        target = self.kernel()
         out_ptr = target.alloc(4)
         args = {0: 256, 1: out_ptr}
         virt, nargs = target.call("NdisMAllocateSharedMemory",
@@ -105,27 +159,43 @@ class TestKernelServices:
         assert target.machine.memory.read(out_ptr, 4) == virt
 
     def test_timer_lifecycle(self):
-        target = make(WinSim)
+        target = self.kernel()
         args = {0: 0x1000, 1: 0x00400500}
         target.call("NdisInitializeTimer", lambda i: args[i])
-        assert not target.timers[0x1000]["due"]
+        assert target.timers[0x1000].handler == 0x00400500
+        assert not target.timers[0x1000].due
         set_args = {0: 0x1000, 1: 50}
         target.call("NdisSetTimer", lambda i: set_args[i])
-        assert target.timers[0x1000]["due"]
+        assert target.timers[0x1000].due
         target.call("NdisMCancelTimer", lambda i: 0x1000)
-        assert not target.timers[0x1000]["due"]
+        assert not target.timers[0x1000].due
 
     def test_irq_latching(self):
-        target = make(WinSim)
+        target = self.kernel()
         assert not target.irq_pending
         target.device.irq_callback()
         assert target.irq_pending
 
     def test_api_call_counter(self):
-        target = make(WinSim)
+        target = self.kernel()
         target.call("NdisStallExecution", lambda i: 10)
         target.call("NdisStallExecution", lambda i: 10)
         assert target.api_call_count == 2
+
+
+class TestSourceKernelServices(TestKernelServices):
+    kernel_error = GuestOsError
+
+    def kernel(self):
+        return source_kernel()
+
+    def test_timer_is_an_entry_point(self):
+        """The source OS also records the first timer's handler as the
+        ``timer`` entry point RevNIC exercises."""
+        env = self.kernel()
+        args = {0: 0x1000, 1: 0x00400500}
+        env.call("NdisInitializeTimer", lambda i: args[i])
+        assert env.entry_points == {"timer": 0x00400500}
 
 
 class TestOsTraitsOrdering:
