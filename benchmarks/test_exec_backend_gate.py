@@ -12,13 +12,14 @@ Two experiments:
   tree-walking IR interpreter and through compiled blocks.  Same
   behaviour and perf counters; the compiled side runs compiled blocks.
 
-The gates are the deterministic ``exec_counters()`` block-run count;
+The gates are the deterministic ``block_runs`` counter, tallied over
+the compiled side with ``repro.counters.counting()``;
 how much faster the compiled tier is belongs to ``perfbench/`` (see
 ``perfbench/README.md``).
 """
 
+from repro.counters import counting
 from repro.drivers import device_class
-from repro.ir.compile import exec_counters
 from repro.net import UdpWorkload
 from repro.targetos import TARGET_OSES
 from repro.templates import DmaNicTemplate
@@ -39,18 +40,14 @@ def _run_column(backend):
     return observations
 
 
-def _block_runs():
-    return exec_counters()["block_runs"]
-
-
 def test_original_binary_column_compiled_identical_and_dispatched(cache):
     obs_step = _run_column("step")
-    before = _block_runs()
-    obs_compiled = _run_column("compiled")
-    block_runs = _block_runs() - before
+    with counting() as work:
+        obs_compiled = _run_column("compiled")
     assert obs_step == obs_compiled, \
         "execution tier changed observable behaviour"
-    assert block_runs > 0, "the compiled DBT tier ran no compiled block"
+    assert work["block_runs"] > 0, \
+        "the compiled DBT tier ran no compiled block"
 
 
 def _run_synthesized(artifact, backend, packets=60):
@@ -81,12 +78,12 @@ def _run_synthesized(artifact, backend, packets=60):
 def test_synthesized_rtl8139_run_compiled_identical_and_dispatched(cache):
     artifact = cache.run("rtl8139")
     out_interp = _run_synthesized(artifact, "interp")
-    before = _block_runs()
-    out_compiled = _run_synthesized(artifact, "compiled")
-    block_runs = _block_runs() - before
+    with counting() as work:
+        out_compiled = _run_synthesized(artifact, "compiled")
     assert out_interp == out_compiled, \
         "execution tier changed synthesized-driver behaviour or counters"
-    assert block_runs > 0, "the synthesized driver ran no compiled block"
+    assert work["block_runs"] > 0, \
+        "the synthesized driver ran no compiled block"
 
 
 def test_symex_fast_path_share_recorded(cache):

@@ -11,13 +11,14 @@ Two experiments:
   template, ``"blocks"`` vs ``"compiled"``.  Same behaviour and
   perf counters; the superblock side dispatches superblocks.
 
-The gates are the deterministic ``superblock_counters()`` run count;
+The gates are the deterministic ``superblock_runs`` counter, tallied
+over the superblock side with ``repro.counters.counting()``;
 how much faster the tier is belongs to ``perfbench/`` (see
 ``perfbench/README.md``).
 """
 
+from repro.counters import counting
 from repro.drivers import device_class
-from repro.ir.superblock import superblock_counters
 from repro.net import UdpWorkload
 from repro.targetos import TARGET_OSES
 from repro.templates import DmaNicTemplate
@@ -27,10 +28,6 @@ from repro.validate.scenarios import SCENARIOS, run_scenario
 
 MAC = b"\x52\x54\x00\xAA\xBB\xCC"
 PEER = b"\x02\x00\x00\x00\x00\x01"
-
-
-def _superblock_runs():
-    return superblock_counters()["superblock_runs"]
 
 
 def _run_column(backend):
@@ -46,14 +43,14 @@ def test_matrix_column_superblocks_identical_and_dispatched(cache):
     obs_step = _run_column("step")
     obs_off = _run_column("blocks")
     # Only the "on" run can dispatch a superblock.
-    before = _superblock_runs()
-    obs_on = _run_column("compiled")
-    superblock_runs = _superblock_runs() - before
+    with counting() as work:
+        obs_on = _run_column("compiled")
     assert obs_off == obs_on, \
         "superblock tier changed observable behaviour"
     assert obs_step == obs_on, \
         "DBT tiers diverged from the per-step interpreter"
-    assert superblock_runs > 0, "the superblock tier dispatched nothing"
+    assert work["superblock_runs"] > 0, \
+        "the superblock tier dispatched nothing"
 
 
 def _run_synthesized(artifact, backend, packets=60):
@@ -84,9 +81,9 @@ def _run_synthesized(artifact, backend, packets=60):
 def test_synthesized_rtl8139_run_superblocks_identical_and_dispatched(cache):
     artifact = cache.run("rtl8139")
     out_off = _run_synthesized(artifact, "blocks")
-    before = _superblock_runs()
-    out_on = _run_synthesized(artifact, "compiled")
-    superblock_runs = _superblock_runs() - before
+    with counting() as work:
+        out_on = _run_synthesized(artifact, "compiled")
     assert out_off == out_on, \
         "superblock tier changed synthesized-driver behaviour or counters"
-    assert superblock_runs > 0, "the superblock tier dispatched nothing"
+    assert work["superblock_runs"] > 0, \
+        "the superblock tier dispatched nothing"

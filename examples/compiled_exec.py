@@ -18,9 +18,9 @@ Usage:
 import sys
 import time
 
+from repro.counters import counting
 from repro.drivers import device_class
 from repro.eval.runner import get_cache
-from repro.ir import exec_counters
 from repro.net import UdpWorkload
 from repro.targetos import TARGET_OSES
 from repro.templates import DmaNicTemplate
@@ -59,22 +59,22 @@ def main():
           % (artifact.name, 100 * artifact.coverage_fraction, packets))
 
     results = {}
-    for backend in ("interp", "blocks", "compiled"):
-        seconds, summary = drive(artifact, backend, packets)
-        results[backend] = (seconds, summary)
-        print("\n%-8s  %.3fs" % (backend, seconds))
-        for key, value in summary.items():
-            print("  %-20s %s" % (key, value))
+    with counting() as work:
+        for backend in ("interp", "blocks", "compiled"):
+            seconds, summary = drive(artifact, backend, packets)
+            results[backend] = (seconds, summary)
+            print("\n%-8s  %.3fs" % (backend, seconds))
+            for key, value in summary.items():
+                print("  %-20s %s" % (key, value))
 
     summaries = [summary for _seconds, summary in results.values()]
     assert all(s == summaries[0] for s in summaries), "tiers diverged!"
-    counters = exec_counters()
     print("\nidentical behaviour and counters; blocks %.1fx, compiled "
           "%.1fx faster than interp"
           % (results["interp"][0] / results["blocks"][0],
              results["interp"][0] / results["compiled"][0]))
-    print("(%d blocks compiled this process, %d compiled-block executions)"
-          % (counters["blocks_compiled"], counters["block_runs"]))
+    print("(these runs: %d blocks compiled, %d compiled-block executions)"
+          % (work["blocks_compiled"], work["block_runs"]))
     return 0
 
 

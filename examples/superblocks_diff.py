@@ -40,8 +40,8 @@ import json
 import sys
 import time
 
+from repro.counters import counting
 from repro.drivers import DRIVERS, build_driver, device_class
-from repro.ir.superblock import superblock_counters
 from repro.net import UdpWorkload
 from repro.pipeline.artifact import build_artifact, canonical_json
 from repro.revnic import RevNic, RevNicConfig
@@ -151,28 +151,22 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     off_text, off_seconds = run_once(args.driver, args.script, "blocks")
-    before = superblock_counters()
-    on_text, on_seconds = run_once(args.driver, args.script, "compiled")
-    after = superblock_counters()
+    with counting() as on:
+        on_text, on_seconds = run_once(args.driver, args.script, "compiled")
     for path, text in ((args.out_off, off_text), (args.out_on, on_text)):
         if path:
             with open(path, "w") as handle:
                 handle.write(text)
 
-    chain_runs = after["superblock_runs"] - before["superblock_runs"]
-    loop_iterations = (after["superblock_loop_iterations"]
-                       - before["superblock_loop_iterations"])
-    streamed = (after["superblock_stream_elements"]
-                - before["superblock_stream_elements"])
+    chain_runs = on["superblock_runs"]
+    loop_iterations = on["superblock_loop_iterations"]
+    streamed = on["superblock_stream_elements"]
     print("driver=%s script=%s" % (args.driver, args.script))
     print("superblocks off  %.3fs" % off_seconds)
     print("superblocks on   %.3fs  chains formed=%d runs=%d blocks=%d "
           "deopts=%d loop iterations=%d streamed elements=%d" %
-          (on_seconds,
-           after["superblocks_formed"] - before["superblocks_formed"],
-           chain_runs,
-           after["superblock_blocks"] - before["superblock_blocks"],
-           after["superblock_deopts"] - before["superblock_deopts"],
+          (on_seconds, on["superblocks_formed"], chain_runs,
+           on["superblock_blocks"], on["superblock_deopts"],
            loop_iterations, streamed))
     if chain_runs == 0:
         print("VACUOUS: the on-side run never dispatched a superblock",

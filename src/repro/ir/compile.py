@@ -56,6 +56,7 @@ wrap returns in the chain-exit protocol.
 
 import struct
 
+from repro.counters import CELLS, EXEC, NAMES, snapshot
 from repro.errors import VmFault
 from repro.ir import nodes as N
 from repro.ir.interp import BlockResult
@@ -91,16 +92,14 @@ _CMP_OPS = {
     N.CmpKind.SLT: ("<", True), N.CmpKind.SGE: (">=", True),
 }
 
-#: Mutable cells shared with every compiled block: [blocks compiled,
-#: compiled-block executions].  Deterministic, like the expression-program
-#: counters -- tests assert the compiled tier actually ran.
-_COUNTER_CELLS = [0, 0]
+#: This module's cells in ``repro.counters.CELLS``: blocks compiled,
+#: compiled-block executions.
+_COMPILED, _RUNS = map(NAMES.index, EXEC)
 
 
 def exec_counters():
-    """Snapshot of the block-compiler counters (deterministic)."""
-    return {"blocks_compiled": _COUNTER_CELLS[0],
-            "block_runs": _COUNTER_CELLS[1]}
+    """Process totals of the block-compiler counters."""
+    return snapshot(EXEC)
 
 
 class _Writer:
@@ -353,21 +352,18 @@ def block_source(block):
 
     header = ["%s = %s" % pair for pair in w.consts]
     header += ["def _block(env):",
-               "    _c[1] += 1",
+               "    _c[%d] += 1" % _RUNS,
                "    env.instrs_retired += %d" % len(block.instr_addrs)]
     header.extend(_BINDINGS[name] for name in sorted(w.used))
     return "\n".join(header + w.lines) + "\n"
 
 
-def compile_source(source, name, filename, extra=None):
+def compile_source(source, name, filename):
     """Exec generated ``source`` and return the function bound to
-    ``name``.  The namespace carries the shared counter cells plus
-    whatever ``extra`` bindings the flavour needs."""
-    namespace = {"_c": _COUNTER_CELLS, "VmFault": VmFault,
+    ``name``.  The namespace carries the counter cells as ``_c``."""
+    namespace = {"_c": CELLS, "VmFault": VmFault,
                  "BlockResult": BlockResult}
     namespace.update(_RAM_HELPERS)
-    if extra:
-        namespace.update(extra)
     exec(compile(source, filename, "exec"), namespace)
     return namespace[name]
 
@@ -375,7 +371,7 @@ def compile_source(source, name, filename, extra=None):
 def _compile_block(block):
     fn = compile_source(block_source(block), "_block",
                         "<block-0x%08x>" % block.pc)
-    _COUNTER_CELLS[0] += 1
+    CELLS[_COMPILED] += 1
     return fn
 
 

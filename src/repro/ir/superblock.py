@@ -83,6 +83,7 @@ constants :data:`HOT_THRESHOLD` and :data:`MAX_MEMBERS`.
 
 from dataclasses import dataclass
 
+from repro.counters import CELLS, NAMES, SUPERBLOCK, snapshot
 from repro.ir import nodes as N
 from repro.ir.compile import (_BINDINGS, _MASK32, _Writer, _emit_op,
                               compile_source)
@@ -93,22 +94,16 @@ from repro.ir.compile import (_BINDINGS, _MASK32, _Writer, _emit_op,
 HOT_THRESHOLD = 16
 MAX_MEMBERS = 16
 
-#: Mutable cells shared with every generated superblock: [chains formed,
-#: chain runs, member blocks executed inside chains, dirty-deopt exits,
-#: loop-chain back-edges taken, elements moved by stream transfers].
-#: Deterministic -- tests assert the tier actually ran (or deopted, or
-#: looped, or streamed).
-_SB_CELLS = [0, 0, 0, 0, 0, 0]
+#: This tier's cells in ``repro.counters.CELLS``: chains formed, chain
+#: runs, member blocks executed inside chains, dirty-deopt exits,
+#: loop-chain back-edges taken, elements moved by stream transfers.
+_FORMED, _RUNS, _BLOCKS, _DEOPTS, _BACK_EDGES, _STREAMED = \
+    map(NAMES.index, SUPERBLOCK)
 
 
 def superblock_counters():
-    """Snapshot of the superblock-tier counters (deterministic)."""
-    return {"superblocks_formed": _SB_CELLS[0],
-            "superblock_runs": _SB_CELLS[1],
-            "superblock_blocks": _SB_CELLS[2],
-            "superblock_deopts": _SB_CELLS[3],
-            "superblock_loop_iterations": _SB_CELLS[4],
-            "superblock_stream_elements": _SB_CELLS[5]}
+    """Process totals of the superblock-tier counters."""
+    return snapshot(SUPERBLOCK)
 
 
 class _ChainWriter(_Writer):
@@ -189,7 +184,7 @@ def superblock_source(blocks, guard_code_writes, loop=False):
 
     header = ["%s = %s" % pair for pair in w.consts]
     header += ["def _sb(env, instr_budget, block_budget):",
-               "    _s[1] += 1"]
+               "    _c[%d] += 1" % _RUNS]
     header.extend(_BINDINGS[name] for name in sorted(w.used))
     header.append("    _i = 0; _o = 0; _io = 0; _mem = 0; _n = 0")
     if guard_code_writes:
@@ -203,10 +198,11 @@ def superblock_source(blocks, guard_code_writes, loop=False):
         indent = "        "
     body = [indent + line for line in w.lines]
     footer = ["    finally:",
-              "        _s[2] += _n"]
+              "        _c[%d] += _n" % _BLOCKS]
     if loop:
         # Back-edges taken: every entry of the head after the first.
-        footer.append("        _s[4] += (_n - 1) // %d" % len(blocks))
+        footer.append("        _c[%d] += (_n - 1) // %d"
+                      % (_BACK_EDGES, len(blocks)))
     footer += ["        env.instrs_retired += _i",
                "        env.ops_retired += _o"]
     if w.used & {"io_read", "io_write", "is_dev"}:
@@ -224,7 +220,7 @@ def _emit_boundary(w, pc, dynamic, back_edge=False):
     exit_const = w.const("x", "BlockResult(\"jump\", %d)" % pc)
     if dynamic:
         w.line("if _w:")
-        w.line("    _s[3] += 1")
+        w.line("    _c[%d] += 1" % _DEOPTS)
         w.line("    return %s, _n, _i" % exit_const)
         if back_edge:
             w.line("if ram.write_epoch != _e:")
@@ -521,7 +517,7 @@ def _emit_stream(w, idiom):
         commit.append("_mem += _bk * 2")
     else:
         commit += ["_io += _bk", "_mem += _bk"]
-    commit.append("_s[5] += _bk")
+    commit.append("_c[%d] += _bk" % _STREAMED)
     for text in commit:
         w.line(indent + text)
 
@@ -712,7 +708,7 @@ class SuperblockManager:
         self._supers[head_pc] = sb
         if self.dispatch is not None:
             self.dispatch[head_pc] = sb
-        _SB_CELLS[0] += 1
+        CELLS[_FORMED] += 1
         return sb
 
     def _build(self, blocks, loop):
@@ -727,8 +723,7 @@ class SuperblockManager:
         if fn is None:
             fn = compile_source(
                 superblock_source(blocks, guard, loop), "_sb",
-                "<superblock-0x%08x>" % blocks[0].pc,
-                extra={"_s": _SB_CELLS})
+                "<superblock-0x%08x>" % blocks[0].pc)
             if len(_SHARED_CHAINS) >= _SHARED_CHAINS_MAX:
                 _SHARED_CHAINS.clear()
             _SHARED_CHAINS[key] = fn

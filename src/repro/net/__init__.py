@@ -6,9 +6,7 @@ from repro.net.ethernet import (
     BROADCAST_MAC,
     EtherType,
     EthernetFrame,
-    format_mac,
     is_multicast,
-    parse_mac,
 )
 from repro.net.packet import build_udp_packet, parse_udp_packet
 from repro.net.medium import Medium
@@ -20,9 +18,7 @@ __all__ = [
     "BROADCAST_MAC",
     "EtherType",
     "EthernetFrame",
-    "format_mac",
     "is_multicast",
-    "parse_mac",
     "build_udp_packet",
     "parse_udp_packet",
     "Medium",

@@ -21,21 +21,6 @@ class EtherType(enum.IntEnum):
     VLAN = 0x8100
 
 
-def format_mac(mac):
-    """Render a 6-byte MAC as ``aa:bb:cc:dd:ee:ff``."""
-    if len(mac) != 6:
-        raise ValueError("MAC must be 6 bytes")
-    return ":".join("%02x" % b for b in mac)
-
-
-def parse_mac(text):
-    """Parse ``aa:bb:cc:dd:ee:ff`` into 6 bytes."""
-    parts = text.split(":")
-    if len(parts) != 6:
-        raise ValueError("malformed MAC %r" % text)
-    return bytes(int(p, 16) for p in parts)
-
-
 def is_multicast(mac):
     """True for multicast (including broadcast) destination addresses."""
     return bool(mac[0] & 0x01)

@@ -10,6 +10,7 @@ import itertools
 import time
 from dataclasses import dataclass, field
 
+from repro.counters import counting
 from repro.dbt import CodeWindow, Translator
 from repro.errors import SymexError
 from repro.guestos.loader import load_image
@@ -221,25 +222,23 @@ class RevNic:
         """Execute the full exercise script; returns a RevNicResult."""
         self._start_time = time.monotonic()
         E.reset_programs()
-        eval_before = E.eval_counters()
         trace = Trace(driver_name=self.config.driver_name,
                       text_base=self.loaded.text_base,
                       text_size=len(self.image.text))
-        continuation = self._initial_state()
-
-        for phase in self.script:
-            segment, continuation = self._run_phase(phase, continuation)
-            if segment is not None:
-                trace.segments.append(segment)
-            if phase.interrupt_after and "isr" in self.entry_points:
-                from repro.revnic.exerciser import Phase
-                segment, continuation = self._run_phase(
-                    Phase("isr"), continuation)
+        with counting() as work:
+            continuation = self._initial_state()
+            for phase in self.script:
+                segment, continuation = self._run_phase(phase, continuation)
                 if segment is not None:
                     trace.segments.append(segment)
+                if phase.interrupt_after and "isr" in self.entry_points:
+                    from repro.revnic.exerciser import Phase
+                    segment, continuation = self._run_phase(
+                        Phase("isr"), continuation)
+                    if segment is not None:
+                        trace.segments.append(segment)
 
         trace.entry_points = dict(self.entry_points)
-        eval_after = E.eval_counters()
         stats = {
             "blocks_executed": self._blocks_total,
             "exec_fast_blocks": self.executor.fast_blocks,
@@ -250,12 +249,9 @@ class RevNic:
             "solver_fast_path_hits": self.solver.fast_path_hits,
             "solver_unknown": self.solver.unknown_results,
             "solver_unsat": self.solver.unsat_results,
-            "eval_program_runs": (eval_after["program_runs"]
-                                  - eval_before["program_runs"]),
-            "eval_node_visits": (eval_after["node_visits"]
-                                 - eval_before["node_visits"]),
-            "eval_nodes_lowered": (eval_after["nodes_lowered"]
-                                   - eval_before["nodes_lowered"]),
+            "eval_program_runs": work["program_runs"],
+            "eval_node_visits": work["node_visits"],
+            "eval_nodes_lowered": work["nodes_lowered"],
             "blocks_recorded": self.wiretap.blocks_recorded,
             "imports_recorded": self.wiretap.imports_recorded,
             "hw_reads": self.hardware.reads_total,

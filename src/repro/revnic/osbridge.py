@@ -150,7 +150,6 @@ class SymOsBridge:
         address = (state.os.heap_next + 63) & ~63
         state.os.heap_next = address + max(size, 4)
         state.memory.write(physical_out, 4, address)
-        state.os.dma_regions.append((address, size))
         if self.shell is not None:
             self.shell.register_dma_region(address, size)
         return address

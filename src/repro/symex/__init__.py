@@ -14,7 +14,6 @@ from repro.symex.expr import (
     bv_and,
     bv_add,
     bv_concat,
-    bv_const,
     bv_extract,
     bv_not,
     bv_or,
@@ -33,7 +32,6 @@ __all__ = [
     "bv_and",
     "bv_add",
     "bv_concat",
-    "bv_const",
     "bv_extract",
     "bv_not",
     "bv_or",

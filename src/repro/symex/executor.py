@@ -199,6 +199,10 @@ def _fast_meta(block):
     return meta
 
 
+def _no_dma(address):
+    return False
+
+
 class SymExecutor:
     """Executes translation blocks symbolically."""
 
@@ -208,7 +212,9 @@ class SymExecutor:
         self.solver = solver
         self.hardware = hardware or HardwarePolicy()
         self.tracer = tracer
-        self._extra_is_dma = is_dma_address
+        #: DMA membership: the shell device's region list, which every
+        #: path's DMA allocations register in.
+        self._is_dma = is_dma_address or _no_dma
         self.blocks_executed = 0
         self.forks = 0
         #: run fully concrete blocks through their compiled functions
@@ -275,7 +281,7 @@ class SymExecutor:
         for reg in read_regs:
             if not isinstance(regs[reg], int):
                 return None
-        env = _FastEnv(state, lambda address: self._is_dma(state, address))
+        env = _FastEnv(state, self._is_dma)
         try:
             result = compile_block(block)(env)
         except (_Bail, VmFault):
@@ -419,13 +425,6 @@ class SymExecutor:
         state.model_hint.update(model)
         return concrete
 
-    def _is_dma(self, state, address):
-        if state.os.is_dma(address):
-            return True
-        if self._extra_is_dma is not None:
-            return self._extra_is_dma(address)
-        return False
-
     def _load(self, state, address, width, accesses):
         address = self._concretize_address(state, address, "load")
         if address is None:
@@ -434,7 +433,7 @@ class SymExecutor:
             value = self.hardware.device_read(state, "mmio", address, width)
             accesses.append(MemAccess("mmio", address, width, value, False))
             return value
-        if self._is_dma(state, address):
+        if self._is_dma(address):
             value = self.hardware.device_read(state, "dma", address, width)
             accesses.append(MemAccess("dma", address, width, value, False))
             return value
@@ -450,7 +449,7 @@ class SymExecutor:
             self.hardware.device_write(state, "mmio", address, width, value)
             accesses.append(MemAccess("mmio", address, width, value, True))
             return
-        if self._is_dma(state, address):
+        if self._is_dma(address):
             # Writes to DMA regions land in (symbolic) memory so the driver
             # can read back descriptors it wrote.
             state.memory.write(address, width, value)

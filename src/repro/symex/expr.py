@@ -22,6 +22,8 @@ Plain Python ints are used for fully concrete values throughout the engine;
 an :class:`Expr` only appears once a value actually depends on a symbol.
 """
 
+from repro.counters import CELLS, EVAL, NAMES, snapshot
+
 _MASKS = {1: 1, 8: 0xFF, 16: 0xFFFF, 32: 0xFFFFFFFF}
 
 
@@ -114,11 +116,6 @@ BoolExpr = Expr
 def is_concrete(value):
     """True when ``value`` is a plain integer (no symbolic dependence)."""
     return isinstance(value, int)
-
-
-def bv_const(value, width=32):
-    """Concrete values are plain ints in this engine."""
-    return value & _mask(width)
 
 
 def bv_sym(name, width=32):
@@ -517,13 +514,13 @@ def _program_source(key):
     params += ["k%d" % i for i in range(constants)]
     return ("def _factory(%s):\n"
             "    def _program(m):\n"
-            "        _c[0] += 1\n"
-            "        _c[1] += %d\n"
+            "        _c[%d] += 1\n"
+            "        _c[%d] += %d\n"
             "        g = m.get\n"
             "%s\n"
             "        return %s\n"
-            "    return _program\n") % (", ".join(params), len(nodes),
-                                       "\n".join(lines), result)
+            "    return _program\n") % (", ".join(params), _RUNS, _VISITS,
+                                       len(nodes), "\n".join(lines), result)
 
 
 def _compile_program(expr, roots=None):
@@ -543,15 +540,15 @@ def _compile_program(expr, roots=None):
                                        else (expr,))
     factory = _SHAPES.get(key)
     if factory is None:
-        namespace = {"_c": _COUNTER_CELLS}
+        namespace = {"_c": CELLS}
         exec(compile(_program_source(key), "<expr-program>", "exec"),
              namespace)
         factory = namespace["_factory"]
         if len(_SHAPES) >= _SHAPES_MAX:
             _SHAPES.clear()
         _SHAPES[key] = factory
-    _COUNTER_CELLS[2] += 1
-    _COUNTER_CELLS[3] += count
+    CELLS[_PROGRAMS] += 1
+    CELLS[_LOWERED] += count
     return factory(*names, *consts)
 
 
@@ -567,19 +564,14 @@ _SHAPES = {}
 _SHAPES_MAX = 4096
 
 
-#: Mutable cells shared with every compiled program:
-#: [program runs, node visits, programs compiled, nodes lowered].
-#: Deterministic -- the perf-regression budget tests assert against them
-#: via eval_counters().
-_COUNTER_CELLS = [0, 0, 0, 0]
+#: This module's cells in ``repro.counters.CELLS``: program runs, node
+#: visits, programs compiled, nodes lowered.
+_RUNS, _VISITS, _PROGRAMS, _LOWERED = map(NAMES.index, EVAL)
 
 
 def eval_counters():
-    """Snapshot of the compiled-evaluation counters (deterministic)."""
-    return {"program_runs": _COUNTER_CELLS[0],
-            "node_visits": _COUNTER_CELLS[1],
-            "programs": _COUNTER_CELLS[2],
-            "nodes_lowered": _COUNTER_CELLS[3]}
+    """Process totals of the compiled-evaluation counters."""
+    return snapshot(EVAL)
 
 
 def compiled(expr):

@@ -366,10 +366,6 @@ class Solver:
             merged.update(result)
         return self._sat(merged)
 
-    def is_feasible(self, constraints):
-        """True when a model was found for the conjunction."""
-        return self.find_model(constraints) is not None
-
     def concretize(self, expr, constraints, prefer=None):
         """Pick a concrete value for ``expr`` consistent with
         ``constraints``; returns ``(value, model)`` or ``(None, None)``."""

@@ -28,7 +28,6 @@ class OsContext:
     """Per-path OS-side effects (forked with the state)."""
 
     heap_next: int = HEAP_BASE + 0x40000  # symbolic-phase scratch heap
-    dma_regions: list = field(default_factory=list)   # (phys, size)
     timers: dict = field(default_factory=dict)        # struct -> handler
     indicated: int = 0
     send_completions: int = 0
@@ -36,15 +35,10 @@ class OsContext:
 
     def fork(self):
         return OsContext(heap_next=self.heap_next,
-                         dma_regions=list(self.dma_regions),
                          timers=dict(self.timers),
                          indicated=self.indicated,
                          send_completions=self.send_completions,
                          error_logs=self.error_logs)
-
-    def is_dma(self, address):
-        return any(base <= address < base + size
-                   for base, size in self.dma_regions)
 
 
 _state_ids = itertools.count()

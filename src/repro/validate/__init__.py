@@ -32,7 +32,7 @@ from repro.validate.differ import (COMPARED_FIELDS, DifferentialVerdict,
 from repro.validate.matrix import (EXPECTED_UNSUPPORTED, OS_ORDER,
                                    CellResult, MatrixResult, ScenarioResult,
                                    ValidationMatrix, compute_column,
-                                   expected_status, run_matrix)
+                                   expected_status)
 from repro.validate.observe import (PEER_MAC, VALIDATION_MAC,
                                     DriverUnderTest, Observation,
                                     OriginalDut, SynthesizedDut)
@@ -52,7 +52,6 @@ __all__ = [
     "ValidationMatrix",
     "compute_column",
     "expected_status",
-    "run_matrix",
     "PEER_MAC",
     "VALIDATION_MAC",
     "DriverUnderTest",

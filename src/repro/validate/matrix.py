@@ -237,8 +237,3 @@ class ValidationMatrix:
                             os_names=list(self.os_names),
                             scenario_names=list(self.scenario_names),
                             wall_seconds=time.monotonic() - started)
-
-
-def run_matrix(orchestrator=None, **kwargs):
-    """One-call entry point: build and run the full validation matrix."""
-    return ValidationMatrix(orchestrator=orchestrator, **kwargs).run()

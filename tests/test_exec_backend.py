@@ -12,6 +12,7 @@ import json
 import pytest
 
 from repro.asm import assemble
+from repro.counters import counting
 from repro.dbt import Translator
 from repro.drivers import build_driver, device_class
 from repro.errors import VmFault
@@ -22,10 +23,8 @@ from repro.ir import (
     IrEnv,
     TranslationBlock,
     compile_block,
-    exec_counters,
     resolve_tier,
     run_block,
-    superblock_counters,
 )
 from repro.ir import nodes as N
 from repro.isa.registers import REG_SP
@@ -168,11 +167,10 @@ class TestCompiledBlockSemantics:
         assert envs[0].regs == envs[1].regs
 
     def test_exec_counters_advance(self):
-        before = exec_counters()
         machine = load(".export main\nmain:\n movi r9, 1\n halt")
-        run_ir(machine, "compiled")
-        after = exec_counters()
-        assert after["block_runs"] > before["block_runs"]
+        with counting() as work:
+            run_ir(machine, "compiled")
+        assert work["block_runs"] > 0
 
     def test_resolve_tier(self):
         assert TIERS == ("step", "interp", "blocks", "compiled")
@@ -210,12 +208,11 @@ class TestTierSetting:
         artifact = get_cache().run("rtl8029")
         scenario = CATALOG["udp_stream"]
         compiled = run_scenario(SynthesizedDut(artifact, "winsim"), scenario)
-        before = exec_counters()["block_runs"], \
-            superblock_counters()["superblock_runs"]
-        stepped = run_scenario(
-            SynthesizedDut(artifact, "winsim", exec_backend="step"), scenario)
-        assert (exec_counters()["block_runs"],
-                superblock_counters()["superblock_runs"]) == before
+        with counting() as work:
+            stepped = run_scenario(
+                SynthesizedDut(artifact, "winsim", exec_backend="step"),
+                scenario)
+        assert (work["block_runs"], work["superblock_runs"]) == (0, 0)
         assert stepped.to_dict() == compiled.to_dict()
 
 

@@ -5,6 +5,7 @@ from unittest import mock
 import pytest
 
 from repro.asm import assemble
+from repro.counters import counting
 from repro.dbt import Translator, translate_block
 from repro.ir import IrEnv, TranslationBlock, format_block, run_block
 from repro.ir import nodes as N
@@ -559,28 +560,22 @@ class TestSuperblockDeopt:
 
     @mock.patch(_HOT_THRESHOLD, 1)
     def test_self_patch_deopts_identically(self):
-        from repro.ir import superblock_counters
-
         baseline = self._run(_SELF_PATCH, "blocks")
-        before = superblock_counters()
-        fused = self._run(_SELF_PATCH, "compiled")
-        after = superblock_counters()
+        with counting() as work:
+            fused = self._run(_SELF_PATCH, "compiled")
         assert fused == baseline
-        assert after["superblocks_formed"] > before["superblocks_formed"]
-        assert after["superblock_deopts"] > before["superblock_deopts"], \
+        assert work["superblocks_formed"] > 0
+        assert work["superblock_deopts"] > 0, \
             "the store into the chain's own code span must deopt"
 
     @mock.patch(_HOT_THRESHOLD, 1)
     def test_fault_mid_chain_flushes_counters(self):
-        from repro.ir import superblock_counters
-
         baseline = self._run(_FAULTING_LOOP, "blocks")
         assert baseline[1] == "VmFault"
-        before = superblock_counters()
-        fused = self._run(_FAULTING_LOOP, "compiled")
-        after = superblock_counters()
+        with counting() as work:
+            fused = self._run(_FAULTING_LOOP, "compiled")
         assert fused == baseline
-        assert after["superblock_runs"] > before["superblock_runs"], \
+        assert work["superblock_runs"] > 0, \
             "the fault must have been raised from inside a chain"
 
     @pytest.mark.parametrize("limit", [1, 2, 3, 5, 8, 13, 40, 77, 200])

@@ -14,6 +14,7 @@ from unittest import mock
 
 import pytest
 
+from repro.counters import counting
 from repro.dbt import Translator
 from repro.drivers import build_driver, device_class
 from repro.errors import SynthesisError, VmFault
@@ -24,7 +25,6 @@ from repro.hw import ne2000 as NE
 from repro.ir import (
     SuperblockManager,
     TranslationBlock,
-    superblock_counters,
     superblock_source,
 )
 from repro.ir import IrEnv
@@ -258,11 +258,10 @@ class TestHarnessEquivalence:
 
     def test_lifecycle_identical_and_chains_ran(self):
         baseline = self._lifecycle("blocks")
-        before = superblock_counters()
-        fused = self._lifecycle("compiled")
-        after = superblock_counters()
+        with counting() as work:
+            fused = self._lifecycle("compiled")
         assert fused == baseline
-        assert after["superblock_runs"] > before["superblock_runs"], \
+        assert work["superblock_runs"] > 0, \
             "a hot boot+TX+RX lifecycle must actually dispatch chains"
 
     def test_scenario_observation_identical(self):
@@ -303,11 +302,10 @@ class TestSynthesizedEquivalence:
     def test_template_identical_and_chains_ran(self):
         artifact = get_cache().run("rtl8029")
         baseline = self._lifecycle(artifact, "blocks")
-        before = superblock_counters()
-        fused = self._lifecycle(artifact, "compiled")
-        after = superblock_counters()
+        with counting() as work:
+            fused = self._lifecycle(artifact, "compiled")
         assert fused == baseline
-        assert after["superblock_runs"] > before["superblock_runs"]
+        assert work["superblock_runs"] > 0
 
 
 @mock.patch(_HOT_THRESHOLD, 1)
@@ -456,18 +454,17 @@ class TestLoopDifferential:
     def _every_instruction_budget(self, variant="plain", scratch=_SCRATCH):
         """Compare every budget up to the one the run finishes at, and
         one past it; returns the finished run and the counter deltas."""
-        before = superblock_counters()
         finished = 0
-        for budget in itertools.count():
-            fused = self._cpu_run(budget, "compiled", variant, scratch)
-            assert fused == self._cpu_run(budget, "interp", variant,
-                                          scratch), \
-                "diverged at max_steps=%d" % budget
-            finished += fused[0] is not ExitReason.STEP_LIMIT
-            if finished == 2:
-                break
-        after = superblock_counters()
-        return fused, {key: after[key] - before[key] for key in after}
+        with counting() as work:
+            for budget in itertools.count():
+                fused = self._cpu_run(budget, "compiled", variant, scratch)
+                assert fused == self._cpu_run(budget, "interp", variant,
+                                              scratch), \
+                    "diverged at max_steps=%d" % budget
+                finished += fused[0] is not ExitReason.STEP_LIMIT
+                if finished == 2:
+                    break
+        return fused, work
 
     def test_dynamic_every_instruction_budget(self):
         fused, delta = self._every_instruction_budget()
@@ -516,23 +513,21 @@ class TestLoopDifferential:
                 machine.memory.read_bytes(_SCRATCH, 0x60))
 
     def test_static_every_block_budget(self):
-        before = superblock_counters()
         returned = []
-        for max_blocks in range(2 * _TRIPS + 3):
-            fused = self._static_run(max_blocks, "compiled")
-            assert fused == self._static_run(max_blocks, "interp"), \
-                "diverged at max_blocks=%d" % max_blocks
-            if fused[0] == "returned":
-                returned.append(max_blocks)
-            else:
-                # r11 counts blocks: the budget stopped exactly at it.
-                assert fused[1][11] == max_blocks
+        with counting() as work:
+            for max_blocks in range(2 * _TRIPS + 3):
+                fused = self._static_run(max_blocks, "compiled")
+                assert fused == self._static_run(max_blocks, "interp"), \
+                    "diverged at max_blocks=%d" % max_blocks
+                if fused[0] == "returned":
+                    returned.append(max_blocks)
+                else:
+                    # r11 counts blocks: the budget stopped exactly at it.
+                    assert fused[1][11] == max_blocks
         # Prologue + two members per trip + the exit block.
         assert returned == [2 * _TRIPS + 1, 2 * _TRIPS + 2]
         assert fused[1][14] == _TRIPS
-        after = superblock_counters()
-        assert after["superblock_loop_iterations"] > \
-            before["superblock_loop_iterations"]
+        assert work["superblock_loop_iterations"] > 0
 
 
 # -- stream transfers ----------------------------------------------------
@@ -626,10 +621,6 @@ def _copy_machine(program, device):
     return machine
 
 
-def _streamed():
-    return superblock_counters()["superblock_stream_elements"]
-
-
 #: Hot at the second lookup, once the back-edge has been profiled.
 @mock.patch(_HOT_THRESHOLD, 2)
 class TestStreamDeopt:
@@ -662,12 +653,12 @@ class TestStreamDeopt:
             cpu.regs[1], cpu.regs[3], cpu.regs[4] = _NE_PORT, pointer, count
             cpu.regs[2] = source[0] if source else 0
             cpu.pc = TEXT_BASE
-            before = _streamed()
-            try:
-                outcome = cpu.run(max_steps=budget)
-            except VmFault as exc:
-                outcome = type(exc).__name__
-            streamed.append(_streamed() - before)
+            with counting() as work:
+                try:
+                    outcome = cpu.run(max_steps=budget)
+                except VmFault as exc:
+                    outcome = type(exc).__name__
+            streamed.append(work["superblock_stream_elements"])
             results.append((outcome, list(cpu.regs), cpu.pc, cpu.instret,
                             cpu.io_ops, cpu.mem_ops,
                             machine.memory.read_bytes(_COPY_BUF, 0x200),
@@ -754,11 +745,11 @@ class TestStreamDeopt:
         span: every transfer falls back, and the self-patch guard
         deopts the ordinary iterations."""
         gap_start = _at(_COPY_BODY)
-        before = superblock_counters()["superblock_deopts"]
-        _fused, streamed = self._agree(
-            [(_COPY_BUF, 0x20), (gap_start, 0x20)], gap=8)
+        with counting() as work:
+            _fused, streamed = self._agree(
+                [(_COPY_BUF, 0x20), (gap_start, 0x20)], gap=8)
         assert streamed[1] == 0
-        assert superblock_counters()["superblock_deopts"] > before
+        assert work["superblock_deopts"] > 0
 
     def test_instruction_budget_ends_mid_transfer(self):
         """Every budget from 0 past the run's end: the transfer is
@@ -797,16 +788,16 @@ class TestStreamDeopt:
         env.regs[REG_SP] = STACK_TOP
         env.regs[1], env.regs[3], env.regs[4] = _NE_PORT, _COPY_BUF, 0x10
         outcome = "returned"
-        before = _streamed()
-        try:
-            driver.run_function(TEXT_BASE, env, [], None,
-                                max_blocks=max_blocks, backend=backend)
-        except SynthesisError:
-            outcome = "budget"
+        with counting() as work:
+            try:
+                driver.run_function(TEXT_BASE, env, [], None,
+                                    max_blocks=max_blocks, backend=backend)
+            except SynthesisError:
+                outcome = "budget"
         return (outcome, list(env.regs), env.instrs_retired,
                 env.ops_retired, env.io_ops, env.mem_ops,
                 machine.memory.read_bytes(_COPY_BUF, 0x20),
-                _device_state(device)), _streamed() - before
+                _device_state(device)), work["superblock_stream_elements"]
 
     def test_block_budget_ends_mid_transfer(self):
         partial = 0

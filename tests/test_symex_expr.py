@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.counters import counting
 from repro.symex import expr as E
 from repro.symex.solver import Solver
 
@@ -225,19 +226,16 @@ class TestShapeSharing:
             E.bv_sym("hw_dma_660000_status")), 0)
         for value in (owned, condition):
             program = E._compile_program(value)
-            before = E.eval_counters()
-            program({})
-            after = E.eval_counters()
-            assert after["program_runs"] - before["program_runs"] == 1
-            assert (after["node_visits"] - before["node_visits"]
-                    == len(_nodes(value)))
+            with counting() as work:
+                program({})
+            assert work["program_runs"] == 1
+            assert work["node_visits"] == len(_nodes(value))
         conjunction = E.compiled_conjunction((owned, short))
-        before = E.eval_counters()
-        conjunction({})
-        after = E.eval_counters()
-        assert after["program_runs"] - before["program_runs"] == 1
+        with counting() as work:
+            conjunction({})
+        assert work["program_runs"] == 1
         nodes = _nodes(short, _nodes(owned))
-        assert after["node_visits"] - before["node_visits"] == len(nodes)
+        assert work["node_visits"] == len(nodes)
 
 
 # A template is a tree of operations whose leaves are symbol slots and
@@ -432,12 +430,11 @@ class TestSplitConjunctions:
 
         def run():
             E.reset_programs()
-            before = E.eval_counters()
-            for count in range(1, len(checks) + 1):
-                E.compiled_conjunction(tuple(checks[:count]))(model)
-                E.compiled(checks[count - 1])(model)
-            after = E.eval_counters()
-            return {key: after[key] - before[key] for key in after}
+            with counting() as work:
+                for count in range(1, len(checks) + 1):
+                    E.compiled_conjunction(tuple(checks[:count]))(model)
+                    E.compiled(checks[count - 1])(model)
+            return work
 
         first = run()
         assert first["nodes_lowered"] > 0
@@ -529,9 +526,9 @@ class TestSolver:
 
     def test_feasibility_api(self):
         x = E.bv_sym("x")
-        assert self.solver.is_feasible([E.bv_cmp("ne", x, 0)])
-        assert not self.solver.is_feasible(
-            [E.bv_cmp("ult", x, 1), E.bv_cmp("uge", x, 1)])
+        assert self.solver.find_model([E.bv_cmp("ne", x, 0)]) is not None
+        assert self.solver.find_model(
+            [E.bv_cmp("ult", x, 1), E.bv_cmp("uge", x, 1)]) is None
 
 
 class TestSymMemory:
